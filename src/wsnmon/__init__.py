@@ -8,7 +8,6 @@ from .basestation import (
     ParsedTelemetry,
     PartialRound,
     TelemetryWriter,
-    latest_snapshot,
     parse_record,
     parse_telemetry,
     serialize_snapshots,
@@ -43,13 +42,11 @@ from .gateway import (
     serve,
 )
 from .netsim import (
-    Delivery,
     EventKind,
     LinkOutage,
     SimConfig,
     SimEvent,
     SimSummary,
-    interrupt_call,
     run_round,
     run_simulation,
 )
@@ -58,10 +55,8 @@ from .topology import (
     NodeRole,
     RadioSpec,
     TreeTopology,
-    add_leaflet,
     build_topology,
     round_message_count,
-    route_path,
 )
 
 __version__ = "0.1.0"

@@ -199,14 +199,6 @@ def parse_telemetry(data: bytes | str) -> ParsedTelemetry:
     return ParsedTelemetry(nodes=nodes, snapshots=snapshots, partial=partial)
 
 
-def latest_snapshot(source: ParsedTelemetry | bytes | str) -> Snapshot:
-    """Highest-round complete snapshot; EMPTY_LOG when none exists."""
-    parsed = source if isinstance(source, ParsedTelemetry) else parse_telemetry(source)
-    if not parsed.snapshots:
-        raise TelemetryError("EMPTY_LOG", "no complete round in log")
-    return parsed.snapshots[-1]
-
-
 class TelemetryWriter:
     """Single writer for one append-only telemetry file.
 

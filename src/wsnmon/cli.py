@@ -83,8 +83,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     server = None
     trace_fh = None
     try:
+        # the trace opens first, so a failure here leaves no header-only log
+        if args.trace:
+            trace_fh = open(args.trace, "w", encoding="utf-8", newline="\n")
         writer = TelemetryWriter(args.out, nodes)
-    except TelemetryError as e:
+    except (OSError, TelemetryError) as e:
+        if trace_fh is not None:
+            trace_fh.close()
         _err(f"wsn run: {e}")
         return 2
     try:
@@ -94,8 +99,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             gateway = Gateway(sim.topology, run_cfg.rules)
             server = serve(gateway, host=args.host, port=args.port)
             _err(f"gateway listening on {server.host}:{server.port}")
-        if args.trace:
-            trace_fh = open(args.trace, "w", encoding="utf-8", newline="\n")
 
         def sink(s: Snapshot) -> None:
             writer.append(s)

@@ -11,12 +11,14 @@
 
 ``#`` starts a comment. Channel tokens are temp_c, light_raw, ch4_ppm,
 co_ppm, o2_pct. Temperature and light are always equipped (defaults: 25.0
-and 512 with no drift); a gas channel is equipped by giving it an env line.
+and 512 with no drift); a gas channel is equipped by giving it an env line,
+and an alert may only watch an equipped channel. Numbers must be finite.
 Every error names the offending line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .environment import (
@@ -27,7 +29,7 @@ from .environment import (
     channel_from_token,
     default_spec,
 )
-from .errors import ConfigError, EnvError, SimError, TopologyError
+from .errors import ConfigError, EnvError, GatewayError, SimError, TopologyError
 from .gateway import AlertRule, Comparator, Severity
 from .netsim import (
     DEFAULT_HOP_LATENCY_MS,
@@ -52,9 +54,12 @@ class RunConfig:
 
 def _number(token: str, line_no: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ConfigError(f"bad {what} {token!r}", line_no) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {token!r}", line_no)
+    return value
 
 
 def _integer(token: str, line_no: int, what: str) -> int:
@@ -72,7 +77,7 @@ def parse_config(text: str) -> RunConfig:
     pos_lines: dict[str, int] = {}
     env_models: dict[Channel, ChannelModel] = {}
     outages: list[tuple[LinkOutage, int]] = []
-    rules: list[AlertRule] = []
+    rules: list[tuple[AlertRule, int]] = []
     scalars: dict[str, int] = {}
     scalar_lines: dict[str, int] = {}
 
@@ -168,7 +173,7 @@ def parse_config(text: str) -> RunConfig:
                     "alert takes <id> <channel> <GT|LT> <threshold> <WARN|DANGER>", line_no
                 )
             rule_id, channel_token, cmp_token, threshold_token, severity_token = args
-            if any(r.rule_id == rule_id for r in rules):
+            if any(r.rule_id == rule_id for r, _ in rules):
                 raise ConfigError(f"duplicate alert id {rule_id!r}", line_no)
             try:
                 channel = channel_from_token(channel_token)
@@ -180,15 +185,17 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     f"severity must be WARN or DANGER, got {severity_token!r}", line_no
                 )
-            rules.append(
-                AlertRule(
+            try:
+                rule = AlertRule(
                     rule_id=rule_id,
                     channel=channel,
                     comparator=_COMPARATORS[cmp_token],
                     threshold=_number(threshold_token, line_no, "threshold"),
                     severity=_SEVERITIES[severity_token],
                 )
-            )
+            except GatewayError as e:
+                raise ConfigError(e.message, line_no) from None
+            rules.append((rule, line_no))
 
         else:
             raise ConfigError(f"unknown directive {directive!r}", line_no)
@@ -208,6 +215,12 @@ def parse_config(text: str) -> RunConfig:
 
     for channel, baseline in DEFAULT_BASELINES.items():
         env_models.setdefault(channel, ChannelModel(baseline=baseline))
+    for rule, line_no in rules:
+        if rule.channel not in env_models:
+            raise ConfigError(
+                f"alert {rule.rule_id!r} watches {rule.channel.value}, which has no env line",
+                line_no,
+            )
     seed = scalars.get("seed", 0)
     env_field = EnvField(channels=env_models, seed=seed)
     sensors = tuple(default_spec(ch) for ch in Channel if ch in env_models)
@@ -221,27 +234,22 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(e.message, line_no) from None
         checked_outages.append(outage)
 
-    period = scalars.get("period_ms", DEFAULT_ROUND_PERIOD_MS)
-    hop = scalars.get("hop_ms", DEFAULT_HOP_LATENCY_MS)
-    if period < 4 * hop:
-        raise ConfigError(
-            f"period_ms {period} must be >= 4x hop_ms {hop}",
-            scalar_lines.get("period_ms", scalar_lines.get("hop_ms")),
-        )
     try:
         sim = SimConfig(
             topology=topology,
             field=env_field,
             sensors=sensors,
             rounds=scalars.get("rounds", DEFAULT_ROUNDS),
-            round_period_ms=period,
-            hop_latency_ms=hop,
+            round_period_ms=scalars.get("period_ms", DEFAULT_ROUND_PERIOD_MS),
+            hop_latency_ms=scalars.get("hop_ms", DEFAULT_HOP_LATENCY_MS),
             seed=seed,
             outages=tuple(checked_outages),
         )
     except SimError as e:
-        raise ConfigError(e.message) from None
-    return RunConfig(sim=sim, rules=tuple(rules))
+        # the per-line checks above leave period_ms < 4x hop_ms as the only failure
+        line_no = scalar_lines.get("period_ms", scalar_lines.get("hop_ms"))
+        raise ConfigError(e.message, line_no) from None
+    return RunConfig(sim=sim, rules=tuple(rule for rule, _ in rules))
 
 
 def _parse_script(token: str, line_no: int) -> Drift:

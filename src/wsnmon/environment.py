@@ -9,7 +9,7 @@ datasheets state an error bound, and a hard bound is what the tests check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
@@ -124,15 +124,10 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class EnvField:
-    """Shared room-level truth for every configured channel.
-
-    node_offsets shifts a single node's view of a channel; all offsets
-    default to 0 (one room, one field).
-    """
+    """Shared room-level truth for every configured channel (one room, one field)."""
 
     channels: Mapping[Channel, ChannelModel]
     seed: int = 0
-    node_offsets: Mapping[tuple[str, Channel], float] = field(default_factory=dict)
 
 
 def _walk_rng(seed: int, channel: Channel) -> random.Random:
@@ -140,8 +135,8 @@ def _walk_rng(seed: int, channel: Channel) -> random.Random:
     return random.Random(f"{seed}/walk/{channel.value}")
 
 
-def truth_at(f: EnvField, channel: Channel, round_index: int, node: str | None = None) -> float:
-    """Ground truth of ``channel`` at the given round, plus any node offset."""
+def truth_at(f: EnvField, channel: Channel, round_index: int) -> float:
+    """Ground truth of ``channel`` at the given round, the same for every node."""
     if channel not in f.channels:
         raise EnvError("UNKNOWN_CHANNEL", f"channel {channel.value} not configured")
     if round_index < 0:
@@ -156,8 +151,6 @@ def truth_at(f: EnvField, channel: Channel, round_index: int, node: str | None =
         for bp_round, bp_value in model.drift.script:
             if bp_round <= round_index:
                 value = bp_value
-    if node is not None:
-        value += f.node_offsets.get((node, channel), 0.0)
     return value
 
 

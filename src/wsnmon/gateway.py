@@ -69,14 +69,6 @@ class AlertRule:
         return value < self.threshold
 
 
-#: Illustrative mine-safety defaults; thresholds are configuration, not data.
-DEFAULT_RULES = (
-    AlertRule("ch4_high", Channel.CH4_PPM, Comparator.GREATER, 10000.0, Severity.DANGER),
-    AlertRule("co_high", Channel.CO_PPM, Comparator.GREATER, 50.0, Severity.WARN),
-    AlertRule("o2_low", Channel.O2_PCT, Comparator.LESS, 19.5, Severity.DANGER),
-)
-
-
 @dataclass(frozen=True)
 class Alert:
     rule_id: str
@@ -84,7 +76,6 @@ class Alert:
     round: int
     value: float
     severity: Severity
-    active: bool = True
 
 
 def alert_line(a: Alert, channel: Channel) -> str:
@@ -131,7 +122,7 @@ class Gateway:
     mixes rounds or sees a half-updated alert set.
     """
 
-    def __init__(self, topology: TreeTopology, rules: Sequence[AlertRule] = DEFAULT_RULES):
+    def __init__(self, topology: TreeTopology, rules: Sequence[AlertRule] = ()):
         _validate_rules(rules)
         self.topology = topology
         self.rules = tuple(rules)

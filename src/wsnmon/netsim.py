@@ -19,14 +19,14 @@ seed by fixed strings, so identical configs give byte-identical runs.
 Event timing within a round starting at t0 (hop = per-message latency):
 polls BS->head at t0, polls head->leaflet at t0+hop, leaflet replies at
 t0+2*hop, head aggregates at t0+3*hop. A LINK_DROP event marks each lost
-message at the same timestamp. Events are totally ordered by
-(time_ms, emission sequence).
+message at the same timestamp. Events are ordered by time_ms, and events
+with the same time_ms keep their emission order.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -45,19 +45,12 @@ class EventKind(Enum):
     LINK_DROP = "LINK_DROP"
 
 
-class Delivery(Enum):
-    DELIVERED = "DELIVERED"
-    DROPPED = "DROPPED"
-
-
 @dataclass(frozen=True)
 class SimEvent:
     time_ms: int
     kind: EventKind
     src: str
     dst: str
-    payload: tuple[Reading, ...] | None = None
-    seq: int = 0
 
 
 def trace_line(ev: SimEvent) -> str:
@@ -104,9 +97,10 @@ class SimConfig:
         if self.hop_latency_ms < 0:
             raise SimError("INVALID_CONFIG", "hop_latency_ms must be >= 0")
         if self.round_period_ms < 4 * self.hop_latency_ms:
+            # a round's four hops must finish before the next round starts
             raise SimError(
                 "INVALID_CONFIG",
-                "round_period_ms must cover 4 hops so a round finishes before the next",
+                f"period_ms {self.round_period_ms} must be >= 4x hop_ms {self.hop_latency_ms}",
             )
         channels = [s.channel for s in self.sensors]
         if len(set(channels)) != len(channels):
@@ -138,15 +132,6 @@ class SimSummary:
     messages_dropped: int
 
 
-def interrupt_call(src: str, dst: str, cfg: SimConfig, rng: random.Random) -> Delivery:
-    """One poll attempt over a tree link; DROPPED with the radio's probability."""
-    if not cfg.topology.is_link(src, dst):
-        raise SimError("NOT_A_LINK", f"{src}->{dst} is not a tree link")
-    if rng.random() < cfg.topology.radio.failure_prob:
-        return Delivery.DROPPED
-    return Delivery.DELIVERED
-
-
 class _Round:
     """Builder for one round's events and readings."""
 
@@ -157,20 +142,16 @@ class _Round:
         self.round_index = round_index
         self.drop_rng = random.Random(f"{cfg.seed}/drops/{round_index}")
         self.events: list[SimEvent] = []
-        self._seq = 0
 
-    def attempt(self, kind: EventKind, src: str, dst: str, at: int,
-                payload: tuple[Reading, ...] | None = None) -> bool:
+    def attempt(self, kind: EventKind, src: str, dst: str, at: int) -> bool:
         """Emit the message event; decide and mark loss. True when delivered."""
-        self.events.append(SimEvent(at, kind, src, dst, payload, seq=self._seq))
-        self._seq += 1
+        self.events.append(SimEvent(at, kind, src, dst))
         if (src, dst) in self.overrides:
             dropped = True  # forced outage, no draw consumed
         else:
             dropped = self.drop_rng.random() < self.cfg.topology.radio.failure_prob
         if dropped:
-            self.events.append(SimEvent(at, EventKind.LINK_DROP, src, dst, seq=self._seq))
-            self._seq += 1
+            self.events.append(SimEvent(at, EventKind.LINK_DROP, src, dst))
         return not dropped
 
     def measure_all(self) -> dict[str, Reading]:
@@ -183,9 +164,8 @@ class _Round:
         for node in cfg.topology.sensing_nodes():
             values: dict[Channel, float] = {}
             for spec in cfg.sensors:
-                truth = truths[spec.channel]
-                offset = cfg.field.node_offsets.get((node, spec.channel), 0.0)
-                values[spec.channel] = sense(spec, truth + offset, noise_rng.uniform(-1.0, 1.0))
+                values[spec.channel] = sense(
+                    spec, truths[spec.channel], noise_rng.uniform(-1.0, 1.0))
             readings[node] = Reading(
                 node=node,
                 round=self.round_index,
@@ -239,12 +219,10 @@ def run_round(
             for leaf in topo.leaflets(head)
         }
         for leaf in topo.leaflets(head):
-            if leaf_polled[leaf] and rnd.attempt(
-                EventKind.DATA_MSG, leaf, head, t0 + 2 * hop, payload=(measured[leaf],)
-            ):
+            if leaf_polled[leaf] and rnd.attempt(EventKind.DATA_MSG, leaf, head, t0 + 2 * hop):
                 leaf_data.append(measured[leaf])
         aggregate = (measured[head], *leaf_data)
-        if rnd.attempt(EventKind.DATA_MSG, head, topo.root, t0 + 3 * hop, payload=aggregate):
+        if rnd.attempt(EventKind.DATA_MSG, head, topo.root, t0 + 3 * hop):
             for reading in aggregate:
                 delivered[reading.node] = reading
 
@@ -252,7 +230,7 @@ def run_round(
         delivered.get(node, rnd.null_reading(measured[node]))
         for node in topo.sensing_nodes()
     )
-    events = sorted(rnd.events, key=lambda ev: (ev.time_ms, ev.seq))
+    events = sorted(rnd.events, key=lambda ev: ev.time_ms)  # stable: ties keep emission order
     return Snapshot(round=round_index, time_ms=t0, readings=readings), events
 
 

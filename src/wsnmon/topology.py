@@ -2,8 +2,7 @@
 
 The tree is fixed at depth 2 below the root. Children lists keep their
 configuration order, which is what makes polling (and therefore the whole
-simulation) deterministic. Topology values are immutable; operations that
-"modify" a topology return a new one.
+simulation) deterministic. Topology values are immutable.
 """
 
 from __future__ import annotations
@@ -95,16 +94,6 @@ class TreeTopology:
             out.extend(self.children[head])
         return tuple(out)
 
-    def parent_of(self, node: str) -> str | None:
-        if node not in self.roles:
-            raise TopologyError("UNKNOWN_NODE", f"no node {node!r}")
-        if node == self.root:
-            return None
-        for parent, kids in self.children.items():
-            if node in kids:
-                return parent
-        raise TopologyError("UNKNOWN_NODE", f"no node {node!r}")  # pragma: no cover
-
     def is_link(self, a: str, b: str) -> bool:
         """True when (a, b) is a tree edge in either direction."""
         for node in (a, b):
@@ -121,7 +110,8 @@ def build_topology(
 ) -> TreeTopology:
     """Build and validate a topology from (head, leaflets) pairs.
 
-    Raises DUPLICATE_LABEL, EMPTY_TOPOLOGY, or RANGE_VIOLATION.
+    This is the only constructor that checks the tree's invariants; raises
+    INVALID_LABEL, DUPLICATE_LABEL, EMPTY_TOPOLOGY, or RANGE_VIOLATION.
     """
     if not cluster_heads:
         raise TopologyError("EMPTY_TOPOLOGY", "at least one cluster head is required")
@@ -149,81 +139,11 @@ def build_topology(
     return topo
 
 
-def add_leaflet(t: TreeTopology, head: str, leaf: str) -> TreeTopology:
-    """Return a new topology with ``leaf`` attached under ``head``."""
-    if head not in t.roles:
-        raise TopologyError("UNKNOWN_NODE", f"no node {head!r}")
-    if t.roles[head] is not NodeRole.CLUSTER_HEAD:
-        raise TopologyError("NOT_A_CLUSTER_HEAD", f"{head!r} is not a cluster head")
-    validate_label(leaf)
-    if leaf in t.roles:
-        raise TopologyError("DUPLICATE_LABEL", f"label {leaf!r} used twice")
-    children = dict(t.children)
-    children[head] = children[head] + (leaf,)
-    children[leaf] = ()
-    roles = dict(t.roles)
-    roles[leaf] = NodeRole.LEAFLET
-    out = TreeTopology(
-        root=t.root, children=children, roles=roles, radio=t.radio, positions=dict(t.positions)
-    )
-    _check_ranges(out)
-    return out
-
-
-def route_path(t: TreeTopology, src: str, dst: str) -> list[str]:
-    """Unique tree path between two nodes, inclusive of both endpoints."""
-
-    def chain_to_root(node: str) -> list[str]:
-        chain = [node]
-        while chain[-1] != t.root:
-            chain.append(t.parent_of(chain[-1]))
-        return chain
-
-    up = chain_to_root(src)  # validates src
-    down = chain_to_root(dst)
-    on_up = set(up)
-    # walk down's chain until it meets src's chain; that node is the junction
-    junction = next(n for n in down if n in on_up)
-    path = up[: up.index(junction) + 1]
-    path += list(reversed(down[: down.index(junction)]))
-    return path
-
-
 def round_message_count(t: TreeTopology) -> int:
     """Messages per collection round: one poll + one data reply per link."""
     heads = t.cluster_heads()
     total_leaflets = sum(len(t.children[h]) for h in heads)
     return 2 * len(heads) + 2 * total_leaflets
-
-
-def validate(t: TreeTopology) -> None:
-    """Check every structural invariant; raises TopologyError on violation."""
-    if t.root not in t.roles or t.roles[t.root] is not NodeRole.BASE_STATION:
-        raise TopologyError("INVALID_TREE", "root must have role BASE_STATION")
-    if not t.children.get(t.root):
-        raise TopologyError("EMPTY_TOPOLOGY", "root has no cluster heads")
-    seen: set[str] = set()
-    for node, role in t.roles.items():
-        validate_label(node)
-        if node in seen:  # dict keys are unique; guards hand-built role maps
-            raise TopologyError("DUPLICATE_LABEL", f"label {node!r} used twice")
-        seen.add(node)
-    for head in t.children[t.root]:
-        if t.roles.get(head) is not NodeRole.CLUSTER_HEAD:
-            raise TopologyError("INVALID_TREE", f"root child {head!r} is not a cluster head")
-        for leaf in t.children.get(head, ()):
-            if t.roles.get(leaf) is not NodeRole.LEAFLET:
-                raise TopologyError("INVALID_TREE", f"{leaf!r} under {head!r} is not a leaflet")
-            if t.children.get(leaf):
-                raise TopologyError("INVALID_TREE", f"leaflet {leaf!r} has children (depth > 2)")
-    reachable = {t.root}
-    reachable.update(t.children[t.root])
-    for head in t.children[t.root]:
-        reachable.update(t.children.get(head, ()))
-    if reachable != set(t.roles):
-        stray = set(t.roles) - reachable
-        raise TopologyError("INVALID_TREE", f"nodes not attached to the tree: {sorted(stray)}")
-    _check_ranges(t)
 
 
 def _check_ranges(t: TreeTopology) -> None:

@@ -11,7 +11,6 @@ from wsnmon.basestation import (
     LatestMirror,
     TelemetryWriter,
     header_line,
-    latest_snapshot,
     parse_record,
     parse_telemetry,
     record_line,
@@ -165,19 +164,6 @@ class TestParserErrors:
         assert parse_record(record_line(r)) == r
 
 
-class TestLatestSnapshot:
-    def test_latest_of_hundred(self):
-        snaps = snapshots_for(100)
-        assert latest_snapshot(serialize_snapshots(DESK_NODES, snaps)) == snaps[-1]
-
-    def test_partial_only_log_is_empty(self):
-        snaps = snapshots_for(1)
-        text = serialize_snapshots(DESK_NODES, snaps)
-        partial = "".join(text.splitlines(keepends=True)[:3])
-        with pytest.raises(TelemetryError, match="EMPTY_LOG"):
-            latest_snapshot(partial)
-
-
 class TestWriter:
     def test_append_then_read_your_write(self, tmp_path):
         path = tmp_path / "t.log"
@@ -185,7 +171,7 @@ class TestWriter:
         with TelemetryWriter(path, DESK_NODES) as w:
             for s in snaps:
                 w.append(s)
-                assert latest_snapshot(path.read_bytes()) == s
+                assert parse_telemetry(path.read_bytes()).snapshots[-1] == s
         parsed = parse_telemetry(path.read_bytes())
         assert parsed.snapshots == snaps
         # record count = rounds x sensing nodes

@@ -66,6 +66,14 @@ class TestRun:
         assert rc == 2
         assert "IO_FAILURE" in capsys.readouterr().err
 
+    def test_unwritable_trace_path(self, tmp_path, capsys):
+        out = tmp_path / "t.log"
+        rc = main(["run", write_cfg(tmp_path), "--out", str(out),
+                   "--trace", str(tmp_path / "no/dir/events.trace")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("wsn run: ")
+        assert not out.exists()  # no header-only log left behind
+
     def test_trace_export(self, tmp_path):
         out = tmp_path / "t.log"
         trace = tmp_path / "events.trace"

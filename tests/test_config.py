@@ -194,6 +194,29 @@ class TestErrors:
         err = parse_error(DESK_CFG + "alert a co_ppm GT 50 FATAL\n")
         assert "WARN or DANGER" in err.message
 
+    def test_alert_bad_rule_id(self):
+        err = parse_error(DESK_CFG + "alert a,b temp_c GT 30 WARN\n")
+        assert err.line_no == 5
+        assert "rule id" in err.message
+
+    def test_alert_on_unequipped_gas_channel(self):
+        err = parse_error(DESK_CFG + "alert co_high co_ppm GT 50 WARN\nenv ch4_ppm 800\n")
+        assert err.line_no == 5
+        assert "co_ppm" in err.message
+
+    @pytest.mark.parametrize("lines, line_no", [
+        ("env temp_c nan", 5),
+        ("env co_ppm 10\nalert x co_ppm GT nan WARN", 6),
+        ("pos N1 nan 0", 5),
+        ("env o2_pct 1e400", 5),
+        ("env temp_c 25 walk inf", 5),
+        ("env temp_c 25 script 0:20,9:-Infinity", 5),
+    ])
+    def test_non_finite_numbers(self, lines, line_no):
+        err = parse_error(DESK_CFG + lines + "\n")
+        assert err.line_no == line_no
+        assert "finite" in err.message
+
     def test_message_names_line(self):
         err = parse_error("radio 30 0\nbogus\ncluster N1\n")
         assert "line 2" in str(err)

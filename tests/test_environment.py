@@ -72,14 +72,6 @@ class TestTruthAt:
         with pytest.raises(EnvError, match="INVALID_ROUND"):
             truth_at(f, Channel.TEMP_C, -1)
 
-    def test_node_offsets(self):
-        f = EnvField(
-            channels={Channel.TEMP_C: ChannelModel(25.0)},
-            node_offsets={("N1", Channel.TEMP_C): 1.5},
-        )
-        assert truth_at(f, Channel.TEMP_C, 0, node="N1") == 26.5
-        assert truth_at(f, Channel.TEMP_C, 0, node="N2") == 25.0
-
     def test_script_breakpoints_must_increase(self):
         with pytest.raises(EnvError, match="INVALID_DRIFT"):
             Drift.scripted([(5, 1.0), (5, 2.0)])

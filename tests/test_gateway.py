@@ -20,7 +20,6 @@ from wsnmon.basestation import parse_record, record_line
 from wsnmon.environment import Channel
 from wsnmon.errors import GatewayError
 from wsnmon.gateway import (
-    DEFAULT_RULES,
     Alert,
     AlertRule,
     Comparator,

@@ -1,6 +1,6 @@
 """Round simulation: polling order, loss cascades, determinism, counting."""
 
-import random
+import math
 
 import pytest
 
@@ -14,12 +14,10 @@ from wsnmon.basestation import serialize_snapshots
 from wsnmon.environment import Channel, ChannelModel, Drift, EnvField, default_spec, truth_at
 from wsnmon.errors import SimError
 from wsnmon.netsim import (
-    Delivery,
     EventKind,
     LinkOutage,
     SimConfig,
     SimSummary,
-    interrupt_call,
     run_round,
     run_simulation,
     trace_line,
@@ -168,6 +166,16 @@ class TestRunSimulation:
         assert len(events) == summary.messages_sent + summary.messages_dropped
         assert len(events) == 5 * 12
 
+    def test_drop_fraction_tracks_probability(self):
+        """Each attempted message is lost with the radio's probability: the
+        observed drop fraction stays within 4 sigma of a binomial draw."""
+        p = 0.5
+        _, summary = collect(make_config(failure_prob=p, rounds=500, seed=42))
+        n = summary.messages_sent
+        assert n > 1000
+        sigma = math.sqrt(p * (1 - p) / n)
+        assert abs(summary.messages_dropped / n - p) <= 4 * sigma
+
 
 class TestDeterminism:
     def test_identical_seeds_reproduce_run_exactly(self):
@@ -190,26 +198,6 @@ class TestDeterminism:
         snaps, _ = collect(cfg)
         again, _ = run_round(cfg, 17)
         assert snaps[17] == again
-
-
-class TestInterruptCall:
-    def test_certain_outcomes(self):
-        rng = random.Random(0)
-        assert interrupt_call("BS", "N1", make_config(), rng) is Delivery.DELIVERED
-        assert interrupt_call("BS", "N1", make_config(failure_prob=1.0), rng) is Delivery.DROPPED
-
-    def test_not_a_link(self):
-        with pytest.raises(SimError, match="NOT_A_LINK"):
-            interrupt_call("1.1", "2.1", make_config(), random.Random(0))
-
-    def test_drop_fraction_tracks_probability(self):
-        """First 1000 draws from the seeded stream land near the configured rate."""
-        cfg = make_config(failure_prob=0.5)
-        rng = random.Random(42)
-        drops = sum(
-            interrupt_call("BS", "N1", cfg, rng) is Delivery.DROPPED for _ in range(1000)
-        )
-        assert 0.45 <= drops / 1000 <= 0.55
 
 
 class TestConfigValidation:
