@@ -14,12 +14,13 @@ most one trailing partial round while a write is in flight.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .environment import GAS_CHANNELS, Channel
+from .environment import Channel
 from .errors import TelemetryError
 from .records import Reading, ReadingStatus, Snapshot
 
@@ -28,6 +29,7 @@ VERSION = "v1"
 
 _NULL = "NULL"
 _NOT_EQUIPPED = "-"
+_COLUMNS = tuple(Channel)  # value columns 4-8, in Channel order
 
 
 def format_value(channel: Channel, value: float) -> str:
@@ -60,14 +62,12 @@ def parse_header(line: str) -> tuple[str, ...]:
 
 def record_line(r: Reading) -> str:
     fields = [str(r.round), str(r.time_ms), r.node]
-    fields.append(_NULL if r.temp_c is None else format_value(Channel.TEMP_C, r.temp_c))
-    fields.append(_NULL if r.light_raw is None else format_value(Channel.LIGHT_RAW, r.light_raw))
-    for gas in GAS_CHANNELS:
-        if gas not in r.gases:
+    for channel in _COLUMNS:
+        if channel not in r.values:
             fields.append(_NOT_EQUIPPED)
         else:
-            v = r.gases[gas]
-            fields.append(_NULL if v is None else format_value(gas, v))
+            v = r.values[channel]
+            fields.append(_NULL if v is None else format_value(channel, v))
     fields.append(r.status.value)
     return ",".join(fields)
 
@@ -107,24 +107,20 @@ def parse_record(line: str, line_no: int = 0) -> Reading:
         if text == _NULL:
             return None
         try:
-            return float(text) if channel is Channel.TEMP_C else float(int(text))
-        except ValueError:
+            value = float(text) if channel is Channel.TEMP_C else float(int(text))
+        except (ValueError, OverflowError):
             raise fail(f"bad {channel.value} value {text!r}") from None
+        if not math.isfinite(value):
+            raise fail(f"bad {channel.value} value {text!r}")
+        return value
 
-    temp = number(fields[3], Channel.TEMP_C)
-    light = number(fields[4], Channel.LIGHT_RAW)
-    gases: dict[Channel, float | None] = {}
-    for gas, text in zip(GAS_CHANNELS, fields[5:8]):
-        if text != _NOT_EQUIPPED:
-            gases[gas] = number(text, gas)
-    if fields[8] not in (ReadingStatus.OK.value, ReadingStatus.NULL.value):
-        raise fail(f"bad status {fields[8]!r}")
-    status = ReadingStatus(fields[8])
+    values = {
+        channel: number(text, channel)
+        for channel, text in zip(_COLUMNS, fields[3:8])
+        if text != _NOT_EQUIPPED
+    }
     try:
-        return Reading(
-            node=node, round=rnd, time_ms=time_ms, temp_c=temp, light_raw=light,
-            gases=gases, status=status,
-        )
+        return Reading(node, rnd, time_ms, values, ReadingStatus(fields[8]))
     except ValueError as e:
         raise fail(str(e)) from None
 
@@ -151,7 +147,11 @@ def parse_telemetry(data: bytes | str) -> ParsedTelemetry:
     Returns every complete round; a trailing partial round (in-flight or torn
     write) is reported in ``partial``, never folded into the snapshots.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as e:
+        line_no = data.count(b"\n", 0, e.start) + 1
+        raise TelemetryError("MALFORMED_RECORD", f"not UTF-8: {e}", line_no=line_no) from None
     if not text:
         raise TelemetryError("BAD_HEADER", "empty input", line_no=1)
     lines = text.split("\n")
@@ -250,19 +250,25 @@ class LatestMirror:
 
     Reproduces the original deployment's single rewritten .txt: on every
     round the file is replaced wholesale (write-temp-then-rename, so readers
-    never see a half-written file).
+    never see a half-written file). Until the first round it holds the header
+    alone.
     """
 
     def __init__(self, path: str | os.PathLike, nodes: Sequence[str]):
         self.path = os.fspath(path)
         self.nodes = tuple(nodes)
+        # a zero-round file: an unwritable path fails here, before any round runs
+        self._replace("")
 
     def update(self, s: Snapshot) -> None:
+        self._replace(snapshot_block(s))
+
+    def _replace(self, block: str) -> None:
         tmp = self.path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(header_line(self.nodes) + "\n")
-                fh.write(snapshot_block(s))
+                fh.write(block)
             os.replace(tmp, self.path)
         except OSError as e:
-            raise TelemetryError("IO_FAILURE", f"round {s.round}: {e}") from e
+            raise TelemetryError("IO_FAILURE", f"cannot write {self.path}: {e}") from e

@@ -13,6 +13,8 @@ Exit codes: run 0 ok / 1 config error / 2 runtime failure; fetch 0 ok /
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import socket
 import sys
 import time
@@ -68,7 +70,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        text = open(args.config, encoding="utf-8").read()
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as e:
         _err(f"wsn run: cannot read config: {e}")
         return 1
@@ -80,60 +83,54 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     sim = run_cfg.sim
     nodes = sim.topology.sensing_nodes()
-    server = None
-    trace_fh = None
+    gateway = server = mirror = trace_fh = None
     try:
-        # the trace opens first, so a failure here leaves no header-only log
-        if args.trace:
-            trace_fh = open(args.trace, "w", encoding="utf-8", newline="\n")
-        writer = TelemetryWriter(args.out, nodes)
-    except (OSError, TelemetryError) as e:
-        if trace_fh is not None:
-            trace_fh.close()
+        with contextlib.ExitStack() as stack:
+            if args.serve:
+                # bind before any output file exists, so a busy port leaves none behind
+                gateway = Gateway(sim.topology, run_cfg.rules)
+                server = stack.enter_context(serve(gateway, host=args.host, port=args.port))
+            with contextlib.ExitStack() as undo:  # removes this run's files unless all open
+                if args.rewrite_latest:
+                    mirror = LatestMirror(args.rewrite_latest, nodes)
+                    undo.callback(os.remove, args.rewrite_latest)
+                if args.trace:
+                    trace_fh = stack.enter_context(
+                        open(args.trace, "w", encoding="utf-8", newline="\n"))
+                    undo.callback(os.remove, args.trace)
+                writer = stack.enter_context(TelemetryWriter(args.out, nodes))
+                undo.pop_all()
+            if server is not None:
+                _err(f"gateway listening on {server.host}:{server.port}")
+
+            def sink(s: Snapshot) -> None:
+                writer.append(s)
+                if mirror is not None:
+                    mirror.update(s)
+                if gateway is not None:
+                    for alert in gateway.publish(s):
+                        _err(f"ALERT {alert.severity.value} {alert.rule_id} "
+                             f"node={alert.node} round={alert.round} value={alert.value}")
+                if args.pace:
+                    time.sleep(sim.round_period_ms / 1000.0)
+
+            on_event = None
+            if trace_fh is not None:
+                on_event = lambda ev: trace_fh.write(trace_line(ev) + "\n")  # noqa: E731
+            summary = run_simulation(sim, sink, on_event=on_event)
+            _err(f"ran {summary.rounds_run} rounds: {summary.messages_sent} messages sent, "
+                 f"{summary.messages_dropped} dropped")
+            if server is not None:
+                _err("simulation done; still serving (interrupt to stop)")
+                try:
+                    while True:
+                        time.sleep(1.0)
+                except KeyboardInterrupt:
+                    pass
+            return 0
+    except (OSError, WsnError) as e:
         _err(f"wsn run: {e}")
         return 2
-    try:
-        mirror = LatestMirror(args.rewrite_latest, nodes) if args.rewrite_latest else None
-        gateway = None
-        if args.serve:
-            gateway = Gateway(sim.topology, run_cfg.rules)
-            server = serve(gateway, host=args.host, port=args.port)
-            _err(f"gateway listening on {server.host}:{server.port}")
-
-        def sink(s: Snapshot) -> None:
-            writer.append(s)
-            if mirror is not None:
-                mirror.update(s)
-            if gateway is not None:
-                for alert in gateway.publish(s):
-                    _err(f"ALERT {alert.severity.value} {alert.rule_id} "
-                         f"node={alert.node} round={alert.round} value={alert.value}")
-            if args.pace:
-                time.sleep(sim.round_period_ms / 1000.0)
-
-        on_event = None
-        if trace_fh is not None:
-            on_event = lambda ev: trace_fh.write(trace_line(ev) + "\n")  # noqa: E731
-        summary = run_simulation(sim, sink, on_event=on_event)
-        _err(f"ran {summary.rounds_run} rounds: {summary.messages_sent} messages sent, "
-             f"{summary.messages_dropped} dropped")
-        if server is not None:
-            _err("simulation done; still serving (interrupt to stop)")
-            try:
-                while True:
-                    time.sleep(1.0)
-            except KeyboardInterrupt:
-                pass
-        return 0
-    except WsnError as e:
-        _err(f"wsn run: {e}")
-        return 2
-    finally:
-        writer.close()
-        if trace_fh is not None:
-            trace_fh.close()
-        if server is not None:
-            server.close()
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
@@ -165,7 +162,8 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
 def cmd_plotdata(args: argparse.Namespace) -> int:
     try:
-        data = open(args.telemetry, "rb").read()
+        with open(args.telemetry, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         _err(f"wsn plotdata: cannot read telemetry: {e}")
         return 1
@@ -182,13 +180,12 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     if args.node not in parsed.nodes:
         _err(f"wsn plotdata: UNKNOWN_NODE: {args.node!r} not in log header")
         return 1
-    if parsed.snapshots and not parsed.snapshots[0].reading_for(args.node).equipped(channel):
+    if parsed.snapshots and channel not in parsed.snapshots[0].reading_for(args.node).values:
         _err(f"wsn plotdata: UNKNOWN_CHANNEL: log carries no {channel.value} values")
         return 1
     out = sys.stdout
     for snapshot in parsed.snapshots:
-        reading = snapshot.reading_for(args.node)
-        value = reading.value(channel)
+        value = snapshot.reading_for(args.node).values[channel]
         if value is None:
             out.write(f"{snapshot.round},\n")  # explicit gap, never interpolated
         else:

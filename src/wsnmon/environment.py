@@ -24,9 +24,6 @@ class Channel(Enum):
     O2_PCT = "o2_pct"
 
 
-#: Channels that are optional per run; absent ones are marked "not equipped".
-GAS_CHANNELS = (Channel.CH4_PPM, Channel.CO_PPM, Channel.O2_PCT)
-
 
 def channel_from_token(token: str) -> Channel:
     for ch in Channel:

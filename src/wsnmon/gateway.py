@@ -98,7 +98,7 @@ def evaluate_alerts(
     for rule in rules:
         for reading in s.readings:
             key = (rule.rule_id, reading.node)
-            value = reading.value(rule.channel) if reading.equipped(rule.channel) else None
+            value = reading.values.get(rule.channel)
             holds = value is not None and rule.matches(value)
             new_state[key] = holds
             if holds and not state.get(key, False):

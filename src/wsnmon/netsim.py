@@ -162,29 +162,10 @@ class _Round:
                   for s in cfg.sensors}
         readings: dict[str, Reading] = {}
         for node in cfg.topology.sensing_nodes():
-            values: dict[Channel, float] = {}
-            for spec in cfg.sensors:
-                values[spec.channel] = sense(
-                    spec, truths[spec.channel], noise_rng.uniform(-1.0, 1.0))
-            readings[node] = Reading(
-                node=node,
-                round=self.round_index,
-                time_ms=self.t0,
-                temp_c=values[Channel.TEMP_C],
-                light_raw=values[Channel.LIGHT_RAW],
-                gases={ch: v for ch, v in values.items()
-                       if ch not in (Channel.TEMP_C, Channel.LIGHT_RAW)},
-                status=ReadingStatus.OK,
-            )
+            values = {spec.channel: sense(spec, truths[spec.channel], noise_rng.uniform(-1.0, 1.0))
+                      for spec in cfg.sensors}
+            readings[node] = Reading(node, self.round_index, self.t0, values)
         return readings
-
-    def null_reading(self, measured: Reading) -> Reading:
-        return Reading(
-            node=measured.node, round=measured.round, time_ms=measured.time_ms,
-            temp_c=None, light_raw=None,
-            gases={ch: None for ch in measured.gases},
-            status=ReadingStatus.NULL,
-        )
 
 
 def run_round(
@@ -227,7 +208,8 @@ def run_round(
                 delivered[reading.node] = reading
 
     readings = tuple(
-        delivered.get(node, rnd.null_reading(measured[node]))
+        delivered[node] if node in delivered else Reading(
+            node, round_index, t0, dict.fromkeys(measured[node].values), ReadingStatus.NULL)
         for node in topo.sensing_nodes()
     )
     events = sorted(rnd.events, key=lambda ev: ev.time_ms)  # stable: ties keep emission order

@@ -1,17 +1,22 @@
 """Per-round data records: one Reading per sensing node, grouped in Snapshots.
 
 A reading is lost or kept as a whole: a link failure wipes every channel of
-the affected node for that round (status NULL), never a subset. Gas channels
-a run is not equipped with are simply absent from ``gases``.
+the affected node for that round (status NULL), never a subset.
+``Reading.values`` maps exactly the channels the node is equipped with to a
+number, or to None when lost: temperature and light always (the demonstration
+hardware carried both), a gas channel only when the run has one. ``channel in
+reading.values`` tells whether a channel is equipped; the former
+``equipped()`` and ``value()`` methods and the environment's tuple of gas
+channels are gone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .environment import GAS_CHANNELS, Channel
+from .environment import Channel
 
 
 class ReadingStatus(Enum):
@@ -21,45 +26,22 @@ class ReadingStatus(Enum):
 
 @dataclass(frozen=True)
 class Reading:
-    """One node's values for one round.
-
-    temp_c and light_raw are always equipped (the demonstration hardware
-    carried both); each is a number or None (NULL). ``gases`` holds only the
-    equipped gas channels, each mapped to a number or None.
-    """
+    """One node's values for one round, by equipped channel (see the module)."""
 
     node: str
     round: int
     time_ms: int
-    temp_c: float | None
-    light_raw: float | None
-    gases: Mapping[Channel, float | None] = field(default_factory=dict)
+    values: Mapping[Channel, float | None]
     status: ReadingStatus = ReadingStatus.OK
 
     def __post_init__(self):
-        for gas in self.gases:
-            if gas not in GAS_CHANNELS:
-                raise ValueError(f"{gas} is not a gas channel")
-        values = [self.temp_c, self.light_raw, *self.gases.values()]
-        if self.status is ReadingStatus.OK and any(v is None for v in values):
+        if Channel.TEMP_C not in self.values or Channel.LIGHT_RAW not in self.values:
+            raise ValueError(f"reading for {self.node} lacks temp_c or light_raw")
+        lost = [v is None for v in self.values.values()]
+        if self.status is ReadingStatus.OK and any(lost):
             raise ValueError(f"OK reading for {self.node} has a NULL channel")
-        if self.status is ReadingStatus.NULL and any(v is not None for v in values):
+        if self.status is ReadingStatus.NULL and not all(lost):
             raise ValueError(f"NULL reading for {self.node} has a value")
-
-    def equipped(self, channel: Channel) -> bool:
-        if channel in (Channel.TEMP_C, Channel.LIGHT_RAW):
-            return True
-        return channel in self.gases
-
-    def value(self, channel: Channel) -> float | None:
-        """The measured value, or None when the round's data was lost."""
-        if channel is Channel.TEMP_C:
-            return self.temp_c
-        if channel is Channel.LIGHT_RAW:
-            return self.light_raw
-        if channel not in self.gases:
-            raise KeyError(f"{self.node} is not equipped with {channel.value}")
-        return self.gases[channel]
 
 
 @dataclass(frozen=True)

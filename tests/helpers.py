@@ -129,10 +129,7 @@ def brute_force_alerts(rules, snapshots) -> list[tuple[str, str, int, float]]:
     """
 
     def observed(snapshot, node: str, channel: Channel):
-        reading = snapshot.reading_for(node)
-        if not reading.equipped(channel):
-            return None
-        return reading.value(channel)
+        return snapshot.reading_for(node).values.get(channel)
 
     def holds(rule: AlertRule, value) -> bool:
         if value is None:
@@ -179,16 +176,19 @@ def random_snapshot(
     for node in nodes:
         if rng.random() < null_prob:
             readings.append(
-                Reading(node, round_index, time_ms, None, None,
-                        {g: None for g in gases}, ReadingStatus.NULL)
+                Reading(node, round_index, time_ms,
+                        dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, *gases)),
+                        ReadingStatus.NULL)
             )
         else:
             gas_values = {
                 g: float(rng.randrange(ranges[g][0], ranges[g][1] + 1)) for g in gases
             }
             readings.append(
-                Reading(node, round_index, time_ms, grid_temp(rng),
-                        float(rng.randrange(0, 65536)), gas_values, ReadingStatus.OK)
+                Reading(node, round_index, time_ms,
+                        {Channel.TEMP_C: grid_temp(rng),
+                         Channel.LIGHT_RAW: float(rng.randrange(0, 65536)), **gas_values},
+                        ReadingStatus.OK)
             )
     return Snapshot(round=round_index, time_ms=time_ms, readings=tuple(readings))
 

@@ -150,9 +150,9 @@ class TestAcceptance:
                 for r in s.readings:
                     assert r.status is ReadingStatus.OK
                     samples += 2
-                    if abs(r.temp_c - truth) > 0.5 + 0.0625 / 2:
+                    if abs(r.values[Channel.TEMP_C] - truth) > 0.5 + 0.0625 / 2:
                         violations += 1
-                    if not 0 <= r.light_raw <= 65535:
+                    if not 0 <= r.values[Channel.LIGHT_RAW] <= 65535:
                         violations += 1
             assert samples >= 10_000
             assert violations == 0

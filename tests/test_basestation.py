@@ -22,13 +22,13 @@ from wsnmon.records import Reading, ReadingStatus, Snapshot
 
 
 def ok_reading(node="N1", round_index=0, temp=25.0, light=512.0, gases=None):
-    return Reading(node, round_index, round_index * 1000, temp, light, gases or {},
-                   ReadingStatus.OK)
+    values = {Channel.TEMP_C: temp, Channel.LIGHT_RAW: light, **(gases or {})}
+    return Reading(node, round_index, round_index * 1000, values, ReadingStatus.OK)
 
 
 def null_reading(node="N1", round_index=0, gases=()):
-    return Reading(node, round_index, round_index * 1000, None, None,
-                   {g: None for g in gases}, ReadingStatus.NULL)
+    values = dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, *gases))
+    return Reading(node, round_index, round_index * 1000, values, ReadingStatus.NULL)
 
 
 def snapshots_for(rounds, rng=None, **kwargs):
@@ -56,9 +56,23 @@ class TestFormat:
 
     def test_reading_rejects_mixed_status(self):
         with pytest.raises(ValueError):
-            Reading("N1", 0, 0, 25.0, None, {}, ReadingStatus.OK)
+            Reading("N1", 0, 0, {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: None},
+                    ReadingStatus.OK)
         with pytest.raises(ValueError):
-            Reading("N1", 0, 0, 25.0, 512.0, {}, ReadingStatus.NULL)
+            Reading("N1", 0, 0, {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0},
+                    ReadingStatus.NULL)
+
+    @pytest.mark.parametrize("missing", [Channel.TEMP_C, Channel.LIGHT_RAW])
+    def test_temperature_and_light_are_required(self, missing):
+        values = {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0}
+        del values[missing]
+        with pytest.raises(ValueError):
+            Reading("N1", 0, 0, values, ReadingStatus.OK)
+        fields = "0,0,N1,25.0000,512,-,-,-,OK".split(",")
+        fields[3 if missing is Channel.TEMP_C else 4] = "-"
+        with pytest.raises(TelemetryError, match="MALFORMED_RECORD") as exc:
+            parse_telemetry(header_line(("N1",)) + "\n" + ",".join(fields) + "\n")
+        assert exc.value.line_no == 2
 
 
 class TestRoundTrip:
@@ -155,9 +169,39 @@ class TestParserErrors:
     def test_bad_values(self):
         for bad in ("x,0,N1,25.0000,512,-,-,-,OK",
                     "0,0,N1,hot,512,-,-,-,OK",
+                    "0,0,N1,nan,512,-,-,-,OK",
+                    "0,0,N1,-inf,512,-,-,-,OK",
+                    "0,0,N1,1e999,512,-,-,-,OK",
+                    "0,0,N1,25.0000," + "9" * 400 + ",-,-,-,OK",
                     "0,0,N1,25.0000,512,-,-,-,MAYBE"):
             with pytest.raises(TelemetryError, match="MALFORMED_RECORD"):
                 parse_telemetry(header_line(("N1",)) + "\n" + bad + "\n")
+
+    def test_non_utf8_byte_names_line(self):
+        data = serialize_snapshots(DESK_NODES, snapshots_for(1)).encode("utf-8")
+        lines = data.splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"1.1", b"1.\xff")
+        with pytest.raises(TelemetryError, match="MALFORMED_RECORD") as exc:
+            parse_telemetry(b"".join(lines))
+        assert exc.value.line_no == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(),
+        st.text(),
+        st.lists(
+            st.lists(st.sampled_from(["0", "1", "-1", "N1", "N2", "-", "NULL", "OK", "25.0000",
+                                      "nan", "1e999", "9" * 400, "", "x"]),
+                     min_size=7, max_size=10).map(",".join),
+            max_size=6,
+        ).map(lambda lines: header_line(("N1", "N2")) + "\n" + "\n".join(lines)),
+    ))
+    def test_parser_raises_only_telemetry_error(self, data):
+        """Arbitrary bytes, text, or record-shaped lines parse or raise TelemetryError."""
+        try:
+            parse_telemetry(data)
+        except TelemetryError:
+            pass
 
     def test_parse_record_roundtrips_single_line(self):
         r = ok_reading(gases={Channel.CO_PPM: 42.0})

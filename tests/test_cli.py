@@ -9,6 +9,7 @@ import pytest
 from helpers import make_config, desk_topology
 from wsnmon.basestation import parse_record, parse_telemetry
 from wsnmon.cli import main
+from wsnmon.environment import Channel
 from wsnmon.gateway import Gateway
 from wsnmon.netsim import run_round
 from wsnmon.records import ReadingStatus
@@ -73,6 +74,25 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err.startswith("wsn run: ")
         assert not out.exists()  # no header-only log left behind
+
+    @pytest.mark.parametrize("broken", ["port", "mirror", "log"])
+    def test_failed_start_leaves_no_files(self, tmp_path, capsys, broken):
+        """A busy port or an unwritable output path exits 2 and leaves no output file."""
+        cfg = write_cfg(tmp_path)
+        files = {kind: tmp_path / f"run.{kind}" for kind in ("log", "trace", "mirror")}
+        if broken != "port":
+            files[broken] = tmp_path / "no" / "dir" / f"run.{broken}"
+        args = ["run", cfg, "--out", str(files["log"]), "--trace", str(files["trace"]),
+                "--rewrite-latest", str(files["mirror"])]
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            if broken == "port":
+                args += ["--serve", "--port", str(busy.getsockname()[1])]
+            rc = main(args)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("wsn run: ")
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
     def test_trace_export(self, tmp_path):
         out = tmp_path / "t.log"
@@ -167,7 +187,7 @@ class TestPlotdata:
         for row, snapshot in zip(rows, parsed.snapshots):
             r, value = row.split(",")
             assert int(r) == snapshot.round
-            assert float(value) == snapshot.reading_for("1.1").temp_c
+            assert float(value) == snapshot.reading_for("1.1").values[Channel.TEMP_C]
             assert "." in value and len(value.split(".")[1]) == 4
 
     def test_light_rows_are_integers(self, tmp_path, capsys):
@@ -233,30 +253,30 @@ class TestServeFlag:
         """The full pipeline: simulate, persist, and answer live queries."""
         cfg = write_cfg(tmp_path)
         out = tmp_path / "t.log"
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-u", "-m", "wsnmon.cli", "run", cfg,
              "--out", str(out), "--serve", "--port", "0"],
             stderr=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-        )
-        try:
-            banner = proc.stderr.readline()
-            assert "gateway listening on" in banner
-            port = int(banner.strip().rsplit(":", 1)[1])
-            assert "ran 5 rounds" in proc.stderr.readline()
-            assert "still serving" in proc.stderr.readline()
+        ) as proc:
+            try:
+                banner = proc.stderr.readline()
+                assert "gateway listening on" in banner
+                port = int(banner.strip().rsplit(":", 1)[1])
+                assert "ran 5 rounds" in proc.stderr.readline()
+                assert "still serving" in proc.stderr.readline()
 
-            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-                reader = sock.makefile("r", encoding="utf-8", newline="\n")
-                sock.sendall(b"PING\n")
-                assert reader.readline() == "PONG\n"
-                sock.sendall(b"SNAPSHOT\n")
-                assert reader.readline() == "BEGIN 4 6\n"
-                for _ in range(6):
-                    rec = parse_record(reader.readline().rstrip("\n"))
-                    assert rec.round == 4
-                    assert rec.status is ReadingStatus.OK
-                assert reader.readline() == "END\n"
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+                with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                    reader = sock.makefile("r", encoding="utf-8", newline="\n")
+                    sock.sendall(b"PING\n")
+                    assert reader.readline() == "PONG\n"
+                    sock.sendall(b"SNAPSHOT\n")
+                    assert reader.readline() == "BEGIN 4 6\n"
+                    for _ in range(6):
+                        rec = parse_record(reader.readline().rstrip("\n"))
+                        assert rec.round == 4
+                        assert rec.status is ReadingStatus.OK
+                    assert reader.readline() == "END\n"
+            finally:
+                proc.terminate()
+                proc.wait(timeout=10)
         assert len(parse_telemetry(out.read_bytes()).snapshots) == 5

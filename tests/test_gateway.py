@@ -42,11 +42,12 @@ def co_snapshot(round_index, co_by_node):
         value = co_by_node.get(node, 0.0)
         t = round_index * 1000
         if value is None:
-            readings.append(Reading(node, round_index, t, None, None,
-                                    {Channel.CO_PPM: None}, ReadingStatus.NULL))
+            values = dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, Channel.CO_PPM))
+            readings.append(Reading(node, round_index, t, values, ReadingStatus.NULL))
         else:
-            readings.append(Reading(node, round_index, t, 25.0, 512.0,
-                                    {Channel.CO_PPM: float(value)}, ReadingStatus.OK))
+            values = {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0,
+                      Channel.CO_PPM: float(value)}
+            readings.append(Reading(node, round_index, t, values, ReadingStatus.OK))
     return Snapshot(round=round_index, time_ms=round_index * 1000, readings=tuple(readings))
 
 
@@ -86,7 +87,8 @@ class TestEvaluateAlerts:
     def test_less_than_comparator(self):
         rule = AlertRule("o2_low", Channel.O2_PCT, Comparator.LESS, 19.5, Severity.DANGER)
         readings = tuple(
-            Reading(n, 0, 0, 25.0, 512.0, {Channel.O2_PCT: 18.0}, ReadingStatus.OK)
+            Reading(n, 0, 0, {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0,
+                              Channel.O2_PCT: 18.0}, ReadingStatus.OK)
             for n in DESK_NODES
         )
         _, fired = evaluate_alerts([rule], Snapshot(0, 0, readings), {})

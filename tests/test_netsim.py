@@ -124,7 +124,7 @@ class TestRunRound:
             snapshot, _ = run_round(cfg, round_index)
             truth = truth_at(field, Channel.TEMP_C, round_index)
             for r in snapshot.readings:
-                assert abs(r.temp_c - truth) <= spec.accuracy + spec.quantum / 2
+                assert abs(r.values[Channel.TEMP_C] - truth) <= spec.accuracy + spec.quantum / 2
 
 
 class TestRunSimulation:
