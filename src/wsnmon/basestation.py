@@ -14,6 +14,7 @@ most one trailing partial round while a write is in flight.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -61,68 +62,116 @@ def parse_header(line: str) -> tuple[str, ...]:
 
 
 def record_line(r: Reading) -> str:
+    values = r.values
     fields = [str(r.round), str(r.time_ms), r.node]
     for channel in _COLUMNS:
-        if channel not in r.values:
-            fields.append(_NOT_EQUIPPED)
-        else:
-            v = r.values[channel]
-            fields.append(_NULL if v is None else format_value(channel, v))
-    fields.append(r.status.value)
+        v = values.get(channel, _NOT_EQUIPPED)  # values hold numbers or None, never text
+        if v is None:
+            v = _NULL
+        elif v is not _NOT_EQUIPPED:
+            v = format_value(channel, v)
+        fields.append(v)
+    fields.append(r.status._value_)  # _value_: no property call per record
     return ",".join(fields)
 
 
+_last_block: tuple[Snapshot | None, str] = (None, "")
+
+
 def snapshot_block(s: Snapshot) -> str:
-    """One round's atomic group of record lines (trailing newline included)."""
-    return "".join(record_line(r) + "\n" for r in s.readings)
+    """One round's atomic group of record lines (trailing newline included).
+
+    The newest snapshot's block is kept, so the log writer and the mirror,
+    which take each round in turn, render it once and share the string.
+    Snapshots are immutable, and the kept reference stops the identity the
+    memo is keyed on from being reused by another object.
+    """
+    global _last_block
+    last, block = _last_block
+    if last is not s:
+        block = "".join([record_line(r) + "\n" for r in s.readings])
+        _last_block = (s, block)
+    return block
 
 
 def serialize_snapshots(nodes: Sequence[str], snapshots: Iterable[Snapshot]) -> str:
     return header_line(nodes) + "\n" + "".join(snapshot_block(s) for s in snapshots)
 
 
+def _malformed(msg: str, line_no: int) -> TelemetryError:
+    return TelemetryError("MALFORMED_RECORD", msg, line_no=line_no)
+
+
+# The readers below raise ValueError for any text the writer would not have
+# written for the value it denotes. Logs repeat their round, time and value
+# texts, so each text is checked once and its object shared among records.
+_memo = functools.lru_cache(maxsize=4096)
+
+
+@_memo
+def _whole(text: str) -> int:
+    """A count as str(int) writes it: ASCII digits, no sign, no leading zero."""
+    if text.isdigit() and text.isascii() and (text[0] != "0" or len(text) == 1):
+        return int(text)
+    raise ValueError(text)
+
+
+@_memo
+def _count(text: str) -> float | None:
+    """A light or gas column; beyond 2**53 a float no longer holds the count."""
+    if text == _NULL:
+        return None
+    n = _whole(text)
+    if n >= 2 ** 53:
+        raise ValueError(text)
+    return float(n)
+
+
+@_memo
+def _temperature(text: str) -> float | None:
+    if text == _NULL:
+        return None
+    value = float(text)
+    if not (math.isfinite(value) and format_value(Channel.TEMP_C, value) == text):
+        raise ValueError(text)
+    return value
+
+
+_READERS = tuple((ch, _temperature if ch is Channel.TEMP_C else _count) for ch in _COLUMNS)
+_STATUS = {status.value: status for status in ReadingStatus}
+
+
 def parse_record(line: str, line_no: int = 0) -> Reading:
-    """Parse one record line; the gateway's response lines share this grammar."""
+    """Parse one record line; the gateway's response lines share this grammar.
+
+    Every number must be written exactly as ``record_line`` writes its value,
+    so an accepted line re-serializes byte for byte.
+    """
     fields = line.split(",")
     if len(fields) != 9:
-        raise TelemetryError(
-            "MALFORMED_RECORD", f"expected 9 fields, found {len(fields)}", line_no=line_no
-        )
-
-    def fail(msg: str) -> TelemetryError:
-        return TelemetryError("MALFORMED_RECORD", msg, line_no=line_no)
-
+        raise _malformed(f"expected 9 fields, found {len(fields)}", line_no)
     try:
-        rnd = int(fields[0])
-        time_ms = int(fields[1])
+        rnd = _whole(fields[0])
+        time_ms = _whole(fields[1])
     except ValueError:
-        raise fail(f"bad round/time: {fields[0]!r},{fields[1]!r}") from None
-    if rnd < 0 or time_ms < 0:
-        raise fail("negative round or time")
+        raise _malformed(f"bad round/time: {fields[0]!r},{fields[1]!r}", line_no) from None
     node = fields[2]
     if not node or node in (_NULL, _NOT_EQUIPPED):
-        raise fail(f"bad node id {node!r}")
-
-    def number(text: str, channel: Channel) -> float | None:
-        if text == _NULL:
-            return None
-        try:
-            value = float(text) if channel is Channel.TEMP_C else float(int(text))
-        except (ValueError, OverflowError):
-            raise fail(f"bad {channel.value} value {text!r}") from None
-        if not math.isfinite(value):
-            raise fail(f"bad {channel.value} value {text!r}")
-        return value
-
-    values = {
-        channel: number(text, channel)
-        for channel, text in zip(_COLUMNS, fields[3:8])
-        if text != _NOT_EQUIPPED
-    }
+        raise _malformed(f"bad node id {node!r}", line_no)
+    values = {}
+    for (channel, read), text in zip(_READERS, fields[3:8]):
+        if text != _NOT_EQUIPPED:
+            try:
+                values[channel] = read(text)
+            except ValueError:
+                raise _malformed(f"bad {channel.value} value {text!r}", line_no) from None
+    status = _STATUS.get(fields[8])
+    if status is None:
+        raise _malformed(f"bad status {fields[8]!r}", line_no)
     try:
-        return Reading(node, rnd, time_ms, values, ReadingStatus(fields[8]))
+        return Reading(node, rnd, time_ms, values, status)
     except ValueError as e:
-        raise fail(str(e)) from None
+        raise _malformed(str(e), line_no) from None
 
 
 @dataclass(frozen=True)
@@ -261,7 +310,7 @@ class LatestMirror:
         self._replace("")
 
     def update(self, s: Snapshot) -> None:
-        self._replace(snapshot_block(s))
+        self._replace(snapshot_block(s))  # the block the log writer just rendered
 
     def _replace(self, block: str) -> None:
         tmp = self.path + ".tmp"

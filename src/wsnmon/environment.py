@@ -1,7 +1,11 @@
 """Ground-truth environmental fields and bounded-error quantized sensing.
 
 All nodes in a run share one field per channel (they sit in the same room),
-so truth depends only on (channel, round, seed). Sensor noise is uniform and
+so truth depends only on (channel, round, seed). A random walk is generated
+once per field: the first ``truth_at`` call for a round extends the channel's
+cached walk up to that round, later calls for any earlier or equal round read
+it back, so a run pays one Gaussian step per channel per round and
+``truth_at`` is amortized O(1). Sensor noise is uniform and
 bounded by the sensor's accuracy figure rather than Gaussian: the hardware
 datasheets state an error bound, and a hard bound is what the tests check.
 """
@@ -9,7 +13,7 @@ datasheets state an error bound, and a hard bound is what the tests check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -23,6 +27,8 @@ class Channel(Enum):
     CO_PPM = "co_ppm"
     O2_PCT = "o2_pct"
 
+    # members are singletons: identity hashing keeps dict lookups in C
+    __hash__ = object.__hash__
 
 
 def channel_from_token(token: str) -> Channel:
@@ -125,11 +131,24 @@ class EnvField:
 
     channels: Mapping[Channel, ChannelModel]
     seed: int = 0
+    # (channel, baseline, sigma) -> (the walk's step stream, truth at rounds 0..len-1)
+    _walks: dict[tuple[Channel, float, float], tuple[random.Random, list[float]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _walk_rng(seed: int, channel: Channel) -> random.Random:
-    # string seeding hashes via SHA-512, stable across processes and platforms
-    return random.Random(f"{seed}/walk/{channel.value}")
+def _walk(f: EnvField, channel: Channel, model: ChannelModel, round_index: int) -> float:
+    """The walk's value at ``round_index``, extending the cached prefix as needed."""
+    sigma = model.drift.sigma
+    key = (channel, model.baseline, sigma)  # with f.seed, all that decides the walk
+    if key not in f._walks:
+        # string seeding hashes via SHA-512, stable across processes and platforms
+        f._walks[key] = (random.Random(f"{f.seed}/walk/{channel.value}"), [model.baseline])
+    rng, values = f._walks[key]
+    value = values[-1]
+    for _ in range(len(values), round_index + 1):
+        value += rng.gauss(0.0, sigma)  # the same steps summed in the same order
+        values.append(value)
+    return values[round_index]
 
 
 def truth_at(f: EnvField, channel: Channel, round_index: int) -> float:
@@ -141,9 +160,7 @@ def truth_at(f: EnvField, channel: Channel, round_index: int) -> float:
     model = f.channels[channel]
     value = model.baseline
     if model.drift.kind is DriftKind.RANDOM_WALK:
-        rng = _walk_rng(f.seed, channel)
-        for _ in range(round_index):
-            value += rng.gauss(0.0, model.drift.sigma)
+        value = _walk(f, channel, model, round_index)
     elif model.drift.kind is DriftKind.SCRIPTED:
         for bp_round, bp_value in model.drift.script:
             if bp_round <= round_index:
@@ -163,4 +180,7 @@ def sense(spec: SensorSpec, truth: float, noise_draw: float) -> float:
     noisy = truth + noise_draw * spec.accuracy
     steps = round((noisy - spec.min_value) / spec.quantum)
     value = spec.min_value + steps * spec.quantum
-    return min(max(value, spec.min_value), spec.max_value)
+    # min(max(value, lo), hi), without two builtin calls
+    if value < spec.min_value:
+        return spec.min_value
+    return spec.max_value if value > spec.max_value else value

@@ -11,8 +11,10 @@ a single parser:
     PING              -> PONG
 
 Errors are single lines: ERR BAD_REQUEST | UNKNOWN_NODE | NOT_A_CLUSTER_HEAD
-| NO_DATA. Only the latest complete round is served; the telemetry file is
-the historical record.
+| NO_DATA. A request line longer than MAX_REQUEST_BYTES (newline included)
+gets ERR BAD_REQUEST and its session is closed, so no client can make the
+server buffer an unbounded line. Only the latest complete round is served;
+the telemetry file is the historical record.
 
 Alerts have rising-edge semantics: a (rule, node) pair fires when its
 predicate turns true after a round where it was false, NULL, or unknown; a
@@ -35,6 +37,7 @@ from .records import Snapshot
 from .topology import NodeRole, TreeTopology
 
 DEFAULT_PORT = 7070
+MAX_REQUEST_BYTES = 4096
 
 log = logging.getLogger(__name__)
 
@@ -200,9 +203,12 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         gateway: Gateway = self.server.gateway  # type: ignore[attr-defined]
         while True:
-            raw = self.rfile.readline()
+            raw = self.rfile.readline(MAX_REQUEST_BYTES)
             if not raw:
                 return  # client closed the session
+            if len(raw) == MAX_REQUEST_BYTES and not raw.endswith(b"\n"):
+                self.wfile.write(b"ERR BAD_REQUEST\n")
+                return  # the rest of the line is never read
             try:
                 response = gateway.handle_request(raw.decode("utf-8"))
             except UnicodeDecodeError:

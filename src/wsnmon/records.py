@@ -24,7 +24,7 @@ class ReadingStatus(Enum):
     NULL = "NULL"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reading:
     """One node's values for one round, by equipped channel (see the module)."""
 
@@ -35,16 +35,17 @@ class Reading:
     status: ReadingStatus = ReadingStatus.OK
 
     def __post_init__(self):
-        if Channel.TEMP_C not in self.values or Channel.LIGHT_RAW not in self.values:
+        values = self.values
+        if Channel.TEMP_C not in values or Channel.LIGHT_RAW not in values:
             raise ValueError(f"reading for {self.node} lacks temp_c or light_raw")
-        lost = [v is None for v in self.values.values()]
-        if self.status is ReadingStatus.OK and any(lost):
-            raise ValueError(f"OK reading for {self.node} has a NULL channel")
-        if self.status is ReadingStatus.NULL and not all(lost):
+        if self.status is ReadingStatus.OK:
+            if None in values.values():
+                raise ValueError(f"OK reading for {self.node} has a NULL channel")
+        elif any(v is not None for v in values.values()):
             raise ValueError(f"NULL reading for {self.node} has a value")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snapshot:
     """All readings of one collection round, in deterministic topology order."""
 

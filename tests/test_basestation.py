@@ -36,6 +36,27 @@ def snapshots_for(rounds, rng=None, **kwargs):
     return [random_snapshot(rng, i, **kwargs) for i in range(rounds)]
 
 
+# Record columns for fuzzing: each is its canonical text five times in six,
+# else noise (signs, separators, exponents, non-ASCII digits, huge numbers).
+COUNT = st.integers(0, 10**6).map(str)
+TEMP = st.floats(-1e6, 1e6).map(lambda v: f"{v:.4f}")
+GAS = st.one_of(COUNT, st.just("-"))
+LOST = st.just("NULL")
+LOST_GAS = st.sampled_from(["NULL", "-"])
+NODE = st.sampled_from(["N1", "1.1"])
+OK = st.just("OK")
+NOISE = st.one_of(
+    st.text(alphabet="0123456789+-._e ٣NULOK", max_size=8),
+    st.integers(0, 2**60).map(str),
+    st.floats().map(lambda v: f"{v:.4f}"),
+    st.sampled_from(["-0", "-0.0000", "00", "+1", "1_0", "nan", "inf", "1e3"]),
+)
+
+
+def fuzzed(canonical):
+    return st.integers(0, 5).flatmap(lambda pick: canonical if pick else NOISE)
+
+
 class TestFormat:
     def test_header_is_exact(self):
         assert header_line(DESK_NODES) == "#WSNLOG v1 nodes=N1,1.1,1.2,N2,2.1,2.2"
@@ -202,6 +223,39 @@ class TestParserErrors:
             parse_telemetry(data)
         except TelemetryError:
             pass
+
+    @pytest.mark.parametrize("column,text", [
+        (3, "+25.5"), (3, "+25.5000"), (3, "2.55e1"), (3, "2.5500e1"), (3, "25.5"),
+        (3, "025.5000"), (3, "25.50000"), (3, "-0"), (3, " 25.5000"),
+        (4, " 5_12"), (4, "5_12"), (4, "٣"), (4, "0512"), (4, "512.0"), (4, "+512"),
+        (4, "9007199254740993"), (5, "-0"), (6, "+5"), (7, "٣"),
+        (0, "00"), (0, "٣"), (0, "+0"), (0, "-0"), (1, "01000"), (1, " 0"),
+    ])
+    def test_non_canonical_numbers_rejected(self, column, text):
+        """Only the text record_line writes for a value is accepted."""
+        header = header_line(("N1",)) + "\n"
+        line = "0,0,N1,25.5000,512,0,0,0,OK"
+        assert parse_telemetry(header + line + "\n").snapshots
+        fields = line.split(",")
+        fields[column] = text
+        with pytest.raises(TelemetryError, match="MALFORMED_RECORD") as exc:
+            parse_telemetry(header + ",".join(fields) + "\n")
+        assert exc.value.line_no == 2
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.tuples(*[fuzzed(c) for c in (COUNT, COUNT, NODE, TEMP, COUNT, GAS, GAS, GAS, OK)]),
+        st.tuples(*[fuzzed(c) for c in (COUNT, COUNT, NODE, LOST, LOST, LOST_GAS, LOST_GAS,
+                                        LOST_GAS, LOST)]),
+    ))
+    def test_accepted_lines_round_trip(self, fields):
+        """Every line parse_record accepts is the line record_line writes."""
+        line = ",".join(fields)
+        try:
+            reading = parse_record(line)
+        except TelemetryError:
+            return
+        assert record_line(reading) == line
 
     def test_parse_record_roundtrips_single_line(self):
         r = ok_reading(gases={Channel.CO_PPM: 42.0})

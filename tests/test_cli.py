@@ -3,17 +3,20 @@
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import make_config, desk_topology
-from wsnmon.basestation import parse_record, parse_telemetry
+from wsnmon import basestation
+from wsnmon.basestation import parse_record, parse_telemetry, record_line
 from wsnmon.cli import main
 from wsnmon.environment import Channel
 from wsnmon.gateway import Gateway
 from wsnmon.netsim import run_round
 from wsnmon.records import ReadingStatus
 
+ROOT = Path(__file__).resolve().parent.parent
 DESK_CFG = """\
 radio 30 0.0
 cluster N1 1.1 1.2
@@ -112,6 +115,22 @@ class TestRun:
         assert rc == 0
         parsed = parse_telemetry(latest.read_bytes())
         assert [s.round for s in parsed.snapshots] == [4]
+
+    def test_each_record_rendered_once(self, tmp_path, monkeypatch):
+        """The log and the mirror share one rendering of each round."""
+        renders = []
+
+        def counting_record_line(reading):
+            renders.append(reading)
+            return record_line(reading)
+
+        monkeypatch.setattr(basestation, "record_line", counting_record_line)
+        rc = main(["run", str(ROOT / "configs" / "desk.cfg"), "--out", str(tmp_path / "t.log"),
+                   "--rewrite-latest", str(tmp_path / "latest.log")])
+        assert rc == 0
+        parsed = parse_telemetry((tmp_path / "t.log").read_bytes())
+        assert len(parsed.snapshots) == 100
+        assert len(renders) == len(parsed.snapshots) * len(parsed.nodes)
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, DESK_CFG.replace("radio 30 0.0", "radio 30 0.3")

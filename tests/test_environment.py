@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wsnmon.environment import (
     Channel,
@@ -23,6 +23,15 @@ LIGHT = default_spec(Channel.LIGHT_RAW)
 
 def field_with(channel: Channel, model: ChannelModel, seed: int = 0) -> EnvField:
     return EnvField(channels={channel: model}, seed=seed)
+
+
+def naive_walk(seed: int, token: str, baseline: float, sigma: float, round_index: int) -> float:
+    """The walk replayed from round 0, as the module docstring defines it."""
+    rng = random.Random(f"{seed}/walk/{token}")
+    value = baseline
+    for _ in range(round_index):
+        value += rng.gauss(0.0, sigma)
+    return value
 
 
 class TestTruthAt:
@@ -55,6 +64,32 @@ class TestTruthAt:
         for _ in range(10):
             expected += rng.gauss(0.0, 0.1)
         assert value == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        baseline=st.floats(-1e6, 1e6),
+        sigma=st.floats(0.0, 100.0),
+        rounds=st.lists(st.integers(0, 300), min_size=1, max_size=12),
+    )
+    def test_walk_matches_naive_replay_in_any_order(self, seed, baseline, sigma, rounds):
+        f = field_with(Channel.LIGHT_RAW, ChannelModel(baseline, Drift.walk(sigma)), seed=seed)
+        for r in rounds:  # any order, repeats included
+            expected = naive_walk(seed, "light_raw", baseline, sigma, r)
+            assert truth_at(f, Channel.LIGHT_RAW, r) == expected
+
+    @pytest.mark.parametrize("other", [ChannelModel(25.0, Drift.walk(0.3)),
+                                       ChannelModel(26.0, Drift.walk(0.1))],
+                             ids=["sigma", "baseline"])
+    def test_walks_of_different_fields_never_mix(self, other):
+        model = ChannelModel(25.0, Drift.walk(0.1))
+        a = field_with(Channel.TEMP_C, model, seed=7)
+        b = field_with(Channel.TEMP_C, other, seed=7)
+        # interleaved, each field ahead of the other in turn
+        for ra, rb in ((40, 10), (3, 85), (90, 45), (0, 0)):
+            assert truth_at(a, Channel.TEMP_C, ra) == naive_walk(7, "temp_c", 25.0, 0.1, ra)
+            assert truth_at(b, Channel.TEMP_C, rb) == naive_walk(
+                7, "temp_c", other.baseline, other.drift.sigma, rb)
 
     def test_walk_seed_changes_value(self):
         model = ChannelModel(25.0, Drift.walk(0.1))

@@ -24,6 +24,7 @@ from wsnmon.gateway import (
     AlertRule,
     Comparator,
     Gateway,
+    MAX_REQUEST_BYTES,
     Severity,
     alert_line,
     evaluate_alerts,
@@ -334,3 +335,36 @@ class TestServer:
         with serve(gw, port=0) as server:
             with pytest.raises(GatewayError, match="BIND_FAILURE"):
                 serve(gw, port=server.port)
+
+    def test_over_long_line_closes_only_its_session(self):
+        gw, _ = live_gateway()
+        with serve(gw, port=0) as server:
+            flood = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+            c = Client(server.port)
+            try:
+                flood.sendall(b"P" * 65536)  # no newline
+                reply = b""
+                while not reply.endswith(b"\n"):
+                    chunk = flood.recv(4096)
+                    assert chunk, reply
+                    reply += chunk
+                assert reply == b"ERR BAD_REQUEST\n"
+                try:
+                    assert flood.recv(1) == b""  # the server closed the session
+                except ConnectionResetError:
+                    pass  # closed with the rest of the flood unread
+                assert c.ask("PING") == ["PONG"]
+            finally:
+                flood.close()
+                c.close()
+
+    def test_line_at_the_limit_is_a_request(self):
+        gw, _ = live_gateway()
+        with serve(gw, port=0) as server:
+            c = Client(server.port)
+            try:
+                padded = "PING" + " " * (MAX_REQUEST_BYTES - len("PING") - 1)
+                assert c.ask(padded) == ["PONG"]
+                assert c.ask("PING") == ["PONG"]
+            finally:
+                c.close()

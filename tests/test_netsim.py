@@ -6,12 +6,15 @@ import pytest
 
 from helpers import (
     DESK_CLUSTERS,
+    default_field,
     enumerate_round_messages,
     make_config,
     nulled_by_link,
 )
 from wsnmon.basestation import serialize_snapshots
-from wsnmon.environment import Channel, ChannelModel, Drift, EnvField, default_spec, truth_at
+from wsnmon.environment import (
+    Channel, ChannelModel, Drift, EnvField, SensorSpec, default_spec, truth_at,
+)
 from wsnmon.errors import SimError
 from wsnmon.netsim import (
     EventKind,
@@ -199,6 +202,19 @@ class TestDeterminism:
         again, _ = run_round(cfg, 17)
         assert snaps[17] == again
 
+    def test_run_round_in_reverse_matches_full_run(self):
+        # the walk cache must answer a round it has already passed
+        def walking_config():
+            field = default_field(
+                seed=11, temp_c=ChannelModel(25.0, Drift.walk(0.2)),
+                light_raw=ChannelModel(512.0, Drift.walk(8.0)),
+                ch4_ppm=ChannelModel(1000.0, Drift.walk(40.0)))
+            return make_config(failure_prob=0.3, rounds=25, seed=11, field=field)
+
+        snaps, _ = collect(walking_config())
+        fresh = walking_config()
+        assert [run_round(fresh, r)[0] for r in reversed(range(25))] == snaps[::-1]
+
 
 class TestConfigValidation:
     def test_invariants(self):
@@ -213,6 +229,14 @@ class TestConfigValidation:
         field = EnvField(channels={Channel.TEMP_C: ChannelModel(25.0)})
         with pytest.raises(SimError, match="INVALID_CONFIG"):
             make_config(field=field)
+
+    def test_count_channels_cannot_go_negative(self):
+        # the log stores light and gas values as unsigned integers
+        base = make_config()
+        light = SensorSpec(Channel.LIGHT_RAW, 8.0, 1.0, -10.0, 100.0)
+        sensors = tuple(light if s.channel is Channel.LIGHT_RAW else s for s in base.sensors)
+        with pytest.raises(SimError, match="min >= 0"):
+            SimConfig(topology=base.topology, field=base.field, sensors=sensors, rounds=1)
 
     def test_outage_must_reference_a_link(self):
         with pytest.raises(SimError, match="NOT_A_LINK"):
