@@ -29,7 +29,7 @@ from .environment import (
     channel_from_token,
     default_spec,
 )
-from .errors import ConfigError, EnvError, GatewayError, SimError, TopologyError
+from .errors import ConfigError, SimError, TopologyError, WsnError
 from .gateway import AlertRule, Comparator, Severity
 from .netsim import (
     DEFAULT_HOP_LATENCY_MS,
@@ -88,104 +88,89 @@ def parse_config(text: str) -> RunConfig:
         tokens = line.split()
         directive, args = tokens[0], tokens[1:]
 
-        if directive == "radio":
-            if radio is not None:
-                raise ConfigError("duplicate radio line", line_no)
-            if len(args) != 2:
-                raise ConfigError("radio takes <range_m> <failure_prob>", line_no)
-            try:
+        try:
+            if directive == "radio":
+                if radio is not None:
+                    raise ConfigError("duplicate radio line", line_no)
+                if len(args) != 2:
+                    raise ConfigError("radio takes <range_m> <failure_prob>", line_no)
                 radio = RadioSpec(
                     range_m=_number(args[0], line_no, "range"),
                     failure_prob=_number(args[1], line_no, "failure probability"),
                 )
-            except TopologyError as e:
-                raise ConfigError(e.message, line_no) from None
 
-        elif directive == "cluster":
-            if not args:
-                raise ConfigError("cluster takes <head_id> [leaf_id ...]", line_no)
-            for label in args:
-                if label in seen_labels:
-                    raise ConfigError(f"label {label!r} used twice", line_no)
-                seen_labels.add(label)
-            clusters.append((args[0], args[1:]))
+            elif directive == "cluster":
+                if not args:
+                    raise ConfigError("cluster takes <head_id> [leaf_id ...]", line_no)
+                for label in args:
+                    if label in seen_labels:
+                        raise ConfigError(f"label {label!r} used twice", line_no)
+                    seen_labels.add(label)
+                clusters.append((args[0], args[1:]))
 
-        elif directive == "pos":
-            if len(args) != 3:
-                raise ConfigError("pos takes <node_id> <x> <y>", line_no)
-            if args[0] in positions:
-                raise ConfigError(f"duplicate pos for {args[0]!r}", line_no)
-            positions[args[0]] = (
-                _number(args[1], line_no, "x"),
-                _number(args[2], line_no, "y"),
-            )
-            pos_lines[args[0]] = line_no
+            elif directive == "pos":
+                if len(args) != 3:
+                    raise ConfigError("pos takes <node_id> <x> <y>", line_no)
+                if args[0] in positions:
+                    raise ConfigError(f"duplicate pos for {args[0]!r}", line_no)
+                positions[args[0]] = (
+                    _number(args[1], line_no, "x"),
+                    _number(args[2], line_no, "y"),
+                )
+                pos_lines[args[0]] = line_no
 
-        elif directive in ("rounds", "period_ms", "hop_ms", "seed"):
-            if directive in scalars:
-                raise ConfigError(f"duplicate {directive} line", line_no)
-            if len(args) != 1:
-                raise ConfigError(f"{directive} takes one integer", line_no)
-            value = _integer(args[0], line_no, directive)
-            lower = {"rounds": 1, "period_ms": 1, "hop_ms": 0, "seed": 0}[directive]
-            if value < lower:
-                raise ConfigError(f"{directive} must be >= {lower}, got {value}", line_no)
-            scalars[directive] = value
-            scalar_lines[directive] = line_no
+            elif directive in ("rounds", "period_ms", "hop_ms", "seed"):
+                if directive in scalars:
+                    raise ConfigError(f"duplicate {directive} line", line_no)
+                if len(args) != 1:
+                    raise ConfigError(f"{directive} takes one integer", line_no)
+                value = _integer(args[0], line_no, directive)
+                lower = {"rounds": 1, "period_ms": 1, "hop_ms": 0, "seed": 0}[directive]
+                if value < lower:
+                    raise ConfigError(f"{directive} must be >= {lower}, got {value}", line_no)
+                scalars[directive] = value
+                scalar_lines[directive] = line_no
 
-        elif directive == "fail":
-            if len(args) != 4:
-                raise ConfigError("fail takes <from> <to> <round_start> <round_end>", line_no)
-            first = _integer(args[2], line_no, "round_start")
-            last = _integer(args[3], line_no, "round_end")
-            try:
+            elif directive == "fail":
+                if len(args) != 4:
+                    raise ConfigError("fail takes <from> <to> <round_start> <round_end>", line_no)
+                first = _integer(args[2], line_no, "round_start")
+                last = _integer(args[3], line_no, "round_end")
                 outages.append((LinkOutage(args[0], args[1], first, last), line_no))
-            except SimError as e:
-                raise ConfigError(e.message, line_no) from None
 
-        elif directive == "env":
-            if len(args) < 2:
-                raise ConfigError("env takes <channel> <baseline> [walk|script ...]", line_no)
-            try:
+            elif directive == "env":
+                if len(args) < 2:
+                    raise ConfigError("env takes <channel> <baseline> [walk|script ...]", line_no)
                 channel = channel_from_token(args[0])
-            except EnvError as e:
-                raise ConfigError(e.message, line_no) from None
-            if channel in env_models:
-                raise ConfigError(f"duplicate env line for {args[0]}", line_no)
-            baseline = _number(args[1], line_no, "baseline")
-            drift = Drift.none()
-            tail = args[2:]
-            if tail:
-                if tail[0] == "walk" and len(tail) == 2:
-                    sigma = _number(tail[1], line_no, "walk sigma")
-                    if sigma < 0:
-                        raise ConfigError("walk sigma must be >= 0", line_no)
-                    drift = Drift.walk(sigma)
-                elif tail[0] == "script" and len(tail) == 2:
-                    drift = _parse_script(tail[1], line_no)
-                else:
-                    raise ConfigError(f"bad env drift clause {' '.join(tail)!r}", line_no)
-            env_models[channel] = ChannelModel(baseline=baseline, drift=drift)
+                if channel in env_models:
+                    raise ConfigError(f"duplicate env line for {args[0]}", line_no)
+                baseline = _number(args[1], line_no, "baseline")
+                drift = Drift.none()
+                tail = args[2:]
+                if tail:
+                    if tail[0] == "walk" and len(tail) == 2:
+                        drift = Drift.walk(_number(tail[1], line_no, "walk sigma"))
+                    elif tail[0] == "script" and len(tail) == 2:
+                        drift = _parse_script(tail[1], line_no)
+                    else:
+                        raise ConfigError(f"bad env drift clause {' '.join(tail)!r}", line_no)
+                env_models[channel] = ChannelModel(baseline=baseline, drift=drift)
 
-        elif directive == "alert":
-            if len(args) != 5:
-                raise ConfigError(
-                    "alert takes <id> <channel> <GT|LT> <threshold> <WARN|DANGER>", line_no
-                )
-            rule_id, channel_token, cmp_token, threshold_token, severity_token = args
-            if any(r.rule_id == rule_id for r, _ in rules):
-                raise ConfigError(f"duplicate alert id {rule_id!r}", line_no)
-            try:
+            elif directive == "alert":
+                if len(args) != 5:
+                    raise ConfigError(
+                        "alert takes <id> <channel> <GT|LT> <threshold> <WARN|DANGER>", line_no
+                    )
+                rule_id, channel_token, cmp_token, threshold_token, severity_token = args
+                if any(r.rule_id == rule_id for r, _ in rules):
+                    raise ConfigError(f"duplicate alert id {rule_id!r}", line_no)
                 channel = channel_from_token(channel_token)
-            except EnvError as e:
-                raise ConfigError(e.message, line_no) from None
-            if cmp_token not in _COMPARATORS:
-                raise ConfigError(f"comparator must be GT or LT, got {cmp_token!r}", line_no)
-            if severity_token not in _SEVERITIES:
-                raise ConfigError(
-                    f"severity must be WARN or DANGER, got {severity_token!r}", line_no
-                )
-            try:
+                if cmp_token not in _COMPARATORS:
+                    raise ConfigError(f"comparator must be GT or LT, got {cmp_token!r}", line_no)
+                if severity_token not in _SEVERITIES:
+                    raise ConfigError(
+                        f"severity must be WARN or DANGER, got {severity_token!r}", line_no
+                    )
                 rule = AlertRule(
                     rule_id=rule_id,
                     channel=channel,
@@ -193,12 +178,14 @@ def parse_config(text: str) -> RunConfig:
                     threshold=_number(threshold_token, line_no, "threshold"),
                     severity=_SEVERITIES[severity_token],
                 )
-            except GatewayError as e:
-                raise ConfigError(e.message, line_no) from None
-            rules.append((rule, line_no))
+                rules.append((rule, line_no))
 
-        else:
-            raise ConfigError(f"unknown directive {directive!r}", line_no)
+            else:
+                raise ConfigError(f"unknown directive {directive!r}", line_no)
+        except ConfigError:
+            raise
+        except WsnError as e:  # a library constructor rejected this line's values
+            raise ConfigError(e.message, line_no) from None
 
     if not clusters:
         raise ConfigError("no cluster lines; at least one cluster head is required")
@@ -264,10 +251,7 @@ def _parse_script(token: str, line_no: int) -> Drift:
                 _number(value_text, line_no, "script value"),
             )
         )
-    try:
-        return Drift.scripted(points)
-    except EnvError as e:
-        raise ConfigError(e.message, line_no) from None
+    return Drift.scripted(points)
 
 
 def _format_number(v: float) -> str:

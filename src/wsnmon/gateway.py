@@ -16,6 +16,10 @@ gets ERR BAD_REQUEST and its session is closed, so no client can make the
 server buffer an unbounded line. Only the latest complete round is served;
 the telemetry file is the historical record.
 
+Every response a round can get is rendered once, when the round is
+published, from the same block of record lines the log and the mirror get
+(``basestation.snapshot_block``); a request is a table lookup.
+
 Alerts have rising-edge semantics: a (rule, node) pair fires when its
 predicate turns true after a round where it was false, NULL, or unknown; a
 NULL (or unequipped) round resets the edge so recovery can fire again.
@@ -28,13 +32,13 @@ import socketserver
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .basestation import format_value, record_line
+from .basestation import format_value, snapshot_block
 from .environment import Channel
 from .errors import GatewayError
 from .records import Snapshot
-from .topology import NodeRole, TreeTopology
+from .topology import TreeTopology
 
 DEFAULT_PORT = 7070
 MAX_REQUEST_BYTES = 4096
@@ -117,86 +121,87 @@ def _validate_rules(rules: Sequence[AlertRule]) -> None:
         raise GatewayError("INVALID_RULE", "rule ids must be unique")
 
 
+_ARITY = {"SNAPSHOT": 0, "ALERTS": 0, "NODE": 1, "CLUSTER": 1}
+
+
 class Gateway:
     """Shared state between the snapshot source and client sessions.
 
-    The source pushes complete rounds through publish(); sessions read a
-    consistent (snapshot, alerts) pair under one lock, so no response ever
-    mixes rounds or sees a half-updated alert set.
+    publish() renders every response a round can get, from the block the
+    log and the mirror get, and swaps the request->response table in whole;
+    a session reads that one reference, so no response ever mixes rounds or
+    sees a half-updated alert set.
     """
 
     def __init__(self, topology: TreeTopology, rules: Sequence[AlertRule] = ()):
         _validate_rules(rules)
         self.topology = topology
         self.rules = tuple(rules)
+        self._channel_of = {r.rule_id: r.channel for r in self.rules}
+        self._nodes = topology.sensing_nodes()
+        self._node_requests = ["NODE " + n for n in self._nodes]
+        # a head is followed by its leaflets, so a cluster is a slice of lines
+        self._clusters: list[tuple[str, int, int]] = []
+        for head in topology.cluster_heads():
+            start = self._nodes.index(head)
+            stop = start + 1 + len(topology.children[head])
+            self._clusters.append(("CLUSTER " + head, start, stop))
         self._lock = threading.Lock()
-        self._snapshot: Snapshot | None = None
+        self._round = -1
         self._edge_state: dict[tuple[str, str], bool] = {}
-        self._active: dict[tuple[str, str], Alert] = {}
+        self._active: dict[tuple[str, str], str] = {}  # alert lines, rendered on firing
+        self._responses: dict[str, str] = {}
 
     def publish(self, s: Snapshot) -> list[Alert]:
         """Observe one new round; returns the alerts it fired."""
+        block = snapshot_block(s)
         with self._lock:
-            if self._snapshot is not None and s.round <= self._snapshot.round:
-                raise ValueError(f"round {s.round} after round {self._snapshot.round}")
+            if s.round <= self._round:
+                raise ValueError(f"round {s.round} after round {self._round}")
+            if s.nodes() != self._nodes:
+                raise ValueError(f"round {s.round}: snapshot nodes do not match the topology")
             self._edge_state, fired = evaluate_alerts(self.rules, s, self._edge_state)
-            for alert in fired:
-                self._active[(alert.rule_id, alert.node)] = alert
-            for key in [k for k, held in self._edge_state.items() if not held]:
-                self._active.pop(key, None)
-            self._snapshot = s
+            active = self._active
+            for a in fired:
+                active[(a.rule_id, a.node)] = alert_line(a, self._channel_of[a.rule_id]) + "\n"
+            # a pair is active exactly while it holds, and the state is in
+            # rule, then node order: the order ALERTS lists them in
+            self._active = {k: active[k] for k, holds in self._edge_state.items() if holds}
+            self._responses = self._render(s.round, block)
+            self._round = s.round
             return fired
+
+    def _render(self, rnd: int, block: str) -> dict[str, str]:
+        lines = block.splitlines(keepends=True)
+        alerts = self._active
+        responses = {
+            "SNAPSHOT": f"BEGIN {rnd} {len(lines)}\n{block}END\n",
+            "ALERTS": f"BEGIN ALERTS {len(alerts)}\n{''.join(alerts.values())}END\n",
+        }
+        one = f"BEGIN {rnd} 1\n"
+        responses.update(zip(self._node_requests, [one + line + "END\n" for line in lines]))
+        for request, start, stop in self._clusters:
+            body = "".join(lines[start:stop])
+            responses[request] = f"BEGIN {rnd} {stop - start}\n{body}END\n"
+        return responses
 
     def handle_request(self, line: str) -> str:
         """Map one request line to one complete response (text, LF-terminated)."""
-        tokens = line.rstrip("\r\n").split()
-        if not tokens:
-            return "ERR BAD_REQUEST\n"
-        verb, args = tokens[0], tokens[1:]
-        if verb == "PING" and not args:
+        tokens = line.split()
+        request = " ".join(tokens)
+        if request == "PING":
             return "PONG\n"
-        with self._lock:
-            snapshot = self._snapshot
-            active = list(self._active.values())
-        if verb == "SNAPSHOT" and not args:
-            if snapshot is None:
-                return "ERR NO_DATA\n"
-            return self._envelope(snapshot, snapshot.readings)
-        if verb == "NODE" and len(args) == 1:
-            if snapshot is None:
-                return "ERR NO_DATA\n"
-            role = self.topology.roles.get(args[0])
-            if role is None or role is NodeRole.BASE_STATION:
-                return "ERR UNKNOWN_NODE\n"
-            return self._envelope(snapshot, [snapshot.reading_for(args[0])])
-        if verb == "CLUSTER" and len(args) == 1:
-            if snapshot is None:
-                return "ERR NO_DATA\n"
-            role = self.topology.roles.get(args[0])
-            if role is None:
-                return "ERR UNKNOWN_NODE\n"
-            if role is not NodeRole.CLUSTER_HEAD:
-                return "ERR NOT_A_CLUSTER_HEAD\n"
-            members = (args[0], *self.topology.leaflets(args[0]))
-            return self._envelope(snapshot, [snapshot.reading_for(n) for n in members])
-        if verb == "ALERTS" and not args:
-            if snapshot is None:
-                return "ERR NO_DATA\n"
-            return self._alerts_envelope(active)
-        return "ERR BAD_REQUEST\n"
-
-    def _envelope(self, snapshot: Snapshot, readings: Iterable) -> str:
-        lines = [record_line(r) for r in readings]
-        body = "".join(line + "\n" for line in lines)
-        return f"BEGIN {snapshot.round} {len(lines)}\n{body}END\n"
-
-    def _alerts_envelope(self, active: list[Alert]) -> str:
-        channel_of = {r.rule_id: r.channel for r in self.rules}
-        rule_order = {r.rule_id: i for i, r in enumerate(self.rules)}
-        node_order = {n: i for i, n in enumerate(self.topology.sensing_nodes())}
-        active.sort(key=lambda a: (rule_order[a.rule_id], node_order[a.node]))
-        body = "".join(alert_line(a, channel_of[a.rule_id]) + "\n" for a in active)
-        return f"BEGIN ALERTS {len(active)}\n{body}END\n"
+        responses = self._responses  # one reference: the whole of one round
+        response = responses.get(request)
+        if response is not None:
+            return response
+        if not tokens or _ARITY.get(tokens[0]) != len(tokens) - 1:
+            return "ERR BAD_REQUEST\n"
+        if not responses:
+            return "ERR NO_DATA\n"
+        if tokens[0] == "CLUSTER" and tokens[1] in self.topology.roles:
+            return "ERR NOT_A_CLUSTER_HEAD\n"
+        return "ERR UNKNOWN_NODE\n"
 
 
 class _Handler(socketserver.StreamRequestHandler):

@@ -12,7 +12,8 @@ Reproducibility: all randomness comes from streams derived from the config
 seed by fixed strings, so identical configs give byte-identical runs. The
 environment's walk is generated once per run and carried forward
 (``truth_at`` is amortized O(1)), so a round costs the same at round 5 as at
-round 5000, and ``run_round`` still gives any round on its own, in any order.
+round 5000, and ``run_round`` still gives any round on its own, in any order,
+with the links its outages force down.
  - drop decisions:  Random(f"{seed}/drops/{round}"), consumed in emission
    order of attempted messages;
  - noise draws:     Random(f"{seed}/noise/{round}"), consumed for every
@@ -32,7 +33,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .environment import Channel, EnvField, SensorSpec, sense, truth_at
 from .errors import SimError
@@ -142,9 +143,9 @@ class SimSummary:
 class _Round:
     """Builder for one round's events and readings."""
 
-    def __init__(self, cfg: SimConfig, round_index: int, overrides: frozenset[tuple[str, str]]):
+    def __init__(self, cfg: SimConfig, round_index: int):
         self.cfg = cfg
-        self.overrides = overrides
+        self.down = {(o.src, o.dst) for o in cfg.outages if o.covers(round_index)}
         self.t0 = round_index * cfg.round_period_ms
         self.round_index = round_index
         self.drop_rng = random.Random(f"{cfg.seed}/drops/{round_index}")
@@ -154,7 +155,7 @@ class _Round:
     def attempt(self, kind: EventKind, src: str, dst: str, at: int) -> bool:
         """Emit the message event; decide and mark loss. True when delivered."""
         self.events.append(SimEvent(at, kind, src, dst))
-        if (src, dst) in self.overrides:
+        if (src, dst) in self.down:
             dropped = True  # forced outage, no draw consumed
         else:
             dropped = self.drop_rng.random() < self.failure_prob
@@ -177,12 +178,8 @@ class _Round:
         return readings
 
 
-def run_round(
-    cfg: SimConfig,
-    round_index: int,
-    link_overrides: Iterable[tuple[str, str]] = (),
-) -> tuple[Snapshot, list[SimEvent]]:
-    """Simulate one collection round.
+def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent]]:
+    """Simulate one collection round, with the links ``cfg.outages`` force down.
 
     Returns the round's Snapshot (exactly one Reading per sensing node; lost
     branches are NULL, never absent) and its events in (time, emission) order.
@@ -191,7 +188,7 @@ def run_round(
         raise SimError(
             "ROUND_OUT_OF_RANGE", f"round {round_index} not in 0..{cfg.rounds - 1}"
         )
-    rnd = _Round(cfg, round_index, frozenset(link_overrides))
+    rnd = _Round(cfg, round_index)
     topo = cfg.topology
     hop = cfg.hop_latency_ms
     t0 = rnd.t0
@@ -234,10 +231,7 @@ def run_simulation(
     sent = 0
     dropped = 0
     for round_index in range(cfg.rounds):
-        overrides = [
-            (o.src, o.dst) for o in cfg.outages if o.covers(round_index)
-        ]
-        snapshot, events = run_round(cfg, round_index, overrides)
+        snapshot, events = run_round(cfg, round_index)
         for ev in events:
             if ev.kind is EventKind.LINK_DROP:
                 dropped += 1

@@ -16,6 +16,7 @@ from helpers import (
     random_rules,
     random_snapshot,
 )
+from wsnmon import basestation, gateway
 from wsnmon.basestation import parse_record, record_line
 from wsnmon.environment import Channel
 from wsnmon.errors import GatewayError
@@ -227,6 +228,40 @@ class TestHandleRequest:
         gw = self.make_gateway()
         with pytest.raises(ValueError):
             gw.publish(co_snapshot(0, {}))
+
+    def test_publish_rejects_foreign_nodes(self):
+        gw = self.make_gateway()
+        s = co_snapshot(1, {})
+        with pytest.raises(ValueError):
+            gw.publish(Snapshot(s.round, s.time_ms, s.readings[::-1]))
+
+    def test_requests_never_render(self, monkeypatch):
+        """Records are rendered once per round, at publish; a request looks one up."""
+        calls = {"record_line": 0, "format_value": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(basestation, "record_line", counting("record_line", record_line))
+        monkeypatch.setattr(gateway, "format_value",
+                            counting("format_value", gateway.format_value))
+        cfg = make_config(gas=True, rounds=4)
+        rule = AlertRule("co_any", Channel.CO_PPM, Comparator.GREATER, 1.0, Severity.WARN)
+        gw = Gateway(desk_topology(), rules=(rule,))
+        for r in range(4):
+            gw.publish(run_round(cfg, r)[0])
+        published = dict(calls)
+        assert published["record_line"] == 4 * len(DESK_NODES)
+        requests = ["SNAPSHOT", "ALERTS", "PING", "CLUSTER N1", "CLUSTER 1.1", "NODE 9.9",
+                    "FETCH", *(f"NODE {n}" for n in DESK_NODES)]
+        for _ in range(50):
+            for request in requests:
+                gw.handle_request(request + "\n")
+        assert gw.handle_request("ALERTS\n").startswith("BEGIN ALERTS 6\n")
+        assert calls == published
 
 
 class Client:

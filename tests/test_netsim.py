@@ -69,15 +69,15 @@ class TestRunRound:
         assert trace_line(events[0]) == "0 INTERRUPT_CALL BS N1"
 
     def test_leaf_link_override_nulls_only_that_leaf(self):
-        cfg = make_config()
-        snapshot, _ = run_round(cfg, 0, link_overrides=[("N1", "1.1")])
+        cfg = make_config(outages=(LinkOutage("N1", "1.1", 0, 0),))
+        snapshot, _ = run_round(cfg, 0)
         statuses = {r.node: r.status for r in snapshot.readings}
         assert statuses["1.1"] is ReadingStatus.NULL
         assert all(s is ReadingStatus.OK for n, s in statuses.items() if n != "1.1")
 
     def test_head_link_override_nulls_branch(self):
-        cfg = make_config()
-        snapshot, events = run_round(cfg, 0, link_overrides=[("BS", "N2")])
+        cfg = make_config(outages=(LinkOutage("BS", "N2", 0, 0),))
+        snapshot, events = run_round(cfg, 0)
         statuses = {r.node: r.status for r in snapshot.readings}
         nulled = {n for n, s in statuses.items() if s is ReadingStatus.NULL}
         assert nulled == {"N2", "2.1", "2.2"}
@@ -86,11 +86,10 @@ class TestRunRound:
 
     def test_override_matches_reachability_oracle(self):
         """Nulled node set equals the dependency closure over the tree."""
-        cfg = make_config()
         links = [("BS", "N1"), ("BS", "N2"), ("N1", "1.1"), ("N2", "2.2"),
                  ("1.2", "N1"), ("N2", "BS")]
         for link in links:
-            snapshot, _ = run_round(cfg, 0, link_overrides=[link])
+            snapshot, _ = run_round(make_config(outages=(LinkOutage(*link, 0, 0),)), 0)
             nulled = {r.node for r in snapshot.readings if r.status is ReadingStatus.NULL}
             assert nulled == nulled_by_link(DESK_CLUSTERS, link), link
 
@@ -201,6 +200,11 @@ class TestDeterminism:
         snaps, _ = collect(cfg)
         again, _ = run_round(cfg, 17)
         assert snaps[17] == again
+        # a round inside a scripted outage forces the same links down on its own
+        cfg = make_config(failure_prob=0.1, rounds=30, seed=7, outages=(
+            LinkOutage("BS", "N2", 10, 20), LinkOutage("1.1", "N1", 0, 5)))
+        snaps, _ = collect(cfg)
+        assert [run_round(cfg, r)[0] for r in range(30)] == snaps
 
     def test_run_round_in_reverse_matches_full_run(self):
         # the walk cache must answer a round it has already passed
