@@ -50,7 +50,7 @@ from .netsim import (
     run_round,
     run_simulation,
 )
-from .records import Reading, ReadingStatus, Snapshot
+from .records import Reading, Snapshot
 from .topology import (
     NodeRole,
     RadioSpec,

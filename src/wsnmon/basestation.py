@@ -7,9 +7,10 @@ File format (UTF-8, LF line endings):
 
 Temperature carries exactly 4 decimal places (one 0.0625-step per digit
 grid), light and gas values are integers, lost channels are the literal
-``NULL`` and unequipped gas channels the literal ``-``. A round's records are
-written as one atomic group, so a reader only ever sees whole rounds plus at
-most one trailing partial round while a write is in flight.
+``NULL`` and unequipped gas channels the literal ``-``. The status is ``NULL``
+when the reading was lost (every value is None), else ``OK``. A round's
+records are written as one atomic group, so a reader only ever sees whole
+rounds plus at most one trailing partial round while a write is in flight.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ from typing import Iterable, Sequence
 
 from .environment import Channel
 from .errors import TelemetryError
-from .records import Reading, ReadingStatus, Snapshot
+from .records import Reading, Snapshot
 
 MAGIC = "#WSNLOG"
 VERSION = "v1"
 
 _NULL = "NULL"
+_OK = "OK"
 _NOT_EQUIPPED = "-"
+_TEMP = Channel.TEMP_C  # a module global: reading an Enum member off its class is slow
 _COLUMNS = tuple(Channel)  # value columns 4-8, in Channel order
 
 
@@ -61,9 +64,11 @@ def parse_header(line: str) -> tuple[str, ...]:
     return nodes
 
 
-def record_line(r: Reading) -> str:
+def record_line(prefix: str, r: Reading) -> str:
+    """One record; ``prefix`` is its round's ``<round>,<time_ms>,``. NULL is
+    all-or-none and temperature always equipped, so it gives the status."""
     values = r.values
-    fields = [str(r.round), str(r.time_ms), r.node]
+    fields = [prefix + r.node]
     for channel in _COLUMNS:
         v = values.get(channel, _NOT_EQUIPPED)  # values hold numbers or None, never text
         if v is None:
@@ -71,7 +76,7 @@ def record_line(r: Reading) -> str:
         elif v is not _NOT_EQUIPPED:
             v = format_value(channel, v)
         fields.append(v)
-    fields.append(r.status._value_)  # _value_: no property call per record
+    fields.append(_NULL if values[_TEMP] is None else _OK)
     return ",".join(fields)
 
 
@@ -89,7 +94,8 @@ def snapshot_block(s: Snapshot) -> str:
     global _last_block
     last, block = _last_block
     if last is not s:
-        block = "".join([record_line(r) + "\n" for r in s.readings])
+        prefix = f"{s.round},{s.time_ms},"
+        block = "".join([record_line(prefix, r) + "\n" for r in s.readings])
         _last_block = (s, block)
     return block
 
@@ -138,14 +144,13 @@ def _temperature(text: str) -> float | None:
 
 
 _READERS = tuple((ch, _temperature if ch is Channel.TEMP_C else _count) for ch in _COLUMNS)
-_STATUS = {status.value: status for status in ReadingStatus}
 
 
-def parse_record(line: str, line_no: int = 0) -> Reading:
-    """Parse one record line; the gateway's response lines share this grammar.
+def parse_record(line: str, line_no: int = 0) -> tuple[int, int, Reading]:
+    """Parse one record line (the gateway's lines share this grammar).
 
-    Every number must be written exactly as ``record_line`` writes its value,
-    so an accepted line re-serializes byte for byte.
+    Every number and the status must be exactly what ``record_line`` writes
+    for the values, so an accepted line re-serializes byte for byte.
     """
     fields = line.split(",")
     if len(fields) != 9:
@@ -158,6 +163,8 @@ def parse_record(line: str, line_no: int = 0) -> Reading:
     node = fields[2]
     if not node or node in (_NULL, _NOT_EQUIPPED):
         raise _malformed(f"bad node id {node!r}", line_no)
+    if fields[3] == _NOT_EQUIPPED or fields[4] == _NOT_EQUIPPED:
+        raise _malformed("temp_c and light_raw are always equipped", line_no)
     values = {}
     for (channel, read), text in zip(_READERS, fields[3:8]):
         if text != _NOT_EQUIPPED:
@@ -165,13 +172,15 @@ def parse_record(line: str, line_no: int = 0) -> Reading:
                 values[channel] = read(text)
             except ValueError:
                 raise _malformed(f"bad {channel.value} value {text!r}", line_no) from None
-    status = _STATUS.get(fields[8])
-    if status is None:
-        raise _malformed(f"bad status {fields[8]!r}", line_no)
-    try:
-        return Reading(node, rnd, time_ms, values, status)
-    except ValueError as e:
-        raise _malformed(str(e), line_no) from None
+    status = fields[8]
+    if status == _OK:
+        if None in values.values():
+            raise _malformed(f"OK record for {node} has a NULL value", line_no)
+    elif status != _NULL:
+        raise _malformed(f"bad status {status!r}", line_no)
+    elif set(values.values()) != {None}:
+        raise _malformed(f"NULL record for {node} has a value", line_no)
+    return rnd, time_ms, Reading(node, values)
 
 
 @dataclass(frozen=True)
@@ -211,21 +220,21 @@ def parse_telemetry(data: bytes | str) -> ParsedTelemetry:
 
     snapshots: list[Snapshot] = []
     group: list[Reading] = []
-    last_done = -1
+    group_round = group_time = last_done = -1
     for line_no, line in enumerate(lines[1:], start=2):
-        r = parse_record(line, line_no)
+        rnd, time_ms, r = parse_record(line, line_no)
         if not group:
-            if r.round <= last_done:
+            if rnd <= last_done:
                 raise TelemetryError(
-                    "MALFORMED_RECORD", f"round {r.round} repeats or goes backwards",
+                    "MALFORMED_RECORD", f"round {rnd} repeats or goes backwards",
                     line_no=line_no,
                 )
-        else:
-            if r.round != group[0].round or r.time_ms != group[0].time_ms:
-                raise TelemetryError(
-                    "MALFORMED_RECORD", f"round/time changed inside round {group[0].round}",
-                    line_no=line_no,
-                )
+            group_round, group_time = rnd, time_ms
+        elif rnd != group_round or time_ms != group_time:
+            raise TelemetryError(
+                "MALFORMED_RECORD", f"round/time changed inside round {group_round}",
+                line_no=line_no,
+            )
         expected = nodes[len(group)]
         if r.node != expected:
             raise TelemetryError(
@@ -234,15 +243,13 @@ def parse_telemetry(data: bytes | str) -> ParsedTelemetry:
             )
         group.append(r)
         if len(group) == len(nodes):
-            snapshots.append(
-                Snapshot(round=group[0].round, time_ms=group[0].time_ms, readings=tuple(group))
-            )
-            last_done = group[0].round
+            snapshots.append(Snapshot(round=rnd, time_ms=time_ms, readings=tuple(group)))
+            last_done = rnd
             group = []
 
     partial: PartialRound | None = None
     if group:
-        partial = PartialRound(round=group[0].round, records=len(group))
+        partial = PartialRound(round=group_round, records=len(group))
     elif fragment:
         partial = PartialRound(round=None, records=0)
     return ParsedTelemetry(nodes=nodes, snapshots=snapshots, partial=partial)

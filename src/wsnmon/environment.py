@@ -5,13 +5,15 @@ so truth depends only on (channel, round, seed). A random walk is generated
 once per field: the first ``truth_at`` call for a round extends the channel's
 cached walk up to that round, later calls for any earlier or equal round read
 it back, so a run pays one Gaussian step per channel per round and
-``truth_at`` is amortized O(1). Sensor noise is uniform and
+``truth_at`` is amortized O(1); a walk that overflows saturates at the largest
+finite float, so truth is never infinite or nan. Sensor noise is uniform and
 bounded by the sensor's accuracy figure rather than Gaussian: the hardware
 datasheets state an error bound, and a hard bound is what the tests check.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -147,6 +149,8 @@ def _walk(f: EnvField, channel: Channel, model: ChannelModel, round_index: int) 
     value = values[-1]
     for _ in range(len(values), round_index + 1):
         value += rng.gauss(0.0, sigma)  # the same steps summed in the same order
+        if math.isinf(value):  # saturate, so a later step cannot make inf - inf = nan
+            value = math.nextafter(value, 0.0)  # the largest finite float of its sign
         values.append(value)
     return values[round_index]
 

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 
 from .environment import Channel, EnvField, SensorSpec, sense, truth_at
 from .errors import SimError
-from .records import Reading, ReadingStatus, Snapshot
+from .records import Reading, Snapshot
 from .topology import TreeTopology
 
 DEFAULT_ROUND_PERIOD_MS = 1000
@@ -167,14 +167,20 @@ class _Round:
         """Sense every equipped channel on every node (draws always consumed)."""
         cfg = self.cfg
         noise = random.Random(f"{cfg.seed}/noise/{self.round_index}").random
-        plan = [(spec.channel, spec, truth_at(cfg.field, spec.channel, self.round_index))
-                for spec in cfg.sensors]
+        plan = []
+        for spec in cfg.sensors:
+            truth = truth_at(cfg.field, spec.channel, self.round_index)
+            # Beyond a bound by more than accuracy + quantum, every draw reads
+            # that bound; clamping there keeps sense's arithmetic finite.
+            slack = spec.accuracy + spec.quantum
+            truth = min(max(truth, spec.min_value - slack), spec.max_value + slack)
+            plan.append((spec.channel, spec, truth))
         readings: dict[str, Reading] = {}
         for node in cfg.topology.sensing_nodes():
             # -1.0 + 2.0 * noise() is Random.uniform(-1.0, 1.0), without its call
             values = {channel: sense(spec, truth, -1.0 + 2.0 * noise())
                       for channel, spec, truth in plan}
-            readings[node] = Reading(node, self.round_index, self.t0, values)
+            readings[node] = Reading(node, values)
         return readings
 
 
@@ -214,8 +220,8 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent
                 delivered[reading.node] = reading
 
     readings = tuple(
-        delivered[node] if node in delivered else Reading(
-            node, round_index, t0, dict.fromkeys(measured[node].values), ReadingStatus.NULL)
+        delivered[node] if node in delivered
+        else Reading(node, dict.fromkeys(measured[node].values))
         for node in topo.sensing_nodes()
     )
     events = sorted(rnd.events, key=attrgetter("time_ms"))  # stable: ties keep emission order

@@ -1,48 +1,28 @@
 """Per-round data records: one Reading per sensing node, grouped in Snapshots.
 
 A reading is lost or kept as a whole: a link failure wipes every channel of
-the affected node for that round (status NULL), never a subset.
-``Reading.values`` maps exactly the channels the node is equipped with to a
-number, or to None when lost: temperature and light always (the demonstration
-hardware carried both), a gas channel only when the run has one. ``channel in
-reading.values`` tells whether a channel is equipped; the former
-``equipped()`` and ``value()`` methods and the environment's tuple of gas
-channels are gone.
+the affected node for that round, never a subset. ``Reading.values`` maps
+exactly the channels the node is equipped with to a number, or to None when
+lost: temperature and light always (the demonstration hardware carried both),
+a gas channel only when the run has one. ``channel in reading.values`` tells
+whether a channel is equipped. A reading is NULL exactly when its values are
+all None; the log's status column is rendered from that. The round and time
+of a reading are those of its Snapshot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .environment import Channel
 
 
-class ReadingStatus(Enum):
-    OK = "OK"
-    NULL = "NULL"
-
-
-@dataclass(frozen=True, slots=True)
-class Reading:
+class Reading(NamedTuple):
     """One node's values for one round, by equipped channel (see the module)."""
 
     node: str
-    round: int
-    time_ms: int
     values: Mapping[Channel, float | None]
-    status: ReadingStatus = ReadingStatus.OK
-
-    def __post_init__(self):
-        values = self.values
-        if Channel.TEMP_C not in values or Channel.LIGHT_RAW not in values:
-            raise ValueError(f"reading for {self.node} lacks temp_c or light_raw")
-        if self.status is ReadingStatus.OK:
-            if None in values.values():
-                raise ValueError(f"OK reading for {self.node} has a NULL channel")
-        elif any(v is not None for v in values.values()):
-            raise ValueError(f"NULL reading for {self.node} has a value")
 
 
 @dataclass(frozen=True, slots=True)

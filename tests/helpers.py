@@ -19,7 +19,7 @@ from wsnmon.environment import (
 )
 from wsnmon.gateway import AlertRule, Comparator, Severity
 from wsnmon.netsim import SimConfig
-from wsnmon.records import Reading, ReadingStatus, Snapshot
+from wsnmon.records import Reading, Snapshot
 from wsnmon.topology import RadioSpec, build_topology
 
 DESK_CLUSTERS = [("N1", ["1.1", "1.2"]), ("N2", ["2.1", "2.2"])]
@@ -158,6 +158,12 @@ def grid_temp(rng: random.Random) -> float:
     return -40.0 + rng.randrange(0, int((125 + 40) / 0.0625) + 1) * 0.0625
 
 
+def status_of(reading: Reading) -> str:
+    """"NULL" when every value is None, "OK" when none is, else "MIXED"."""
+    lost = [v is None for v in reading.values.values()]
+    return "NULL" if all(lost) else "MIXED" if any(lost) else "OK"
+
+
 def random_snapshot(
     rng: random.Random,
     round_index: int,
@@ -176,19 +182,16 @@ def random_snapshot(
     for node in nodes:
         if rng.random() < null_prob:
             readings.append(
-                Reading(node, round_index, time_ms,
-                        dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, *gases)),
-                        ReadingStatus.NULL)
+                Reading(node, dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, *gases)))
             )
         else:
             gas_values = {
                 g: float(rng.randrange(ranges[g][0], ranges[g][1] + 1)) for g in gases
             }
             readings.append(
-                Reading(node, round_index, time_ms,
-                        {Channel.TEMP_C: grid_temp(rng),
-                         Channel.LIGHT_RAW: float(rng.randrange(0, 65536)), **gas_values},
-                        ReadingStatus.OK)
+                Reading(node, {Channel.TEMP_C: grid_temp(rng),
+                               Channel.LIGHT_RAW: float(rng.randrange(0, 65536)),
+                               **gas_values})
             )
     return Snapshot(round=round_index, time_ms=time_ms, readings=tuple(readings))
 

@@ -18,17 +18,15 @@ from wsnmon.basestation import (
 )
 from wsnmon.environment import Channel
 from wsnmon.errors import TelemetryError
-from wsnmon.records import Reading, ReadingStatus, Snapshot
+from wsnmon.records import Reading, Snapshot
 
 
-def ok_reading(node="N1", round_index=0, temp=25.0, light=512.0, gases=None):
-    values = {Channel.TEMP_C: temp, Channel.LIGHT_RAW: light, **(gases or {})}
-    return Reading(node, round_index, round_index * 1000, values, ReadingStatus.OK)
+def ok_reading(node="N1", temp=25.0, light=512.0, gases=None):
+    return Reading(node, {Channel.TEMP_C: temp, Channel.LIGHT_RAW: light, **(gases or {})})
 
 
-def null_reading(node="N1", round_index=0, gases=()):
-    values = dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, *gases))
-    return Reading(node, round_index, round_index * 1000, values, ReadingStatus.NULL)
+def null_reading(node="N1", gases=()):
+    return Reading(node, dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, *gases)))
 
 
 def snapshots_for(rounds, rng=None, **kwargs):
@@ -45,6 +43,7 @@ LOST = st.just("NULL")
 LOST_GAS = st.sampled_from(["NULL", "-"])
 NODE = st.sampled_from(["N1", "1.1"])
 OK = st.just("OK")
+STATUS = st.sampled_from(["OK", "NULL"])
 NOISE = st.one_of(
     st.text(alphabet="0123456789+-._e ٣NULOK", max_size=8),
     st.integers(0, 2**60).map(str),
@@ -62,33 +61,24 @@ class TestFormat:
         assert header_line(DESK_NODES) == "#WSNLOG v1 nodes=N1,1.1,1.2,N2,2.1,2.2"
 
     def test_record_line_is_exact(self):
-        assert record_line(ok_reading()) == "0,0,N1,25.0000,512,-,-,-,OK"
+        assert record_line("0,0,", ok_reading()) == "0,0,N1,25.0000,512,-,-,-,OK"
+        assert record_line("7,7000,", ok_reading()) == "7,7000,N1,25.0000,512,-,-,-,OK"
 
     def test_null_record_line(self):
-        assert record_line(null_reading()) == "0,0,N1,NULL,NULL,-,-,-,NULL"
+        assert record_line("0,0,", null_reading()) == "0,0,N1,NULL,NULL,-,-,-,NULL"
+        r = null_reading(gases=(Channel.CO_PPM,))
+        assert record_line("0,0,", r) == "0,0,N1,NULL,NULL,-,NULL,-,NULL"
 
     def test_gas_channels_serialized_as_integers(self):
         r = ok_reading(gases={Channel.CH4_PPM: 1200.0, Channel.O2_PCT: 20.0})
-        assert record_line(r) == "0,0,N1,25.0000,512,1200,-,20,OK"
+        assert record_line("0,0,", r) == "0,0,N1,25.0000,512,1200,-,20,OK"
 
     def test_temperature_keeps_four_decimals(self):
-        assert record_line(ok_reading(temp=24.9375)).split(",")[3] == "24.9375"
-        assert record_line(ok_reading(temp=-0.0625)).split(",")[3] == "-0.0625"
-
-    def test_reading_rejects_mixed_status(self):
-        with pytest.raises(ValueError):
-            Reading("N1", 0, 0, {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: None},
-                    ReadingStatus.OK)
-        with pytest.raises(ValueError):
-            Reading("N1", 0, 0, {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0},
-                    ReadingStatus.NULL)
+        assert record_line("0,0,", ok_reading(temp=24.9375)).split(",")[3] == "24.9375"
+        assert record_line("0,0,", ok_reading(temp=-0.0625)).split(",")[3] == "-0.0625"
 
     @pytest.mark.parametrize("missing", [Channel.TEMP_C, Channel.LIGHT_RAW])
     def test_temperature_and_light_are_required(self, missing):
-        values = {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0}
-        del values[missing]
-        with pytest.raises(ValueError):
-            Reading("N1", 0, 0, values, ReadingStatus.OK)
         fields = "0,0,N1,25.0000,512,-,-,-,OK".split(",")
         fields[3 if missing is Channel.TEMP_C else 4] = "-"
         with pytest.raises(TelemetryError, match="MALFORMED_RECORD") as exc:
@@ -198,6 +188,18 @@ class TestParserErrors:
             with pytest.raises(TelemetryError, match="MALFORMED_RECORD"):
                 parse_telemetry(header_line(("N1",)) + "\n" + bad + "\n")
 
+    def test_status_must_match_values(self):
+        """OK means no value is NULL; NULL means every equipped value is."""
+        good = "0,0,N1,25.0000,512,-,5,-,OK"
+        for bad in ("1,1000,N1,25.0000,NULL,-,5,-,OK",  # OK with a NULL light
+                    "1,1000,N1,25.0000,512,-,NULL,-,OK",  # OK with a NULL gas
+                    "1,1000,N1,25.0000,NULL,-,NULL,-,NULL",  # NULL with a temperature
+                    "1,1000,N1,NULL,NULL,-,5,-,NULL"):  # NULL with a gas value
+            text = header_line(("N1",)) + "\n" + good + "\n" + bad + "\n"
+            with pytest.raises(TelemetryError, match="MALFORMED_RECORD") as exc:
+                parse_telemetry(text)
+            assert exc.value.line_no == 3
+
     def test_non_utf8_byte_names_line(self):
         data = serialize_snapshots(DESK_NODES, snapshots_for(1)).encode("utf-8")
         lines = data.splitlines(keepends=True)
@@ -247,19 +249,24 @@ class TestParserErrors:
         st.tuples(*[fuzzed(c) for c in (COUNT, COUNT, NODE, TEMP, COUNT, GAS, GAS, GAS, OK)]),
         st.tuples(*[fuzzed(c) for c in (COUNT, COUNT, NODE, LOST, LOST, LOST_GAS, LOST_GAS,
                                         LOST_GAS, LOST)]),
+        # values and status drawn apart: mostly lines whose status contradicts them
+        st.tuples(COUNT, COUNT, NODE, *[st.one_of(c, LOST) for c in (TEMP, COUNT, GAS, GAS, GAS)],
+                  STATUS),
     ))
     def test_accepted_lines_round_trip(self, fields):
         """Every line parse_record accepts is the line record_line writes."""
         line = ",".join(fields)
         try:
-            reading = parse_record(line)
+            rnd, time_ms, reading = parse_record(line)
         except TelemetryError:
             return
-        assert record_line(reading) == line
+        values = list(reading.values.values())
+        assert values.count(None) in (0, len(values))  # NULL is all-or-none
+        assert record_line(f"{rnd},{time_ms},", reading) == line
 
     def test_parse_record_roundtrips_single_line(self):
         r = ok_reading(gases={Channel.CO_PPM: 42.0})
-        assert parse_record(record_line(r)) == r
+        assert parse_record(record_line("3,3000,", r)) == (3, 3000, r)
 
 
 class TestWriter:

@@ -14,7 +14,6 @@ from wsnmon.cli import main
 from wsnmon.environment import Channel
 from wsnmon.gateway import Gateway
 from wsnmon.netsim import run_round
-from wsnmon.records import ReadingStatus
 
 ROOT = Path(__file__).resolve().parent.parent
 DESK_CFG = """\
@@ -120,9 +119,9 @@ class TestRun:
         """The log and the mirror share one rendering of each round."""
         renders = []
 
-        def counting_record_line(reading):
+        def counting_record_line(prefix, reading):
             renders.append(reading)
-            return record_line(reading)
+            return record_line(prefix, reading)
 
         monkeypatch.setattr(basestation, "record_line", counting_record_line)
         rc = main(["run", str(ROOT / "configs" / "desk.cfg"), "--out", str(tmp_path / "t.log"),
@@ -131,6 +130,16 @@ class TestRun:
         parsed = parse_telemetry((tmp_path / "t.log").read_bytes())
         assert len(parsed.snapshots) == 100
         assert len(renders) == len(parsed.snapshots) * len(parsed.nodes)
+
+    def test_overflowing_walk_saturates(self, tmp_path):
+        """A walk past the float range reads the sensor's bounds; the run completes."""
+        out = tmp_path / "t.log"
+        cfg = write_cfg(tmp_path, "cluster N1 1.1\nrounds 50\nenv temp_c 25 walk 1e308\n")
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        parsed = parse_telemetry(out.read_bytes())
+        assert len(parsed.snapshots) == 50
+        temps = {r.values[Channel.TEMP_C] for s in parsed.snapshots[1:] for r in s.readings}
+        assert temps == {-40.0, 125.0}
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, DESK_CFG.replace("radio 30 0.0", "radio 30 0.3")
@@ -162,7 +171,7 @@ class TestFetch:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "BEGIN 2 6"
         assert lines[-1] == "END"
-        assert [parse_record(l).node for l in lines[1:-1]] == [
+        assert [parse_record(l)[2].node for l in lines[1:-1]] == [
             "N1", "1.1", "1.2", "N2", "2.1", "2.2",
         ]
 
@@ -176,7 +185,7 @@ class TestFetch:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "BEGIN 2 3"
-        assert [parse_record(l).node for l in lines[1:-1]] == ["N2", "2.1", "2.2"]
+        assert [parse_record(l)[2].node for l in lines[1:-1]] == ["N2", "2.1", "2.2"]
 
     def test_error_response_exit_code(self, served_gateway, capsys):
         rc = main(["fetch", "--port", str(served_gateway), "NODE", "9.9"])
@@ -291,9 +300,9 @@ class TestServeFlag:
                     sock.sendall(b"SNAPSHOT\n")
                     assert reader.readline() == "BEGIN 4 6\n"
                     for _ in range(6):
-                        rec = parse_record(reader.readline().rstrip("\n"))
-                        assert rec.round == 4
-                        assert rec.status is ReadingStatus.OK
+                        line = reader.readline().rstrip("\n")
+                        assert parse_record(line)[0] == 4
+                        assert line.endswith(",OK")
                     assert reader.readline() == "END\n"
             finally:
                 proc.terminate()

@@ -1,6 +1,7 @@
 """Config file grammar: directives, defaults, and line-numbered errors."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import desk_topology
 from wsnmon.config import RunConfig, format_topology, parse_config
@@ -16,6 +17,14 @@ radio 30 0.0
 cluster N1 1.1 1.2
 cluster N2 2.1 2.2
 """
+
+
+# directive-shaped lines: a directive (or a bad one), then tokens
+DIRECTIVES = ["radio", "cluster", "pos", "rounds", "period_ms", "hop_ms", "fail", "env",
+              "seed", "alert", "bogus"]
+TOKENS = ["N1", "1.1", "N2", "BS", "0", "1", "-1", "0.5", "30", "1e308", "1e400", "nan",
+          "x", "#", "walk", "script", "0:1,5:2", "1:", ":", "temp_c", "light_raw", "co_ppm",
+          "GT", "LT", "WARN", "DANGER", "99999999999999999999"]
 
 
 def parse_error(text) -> ConfigError:
@@ -220,6 +229,22 @@ class TestErrors:
     def test_message_names_line(self):
         err = parse_error("radio 30 0\nbogus\ncluster N1\n")
         assert "line 2" in str(err)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        st.lists(
+            st.builds(lambda directive, args: " ".join([directive, *args]),
+                      st.sampled_from(DIRECTIVES), st.lists(st.sampled_from(TOKENS), max_size=6)),
+            max_size=6,
+        ).map("\n".join),
+    ))
+    def test_parser_raises_only_config_error(self, text):
+        """Arbitrary text or directive-shaped lines parse or raise ConfigError."""
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
 
 
 class TestFormatTopology:

@@ -1,0 +1,22 @@
+"""README checks that keep the documented API in step with the package."""
+
+import re
+import types
+from pathlib import Path
+
+import wsnmon
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def documented_exports() -> set[str]:
+    """The backticked names in the bullets under "`wsnmon` exports"."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("`wsnmon` exports", 1)[1].split("\n\n", 2)[1]
+    return set(re.findall(r"`(\w+)`", section))
+
+
+def test_readme_export_list_matches_package():
+    public = {name for name, value in vars(wsnmon).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert documented_exports() == public

@@ -1,6 +1,8 @@
 """Ground-truth fields and the bounded-error quantized sensing model."""
 
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +92,13 @@ class TestTruthAt:
             assert truth_at(a, Channel.TEMP_C, ra) == naive_walk(7, "temp_c", 25.0, 0.1, ra)
             assert truth_at(b, Channel.TEMP_C, rb) == naive_walk(
                 7, "temp_c", other.baseline, other.drift.sigma, rb)
+
+    def test_overflowing_walk_saturates(self):
+        """Steps past the float range saturate, so the walk never reaches inf or nan."""
+        f = field_with(Channel.TEMP_C, ChannelModel(25.0, Drift.walk(1e308)))
+        walk = [truth_at(f, Channel.TEMP_C, r) for r in range(200)]
+        assert all(math.isfinite(v) for v in walk)
+        assert {sys.float_info.max, -sys.float_info.max} <= set(walk)
 
     def test_walk_seed_changes_value(self):
         model = ChannelModel(25.0, Drift.walk(0.1))

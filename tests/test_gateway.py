@@ -6,6 +6,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     GAS_CHANNELS,
@@ -32,7 +33,7 @@ from wsnmon.gateway import (
     serve,
 )
 from wsnmon.netsim import run_round
-from wsnmon.records import Reading, ReadingStatus, Snapshot
+from wsnmon.records import Reading, Snapshot
 
 CO_RULE = AlertRule("co_high", Channel.CO_PPM, Comparator.GREATER, 50.0, Severity.WARN)
 
@@ -42,14 +43,12 @@ def co_snapshot(round_index, co_by_node):
     readings = []
     for node in DESK_NODES:
         value = co_by_node.get(node, 0.0)
-        t = round_index * 1000
         if value is None:
             values = dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, Channel.CO_PPM))
-            readings.append(Reading(node, round_index, t, values, ReadingStatus.NULL))
         else:
             values = {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0,
                       Channel.CO_PPM: float(value)}
-            readings.append(Reading(node, round_index, t, values, ReadingStatus.OK))
+        readings.append(Reading(node, values))
     return Snapshot(round=round_index, time_ms=round_index * 1000, readings=tuple(readings))
 
 
@@ -89,8 +88,7 @@ class TestEvaluateAlerts:
     def test_less_than_comparator(self):
         rule = AlertRule("o2_low", Channel.O2_PCT, Comparator.LESS, 19.5, Severity.DANGER)
         readings = tuple(
-            Reading(n, 0, 0, {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0,
-                              Channel.O2_PCT: 18.0}, ReadingStatus.OK)
+            Reading(n, {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0, Channel.O2_PCT: 18.0})
             for n in DESK_NODES
         )
         _, fired = evaluate_alerts([rule], Snapshot(0, 0, readings), {})
@@ -141,6 +139,24 @@ class TestHandleRequest:
             gw.publish(co_snapshot(0, {"N1": 60, "2.2": 60}))
         return gw
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.sampled_from(["SNAPSHOT", "NODE", "CLUSTER", "ALERTS", "PING", "N1", "1.1",
+                                  "BS", "9.9", "snapshot", " ", "\t", "\n", "\r", "\x85",
+                                  "\u3000", "\x00"]),
+                 max_size=5).map("".join),
+    ))
+    def test_any_text_gets_one_terminated_response(self, line):
+        """Before and after a publish: one LF-terminated response, never an error raised."""
+        for gw in (self.make_gateway(published=False), self.make_gateway()):
+            response = gw.handle_request(line)
+            assert response.endswith("\n")
+            lines = response.split("\n")[:-1]
+            if len(lines) > 1:  # only a published envelope spans lines
+                assert lines[0].startswith("BEGIN ") and lines[-1] == "END"
+                assert int(lines[0].split()[2]) == len(lines) - 2
+
     def test_ping(self):
         gw = self.make_gateway(published=False)
         assert gw.handle_request("PING\n") == "PONG\n"
@@ -159,9 +175,9 @@ class TestHandleRequest:
         assert len(lines) == 8
         # body lines are exactly the record grammar
         for i, line in enumerate(lines[1:-1]):
-            rec = parse_record(line)
+            rnd, _, rec = parse_record(line)
             assert rec.node == DESK_NODES[i]
-            assert rec.round == 0
+            assert rnd == 0
 
     def test_node_query(self):
         gw = self.make_gateway()
@@ -179,7 +195,7 @@ class TestHandleRequest:
         gw = self.make_gateway()
         lines = gw.handle_request("CLUSTER N1\n").splitlines()
         assert lines[0] == "BEGIN 0 3"
-        assert [parse_record(l).node for l in lines[1:-1]] == ["N1", "1.1", "1.2"]
+        assert [parse_record(l)[2].node for l in lines[1:-1]] == ["N1", "1.1", "1.2"]
 
     def test_cluster_of_leaflet(self):
         gw = self.make_gateway()
@@ -311,7 +327,7 @@ class TestServer:
 
     def test_many_clients_same_bytes(self):
         gw, snapshot = live_gateway()
-        expected = ["BEGIN 0 6"] + [record_line(r) for r in snapshot.readings] + ["END"]
+        expected = ["BEGIN 0 6"] + [record_line("0,0,", r) for r in snapshot.readings] + ["END"]
         failures = []
 
         def worker():
@@ -346,7 +362,7 @@ class TestServer:
                 while not stop.is_set():
                     lines = c.ask("SNAPSHOT")
                     declared = int(lines[0].split()[1])
-                    rounds = {parse_record(l).round for l in lines[1:-1]}
+                    rounds = {parse_record(l)[0] for l in lines[1:-1]}
                     if rounds != {declared}:
                         torn.append(lines)
             finally:

@@ -1,8 +1,10 @@
 """Round simulation: polling order, loss cascades, determinism, counting."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     DESK_CLUSTERS,
@@ -10,10 +12,11 @@ from helpers import (
     enumerate_round_messages,
     make_config,
     nulled_by_link,
+    status_of,
 )
 from wsnmon.basestation import serialize_snapshots
 from wsnmon.environment import (
-    Channel, ChannelModel, Drift, EnvField, SensorSpec, default_spec, truth_at,
+    Channel, ChannelModel, Drift, EnvField, SensorSpec, default_spec, sense, truth_at,
 )
 from wsnmon.errors import SimError
 from wsnmon.netsim import (
@@ -25,7 +28,6 @@ from wsnmon.netsim import (
     run_simulation,
     trace_line,
 )
-from wsnmon.records import ReadingStatus
 
 
 def collect(cfg):
@@ -50,7 +52,7 @@ class TestRunRound:
         cfg = make_config()
         snapshot, events = run_round(cfg, 0)
         assert snapshot.nodes() == ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
-        assert all(r.status is ReadingStatus.OK for r in snapshot.readings)
+        assert all(status_of(r) == "OK" for r in snapshot.readings)
         sent = message_events(events)
         assert len(sent) == 12
         assert len(sent) == len(enumerate_round_messages(DESK_CLUSTERS))
@@ -71,15 +73,15 @@ class TestRunRound:
     def test_leaf_link_override_nulls_only_that_leaf(self):
         cfg = make_config(outages=(LinkOutage("N1", "1.1", 0, 0),))
         snapshot, _ = run_round(cfg, 0)
-        statuses = {r.node: r.status for r in snapshot.readings}
-        assert statuses["1.1"] is ReadingStatus.NULL
-        assert all(s is ReadingStatus.OK for n, s in statuses.items() if n != "1.1")
+        statuses = {r.node: status_of(r) for r in snapshot.readings}
+        assert statuses["1.1"] == "NULL"
+        assert all(s == "OK" for n, s in statuses.items() if n != "1.1")
 
     def test_head_link_override_nulls_branch(self):
         cfg = make_config(outages=(LinkOutage("BS", "N2", 0, 0),))
         snapshot, events = run_round(cfg, 0)
-        statuses = {r.node: r.status for r in snapshot.readings}
-        nulled = {n for n, s in statuses.items() if s is ReadingStatus.NULL}
+        statuses = {r.node: status_of(r) for r in snapshot.readings}
+        nulled = {n for n, s in statuses.items() if s == "NULL"}
         assert nulled == {"N2", "2.1", "2.2"}
         # a dead branch is silent: no polls below N2 were even attempted
         assert not any(ev.src == "N2" for ev in message_events(events))
@@ -90,14 +92,14 @@ class TestRunRound:
                  ("1.2", "N1"), ("N2", "BS")]
         for link in links:
             snapshot, _ = run_round(make_config(outages=(LinkOutage(*link, 0, 0),)), 0)
-            nulled = {r.node for r in snapshot.readings if r.status is ReadingStatus.NULL}
+            nulled = {r.node for r in snapshot.readings if status_of(r) == "NULL"}
             assert nulled == nulled_by_link(DESK_CLUSTERS, link), link
 
     def test_null_readings_present_not_absent(self):
         cfg = make_config(failure_prob=1.0)
         snapshot, events = run_round(cfg, 0)
         assert snapshot.nodes() == ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
-        assert all(r.status is ReadingStatus.NULL for r in snapshot.readings)
+        assert all(status_of(r) == "NULL" for r in snapshot.readings)
         # every attempted message dropped: the two head polls
         drops = [ev for ev in events if ev.kind is EventKind.LINK_DROP]
         assert len(drops) == len(message_events(events)) == 2
@@ -129,6 +131,32 @@ class TestRunRound:
                 assert abs(r.values[Channel.TEMP_C] - truth) <= spec.accuracy + spec.quantum / 2
 
 
+def near_bounds(channel):
+    """Any finite truth, one near the float range's ends, or one near a bound."""
+    spec = default_spec(channel)
+    slack = 2 * (spec.accuracy + spec.quantum)
+    return st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.floats(1e300, allow_infinity=False), st.floats(None, -1e300),
+                     *[st.floats(b - slack, b + slack) for b in (spec.min_value, spec.max_value)])
+
+
+class TestSensing:
+    @settings(max_examples=300, deadline=None)
+    @given(truths=st.tuples(*[near_bounds(ch) for ch in Channel]), seed=st.integers(0, 2**32))
+    def test_values_are_sense_of_truth_or_saturate(self, truths, seed):
+        """Each value is sense() of the truth; where sense overflows, the nearer bound."""
+        field = EnvField({ch: ChannelModel(t) for ch, t in zip(Channel, truths)}, seed=seed)
+        cfg = make_config(clusters=[("N1", ["1.1"])], field=field, seed=seed, rounds=1)
+        noise = random.Random(f"{seed}/noise/0").random
+        for reading in run_round(cfg, 0)[0].readings:
+            for spec, truth in zip(cfg.sensors, truths):
+                try:
+                    expected = sense(spec, truth, -1.0 + 2.0 * noise())
+                except OverflowError:
+                    expected = spec.max_value if truth > 0 else spec.min_value
+                assert reading.values[spec.channel] == expected
+
+
 class TestRunSimulation:
     def test_desk_summary(self):
         """100 failure-free rounds of the 12-message protocol."""
@@ -143,14 +171,14 @@ class TestRunSimulation:
 
     def test_certain_failure(self):
         snaps, summary = collect(make_config(failure_prob=1.0, rounds=100))
-        assert all(r.status is ReadingStatus.NULL for s in snaps for r in s.readings)
+        assert all(status_of(r) == "NULL" for s in snaps for r in s.readings)
         assert summary.messages_dropped == summary.messages_sent
 
     def test_scripted_outage_covers_inclusive_range(self):
         cfg = make_config(rounds=40, outages=(LinkOutage("N1", "1.1", 10, 20),))
         snaps, _ = collect(cfg)
         nulled_rounds = [s.round for s in snaps
-                         if s.reading_for("1.1").status is ReadingStatus.NULL]
+                         if status_of(s.reading_for("1.1")) == "NULL"]
         assert nulled_rounds == list(range(10, 21))
 
     def test_sink_failure_carries_round_index(self):
