@@ -7,6 +7,7 @@ from .basestation import (
     LatestMirror,
     ParsedTelemetry,
     PartialRound,
+    TelemetryReader,
     TelemetryWriter,
     parse_record,
     parse_telemetry,

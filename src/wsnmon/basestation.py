@@ -11,16 +11,24 @@ grid), light and gas values are integers, lost channels are the literal
 when the reading was lost (every value is None), else ``OK``. A round's
 records are written as one atomic group, so a reader only ever sees whole
 rounds plus at most one trailing partial round while a write is in flight.
+
+Lines are split on LF only. ``TelemetryReader`` is the one parser: it reads
+a log as a stream of lines, decodes and checks each on its own, and yields
+each round as soon as its last record has been checked, so reading a log
+takes memory that does not depend on its number of rounds.
+``parse_telemetry`` collects it for a log held in memory, and ``wsn
+plotdata`` writes no CSV row unless the whole log checks out.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .environment import Channel
 from .errors import TelemetryError
@@ -199,60 +207,93 @@ class ParsedTelemetry:
     partial: PartialRound | None
 
 
+def _not_utf8(e: UnicodeDecodeError, line_no: int) -> TelemetryError:
+    return TelemetryError("MALFORMED_RECORD", f"not UTF-8: {e}", line_no=line_no)
+
+
+class TelemetryReader:
+    """A telemetry log read as a stream of complete rounds, one at a time.
+
+    ``lines`` yields the log's lines as a binary file does: bytes, each
+    ending in LF except perhaps a torn last one. Each line is decoded on its
+    own; no UTF-8 sequence contains the byte 0x0A, so this accepts exactly
+    what decoding the whole file would, and an error names its line. The
+    header is read at construction and sets ``nodes``. Iterating (once)
+    yields each Snapshot as soon as its last record has been checked and
+    keeps no earlier round, so memory does not grow with the log. When
+    iteration ends, ``partial`` reports a trailing incomplete round (an
+    in-flight or torn write), which is never yielded.
+    """
+
+    def __init__(self, lines: Iterable[bytes]):
+        self._lines = iter(lines)
+        self.partial: PartialRound | None = None
+        try:
+            header = next(self._lines, b"").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise _not_utf8(e, 1) from None
+        if not header:
+            raise TelemetryError("BAD_HEADER", "empty input", line_no=1)
+        if header[-1] != "\n":
+            raise TelemetryError("BAD_HEADER", "truncated header", line_no=1)
+        self.nodes = parse_header(header[:-1])
+
+    def __iter__(self) -> Iterator[Snapshot]:
+        nodes = self.nodes
+        width = len(nodes)
+        group: list[Reading] = []
+        group_round = group_time = last_done = -1
+        torn = False
+        for line_no, raw in enumerate(self._lines, start=2):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise _not_utf8(e, line_no) from None
+            if line[-1:] != "\n":  # only the last line can lack its LF
+                torn = True
+                break
+            rnd, time_ms, r = parse_record(line[:-1], line_no)
+            if not group:
+                if rnd <= last_done:
+                    raise TelemetryError(
+                        "MALFORMED_RECORD", f"round {rnd} repeats or goes backwards",
+                        line_no=line_no,
+                    )
+                group_round, group_time = rnd, time_ms
+            elif rnd != group_round or time_ms != group_time:
+                raise TelemetryError(
+                    "MALFORMED_RECORD", f"round/time changed inside round {group_round}",
+                    line_no=line_no,
+                )
+            expected = nodes[len(group)]
+            if r.node != expected:
+                raise TelemetryError(
+                    "MALFORMED_RECORD", f"expected node {expected!r}, found {r.node!r}",
+                    line_no=line_no,
+                )
+            group.append(r)
+            if len(group) == width:
+                yield Snapshot(round=rnd, time_ms=time_ms, readings=tuple(group))
+                last_done = rnd
+                group = []
+        if group:
+            self.partial = PartialRound(round=group_round, records=len(group))
+        elif torn:
+            self.partial = PartialRound(round=None, records=0)
+
+
 def parse_telemetry(data: bytes | str) -> ParsedTelemetry:
-    """Parse a telemetry log, accepting a file truncated mid-round.
+    """Parse a whole telemetry log held in memory (see ``TelemetryReader``).
 
     Returns every complete round; a trailing partial round (in-flight or torn
     write) is reported in ``partial``, never folded into the snapshots.
     """
-    try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as e:
-        line_no = data.count(b"\n", 0, e.start) + 1
-        raise TelemetryError("MALFORMED_RECORD", f"not UTF-8: {e}", line_no=line_no) from None
-    if not text:
-        raise TelemetryError("BAD_HEADER", "empty input", line_no=1)
-    lines = text.split("\n")
-    fragment = lines.pop()  # "" when the file ends with a newline
-    if not lines:
-        raise TelemetryError("BAD_HEADER", "truncated header", line_no=1)
-    nodes = parse_header(lines[0])
-
-    snapshots: list[Snapshot] = []
-    group: list[Reading] = []
-    group_round = group_time = last_done = -1
-    for line_no, line in enumerate(lines[1:], start=2):
-        rnd, time_ms, r = parse_record(line, line_no)
-        if not group:
-            if rnd <= last_done:
-                raise TelemetryError(
-                    "MALFORMED_RECORD", f"round {rnd} repeats or goes backwards",
-                    line_no=line_no,
-                )
-            group_round, group_time = rnd, time_ms
-        elif rnd != group_round or time_ms != group_time:
-            raise TelemetryError(
-                "MALFORMED_RECORD", f"round/time changed inside round {group_round}",
-                line_no=line_no,
-            )
-        expected = nodes[len(group)]
-        if r.node != expected:
-            raise TelemetryError(
-                "MALFORMED_RECORD", f"expected node {expected!r}, found {r.node!r}",
-                line_no=line_no,
-            )
-        group.append(r)
-        if len(group) == len(nodes):
-            snapshots.append(Snapshot(round=rnd, time_ms=time_ms, readings=tuple(group)))
-            last_done = rnd
-            group = []
-
-    partial: PartialRound | None = None
-    if group:
-        partial = PartialRound(round=group_round, records=len(group))
-    elif fragment:
-        partial = PartialRound(round=None, records=0)
-    return ParsedTelemetry(nodes=nodes, snapshots=snapshots, partial=partial)
+    if isinstance(data, str):
+        # a lone surrogate becomes bytes that fail decoding on their line
+        data = data.encode("utf-8", "surrogatepass")
+    reader = TelemetryReader(io.BytesIO(data))
+    snapshots = list(reader)
+    return ParsedTelemetry(nodes=reader.nodes, snapshots=snapshots, partial=reader.partial)
 
 
 class TelemetryWriter:

@@ -19,7 +19,7 @@ import socket
 import sys
 import time
 
-from .basestation import LatestMirror, TelemetryWriter, format_value, parse_telemetry
+from .basestation import LatestMirror, TelemetryReader, TelemetryWriter, format_value
 from .config import parse_config
 from .environment import channel_from_token
 from .errors import ConfigError, EnvError, TelemetryError, WsnError
@@ -161,37 +161,39 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def cmd_plotdata(args: argparse.Namespace) -> int:
+    rows: list[str] = []  # one short row per round, written once the whole log checks out
     try:
         with open(args.telemetry, "rb") as fh:
-            data = fh.read()
+            reader = TelemetryReader(fh)
+            try:
+                channel = channel_from_token(args.channel)
+            except EnvError:
+                _err(f"wsn plotdata: UNKNOWN_CHANNEL: {args.channel!r}")
+                return 1
+            if args.node not in reader.nodes:
+                _err(f"wsn plotdata: UNKNOWN_NODE: {args.node!r} not in log header")
+                return 1
+            index = reader.nodes.index(args.node)
+            for snapshot in reader:
+                values = snapshot.readings[index].values
+                if channel not in values:
+                    _err(f"wsn plotdata: UNKNOWN_CHANNEL: log carries no {channel.value} "
+                         f"values for {args.node} in round {snapshot.round}")
+                    return 1
+                value = values[channel]
+                if value is None:
+                    rows.append(f"{snapshot.round},\n")  # explicit gap, never interpolated
+                else:
+                    rows.append(f"{snapshot.round},{format_value(channel, value)}\n")
     except OSError as e:
         _err(f"wsn plotdata: cannot read telemetry: {e}")
         return 1
-    try:
-        parsed = parse_telemetry(data)
     except TelemetryError as e:
         _err(f"wsn plotdata: MALFORMED_LOG: {e}")
         return 1
-    try:
-        channel = channel_from_token(args.channel)
-    except EnvError:
-        _err(f"wsn plotdata: UNKNOWN_CHANNEL: {args.channel!r}")
-        return 1
-    if args.node not in parsed.nodes:
-        _err(f"wsn plotdata: UNKNOWN_NODE: {args.node!r} not in log header")
-        return 1
-    if parsed.snapshots and channel not in parsed.snapshots[0].reading_for(args.node).values:
-        _err(f"wsn plotdata: UNKNOWN_CHANNEL: log carries no {channel.value} values")
-        return 1
-    out = sys.stdout
-    for snapshot in parsed.snapshots:
-        value = snapshot.reading_for(args.node).values[channel]
-        if value is None:
-            out.write(f"{snapshot.round},\n")  # explicit gap, never interpolated
-        else:
-            out.write(f"{snapshot.round},{format_value(channel, value)}\n")
-    if parsed.partial is not None:
-        _err(f"wsn plotdata: ignored trailing partial round {parsed.partial.round}")
+    sys.stdout.write("".join(rows))
+    if reader.partial is not None:
+        _err(f"wsn plotdata: ignored trailing partial round {reader.partial.round}")
     return 0
 
 

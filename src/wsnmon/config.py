@@ -212,15 +212,6 @@ def parse_config(text: str) -> RunConfig:
     env_field = EnvField(channels=env_models, seed=seed)
     sensors = tuple(default_spec(ch) for ch in Channel if ch in env_models)
 
-    checked_outages = []
-    for outage, line_no in outages:
-        try:
-            if not topology.is_link(outage.src, outage.dst):
-                raise ConfigError(f"{outage.src}->{outage.dst} is not a link", line_no)
-        except TopologyError as e:
-            raise ConfigError(e.message, line_no) from None
-        checked_outages.append(outage)
-
     try:
         sim = SimConfig(
             topology=topology,
@@ -230,11 +221,15 @@ def parse_config(text: str) -> RunConfig:
             round_period_ms=scalars.get("period_ms", DEFAULT_ROUND_PERIOD_MS),
             hop_latency_ms=scalars.get("hop_ms", DEFAULT_HOP_LATENCY_MS),
             seed=seed,
-            outages=tuple(checked_outages),
+            outages=tuple(outage for outage, _ in outages),
         )
-    except SimError as e:
-        # the per-line checks above leave period_ms < 4x hop_ms as the only failure
-        line_no = scalar_lines.get("period_ms", scalar_lines.get("hop_ms"))
+    except (SimError, TopologyError) as e:
+        # the per-line checks above leave an outage off the tree (the error
+        # names it) or period_ms < 4x hop_ms as the only failures
+        if hasattr(e, "outage"):
+            line_no = next(line for outage, line in outages if outage is e.outage)
+        else:
+            line_no = scalar_lines.get("period_ms", scalar_lines.get("hop_ms"))
         raise ConfigError(e.message, line_no) from None
     return RunConfig(sim=sim, rules=tuple(rule for rule, _ in rules))
 

@@ -177,12 +177,19 @@ def sense(spec: SensorSpec, truth: float, noise_draw: float) -> float:
 
     noise_draw is a uniform value in [-1, 1]; the result sits on the quantum
     grid anchored at min_value and never leaves [min_value, max_value].
-    Whenever truth is in range, |result - truth| <= accuracy + quantum/2.
+    Whenever truth is in range, |result - truth| <= accuracy + quantum/2;
+    a truth further than that beyond a bound, infinite ones included, reads
+    that bound.
     """
     if not -1.0 <= noise_draw <= 1.0:
         raise EnvError("INVALID_DRAW", f"noise_draw must be in [-1,1], got {noise_draw}")
     noisy = truth + noise_draw * spec.accuracy
-    steps = round((noisy - spec.min_value) / spec.quantum)
+    try:
+        steps = round((noisy - spec.min_value) / spec.quantum)
+    except OverflowError:  # an infinite step count: beyond a bound by far
+        return spec.min_value if noisy < spec.min_value else spec.max_value
+    except ValueError:
+        raise EnvError("INVALID_TRUTH", f"truth must not be nan, got {truth}") from None
     value = spec.min_value + steps * spec.quantum
     # min(max(value, lo), hi), without two builtin calls
     if value < spec.min_value:

@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .environment import Channel, EnvField, SensorSpec, sense, truth_at
-from .errors import SimError
+from .errors import SimError, WsnError
 from .records import Reading, Snapshot
 from .topology import TreeTopology
 
@@ -129,8 +129,12 @@ class SimConfig:
                     "INVALID_CONFIG", f"no field configured for {s.channel.value}"
                 )
         for outage in self.outages:
-            if not self.topology.is_link(outage.src, outage.dst):
-                raise SimError("NOT_A_LINK", f"{outage.src}->{outage.dst} is not a tree link")
+            try:
+                if not self.topology.is_link(outage.src, outage.dst):
+                    raise SimError("NOT_A_LINK", f"{outage.src}->{outage.dst} is not a link")
+            except WsnError as e:  # a non-link, or a TopologyError for an unknown node
+                e.outage = outage  # lets parse_config name the line that declared it
+                raise
 
 
 @dataclass(frozen=True)
@@ -167,14 +171,8 @@ class _Round:
         """Sense every equipped channel on every node (draws always consumed)."""
         cfg = self.cfg
         noise = random.Random(f"{cfg.seed}/noise/{self.round_index}").random
-        plan = []
-        for spec in cfg.sensors:
-            truth = truth_at(cfg.field, spec.channel, self.round_index)
-            # Beyond a bound by more than accuracy + quantum, every draw reads
-            # that bound; clamping there keeps sense's arithmetic finite.
-            slack = spec.accuracy + spec.quantum
-            truth = min(max(truth, spec.min_value - slack), spec.max_value + slack)
-            plan.append((spec.channel, spec, truth))
+        plan = [(spec.channel, spec, truth_at(cfg.field, spec.channel, self.round_index))
+                for spec in cfg.sensors]
         readings: dict[str, Reading] = {}
         for node in cfg.topology.sensing_nodes():
             # -1.0 + 2.0 * noise() is Random.uniform(-1.0, 1.0), without its call

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import DESK_NODES, random_snapshot
 from wsnmon.basestation import (
     LatestMirror,
+    PartialRound,
+    TelemetryReader,
     TelemetryWriter,
     header_line,
     parse_record,
@@ -148,6 +150,75 @@ class TestTruncation:
             parsed = parse_telemetry(text[:cut])
             assert len(parsed.snapshots) <= 3
             assert parsed.snapshots == snaps[: len(parsed.snapshots)]
+
+
+@st.composite
+def damaged_logs(draw):
+    """A valid log with any one byte replaced, or cut, or both (the cut at or
+    after the replaced byte, so it can fall in a torn last line)."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    gases = draw(st.sampled_from([(), (Channel.CO_PPM,)]))
+    snaps = snapshots_for(draw(st.integers(0, 3)), rng, gases=gases)
+    data = serialize_snapshots(DESK_NODES, snaps).encode("utf-8")
+    at = draw(st.integers(0, len(data) - 1))
+    if draw(st.booleans()):
+        data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(at, len(data)))]
+    return data
+
+
+def outcome(data):
+    try:
+        parsed = parse_telemetry(data)
+    except TelemetryError as e:
+        return e.code, e.line_no
+    return parsed.nodes, parsed.snapshots, parsed.partial
+
+
+class TestReader:
+    def test_yields_each_round_before_reading_on(self):
+        snaps = snapshots_for(3)
+        lines = serialize_snapshots(DESK_NODES, snaps).encode("utf-8").splitlines(keepends=True)
+
+        def feed():
+            yield from lines[: 1 + len(DESK_NODES)]  # the header and round 0
+            raise AssertionError("read past round 0")
+
+        reader = TelemetryReader(feed())
+        assert reader.nodes == DESK_NODES
+        assert next(iter(reader)) == snaps[0]
+
+    def test_reads_a_binary_file(self, tmp_path):
+        snaps = snapshots_for(4)
+        path = tmp_path / "t.log"
+        path.write_bytes(serialize_snapshots(DESK_NODES, snaps).encode("utf-8")[:-5])
+        with open(path, "rb") as fh:
+            reader = TelemetryReader(fh)
+            assert list(reader) == snaps[:3]
+        assert reader.partial == PartialRound(round=3, records=5)
+
+    def test_lines_split_on_lf_only(self):
+        text = serialize_snapshots(DESK_NODES, snapshots_for(1))
+        with pytest.raises(TelemetryError, match="MALFORMED_RECORD") as exc:
+            parse_telemetry(text.replace("\n0,0,1.1,", "\r0,0,1.1,", 1))
+        assert exc.value.line_no == 2  # the CR stays inside line 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(damaged_logs())
+    def test_bytes_and_text_parse_alike(self, data):
+        """Line-by-line decoding accepts and rejects what decoding the whole log does."""
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            bad_line = data.count(b"\n", 0, e.start) + 1
+            with pytest.raises(TelemetryError) as exc:
+                parse_telemetry(data)
+            assert exc.value.line_no <= bad_line  # the first bad line in the file wins
+            if exc.value.line_no == bad_line:
+                assert "not UTF-8" in exc.value.message
+            return
+        assert outcome(data) == outcome(text)
 
 
 class TestParserErrors:

@@ -64,6 +64,16 @@ class TestRun:
         assert rc == 1
         assert "line 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fail,message", [
+        ("fail 1.1 2.1 0 5", "1.1->2.1 is not a link"),
+        ("fail BS X9 0 5", "no node 'X9'"),
+    ])
+    def test_bad_outage_names_its_fail_line(self, tmp_path, capsys, fail, message):
+        cfg = write_cfg(tmp_path, DESK_CFG + "fail N1 1.1 0 1\n" + fail + "\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "t.log")]) == 1
+        assert capsys.readouterr().err == f"wsn run: CONFIG: line 6: {message}\n"
+        assert not (tmp_path / "t.log").exists()
+
     def test_unwritable_out_path(self, tmp_path, capsys):
         rc = main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "no/dir/t.log")])
         assert rc == 2
@@ -198,12 +208,59 @@ class TestFetch:
         assert "cannot reach" in capsys.readouterr().err
 
 
+# the benchmark's batch shape: 20 cluster heads of 10 leaflets each, 220 records a round
+BATCH_CFG = "radio 30 0.05\nrounds 20\n" + "".join(
+    f"cluster N{h} " + " ".join(f"{h}.{i}" for i in range(1, 11)) + "\n" for h in range(1, 21))
+
+
+@pytest.fixture(scope="module")
+def batch_log(tmp_path_factory):
+    work = tmp_path_factory.mktemp("batch")
+    out = work / "batch.log"
+    assert main(["run", write_cfg(work, BATCH_CFG), "--out", str(out)]) == 0
+    return out.read_bytes().splitlines(keepends=True)
+
+
 class TestPlotdata:
     def run_log(self, tmp_path, extra=""):
         out = tmp_path / "t.log"
         assert main(["run", write_cfg(tmp_path, DESK_CFG + extra),
                      "--out", str(out)]) == 0
         return out
+
+    @pytest.mark.parametrize("damage", [
+        lambda line: line.replace(b",OK\n", b",MAYBE\n").replace(b",NULL\n", b",MAYBE\n"),
+        lambda line: line.replace(b".", b".\xff", 1),  # not UTF-8
+    ])
+    def test_bad_line_in_batch_log_writes_nothing(self, tmp_path, capsys, batch_log, damage):
+        k = 1 + 220 * 15 + 37  # line k sits in round 15, after 15 complete rounds
+        lines = list(batch_log)
+        lines[k - 1] = damage(lines[k - 1])
+        assert lines != batch_log
+        bad = tmp_path / "bad.log"
+        bad.write_bytes(b"".join(lines))
+        rc = main(["plotdata", str(bad), "--node", "N3", "--channel", "temp_c"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"MALFORMED_LOG: MALFORMED_RECORD: line {k}:" in captured.err
+        assert captured.out == ""
+        good = tmp_path / "good.log"
+        good.write_bytes(b"".join(batch_log))
+        assert main(["plotdata", str(good), "--node", "N3", "--channel", "temp_c"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 20
+
+    def test_channel_missing_from_a_later_round(self, tmp_path, capsys):
+        out = self.run_log(tmp_path, "env co_ppm 5\n")
+        lines = out.read_bytes().splitlines(keepends=True)
+        fields = lines[1 + 3 * 6].split(b",")  # N1 in round 3
+        fields[6] = b"-"
+        lines[1 + 3 * 6] = b",".join(fields)
+        out.write_bytes(b"".join(lines))
+        rc = main(["plotdata", str(out), "--node", "N1", "--channel", "co_ppm"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "UNKNOWN_CHANNEL" in captured.err and "round 3" in captured.err
+        assert captured.out == ""
 
     def test_series_rows(self, tmp_path, capsys):
         out = self.run_log(tmp_path)

@@ -137,6 +137,19 @@ class TestSense:
     def test_deterministic(self):
         assert sense(TEMP, 24.123, 0.377) == sense(TEMP, 24.123, 0.377)
 
+    @pytest.mark.parametrize("truth", [1e308, sys.float_info.max, math.inf, 1e300])
+    @pytest.mark.parametrize("draw", [-1.0, 0.0, 1.0])
+    def test_far_truth_reads_the_nearer_bound(self, truth, draw):
+        """Past the float range of the step count, sense saturates like anywhere else."""
+        assert sense(TEMP, truth, draw) == TEMP.max_value
+        assert sense(TEMP, -truth, draw) == TEMP.min_value
+        assert sense(LIGHT, truth, draw) == LIGHT.max_value
+        assert sense(LIGHT, -truth, draw) == LIGHT.min_value
+
+    def test_nan_truth_rejected(self):
+        with pytest.raises(EnvError, match="INVALID_TRUTH"):
+            sense(TEMP, math.nan, 0.0)
+
     def test_rejects_out_of_range_draw(self):
         with pytest.raises(EnvError, match="INVALID_DRAW"):
             sense(TEMP, 25.0, 1.5)

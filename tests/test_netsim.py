@@ -18,7 +18,7 @@ from wsnmon.basestation import serialize_snapshots
 from wsnmon.environment import (
     Channel, ChannelModel, Drift, EnvField, SensorSpec, default_spec, sense, truth_at,
 )
-from wsnmon.errors import SimError
+from wsnmon.errors import SimError, TopologyError
 from wsnmon.netsim import (
     EventKind,
     LinkOutage,
@@ -273,6 +273,16 @@ class TestConfigValidation:
     def test_outage_must_reference_a_link(self):
         with pytest.raises(SimError, match="NOT_A_LINK"):
             make_config(outages=(LinkOutage("1.1", "2.1", 0, 5),))
+
+    def test_outage_errors_name_the_outage(self):
+        """SimConfig is the one place outages are checked against the tree."""
+        ok = LinkOutage("N1", "1.1", 0, 5)
+        with pytest.raises(SimError, match="1.1->2.1 is not a link") as exc:
+            make_config(outages=(ok, LinkOutage("1.1", "2.1", 0, 5)))
+        assert exc.value.outage == LinkOutage("1.1", "2.1", 0, 5)
+        with pytest.raises(TopologyError, match="UNKNOWN_NODE") as exc:
+            make_config(outages=(ok, LinkOutage("BS", "X9", 0, 5)))
+        assert exc.value.outage == LinkOutage("BS", "X9", 0, 5)
 
     def test_outage_round_order(self):
         with pytest.raises(SimError, match="INVALID_CONFIG"):
