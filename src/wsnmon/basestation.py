@@ -18,6 +18,12 @@ each round as soon as its last record has been checked, so reading a log
 takes memory that does not depend on its number of rounds.
 ``parse_telemetry`` collects it for a log held in memory, and ``wsn
 plotdata`` writes no CSV row unless the whole log checks out.
+
+``record_line`` renders each distinct value once: each column keeps a text
+cache by value, emptied when it reaches ``_TEXT_CACHE_MAX`` entries, so a
+long-lived process does not grow without limit. ``-0.0 == 0.0`` as a dict key
+but renders as ``-0.0000``, so a zero is cached only in a column where its
+sign does not show.
 """
 
 from __future__ import annotations
@@ -72,18 +78,38 @@ def parse_header(line: str) -> tuple[str, ...]:
     return nodes
 
 
+# per column, value -> text (see the module docstring); None and "-" are seeded
+_TEXT_CACHE_MAX = 4096
+_FIXED_TEXTS = {None: _NULL, _NOT_EQUIPPED: _NOT_EQUIPPED}
+_COLUMN_TEXTS = tuple((channel, dict(_FIXED_TEXTS)) for channel in _COLUMNS)
+
+
+def _text(channel: Channel, texts: dict, v: float | str | None) -> str:
+    """The column text of ``v`` (a number, None or "-"), kept in ``texts``."""
+    if v is None or v is _NOT_EQUIPPED:
+        return _FIXED_TEXTS[v]  # a cache emptied by another thread lacks them
+    text = format_value(channel, v)
+    # -0.0 == 0.0 as a key, yet f"{-0.0:.4f}" is "-0.0000": a zero is kept
+    # only where its sign does not show
+    if v or format_value(channel, -v) == text:
+        if len(texts) >= _TEXT_CACHE_MAX:
+            texts.clear()
+            texts.update(_FIXED_TEXTS)
+        texts[v] = text
+    return text
+
+
 def record_line(prefix: str, r: Reading) -> str:
     """One record; ``prefix`` is its round's ``<round>,<time_ms>,``. NULL is
     all-or-none and temperature always equipped, so it gives the status."""
     values = r.values
     fields = [prefix + r.node]
-    for channel in _COLUMNS:
+    for channel, texts in _COLUMN_TEXTS:
         v = values.get(channel, _NOT_EQUIPPED)  # values hold numbers or None, never text
-        if v is None:
-            v = _NULL
-        elif v is not _NOT_EQUIPPED:
-            v = format_value(channel, v)
-        fields.append(v)
+        text = texts.get(v)
+        if text is None:  # not rendered before
+            text = _text(channel, texts, v)
+        fields.append(text)
     fields.append(_NULL if values[_TEMP] is None else _OK)
     return ",".join(fields)
 

@@ -24,7 +24,7 @@ from .config import parse_config
 from .environment import channel_from_token
 from .errors import ConfigError, EnvError, TelemetryError, WsnError
 from .gateway import DEFAULT_PORT, Gateway, serve
-from .netsim import run_simulation, trace_line
+from .netsim import SimEvent, run_simulation, trace_line
 from .records import Snapshot
 
 
@@ -103,7 +103,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             if server is not None:
                 _err(f"gateway listening on {server.host}:{server.port}")
 
+            events: list[SimEvent] = []  # the round's, when tracing
+
             def sink(s: Snapshot) -> None:
+                if events:  # the whole round in one write, before its log append
+                    trace_fh.write("\n".join(map(trace_line, events)) + "\n")
+                    events.clear()
                 writer.append(s)
                 if mirror is not None:
                     mirror.update(s)
@@ -114,9 +119,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 if args.pace:
                     time.sleep(sim.round_period_ms / 1000.0)
 
-            on_event = None
-            if trace_fh is not None:
-                on_event = lambda ev: trace_fh.write(trace_line(ev) + "\n")  # noqa: E731
+            on_event = events.append if trace_fh is not None else None
             summary = run_simulation(sim, sink, on_event=on_event)
             _err(f"ran {summary.rounds_run} rounds: {summary.messages_sent} messages sent, "
                  f"{summary.messages_dropped} dropped")
@@ -157,6 +160,9 @@ def cmd_fetch(args: argparse.Namespace) -> int:
             return 3 if first.startswith("ERR") else 0
     except OSError as e:
         _err(f"wsn fetch: cannot reach {args.host}:{args.port}: {e}")
+        return 2
+    except UnicodeDecodeError as e:
+        _err(f"wsn fetch: response from {args.host}:{args.port} is not UTF-8: {e}")
         return 2
 
 

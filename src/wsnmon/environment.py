@@ -49,6 +49,9 @@ class SensorSpec:
     quantum: float  # quantization step, channel units
     min_value: float
     max_value: float
+    # step -> sense()'s value for it: netsim's table, filled from sense alone
+    _sensed: dict[int, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.accuracy < 0:

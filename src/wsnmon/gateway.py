@@ -13,8 +13,9 @@ a single parser:
 Errors are single lines: ERR BAD_REQUEST | UNKNOWN_NODE | NOT_A_CLUSTER_HEAD
 | NO_DATA. A request line longer than MAX_REQUEST_BYTES (newline included)
 gets ERR BAD_REQUEST and its session is closed, so no client can make the
-server buffer an unbounded line. Only the latest complete round is served;
-the telemetry file is the historical record.
+server buffer an unbounded line. A client that resets or drops its
+connection ends its own session quietly. Only the latest complete round is
+served; the telemetry file is the historical record.
 
 Every response a round can get is rendered once, when the round is
 published, from the same block of record lines the log and the mirror get
@@ -206,6 +207,12 @@ class Gateway:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
+        try:
+            self._session()
+        except OSError:
+            pass  # the client reset or dropped the connection: its session just ends
+
+    def _session(self):
         gateway: Gateway = self.server.gateway  # type: ignore[attr-defined]
         while True:
             raw = self.rfile.readline(MAX_REQUEST_BYTES)

@@ -6,7 +6,7 @@ leaflets, leaflet data flows back to the head, and the head sends one
 aggregate message to the base station. Every message independently fails with
 the radio's failure probability (or deterministically when its link is forced
 down); any node whose data depended on a lost message gets a NULL reading for
-the round. Nothing is retried and nothing is cached across rounds.
+the round. Nothing is retried, and no reading is carried across rounds.
 
 Reproducibility: all randomness comes from streams derived from the config
 seed by fixed strings, so identical configs give byte-identical runs. The
@@ -20,6 +20,14 @@ with the links its outages force down.
    sensing node and equipped sensor in topology order, whether or not the
    value survives (keeps values independent of drop outcomes).
 
+Sensing by step lookup: ``environment.sense`` is the one definition of a
+sensed value, and its value depends only on the spec and the quantization
+step. A round computes each draw's step with sense's own arithmetic, in its
+order (a reassociated form is not bit-identical), and maps it through the
+spec's step table, which is filled on a miss by calling ``sense``. Where the
+step could overflow or be inexact (truth infinite, nan, or 2**50 quanta from
+min_value), the round calls ``sense`` for every draw.
+
 Event timing within a round starting at t0 (hop = per-message latency):
 polls BS->head at t0, polls head->leaflet at t0+hop, leaflet replies at
 t0+2*hop, head aggregates at t0+3*hop. A LINK_DROP event marks each lost
@@ -32,6 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -60,9 +69,15 @@ class SimEvent(NamedTuple):
     dst: str
 
 
+_new_tuple = tuple.__new__  # SimEvent(*fields) without its Python-level __new__
+# module globals: reading an Enum member off its class is slow
+_POLL, _DATA, _LINK_DROP = EventKind.INTERRUPT_CALL, EventKind.DATA_MSG, EventKind.LINK_DROP
+
+
 def trace_line(ev: SimEvent) -> str:
     """One exported trace line per event."""
-    return f"{ev.time_ms} {ev.kind._value_} {ev.src} {ev.dst}"  # _value_: no property call
+    time_ms, kind, src, dst = ev
+    return f"{time_ms} {kind._value_} {src} {dst}"  # _value_: no property call
 
 
 @dataclass(frozen=True)
@@ -152,34 +167,63 @@ class _Round:
         self.down = {(o.src, o.dst) for o in cfg.outages if o.covers(round_index)}
         self.t0 = round_index * cfg.round_period_ms
         self.round_index = round_index
-        self.drop_rng = random.Random(f"{cfg.seed}/drops/{round_index}")
+        self.draw = random.Random(f"{cfg.seed}/drops/{round_index}").random
         self.failure_prob = cfg.topology.radio.failure_prob
         self.events: list[SimEvent] = []
+        self.emit = self.events.append
 
     def attempt(self, kind: EventKind, src: str, dst: str, at: int) -> bool:
         """Emit the message event; decide and mark loss. True when delivered."""
-        self.events.append(SimEvent(at, kind, src, dst))
-        if (src, dst) in self.down:
-            dropped = True  # forced outage, no draw consumed
-        else:
-            dropped = self.drop_rng.random() < self.failure_prob
-        if dropped:
-            self.events.append(SimEvent(at, EventKind.LINK_DROP, src, dst))
-        return not dropped
+        self.emit(_new_tuple(SimEvent, (at, kind, src, dst)))
+        # a forced outage drops without consuming a draw
+        if (src, dst) in self.down or self.draw() < self.failure_prob:
+            self.emit(_new_tuple(SimEvent, (at, _LINK_DROP, src, dst)))
+            return False
+        return True
 
     def measure_all(self) -> dict[str, Reading]:
         """Sense every equipped channel on every node (draws always consumed)."""
         cfg = self.cfg
-        noise = random.Random(f"{cfg.seed}/noise/{self.round_index}").random
-        plan = [(spec.channel, spec, truth_at(cfg.field, spec.channel, self.round_index))
-                for spec in cfg.sensors]
-        readings: dict[str, Reading] = {}
-        for node in cfg.topology.sensing_nodes():
-            # -1.0 + 2.0 * noise() is Random.uniform(-1.0, 1.0), without its call
-            values = {channel: sense(spec, truth, -1.0 + 2.0 * noise())
-                      for channel, spec, truth in plan}
-            readings[node] = Reading(node, values)
-        return readings
+        nodes = cfg.topology.sensing_nodes()
+        width = len(cfg.sensors)
+        rng = random.Random(f"{cfg.seed}/noise/{self.round_index}")
+        # the round's draws in their fixed order: node by node, sensor by sensor
+        draws = list(map(random.Random.random, repeat(rng, len(nodes) * width)))
+        columns = [_sense_column(spec, truth_at(cfg.field, spec.channel, self.round_index),
+                              draws[i::width])
+                   for i, spec in enumerate(cfg.sensors)]
+        channels = [spec.channel for spec in cfg.sensors]
+        values = map(dict, map(zip, repeat(channels), zip(*columns)))
+        return dict(zip(nodes, map(Reading, nodes, values)))
+
+
+# A run senses the same few steps of each channel over and over; this many
+# distinct steps per spec are kept before its table starts afresh.
+_STEP_TABLE_MAX = 4096
+
+
+def _sense_column(spec: SensorSpec, truth: float, draws: list[float]) -> list[float]:
+    """``sense(spec, truth, u)`` for each draw's u, by step lookup (see the
+    module docstring); -1.0 + 2.0 * draw is Random.uniform(-1.0, 1.0)."""
+    acc, lo, q = spec.accuracy, spec.min_value, spec.quantum
+    # past 2**50 quanta a step may be inexact or overflow: sense saturates or raises
+    if not abs(truth - lo) + acc < 2.0 ** 50 * q:  # also False for inf and nan
+        return [sense(spec, truth, -1.0 + 2.0 * r) for r in draws]
+    # sense's arithmetic in sense's order: a reassociated form may round differently
+    steps = [round((truth + (-1.0 + 2.0 * r) * acc - lo) / q) for r in draws]
+    table = spec._sensed
+    try:
+        return list(map(table.__getitem__, steps))
+    except KeyError:  # a step not sensed before
+        if len(table) >= _STEP_TABLE_MAX:
+            table.clear()
+        values = []
+        for step, r in zip(steps, draws):
+            value = table.get(step)
+            if value is None:
+                value = table[step] = sense(spec, truth, -1.0 + 2.0 * r)
+            values.append(value)
+        return values
 
 
 def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent]]:
@@ -193,35 +237,29 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent
             "ROUND_OUT_OF_RANGE", f"round {round_index} not in 0..{cfg.rounds - 1}"
         )
     rnd = _Round(cfg, round_index)
+    attempt = rnd.attempt
     topo = cfg.topology
-    hop = cfg.hop_latency_ms
-    t0 = rnd.t0
+    root, hop, t0 = topo.root, cfg.hop_latency_ms, rnd.t0
     measured = rnd.measure_all()
-    delivered: dict[str, Reading] = {}
+    delivered: set[str] = set()
 
     heads = topo.cluster_heads()
-    polled = {h: rnd.attempt(EventKind.INTERRUPT_CALL, topo.root, h, t0) for h in heads}
-    for head in heads:
-        if not polled[head]:
+    polled = [attempt(_POLL, root, head, t0) for head in heads]
+    for head, head_polled in zip(heads, polled):
+        if not head_polled:
             continue  # head never polled; the whole branch stays silent
-        leaf_data: list[Reading] = []
-        leaf_polled = {
-            leaf: rnd.attempt(EventKind.INTERRUPT_CALL, head, leaf, t0 + hop)
-            for leaf in topo.leaflets(head)
-        }
-        for leaf in topo.leaflets(head):
-            if leaf_polled[leaf] and rnd.attempt(EventKind.DATA_MSG, leaf, head, t0 + 2 * hop):
-                leaf_data.append(measured[leaf])
-        aggregate = (measured[head], *leaf_data)
-        if rnd.attempt(EventKind.DATA_MSG, head, topo.root, t0 + 3 * hop):
-            for reading in aggregate:
-                delivered[reading.node] = reading
+        leaves = topo.leaflets(head)
+        leaf_polled = [attempt(_POLL, head, leaf, t0 + hop) for leaf in leaves]
+        replied = [leaf for leaf, ok in zip(leaves, leaf_polled)
+                   if ok and attempt(_DATA, leaf, head, t0 + 2 * hop)]
+        if attempt(_DATA, head, root, t0 + 3 * hop):
+            delivered.add(head)
+            delivered.update(replied)
 
-    readings = tuple(
-        delivered[node] if node in delivered
-        else Reading(node, dict.fromkeys(measured[node].values))
-        for node in topo.sensing_nodes()
-    )
+    readings = tuple([
+        reading if node in delivered else Reading(node, dict.fromkeys(reading.values))
+        for node, reading in measured.items()
+    ])
     events = sorted(rnd.events, key=attrgetter("time_ms"))  # stable: ties keep emission order
     return Snapshot(round=round_index, time_ms=t0, readings=readings), events
 
@@ -236,12 +274,11 @@ def run_simulation(
     dropped = 0
     for round_index in range(cfg.rounds):
         snapshot, events = run_round(cfg, round_index)
-        for ev in events:
-            if ev.kind is EventKind.LINK_DROP:
-                dropped += 1
-            else:
-                sent += 1
-            if on_event is not None:
+        lost = [ev.kind for ev in events].count(_LINK_DROP)
+        dropped += lost
+        sent += len(events) - lost
+        if on_event is not None:
+            for ev in events:
                 on_event(ev)
         try:
             sink(snapshot)

@@ -3,6 +3,7 @@
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,28 @@ class TestFetch:
         rc = main(["fetch", "--port", str(free_port()), "PING"])
         assert rc == 2
         assert "cannot reach" in capsys.readouterr().err
+
+    def test_non_utf8_response(self, capsys):
+        """A reply that is not UTF-8 is a connection failure, not a traceback."""
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+
+            def reply_once():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(64)
+                    conn.sendall(b"BEGIN 0 1\n\xff\xfe\nEND\n")
+
+            server = threading.Thread(target=reply_once)
+            server.start()
+            try:
+                rc = main(["fetch", "--port", str(listener.getsockname()[1]), "SNAPSHOT"])
+            finally:
+                server.join()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wsn fetch: ") and "not UTF-8" in err
 
 
 # the benchmark's batch shape: 20 cluster heads of 10 leaflets each, 220 records a round

@@ -2,8 +2,10 @@
 
 import random
 import socket
+import struct
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from helpers import (
 )
 from wsnmon import basestation, gateway
 from wsnmon.basestation import parse_record, record_line
+from wsnmon.config import parse_config
 from wsnmon.environment import Channel
 from wsnmon.errors import GatewayError
 from wsnmon.gateway import (
@@ -419,3 +422,23 @@ class TestServer:
                 assert c.ask("PING") == ["PONG"]
             finally:
                 c.close()
+
+    def test_client_reset_mid_response_ends_only_its_session(self, capsys):
+        """A client that resets while its responses are written leaves no traceback."""
+        wide = Path(__file__).resolve().parent.parent / "bench" / "configs" / "wide-lossy.cfg"
+        cfg = parse_config(wide.read_text(encoding="utf-8")).sim
+        gw = Gateway(cfg.topology)
+        gw.publish(run_round(cfg, 0)[0])
+        with serve(gw, port=0) as server:
+            reset = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+            reset.sendall(b"SNAPSHOT\n" * 200)  # about 10 MB of responses, never read
+            assert reset.recv(6) == b"BEGIN "  # the server is writing them
+            reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            reset.close()  # with unread data and a zero linger: an RST
+            c = Client(server.port)
+            try:
+                assert c.ask("PING") == ["PONG"]
+            finally:
+                c.close()
+        # closing the server waited for the reset session's thread to end
+        assert "Traceback" not in capsys.readouterr().err

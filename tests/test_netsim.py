@@ -14,11 +14,11 @@ from helpers import (
     nulled_by_link,
     status_of,
 )
-from wsnmon.basestation import serialize_snapshots
+from wsnmon.basestation import format_value, serialize_snapshots, snapshot_block
 from wsnmon.environment import (
     Channel, ChannelModel, Drift, EnvField, SensorSpec, default_spec, sense, truth_at,
 )
-from wsnmon.errors import SimError, TopologyError
+from wsnmon.errors import EnvError, SimError, TopologyError
 from wsnmon.netsim import (
     EventKind,
     LinkOutage,
@@ -28,6 +28,7 @@ from wsnmon.netsim import (
     run_simulation,
     trace_line,
 )
+from wsnmon.topology import RadioSpec, build_topology
 
 
 def collect(cfg):
@@ -155,6 +156,63 @@ class TestSensing:
                 except OverflowError:
                     expected = spec.max_value if truth > 0 else spec.min_value
                 assert reading.values[spec.channel] == expected
+
+
+@st.composite
+def specs_and_truths(draw):
+    """Library-built specs (signed zero minimums, non-power-of-two quanta,
+    bounds near the float range) and, per spec, a truth anywhere, near a
+    bound, where steps are 2**49..2**50 quanta (float ties are common there,
+    and 2**50 is where the step table hands over to sense), or not finite."""
+    specs, truths = [], []
+    for channel in Channel:
+        if channel is Channel.TEMP_C:
+            lo = draw(st.sampled_from([-0.0, 0.0, -40.0, 0.1]))
+            quantum = draw(st.sampled_from([0.0625, 0.1, 0.3]))
+        else:  # the log stores these as whole numbers
+            lo = draw(st.sampled_from([-0.0, 0.0, 3.0]))
+            quantum = draw(st.sampled_from([1.0, 3.0]))
+        hi = draw(st.sampled_from([lo + 1000 * quantum, 1e300]))
+        accuracy = draw(st.sampled_from([0.0, 0.7, 8 * quantum]))
+        slack = 2 * (accuracy + quantum)
+        far_steps = st.floats(lo + 2.0 ** 49 * quantum, lo + 2.0 ** 50 * quantum + slack)
+        truths.append(draw(far_steps if hi == 1e300 and draw(st.booleans()) else st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(1e300, allow_infinity=False), st.floats(None, -1e300),
+            *[st.floats(b - slack, b + slack) for b in (lo, hi)],
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+        )))
+        specs.append(SensorSpec(channel, accuracy, quantum, lo, hi))
+    return tuple(specs), tuple(truths)
+
+
+class TestSignExactSensing:
+    @settings(max_examples=300, deadline=None)
+    @given(case=specs_and_truths(), seed=st.integers(0, 2**32))
+    def test_values_and_texts_are_sense_of_each_draw(self, case, seed):
+        """Every value is sense() of its draw bit for bit (repr tells -0.0 from
+        0.0, where == does not), and every record renders it with format_value."""
+        specs, truths = case
+        field = EnvField({s.channel: ChannelModel(t) for s, t in zip(specs, truths)}, seed=seed)
+        topology = build_topology([("N1", ["1.1", "1.2", "1.3", "1.4"]), ("N2", ["2.1", "2.2"])],
+                                  RadioSpec(30.0, 0.0))
+        cfg = SimConfig(topology=topology, field=field, sensors=specs, rounds=1, seed=seed)
+        nodes = cfg.topology.sensing_nodes()
+        noise = random.Random(f"{seed}/noise/0").random  # node by node, sensor by sensor
+        try:
+            expected = {node: [sense(s, t, -1.0 + 2.0 * noise()) for s, t in zip(specs, truths)]
+                        for node in nodes}
+        except EnvError as e:
+            with pytest.raises(EnvError) as raised:
+                run_round(cfg, 0)
+            assert raised.value.code == e.code == "INVALID_TRUTH"
+            return
+        snapshot, _ = run_round(cfg, 0)
+        for r in snapshot.readings:
+            assert [repr(r.values[ch]) for ch in Channel] == list(map(repr, expected[r.node]))
+        for line, node in zip(snapshot_block(snapshot).splitlines(), nodes):
+            assert line.split(",")[3:8] == [format_value(s.channel, v)
+                                            for s, v in zip(specs, expected[node])]
 
 
 class TestRunSimulation:
