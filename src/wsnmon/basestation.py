@@ -13,11 +13,21 @@ records are written as one atomic group, so a reader only ever sees whole
 rounds plus at most one trailing partial round while a write is in flight.
 
 Lines are split on LF only. ``TelemetryReader`` is the one parser: it reads
-a log as a stream of lines, decodes and checks each on its own, and yields
-each round as soon as its last record has been checked, so reading a log
-takes memory that does not depend on its number of rounds.
-``parse_telemetry`` collects it for a log held in memory, and ``wsn
-plotdata`` writes no CSV row unless the whole log checks out.
+a log as a stream of lines, one round at a time, and yields each round as
+soon as its last record has been checked, so reading a log takes memory that
+does not depend on its number of rounds. A round is checked as columns,
+``_SLICE_LINES`` lines at a time, so the texts and lists held at once do not
+grow with the round's width either. A slice passes when every line splits
+into nine fields, the round and time columns each hold one text, the node
+column is the header's, each value column reads through the memoised readers
+``parse_record`` uses, each gas column is all ``-`` or has none, and the
+NULLs of every column and the status agree. A slice that fails a check, and
+the rest of its round, are read line by line with ``parse_record``: that path
+names the line of an error, or accepts what the column checks leave out (a
+gas column that mixes ``-`` with values), so ``parse_record`` stays the one
+definition of a record line. ``parse_telemetry`` collects the reader for a
+log held in memory, and ``wsn plotdata`` writes no CSV row unless the whole
+log checks out.
 
 ``record_line`` renders each distinct value once: each column keeps a text
 cache by value, emptied when it reaches ``_TEXT_CACHE_MAX`` entries, so a
@@ -28,12 +38,15 @@ sign does not show.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import math
 import os
 import threading
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import is_
 from typing import Iterable, Iterator, Sequence
 
 from .environment import Channel
@@ -75,6 +88,15 @@ def parse_header(line: str) -> tuple[str, ...]:
     nodes = tuple(n for n in parts[2][len("nodes=") :].split(",") if n)
     if not nodes:
         raise TelemetryError("BAD_HEADER", "empty node list", line_no=1)
+    # a record names its node, and never NULL or "-": each header node can
+    # be matched by exactly one record of a round
+    seen: set[str] = set()
+    for node in nodes:
+        if node in (_NULL, _NOT_EQUIPPED):
+            raise TelemetryError("BAD_HEADER", f"bad node id {node!r}", line_no=1)
+        if node in seen:
+            raise TelemetryError("BAD_HEADER", f"node {node!r} named twice", line_no=1)
+        seen.add(node)
     return nodes
 
 
@@ -265,12 +287,40 @@ class TelemetryReader:
         self.nodes = parse_header(header[:-1])
 
     def __iter__(self) -> Iterator[Snapshot]:
-        nodes = self.nodes
+        line_no, last_done = 2, -1  # line_no: the round's first record
+        while (snapshot := self._round(line_no, last_done)) is not None:
+            yield snapshot
+            line_no += len(self.nodes)
+            last_done = snapshot.round
+
+    def _round(self, line_no: int, last_done: int) -> Snapshot | None:
+        """The next round, read up to its last line and no further, or None
+        at the end of the log (``partial`` set if the log ends inside it)."""
+        lines, nodes = self._lines, self.nodes
         width = len(nodes)
         group: list[Reading] = []
-        group_round = group_time = last_done = -1
+        stamp = None  # the round's (round, time_ms), from its first slice
+        while len(group) < width:
+            done = len(group)
+            raws = list(islice(lines, min(_SLICE_LINES, width - done)))
+            checked = _bulk(raws, nodes[done : done + len(raws)], stamp, last_done)
+            if checked is None:
+                rest = chain(raws, islice(lines, width - done - len(raws)))
+                return self._line_by_line(rest, line_no + done, group, stamp, last_done)
+            stamp, readings = checked
+            group += readings
+        return Snapshot(round=stamp[0], time_ms=stamp[1], readings=tuple(group))
+
+    def _line_by_line(self, lines: Iterable[bytes], line_no: int, group: list[Reading],
+                      stamp: tuple[int, int] | None, last_done: int) -> Snapshot | None:
+        """The rest of a round, ``lines`` from ``line_no`` on, one line at a
+        time; ``group`` holds the round's records checked so far, stamped
+        ``stamp``. Raises the error that names the first bad line, else
+        returns as ``_round`` does."""
+        nodes = self.nodes
+        group_round, group_time = stamp or (-1, -1)
         torn = False
-        for line_no, raw in enumerate(self._lines, start=2):
+        for line_no, raw in enumerate(lines, start=line_no):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as e:
@@ -298,14 +348,61 @@ class TelemetryReader:
                     line_no=line_no,
                 )
             group.append(r)
-            if len(group) == width:
-                yield Snapshot(round=rnd, time_ms=time_ms, readings=tuple(group))
-                last_done = rnd
-                group = []
+        if len(group) == len(nodes):
+            return Snapshot(round=group_round, time_ms=group_time, readings=tuple(group))
         if group:
             self.partial = PartialRound(round=group_round, records=len(group))
         elif torn:
             self.partial = PartialRound(round=None, records=0)
+        return None
+
+
+# A round is checked in slices of at most this many lines (see the module).
+_SLICE_LINES = 64
+_STATUS_LINES = (_OK + "\n", _NULL + "\n")  # indexed by "is NULL"
+
+
+def _bulk(raws: list[bytes], nodes: tuple[str, ...], stamp: tuple[int, int] | None,
+          last_done: int) -> tuple[tuple[int, int], list[Reading]] | None:
+    """The (round, time_ms) and records of ``raws``, the next lines of a
+    round, for ``nodes``; None when any check fails (see the module).
+
+    The round and time must be ``stamp`` once the round has begun, else the
+    round must come after ``last_done``. Each line keeps its LF, so the
+    status column also shows that no line is torn.
+    """
+    try:
+        columns = list(zip(*map(str.split, map(bytes.decode, raws), repeat(",")), strict=True))
+        if len(columns) != 9:
+            return None
+        rounds, times, names, temps, lights, *gases, statuses = columns
+        n = len(names)
+        if names != nodes or rounds.count(rounds[0]) != n or times.count(times[0]) != n:
+            return None
+        rnd_time = (_whole(rounds[0]), _whole(times[0]))
+        if stamp is None:
+            if rnd_time[0] <= last_done:
+                return None
+        elif rnd_time != stamp:
+            return None
+        channels = list(_COLUMNS[:2])
+        values = [list(map(_temperature, temps)), list(map(_count, lights))]
+        for channel, column in zip(_COLUMNS[2:], gases):
+            dashes = column.count(_NOT_EQUIPPED)
+            if dashes != n:
+                if dashes:  # the channel equipped on some nodes only
+                    return None
+                channels.append(channel)
+                values.append(list(map(_count, column)))
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    lost = list(map(is_, values[0], repeat(None)))
+    if any(list(map(is_, v, repeat(None))) != lost for v in values[1:]):
+        return None
+    if tuple(map(_STATUS_LINES.__getitem__, lost)) != statuses:
+        return None
+    by_node = map(dict, map(zip, repeat(channels), zip(*values)))
+    return rnd_time, list(map(tuple.__new__, repeat(Reading), zip(nodes, by_node)))
 
 
 def parse_telemetry(data: bytes | str) -> ParsedTelemetry:
@@ -394,4 +491,6 @@ class LatestMirror:
                 fh.write(block)
             os.replace(tmp, self.path)
         except OSError as e:
+            with contextlib.suppress(OSError):  # leave no temp file behind
+                os.remove(tmp)
             raise TelemetryError("IO_FAILURE", f"cannot write {self.path}: {e}") from e

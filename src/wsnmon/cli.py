@@ -7,7 +7,9 @@
 
 Data goes to standard output only; every diagnostic goes to standard error.
 Exit codes: run 0 ok / 1 config error / 2 runtime failure; fetch 0 ok /
-3 ERR response / 2 connection failure; plotdata 0 ok / 1 bad input.
+3 ERR response / 2 connection or output failure; plotdata 0 ok / 1 bad input /
+2 output failure. A failed write to standard output is reported as
+``cannot write output: ...``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,17 @@ from .records import Snapshot
 
 def _err(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _write_output(command: str, data: str) -> bool:
+    """Write ``data`` to standard output and flush it; False, reported, if that fails."""
+    try:
+        sys.stdout.write(data)
+        sys.stdout.flush()
+    except OSError as e:
+        _err(f"wsn {command}: cannot write output: {e}")
+        return False
+    return True
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -138,6 +151,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_fetch(args: argparse.Namespace) -> int:
     request = " ".join([args.verb, *args.args])
+    reply: list[str] = []  # written once the exchange ends, so a write failure is told apart
+    status = 0
     try:
         with socket.create_connection((args.host, args.port), timeout=10) as sock:
             sock.sendall(request.encode("utf-8") + b"\n")
@@ -146,24 +161,26 @@ def cmd_fetch(args: argparse.Namespace) -> int:
             if not first:
                 _err("wsn fetch: connection closed before any response")
                 return 2
-            sys.stdout.write(first)
+            reply.append(first)
             if first.startswith("BEGIN"):
                 while True:
                     line = reader.readline()
                     if not line:
                         _err("wsn fetch: connection closed inside envelope")
-                        return 2
-                    sys.stdout.write(line)
+                        status = 2
+                        break
+                    reply.append(line)
                     if line.rstrip("\n") == "END":
                         break
-            sys.stdout.flush()
-            return 3 if first.startswith("ERR") else 0
     except OSError as e:
         _err(f"wsn fetch: cannot reach {args.host}:{args.port}: {e}")
         return 2
     except UnicodeDecodeError as e:
         _err(f"wsn fetch: response from {args.host}:{args.port} is not UTF-8: {e}")
         return 2
+    if not _write_output("fetch", "".join(reply)):
+        return 2
+    return status or (3 if first.startswith("ERR") else 0)
 
 
 def cmd_plotdata(args: argparse.Namespace) -> int:
@@ -197,7 +214,8 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     except TelemetryError as e:
         _err(f"wsn plotdata: MALFORMED_LOG: {e}")
         return 1
-    sys.stdout.write("".join(rows))
+    if not _write_output("plotdata", "".join(rows)):
+        return 2
     if reader.partial is not None:
         _err(f"wsn plotdata: ignored trailing partial round {reader.partial.round}")
     return 0

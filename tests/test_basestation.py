@@ -1,5 +1,6 @@
 """Telemetry log: exact serialization, exact parsing, atomic append groups."""
 
+import io
 import random
 import threading
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import DESK_NODES, random_snapshot
+from wsnmon import basestation
 from wsnmon.basestation import (
     LatestMirror,
     PartialRound,
@@ -152,6 +154,122 @@ class TestTruncation:
             assert parsed.snapshots == snaps[: len(parsed.snapshots)]
 
 
+def wide_nodes(width):
+    """``width`` node ids of a tree of heads with up to ten leaflets each."""
+    return tuple(f"N{i // 11}" if i % 11 == 0 else f"{i // 11}.{i % 11}" for i in range(width))
+
+
+def line_by_line(data):
+    """The reader as one loop over the log's lines, each checked by parse_record:
+    (nodes, snapshots, partial), or the TelemetryError as (code, line_no, str)."""
+    lines = io.BytesIO(data)
+    try:
+        nodes = TelemetryReader(lines).nodes  # reads the header line only
+        snapshots, group, partial = [], [], None
+        last_done = group_round = group_time = -1
+        for line_no, raw in enumerate(lines, start=2):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise TelemetryError("MALFORMED_RECORD", f"not UTF-8: {e}", line_no) from None
+            if not line.endswith("\n"):
+                partial = PartialRound(round=None, records=0)
+                break
+            rnd, time_ms, reading = parse_record(line[:-1], line_no)
+            if not group:
+                if rnd <= last_done:
+                    raise TelemetryError(
+                        "MALFORMED_RECORD", f"round {rnd} repeats or goes backwards", line_no)
+                group_round, group_time = rnd, time_ms
+            elif (rnd, time_ms) != (group_round, group_time):
+                raise TelemetryError(
+                    "MALFORMED_RECORD", f"round/time changed inside round {group_round}", line_no)
+            expected = nodes[len(group)]
+            if reading.node != expected:
+                raise TelemetryError(
+                    "MALFORMED_RECORD", f"expected node {expected!r}, found {reading.node!r}",
+                    line_no)
+            group.append(reading)
+            if len(group) == len(nodes):
+                snapshots.append(Snapshot(round=rnd, time_ms=time_ms, readings=tuple(group)))
+                last_done, group = rnd, []
+        if group:
+            partial = PartialRound(round=group_round, records=len(group))
+    except TelemetryError as e:
+        return e.code, e.line_no, str(e)
+    return nodes, snapshots, partial
+
+
+def read_all(data):
+    """What TelemetryReader yields for ``data``, in the shape of line_by_line's result."""
+    try:
+        reader = TelemetryReader(io.BytesIO(data))
+        snapshots = list(reader)
+    except TelemetryError as e:
+        return e.code, e.line_no, str(e)
+    return reader.nodes, snapshots, reader.partial
+
+
+def mixed_gas(rng, snapshot, gas):
+    """``snapshot`` with ``gas`` left unequipped on some of its nodes (and with
+    NULL readings kept all-NULL)."""
+    readings = tuple(
+        Reading(r.node, {c: v for c, v in r.values.items() if c is not gas})
+        if rng.random() < 0.5 else r
+        for r in snapshot.readings)
+    return Snapshot(round=snapshot.round, time_ms=snapshot.time_ms, readings=readings)
+
+
+LOG_BYTES = st.one_of(st.sampled_from(b",\n-.0123456789NULOK"), st.integers(0, 255))
+
+
+@st.composite
+def record_logs(draw):
+    """A valid log of width 1, 12 or 220, with NULL rows, unequipped gas columns
+    and sometimes rounds whose gas column mixes "-" with values; then maybe one
+    byte replaced, inserted or deleted, the log cut short, one value or status
+    turned NULL or back, or round 0's records from some node on replaced by
+    round 1's (often from where a slice the reader checks at once begins)."""
+    edit = draw(st.sampled_from(["none", "replace", "insert", "delete", "cut", "flip",
+                                 "splice"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    width = 220 if edit == "splice" else draw(st.sampled_from([1, 12, 220]))
+    nodes = wide_nodes(width)
+    gases = draw(st.sampled_from([(), (Channel.CO_PPM,), tuple(Channel)[2:]]))
+    snaps = snapshots_for(draw(st.integers(2 if edit == "splice" else 1, 3)), rng, nodes=nodes,
+                          gases=gases, null_prob=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])))
+    if gases and draw(st.booleans()):
+        snaps = [mixed_gas(rng, s, gases[0]) if rng.random() < 0.5 else s for s in snaps]
+    data = serialize_snapshots(nodes, snaps).encode("utf-8")
+    if edit == "splice":
+        k = draw(st.one_of(st.integers(0, width - 1),
+                           st.sampled_from(range(0, width, basestation._SLICE_LINES))))
+        lines = data.splitlines(keepends=True)
+        lines[1 + k : 1 + width] = lines[1 + width + k : 1 + 2 * width]
+        return b"".join(lines)
+    if edit == "flip":  # one value or status turned NULL, or a NULL turned a value or OK
+        line_no = draw(st.integers(1, len(snaps) * width))
+        lines = data.splitlines(keepends=True)
+        fields = lines[line_no][:-1].split(b",")
+        column = draw(st.integers(3, 8))
+        if fields[column] != b"NULL":
+            fields[column] = b"NULL"
+        else:
+            fields[column] = b"OK" if column == 8 else b"25.0000" if column == 3 else b"7"
+        lines[line_no] = b",".join(fields) + b"\n"
+        return b"".join(lines)
+    if edit == "none":
+        return data
+    at = draw(st.integers(data.index(b"\n") + 1, len(data) - 1))
+    if edit == "replace":
+        return data[:at] + bytes([draw(LOG_BYTES)]) + data[at + 1:]
+    if edit == "insert":
+        return data[:at] + bytes([draw(LOG_BYTES)]) + data[at:]
+    if edit == "delete":
+        return data[:at] + data[at + 1:]
+    return data[:at]
+
+
 @st.composite
 def damaged_logs(draw):
     """A valid log with any one byte replaced, or cut, or both (the cut at or
@@ -189,6 +307,18 @@ class TestReader:
         assert reader.nodes == DESK_NODES
         assert next(iter(reader)) == snaps[0]
 
+    def test_yields_a_wide_round_before_reading_on(self):
+        """A round wider than one checked slice is still read to its end and no further."""
+        nodes = wide_nodes(220)
+        snaps = snapshots_for(2, nodes=nodes, gases=(Channel.CO_PPM,))
+        lines = serialize_snapshots(nodes, snaps).encode("utf-8").splitlines(keepends=True)
+
+        def feed():
+            yield from lines[: 1 + len(nodes)]
+            raise AssertionError("read past round 0")
+
+        assert next(iter(TelemetryReader(feed()))) == snaps[0]
+
     def test_reads_a_binary_file(self, tmp_path):
         snaps = snapshots_for(4)
         path = tmp_path / "t.log"
@@ -203,6 +333,13 @@ class TestReader:
         with pytest.raises(TelemetryError, match="MALFORMED_RECORD") as exc:
             parse_telemetry(text.replace("\n0,0,1.1,", "\r0,0,1.1,", 1))
         assert exc.value.line_no == 2  # the CR stays inside line 2
+
+    @settings(max_examples=500, deadline=None)
+    @given(record_logs())
+    def test_reads_as_the_line_by_line_loop(self, data):
+        """Checking rounds as columns yields, keeps partial and raises as parse_record
+        applied one line at a time does, down to the error's line and message."""
+        assert read_all(data) == line_by_line(data)
 
     @settings(max_examples=300, deadline=None)
     @given(damaged_logs())
@@ -227,6 +364,19 @@ class TestParserErrors:
             parse_telemetry("#SOMETHING v1 nodes=N1\n")
         with pytest.raises(TelemetryError, match="BAD_HEADER"):
             parse_telemetry("")
+
+    @pytest.mark.parametrize("nodes,message", [
+        ("N1,N1", "node 'N1' named twice"),
+        ("N1,1.1,N2,1.1", "node '1.1' named twice"),
+        ("N1,NULL", "bad node id 'NULL'"),
+        ("-,N1", "bad node id '-'"),
+    ])
+    def test_header_names_each_node_once(self, nodes, message):
+        """No record could follow a NULL or "-" node; a repeated one would be read twice."""
+        with pytest.raises(TelemetryError, match="BAD_HEADER") as exc:
+            parse_telemetry(f"#WSNLOG v1 nodes={nodes}\n")
+        assert exc.value.line_no == 1
+        assert exc.value.message == f"line 1: {message}"
 
     def test_wrong_field_count_names_line(self):
         text = header_line(("N1",)) + "\n" + "0,0,N1,25.0000,512\n"

@@ -1,5 +1,7 @@
 """End-to-end command tests: run, fetch, plotdata, and the served pipeline."""
 
+import errno
+import io
 import socket
 import subprocess
 import sys
@@ -107,6 +109,16 @@ class TestRun:
         assert capsys.readouterr().err.startswith("wsn run: ")
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
+    def test_unreplaceable_mirror_leaves_no_temp_file(self, tmp_path, capsys):
+        """A mirror path that is a directory fails the run, and its temp file goes."""
+        mirror = tmp_path / "latest"
+        mirror.mkdir()
+        rc = main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "t.log"),
+                   "--rewrite-latest", str(mirror)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"wsn run: IO_FAILURE: cannot write {mirror}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["latest", "run.cfg"]
+
     def test_trace_export(self, tmp_path):
         out = tmp_path / "t.log"
         trace = tmp_path / "events.trace"
@@ -163,6 +175,13 @@ class TestRun:
         assert traces[0].read_bytes() == traces[1].read_bytes()
 
 
+class FullStdout(io.StringIO):
+    """Standard output on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
 @pytest.fixture()
 def served_gateway():
     from wsnmon.gateway import serve
@@ -202,6 +221,14 @@ class TestFetch:
         rc = main(["fetch", "--port", str(served_gateway), "NODE", "9.9"])
         assert rc == 3
         assert capsys.readouterr().out == "ERR UNKNOWN_NODE\n"
+
+    def test_output_failure(self, served_gateway, capsys, monkeypatch):
+        """A failed write to standard output is the output's fault, not the network's."""
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        rc = main(["fetch", "--port", str(served_gateway), "SNAPSHOT"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "wsn fetch: cannot write output: [Errno 28] No space left on device\n")
 
     def test_connection_refused(self, capsys):
         rc = main(["fetch", "--port", str(free_port()), "PING"])
@@ -342,6 +369,15 @@ class TestPlotdata:
         rc = main(["plotdata", str(bad), "--node", "N1", "--channel", "temp_c"])
         assert rc == 1
         assert "MALFORMED_LOG" in capsys.readouterr().err
+
+    def test_output_failure(self, tmp_path, capsys, monkeypatch):
+        out = self.run_log(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        rc = main(["plotdata", str(out), "--node", "1.1", "--channel", "temp_c"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "wsn plotdata: cannot write output: [Errno 28] No space left on device\n")
 
     def test_trailing_partial_round_is_reported_not_fatal(self, tmp_path, capsys):
         out = self.run_log(tmp_path)
