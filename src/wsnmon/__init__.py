@@ -1,63 +1,47 @@
 """Deterministic tree-topology sensor network simulator with a telemetry
 gateway: polls flow down the tree, readings flow back up, every round lands
 in an append-only log, and a line-protocol server hands the latest round to
-any number of clients while watching threshold alerts."""
+any number of clients while watching threshold alerts.
 
-from .basestation import (
-    LatestMirror,
-    ParsedTelemetry,
-    PartialRound,
-    TelemetryReader,
-    TelemetryWriter,
-    parse_record,
-    parse_telemetry,
-    serialize_snapshots,
-)
-from .config import RunConfig, format_topology, parse_config
-from .environment import (
-    Channel,
-    ChannelModel,
-    Drift,
-    EnvField,
-    SensorSpec,
-    default_spec,
-    sense,
-    truth_at,
-)
-from .errors import (
-    ConfigError,
-    EnvError,
-    GatewayError,
-    SimError,
-    TelemetryError,
-    TopologyError,
-    WsnError,
-)
-from .gateway import (
-    Alert,
-    AlertRule,
-    Comparator,
-    Gateway,
-    Severity,
-    evaluate_alerts,
-    serve,
-)
-from .netsim import (
-    EventKind,
-    LinkOutage,
-    SimConfig,
-    SimEvent,
-    SimSummary,
-    run_round,
-    run_simulation,
-)
-from .records import Reading, Snapshot
-from .topology import (
-    NodeRole,
-    RadioSpec,
-    TreeTopology,
-    build_topology,
-    round_message_count,
-)
+Each export is imported from its module on first use (PEP 562), so a tool
+that needs one stage does not load the others: ``wsn plotdata`` never
+imports the simulator or the server.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "basestation": ("LatestMirror", "ParsedTelemetry", "PartialRound", "TelemetryReader",
+                    "TelemetryWriter", "parse_record", "parse_telemetry",
+                    "serialize_snapshots"),
+    "config": ("RunConfig", "format_topology", "parse_config"),
+    "environment": ("Channel", "ChannelModel", "Drift", "EnvField", "SensorSpec",
+                    "default_spec", "sense", "truth_at"),
+    "errors": ("ConfigError", "EnvError", "GatewayError", "SimError", "TelemetryError",
+               "TopologyError", "WsnError"),
+    "gateway": ("Alert", "AlertRule", "Comparator", "Gateway", "Severity",
+                "evaluate_alerts", "serve"),
+    "netsim": ("EventKind", "LinkOutage", "SimConfig", "SimEvent", "SimSummary",
+               "run_round", "run_simulation"),
+    "records": ("Reading", "Snapshot"),
+    "topology": ("NodeRole", "RadioSpec", "TreeTopology", "build_topology",
+                 "round_message_count"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -21,19 +21,23 @@ grow with the round's width either. A slice passes when every line splits
 into nine fields, the round and time columns each hold one text, the node
 column is the header's, each value column reads through the memoised readers
 ``parse_record`` uses, each gas column is all ``-`` or has none, and the
-NULLs of every column and the status agree. A slice that fails a check, and
-the rest of its round, are read line by line with ``parse_record``: that path
-names the line of an error, or accepts what the column checks leave out (a
-gas column that mixes ``-`` with values), so ``parse_record`` stays the one
-definition of a record line. ``parse_telemetry`` collects the reader for a
-log held in memory, and ``wsn plotdata`` writes no CSV row unless the whole
-log checks out.
+NULLs of every column and the status agree; its value columns are then the
+round's, and the round's Snapshot is built from them with no per-record
+object. A slice that fails a check, a gas column that one slice equips and
+another does not, and the rest of the round, are read line by line with
+``parse_record``: that path names the line of an error, or accepts what the
+column checks leave out (a gas column that mixes ``-`` with values), so
+``parse_record`` stays the one definition of a record line.
+``parse_telemetry`` collects the reader for a log held in memory, and
+``wsn plotdata`` writes no CSV row unless the whole log checks out.
 
-``record_line`` renders each distinct value once: each column keeps a text
-cache by value, emptied when it reaches ``_TEXT_CACHE_MAX`` entries, so a
-long-lived process does not grow without limit. ``-0.0 == 0.0`` as a dict key
-but renders as ``-0.0000``, so a zero is cached only in a column where its
-sign does not show.
+``snapshot_block`` renders a round column by column and joins the rows; the
+block is kept on the snapshot, so the log, the mirror and the gateway share
+one rendering whatever order they take the round in. Each column renders
+each distinct value once: it keeps a text cache by value, emptied when it
+reaches ``_TEXT_CACHE_MAX`` entries, so a long-lived process does not grow
+without limit. ``-0.0 == 0.0`` as a dict key but renders as ``-0.0000``, so a
+zero is cached only in a column where its sign does not show.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .environment import Channel
 from .errors import TelemetryError
+from .records import NOT_EQUIPPED as _NOT_EQUIPPED
 from .records import Reading, Snapshot
 
 MAGIC = "#WSNLOG"
@@ -58,7 +63,7 @@ VERSION = "v1"
 
 _NULL = "NULL"
 _OK = "OK"
-_NOT_EQUIPPED = "-"
+_STATUS_LINES = (_OK + "\n", _NULL + "\n")  # indexed by "is NULL"
 _TEMP = Channel.TEMP_C  # a module global: reading an Enum member off its class is slow
 _COLUMNS = tuple(Channel)  # value columns 4-8, in Channel order
 
@@ -85,13 +90,15 @@ def parse_header(line: str) -> tuple[str, ...]:
         raise TelemetryError("BAD_HEADER", f"not a {MAGIC} {VERSION} header: {line!r}", line_no=1)
     if not parts[2].startswith("nodes="):
         raise TelemetryError("BAD_HEADER", f"missing nodes= field: {line!r}", line_no=1)
-    nodes = tuple(n for n in parts[2][len("nodes=") :].split(",") if n)
-    if not nodes:
+    nodes = tuple(parts[2][len("nodes=") :].split(","))
+    if nodes == ("",):
         raise TelemetryError("BAD_HEADER", "empty node list", line_no=1)
     # a record names its node, and never NULL or "-": each header node can
     # be matched by exactly one record of a round
     seen: set[str] = set()
     for node in nodes:
+        if not node:
+            raise TelemetryError("BAD_HEADER", f"empty node id in {parts[2]!r}", line_no=1)
         if node in (_NULL, _NOT_EQUIPPED):
             raise TelemetryError("BAD_HEADER", f"bad node id {node!r}", line_no=1)
         if node in seen:
@@ -108,7 +115,7 @@ _COLUMN_TEXTS = tuple((channel, dict(_FIXED_TEXTS)) for channel in _COLUMNS)
 
 def _text(channel: Channel, texts: dict, v: float | str | None) -> str:
     """The column text of ``v`` (a number, None or "-"), kept in ``texts``."""
-    if v is None or v is _NOT_EQUIPPED:
+    if v is None or v == _NOT_EQUIPPED:
         return _FIXED_TEXTS[v]  # a cache emptied by another thread lacks them
     text = format_value(channel, v)
     # -0.0 == 0.0 as a key, yet f"{-0.0:.4f}" is "-0.0000": a zero is kept
@@ -121,39 +128,39 @@ def _text(channel: Channel, texts: dict, v: float | str | None) -> str:
     return text
 
 
-def record_line(prefix: str, r: Reading) -> str:
-    """One record; ``prefix`` is its round's ``<round>,<time_ms>,``. NULL is
-    all-or-none and temperature always equipped, so it gives the status."""
-    values = r.values
-    fields = [prefix + r.node]
-    for channel, texts in _COLUMN_TEXTS:
-        v = values.get(channel, _NOT_EQUIPPED)  # values hold numbers or None, never text
-        text = texts.get(v)
-        if text is None:  # not rendered before
-            text = _text(channel, texts, v)
-        fields.append(text)
-    fields.append(_NULL if values[_TEMP] is None else _OK)
-    return ",".join(fields)
-
-
-_last_block: tuple[Snapshot | None, str] = (None, "")
+def _column_texts(channel: Channel, texts: dict, column: Sequence) -> list[str]:
+    """The texts of a column's cells, from and into its cache ``texts``."""
+    try:
+        return list(map(texts.__getitem__, column))
+    except KeyError:  # a value not rendered before (texts never holds "")
+        return [texts.get(v) or _text(channel, texts, v) for v in column]
 
 
 def snapshot_block(s: Snapshot) -> str:
     """One round's atomic group of record lines (trailing newline included).
 
-    The newest snapshot's block is kept, so the log writer and the mirror,
-    which take each round in turn, render it once and share the string.
-    Snapshots are immutable, and the kept reference stops the identity the
-    memo is keyed on from being reused by another object.
+    The block is rendered on first use and kept on the snapshot, so the log
+    writer, the mirror and the gateway share one string in any order.
     """
-    global _last_block
-    last, block = _last_block
-    if last is not s:
-        prefix = f"{s.round},{s.time_ms},"
-        block = "".join([record_line(prefix, r) + "\n" for r in s.readings])
-        _last_block = (s, block)
+    block = s._block
+    if block is None:
+        block = _render_block(s)
+        object.__setattr__(s, "_block", block)  # the frozen snapshot's one lazy slot
     return block
+
+
+def _render_block(s: Snapshot) -> str:
+    """The record lines of ``s``, column by column and joined row by row."""
+    n = len(s.nodes)
+    prefix = f"{s.round},{s.time_ms},"
+    fields = [map(prefix.__add__, s.nodes)]
+    for channel, texts in _COLUMN_TEXTS:
+        column = s.columns.get(channel)
+        fields.append(repeat(_NOT_EQUIPPED, n) if column is None
+                      else _column_texts(channel, texts, column))
+    # NULL is all-or-none and temperature always equipped, so it gives the status
+    fields.append(map(_STATUS_LINES.__getitem__, map(is_, s.columns[_TEMP], repeat(None))))
+    return "".join(map(",".join, zip(*fields)))
 
 
 def serialize_snapshots(nodes: Sequence[str], snapshots: Iterable[Snapshot]) -> str:
@@ -205,8 +212,8 @@ _READERS = tuple((ch, _temperature if ch is Channel.TEMP_C else _count) for ch i
 def parse_record(line: str, line_no: int = 0) -> tuple[int, int, Reading]:
     """Parse one record line (the gateway's lines share this grammar).
 
-    Every number and the status must be exactly what ``record_line`` writes
-    for the values, so an accepted line re-serializes byte for byte.
+    Every number and the status must be exactly what ``snapshot_block``
+    writes for the values, so an accepted line re-serializes byte for byte.
     """
     fields = line.split(",")
     if len(fields) != 9:
@@ -298,18 +305,30 @@ class TelemetryReader:
         at the end of the log (``partial`` set if the log ends inside it)."""
         lines, nodes = self._lines, self.nodes
         width = len(nodes)
-        group: list[Reading] = []
+        cells = None  # the round's columns so far, as _bulk gives them
         stamp = None  # the round's (round, time_ms), from its first slice
-        while len(group) < width:
-            done = len(group)
+        done = 0
+        while done < width:
             raws = list(islice(lines, min(_SLICE_LINES, width - done)))
             checked = _bulk(raws, nodes[done : done + len(raws)], stamp, last_done)
+            if checked is not None and cells is not None and (
+                    [c is None for c in checked[1]] != [c is None for c in cells]):
+                checked = None  # a gas channel equipped in some slices only
             if checked is None:
+                # the records checked so far, as the line-by-line path keeps them
+                group = [] if cells is None else list(
+                    Snapshot(*stamp, nodes[:done], _equipped(cells)).readings)
                 rest = chain(raws, islice(lines, width - done - len(raws)))
                 return self._line_by_line(rest, line_no + done, group, stamp, last_done)
-            stamp, readings = checked
-            group += readings
-        return Snapshot(round=stamp[0], time_ms=stamp[1], readings=tuple(group))
+            stamp, columns = checked
+            if cells is None:
+                cells = columns
+            else:
+                for column, more in zip(cells, columns):
+                    if column is not None:
+                        column += more
+            done += len(raws)
+        return Snapshot(*stamp, nodes, _equipped(cells))
 
     def _line_by_line(self, lines: Iterable[bytes], line_no: int, group: list[Reading],
                       stamp: tuple[int, int] | None, last_done: int) -> Snapshot | None:
@@ -349,7 +368,7 @@ class TelemetryReader:
                 )
             group.append(r)
         if len(group) == len(nodes):
-            return Snapshot(round=group_round, time_ms=group_time, readings=tuple(group))
+            return Snapshot.from_readings(group_round, group_time, group)
         if group:
             self.partial = PartialRound(round=group_round, records=len(group))
         elif torn:
@@ -359,23 +378,29 @@ class TelemetryReader:
 
 # A round is checked in slices of at most this many lines (see the module).
 _SLICE_LINES = 64
-_STATUS_LINES = (_OK + "\n", _NULL + "\n")  # indexed by "is NULL"
+
+
+def _equipped(columns: list[list | None]) -> dict[Channel, tuple]:
+    """``_bulk``'s columns as a Snapshot holds them."""
+    return {channel: tuple(column) for channel, column in zip(_COLUMNS, columns)
+            if column is not None}
 
 
 def _bulk(raws: list[bytes], nodes: tuple[str, ...], stamp: tuple[int, int] | None,
-          last_done: int) -> tuple[tuple[int, int], list[Reading]] | None:
-    """The (round, time_ms) and records of ``raws``, the next lines of a
-    round, for ``nodes``; None when any check fails (see the module).
+          last_done: int) -> tuple[tuple[int, int], list[list | None]] | None:
+    """The (round, time_ms) and value columns of ``raws``, the next lines of
+    a round, for ``nodes``: one list per Channel, None for a gas channel no
+    line equips. None when any check fails (see the module).
 
     The round and time must be ``stamp`` once the round has begun, else the
     round must come after ``last_done``. Each line keeps its LF, so the
     status column also shows that no line is torn.
     """
     try:
-        columns = list(zip(*map(str.split, map(bytes.decode, raws), repeat(",")), strict=True))
-        if len(columns) != 9:
+        fields = list(zip(*map(str.split, map(bytes.decode, raws), repeat(",")), strict=True))
+        if len(fields) != 9:
             return None
-        rounds, times, names, temps, lights, *gases, statuses = columns
+        rounds, times, names, temps, lights, *gases, statuses = fields
         n = len(names)
         if names != nodes or rounds.count(rounds[0]) != n or times.count(times[0]) != n:
             return None
@@ -385,24 +410,24 @@ def _bulk(raws: list[bytes], nodes: tuple[str, ...], stamp: tuple[int, int] | No
                 return None
         elif rnd_time != stamp:
             return None
-        channels = list(_COLUMNS[:2])
-        values = [list(map(_temperature, temps)), list(map(_count, lights))]
-        for channel, column in zip(_COLUMNS[2:], gases):
-            dashes = column.count(_NOT_EQUIPPED)
-            if dashes != n:
-                if dashes:  # the channel equipped on some nodes only
-                    return None
-                channels.append(channel)
-                values.append(list(map(_count, column)))
+        columns = [list(map(_temperature, temps)), list(map(_count, lights))]
+        for texts in gases:
+            dashes = texts.count(_NOT_EQUIPPED)
+            if dashes == n:
+                columns.append(None)
+            elif dashes:  # the channel equipped on some nodes only
+                return None
+            else:
+                columns.append(list(map(_count, texts)))
     except ValueError:  # UnicodeDecodeError included
         return None
-    lost = list(map(is_, values[0], repeat(None)))
-    if any(list(map(is_, v, repeat(None))) != lost for v in values[1:]):
+    lost = list(map(is_, columns[0], repeat(None)))
+    if any(list(map(is_, column, repeat(None))) != lost
+           for column in columns[1:] if column is not None):
         return None
     if tuple(map(_STATUS_LINES.__getitem__, lost)) != statuses:
         return None
-    by_node = map(dict, map(zip, repeat(channels), zip(*values)))
-    return rnd_time, list(map(tuple.__new__, repeat(Reading), zip(nodes, by_node)))
+    return rnd_time, columns
 
 
 def parse_telemetry(data: bytes | str) -> ParsedTelemetry:
@@ -446,8 +471,8 @@ class TelemetryWriter:
                     "NON_MONOTONIC_ROUND",
                     f"round {s.round} after round {self.last_round}",
                 )
-            if s.nodes() != self.nodes:
-                raise ValueError(f"snapshot nodes {s.nodes()} do not match log {self.nodes}")
+            if s.nodes != self.nodes:
+                raise ValueError(f"snapshot nodes {s.nodes} do not match log {self.nodes}")
             try:
                 self._fh.write(snapshot_block(s))
                 self._fh.flush()

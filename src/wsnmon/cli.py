@@ -22,12 +22,11 @@ import sys
 import time
 
 from .basestation import LatestMirror, TelemetryReader, TelemetryWriter, format_value
-from .config import parse_config
 from .environment import channel_from_token
 from .errors import ConfigError, EnvError, TelemetryError, WsnError
-from .gateway import DEFAULT_PORT, Gateway, serve
-from .netsim import SimEvent, run_simulation, trace_line
-from .records import Snapshot
+from .records import NOT_EQUIPPED, Snapshot
+
+DEFAULT_PORT = 7070  # the gateway's port for `run --serve` and `fetch`
 
 
 def _err(message: str) -> None:
@@ -82,6 +81,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # imported here: fetch and plotdata need neither the simulator nor the server
+    from .config import parse_config
+    from .gateway import Gateway, serve
+    from .netsim import SimEvent, run_simulation, trace_line
+
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
@@ -198,12 +202,12 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
                 return 1
             index = reader.nodes.index(args.node)
             for snapshot in reader:
-                values = snapshot.readings[index].values
-                if channel not in values:
+                column = snapshot.columns.get(channel)
+                value = NOT_EQUIPPED if column is None else column[index]
+                if value == NOT_EQUIPPED:
                     _err(f"wsn plotdata: UNKNOWN_CHANNEL: log carries no {channel.value} "
                          f"values for {args.node} in round {snapshot.round}")
                     return 1
-                value = values[channel]
                 if value is None:
                     rows.append(f"{snapshot.round},\n")  # explicit gap, never interpolated
                 else:

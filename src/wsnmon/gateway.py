@@ -29,19 +29,21 @@ NULL (or unequipped) round resets the edge so recovery can fire again.
 from __future__ import annotations
 
 import logging
+import math
+import operator
 import socketserver
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, repeat
 from typing import Mapping, Sequence
 
 from .basestation import format_value, snapshot_block
 from .environment import Channel
 from .errors import GatewayError
-from .records import Snapshot
+from .records import NOT_EQUIPPED, Snapshot
 from .topology import TreeTopology
 
-DEFAULT_PORT = 7070
 MAX_REQUEST_BYTES = 4096
 
 log = logging.getLogger(__name__)
@@ -71,11 +73,6 @@ class AlertRule:
         if self.threshold != self.threshold or self.threshold in (float("inf"), float("-inf")):
             raise GatewayError("INVALID_RULE", "threshold must be finite")
 
-    def matches(self, value: float) -> bool:
-        if self.comparator is Comparator.GREATER:
-            return value > self.threshold
-        return value < self.threshold
-
 
 @dataclass(frozen=True)
 class Alert:
@@ -92,6 +89,10 @@ def alert_line(a: Alert, channel: Channel) -> str:
 
 AlertState = Mapping[tuple[str, str], bool]
 
+_COMPARE = {Comparator.GREATER: operator.gt, Comparator.LESS: operator.lt}
+# a lost or unequipped cell reads as nan, which no comparison holds for
+_NO_VALUE = {None: math.nan, NOT_EQUIPPED: math.nan}
+
 
 def evaluate_alerts(
     rules: Sequence[AlertRule], s: Snapshot, state: AlertState
@@ -104,15 +105,14 @@ def evaluate_alerts(
     new_state: dict[tuple[str, str], bool] = {}
     fired: list[Alert] = []
     for rule in rules:
-        for reading in s.readings:
-            key = (rule.rule_id, reading.node)
-            value = reading.values.get(rule.channel)
-            holds = value is not None and rule.matches(value)
-            new_state[key] = holds
-            if holds and not state.get(key, False):
-                fired.append(
-                    Alert(rule.rule_id, reading.node, s.round, value, rule.severity)
-                )
+        keys = list(zip(repeat(rule.rule_id), s.nodes))
+        column = s.columns.get(rule.channel) or (None,) * len(keys)
+        holds = list(map(_COMPARE[rule.comparator], map(_NO_VALUE.get, column, column),
+                         repeat(rule.threshold)))
+        new_state.update(zip(keys, holds))
+        for key, value in compress(zip(keys, column), holds):
+            if not state.get(key, False):
+                fired.append(Alert(rule.rule_id, key[1], s.round, value, rule.severity))
     return new_state, fired
 
 
@@ -159,7 +159,7 @@ class Gateway:
         with self._lock:
             if s.round <= self._round:
                 raise ValueError(f"round {s.round} after round {self._round}")
-            if s.nodes() != self._nodes:
+            if s.nodes != self._nodes:
                 raise ValueError(f"round {s.round}: snapshot nodes do not match the topology")
             self._edge_state, fired = evaluate_alerts(self.rules, s, self._edge_state)
             active = self._active
@@ -264,8 +264,7 @@ class GatewayServer:
         self.close()
 
 
-def serve(
-    gateway: Gateway, host: str = "127.0.0.1", port: int = DEFAULT_PORT
-) -> GatewayServer:
-    """Start accepting client sessions; returns the running service handle."""
+def serve(gateway: Gateway, host: str = "127.0.0.1", *, port: int) -> GatewayServer:
+    """Start accepting client sessions; returns the running service handle.
+    Port 0 binds a free port, which the handle's ``port`` names."""
     return GatewayServer(gateway, host, port)

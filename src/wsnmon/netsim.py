@@ -20,6 +20,12 @@ with the links its outages force down.
    sensing node and equipped sensor in topology order, whether or not the
    value survives (keeps values independent of drop outcomes).
 
+A round is built as columns: ``measure_all`` senses each equipped channel as
+one column over the sensing nodes, and ``run_round`` writes None into the
+cells of every node whose data is lost (a head is followed by its leaflets,
+so a lost branch is one slice of each column). The Snapshot holds those
+columns; no per-node object is built.
+
 Sensing by step lookup: ``environment.sense`` is the one definition of a
 sensed value, and its value depends only on the spec and the quantization
 step. A round computes each draw's step with sense's own arithmetic, in its
@@ -46,7 +52,7 @@ from typing import Callable, NamedTuple
 
 from .environment import Channel, EnvField, SensorSpec, sense, truth_at
 from .errors import SimError, WsnError
-from .records import Reading, Snapshot
+from .records import Snapshot
 from .topology import TreeTopology
 
 DEFAULT_ROUND_PERIOD_MS = 1000
@@ -160,7 +166,7 @@ class SimSummary:
 
 
 class _Round:
-    """Builder for one round's events and readings."""
+    """Builder for one round's events and value columns."""
 
     def __init__(self, cfg: SimConfig, round_index: int):
         self.cfg = cfg
@@ -181,20 +187,17 @@ class _Round:
             return False
         return True
 
-    def measure_all(self) -> dict[str, Reading]:
-        """Sense every equipped channel on every node (draws always consumed)."""
+    def measure_all(self, nodes: tuple[str, ...]) -> list[list[float]]:
+        """Each equipped channel's column: every node of ``nodes`` sensed,
+        in ``cfg.sensors`` order (every draw consumed)."""
         cfg = self.cfg
-        nodes = cfg.topology.sensing_nodes()
         width = len(cfg.sensors)
         rng = random.Random(f"{cfg.seed}/noise/{self.round_index}")
         # the round's draws in their fixed order: node by node, sensor by sensor
         draws = list(map(random.Random.random, repeat(rng, len(nodes) * width)))
-        columns = [_sense_column(spec, truth_at(cfg.field, spec.channel, self.round_index),
+        return [_sense_column(spec, truth_at(cfg.field, spec.channel, self.round_index),
                               draws[i::width])
-                   for i, spec in enumerate(cfg.sensors)]
-        channels = [spec.channel for spec in cfg.sensors]
-        values = map(dict, map(zip, repeat(channels), zip(*columns)))
-        return dict(zip(nodes, map(Reading, nodes, values)))
+                for i, spec in enumerate(cfg.sensors)]
 
 
 # A run senses the same few steps of each channel over and over; this many
@@ -229,8 +232,9 @@ def _sense_column(spec: SensorSpec, truth: float, draws: list[float]) -> list[fl
 def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent]]:
     """Simulate one collection round, with the links ``cfg.outages`` force down.
 
-    Returns the round's Snapshot (exactly one Reading per sensing node; lost
-    branches are NULL, never absent) and its events in (time, emission) order.
+    Returns the round's Snapshot (a row for every sensing node; a lost
+    node's cells are None, never absent) and its events in (time, emission)
+    order.
     """
     if not 0 <= round_index < cfg.rounds:
         raise SimError(
@@ -240,28 +244,35 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent
     attempt = rnd.attempt
     topo = cfg.topology
     root, hop, t0 = topo.root, cfg.hop_latency_ms, rnd.t0
-    measured = rnd.measure_all()
-    delivered: set[str] = set()
+    nodes = topo.sensing_nodes()
+    columns = rnd.measure_all(nodes)
+    lost: list[tuple[int, int]] = []  # the [start, stop) spans of nodes whose data is lost
 
     heads = topo.cluster_heads()
     polled = [attempt(_POLL, root, head, t0) for head in heads]
+    start = 0
     for head, head_polled in zip(heads, polled):
-        if not head_polled:
-            continue  # head never polled; the whole branch stays silent
         leaves = topo.leaflets(head)
-        leaf_polled = [attempt(_POLL, head, leaf, t0 + hop) for leaf in leaves]
-        replied = [leaf for leaf, ok in zip(leaves, leaf_polled)
-                   if ok and attempt(_DATA, leaf, head, t0 + 2 * hop)]
-        if attempt(_DATA, head, root, t0 + 3 * hop):
-            delivered.add(head)
-            delivered.update(replied)
+        stop = start + 1 + len(leaves)  # a head is followed by its leaflets
+        if head_polled:
+            leaf_polled = [attempt(_POLL, head, leaf, t0 + hop) for leaf in leaves]
+            replied = [ok and attempt(_DATA, leaf, head, t0 + 2 * hop)
+                       for leaf, ok in zip(leaves, leaf_polled)]
+            if attempt(_DATA, head, root, t0 + 3 * hop):
+                lost += [(i, i + 1) for i, ok in enumerate(replied, start + 1) if not ok]
+            else:
+                lost.append((start, stop))  # the aggregate is lost: the whole branch
+        else:
+            lost.append((start, stop))  # head never polled; the whole branch stays silent
+        start = stop
 
-    readings = tuple([
-        reading if node in delivered else Reading(node, dict.fromkeys(reading.values))
-        for node, reading in measured.items()
-    ])
+    nulls = [None] * len(nodes)
+    for column in columns:
+        for start, stop in lost:
+            column[start:stop] = nulls[start:stop]
+    channels = [spec.channel for spec in cfg.sensors]
     events = sorted(rnd.events, key=attrgetter("time_ms"))  # stable: ties keep emission order
-    return Snapshot(round=round_index, time_ms=t0, readings=readings), events
+    return Snapshot(round_index, t0, nodes, dict(zip(channels, map(tuple, columns)))), events
 
 
 def run_simulation(

@@ -1,21 +1,31 @@
-"""Per-round data records: one Reading per sensing node, grouped in Snapshots.
+"""Per-round data records: a Snapshot holds one collection round as columns.
 
-A reading is lost or kept as a whole: a link failure wipes every channel of
-the affected node for that round, never a subset. ``Reading.values`` maps
-exactly the channels the node is equipped with to a number, or to None when
-lost: temperature and light always (the demonstration hardware carried both),
-a gas channel only when the run has one. ``channel in reading.values`` tells
-whether a channel is equipped. A reading is NULL exactly when its values are
-all None; the log's status column is rendered from that. The round and time
-of a reading are those of its Snapshot.
+A snapshot names its sensing nodes once, in topology order, and holds one
+value column per equipped channel, a cell per node: temperature and light
+always (the demonstration hardware carried both), a gas channel only when the
+run has one. A cell is a number, or None when the node's data was lost. A
+reading is lost or kept as a whole: a link failure wipes every channel of the
+affected node for that round, never a subset, so a row is NULL exactly when
+its temperature cell is None; the log's status column is rendered from that.
+A log may equip a gas channel on some nodes only; its column then holds the
+``NOT_EQUIPPED`` marker ``"-"`` in the other nodes' cells. In the pipeline,
+only the line-by-line parse path builds such a column.
+
+``Reading`` is one row as a named tuple ``(node, values)``: ``values`` maps
+exactly the channels the node is equipped with to its cell. ``parse_record``
+returns one, and a snapshot builds them on demand (``readings``,
+``reading_for``); no stage of the pipeline does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, NamedTuple
 
 from .environment import Channel
+
+#: the cell of a channel the node is not equipped with, in a mixed gas column
+NOT_EQUIPPED = "-"
 
 
 class Reading(NamedTuple):
@@ -27,17 +37,42 @@ class Reading(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class Snapshot:
-    """All readings of one collection round, in deterministic topology order."""
+    """All readings of one collection round, in deterministic topology order.
+
+    ``columns`` maps each equipped channel to a tuple of one cell per node
+    of ``nodes`` (see the module). The round's record block is rendered into
+    ``_block`` on first use (``basestation.snapshot_block``), so every sink
+    shares one string.
+    """
 
     round: int
     time_ms: int
-    readings: tuple[Reading, ...]
+    nodes: tuple[str, ...]
+    columns: Mapping[Channel, tuple[float | str | None, ...]]
+    _block: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def nodes(self) -> tuple[str, ...]:
-        return tuple(r.node for r in self.readings)
+    @classmethod
+    def from_readings(cls, round: int, time_ms: int, readings: Iterable[Reading]) -> Snapshot:
+        """The snapshot of ``readings``; a channel no reading has is unequipped."""
+        readings = tuple(readings)
+        columns = {}
+        for channel in Channel:
+            column = tuple(r.values.get(channel, NOT_EQUIPPED) for r in readings)
+            if column.count(NOT_EQUIPPED) != len(column):
+                columns[channel] = column
+        return cls(round, time_ms, tuple(r.node for r in readings), columns)
+
+    def _reading(self, i: int) -> Reading:
+        return Reading(self.nodes[i], {channel: column[i]
+                                       for channel, column in self.columns.items()
+                                       if column[i] != NOT_EQUIPPED})
+
+    @property
+    def readings(self) -> tuple[Reading, ...]:
+        return tuple(map(self._reading, range(len(self.nodes))))
 
     def reading_for(self, node: str) -> Reading | None:
-        for r in self.readings:
-            if r.node == node:
-                return r
-        return None
+        try:
+            return self._reading(self.nodes.index(node))
+        except ValueError:
+            return None

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
+from wsnmon.basestation import format_value
 from wsnmon.environment import (
     Channel,
     ChannelModel,
@@ -140,7 +141,7 @@ def brute_force_alerts(rules, snapshots) -> list[tuple[str, str, int, float]]:
 
     fired = []
     for rule in rules:
-        for node in snapshots[0].nodes():
+        for node in snapshots[0].nodes:
             for i, snapshot in enumerate(snapshots):
                 now = holds(rule, observed(snapshot, node, rule.channel))
                 before = i > 0 and holds(rule, observed(snapshots[i - 1], node, rule.channel))
@@ -148,6 +149,28 @@ def brute_force_alerts(rules, snapshots) -> list[tuple[str, str, int, float]]:
                     value = observed(snapshot, node, rule.channel)
                     fired.append((rule.rule_id, node, snapshot.round, value))
     return sorted(fired)
+
+
+def record_line(prefix: str, r: Reading) -> str:
+    """Reference renderer of one record; ``prefix`` is ``<round>,<time_ms>,``.
+
+    Every field is formatted on its own, with no text cache: "-" for a
+    channel the node lacks, NULL for None, else ``format_value``; the status
+    is NULL exactly when temperature (always equipped) is.
+    """
+    fields = [prefix + r.node]
+    for channel in Channel:
+        value = r.values.get(channel, "-")
+        fields.append("-" if value == "-" else "NULL" if value is None
+                      else format_value(channel, value))
+    fields.append("NULL" if r.values[Channel.TEMP_C] is None else "OK")
+    return ",".join(fields)
+
+
+def reference_block(snapshot: Snapshot) -> str:
+    """The record lines of ``snapshot``, one ``record_line`` per reading."""
+    prefix = f"{snapshot.round},{snapshot.time_ms},"
+    return "".join(record_line(prefix, r) + "\n" for r in snapshot.readings)
 
 
 # ------------------------------------------------- randomized test data
@@ -193,7 +216,7 @@ def random_snapshot(
                                Channel.LIGHT_RAW: float(rng.randrange(0, 65536)),
                                **gas_values})
             )
-    return Snapshot(round=round_index, time_ms=time_ms, readings=tuple(readings))
+    return Snapshot.from_readings(round_index, time_ms, readings)
 
 
 def random_rules(rng: random.Random, count: int) -> list[AlertRule]:

@@ -195,7 +195,7 @@ class TestAcceptance:
                 gases = gas_choices[trial % len(gas_choices)]
                 rounds = rng.randrange(1, 31)
                 snaps = [random_snapshot(rng, i, gases=gases) for i in range(rounds)]
-                nodes = snaps[0].nodes()
+                nodes = snaps[0].nodes
                 text = serialize_snapshots(nodes, snaps)
                 parsed = parse_telemetry(text)
                 assert parsed.nodes == nodes

@@ -3,11 +3,12 @@
 import io
 import random
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import DESK_NODES, random_snapshot
+from helpers import DESK_NODES, random_snapshot, reference_block
 from wsnmon import basestation
 from wsnmon.basestation import (
     LatestMirror,
@@ -17,8 +18,8 @@ from wsnmon.basestation import (
     header_line,
     parse_record,
     parse_telemetry,
-    record_line,
     serialize_snapshots,
+    snapshot_block,
 )
 from wsnmon.environment import Channel
 from wsnmon.errors import TelemetryError
@@ -31,6 +32,11 @@ def ok_reading(node="N1", temp=25.0, light=512.0, gases=None):
 
 def null_reading(node="N1", gases=()):
     return Reading(node, dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, *gases)))
+
+
+def line_of(rnd, time_ms, reading):
+    """The record line ``snapshot_block`` writes for ``reading`` in its round."""
+    return snapshot_block(Snapshot.from_readings(rnd, time_ms, [reading])).removesuffix("\n")
 
 
 def snapshots_for(rounds, rng=None, **kwargs):
@@ -65,21 +71,21 @@ class TestFormat:
         assert header_line(DESK_NODES) == "#WSNLOG v1 nodes=N1,1.1,1.2,N2,2.1,2.2"
 
     def test_record_line_is_exact(self):
-        assert record_line("0,0,", ok_reading()) == "0,0,N1,25.0000,512,-,-,-,OK"
-        assert record_line("7,7000,", ok_reading()) == "7,7000,N1,25.0000,512,-,-,-,OK"
+        assert line_of(0, 0, ok_reading()) == "0,0,N1,25.0000,512,-,-,-,OK"
+        assert line_of(7, 7000, ok_reading()) == "7,7000,N1,25.0000,512,-,-,-,OK"
 
     def test_null_record_line(self):
-        assert record_line("0,0,", null_reading()) == "0,0,N1,NULL,NULL,-,-,-,NULL"
+        assert line_of(0, 0, null_reading()) == "0,0,N1,NULL,NULL,-,-,-,NULL"
         r = null_reading(gases=(Channel.CO_PPM,))
-        assert record_line("0,0,", r) == "0,0,N1,NULL,NULL,-,NULL,-,NULL"
+        assert line_of(0, 0, r) == "0,0,N1,NULL,NULL,-,NULL,-,NULL"
 
     def test_gas_channels_serialized_as_integers(self):
         r = ok_reading(gases={Channel.CH4_PPM: 1200.0, Channel.O2_PCT: 20.0})
-        assert record_line("0,0,", r) == "0,0,N1,25.0000,512,1200,-,20,OK"
+        assert line_of(0, 0, r) == "0,0,N1,25.0000,512,1200,-,20,OK"
 
     def test_temperature_keeps_four_decimals(self):
-        assert record_line("0,0,", ok_reading(temp=24.9375)).split(",")[3] == "24.9375"
-        assert record_line("0,0,", ok_reading(temp=-0.0625)).split(",")[3] == "-0.0625"
+        assert line_of(0, 0, ok_reading(temp=24.9375)).split(",")[3] == "24.9375"
+        assert line_of(0, 0, ok_reading(temp=-0.0625)).split(",")[3] == "-0.0625"
 
     @pytest.mark.parametrize("missing", [Channel.TEMP_C, Channel.LIGHT_RAW])
     def test_temperature_and_light_are_required(self, missing):
@@ -191,7 +197,7 @@ def line_by_line(data):
                     line_no)
             group.append(reading)
             if len(group) == len(nodes):
-                snapshots.append(Snapshot(round=rnd, time_ms=time_ms, readings=tuple(group)))
+                snapshots.append(Snapshot.from_readings(rnd, time_ms, group))
                 last_done, group = rnd, []
         if group:
             partial = PartialRound(round=group_round, records=len(group))
@@ -217,7 +223,7 @@ def mixed_gas(rng, snapshot, gas):
         Reading(r.node, {c: v for c, v in r.values.items() if c is not gas})
         if rng.random() < 0.5 else r
         for r in snapshot.readings)
-    return Snapshot(round=snapshot.round, time_ms=snapshot.time_ms, readings=readings)
+    return Snapshot.from_readings(snapshot.round, snapshot.time_ms, readings)
 
 
 LOG_BYTES = st.one_of(st.sampled_from(b",\n-.0123456789NULOK"), st.integers(0, 255))
@@ -358,6 +364,74 @@ class TestReader:
         assert outcome(data) == outcome(text)
 
 
+@st.composite
+def columnar_rounds(draw):
+    """Snapshots built as columns: NULL rows, zeros of both signs, gas columns,
+    one of which may mix "-" with values (cell by cell, or in blocks of a
+    checked slice), and widths that give more distinct values than a text
+    cache keeps."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    width = draw(st.sampled_from([1, 6, 64, 65, 150, basestation._TEXT_CACHE_MAX + 300]))
+    nodes = wide_nodes(width)
+    gases = draw(st.sampled_from([(), (Channel.CO_PPM,), tuple(Channel)[2:]]))
+    mixed = gases[-1] if gases and draw(st.booleans()) else None
+    by_slice = draw(st.booleans())
+    null_prob = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    zeros = draw(st.sampled_from([0.0, 0.1]))  # the share of cells that are +-0.0
+
+    def number(top):
+        if rng.random() < zeros:
+            return rng.choice([0.0, -0.0])
+        return float(rng.randrange(top + 1))
+
+    def temperature():  # any text with four decimals reads back as this float
+        if rng.random() < zeros:
+            return rng.choice([0.0, -0.0])
+        return rng.randrange(-10**9, 10**9) / 10**4
+
+    snaps = []
+    for rnd in range(draw(st.integers(1, 3))):
+        lost = [rng.random() < null_prob for _ in nodes]
+        columns = {Channel.TEMP_C: [None if x else temperature() for x in lost],
+                   Channel.LIGHT_RAW: [None if x else number(65535) for x in lost]}
+        for gas in gases:
+            columns[gas] = [None if x else number(2**53 - 1) for x in lost]
+        if mixed is not None:  # its first cell stays equipped: the column is never all "-"
+            for i in range(1, width):
+                if ((i // basestation._SLICE_LINES) % 2 if by_slice else rng.random() < 0.5):
+                    columns[mixed][i] = "-"
+        snaps.append(Snapshot(rnd, rnd * 1000, nodes,
+                              {channel: tuple(column) for channel, column in columns.items()}))
+    return nodes, snaps
+
+
+class TestColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(columnar_rounds())
+    def test_block_renders_and_reads_back(self, rounds):
+        """snapshot_block writes what a per-record reference writes, and the
+        reader gives back every snapshot, by columns and line by line alike."""
+        nodes, snaps = rounds
+        for s in snaps:
+            assert snapshot_block(s) == reference_block(s)
+        data = serialize_snapshots(nodes, snaps).encode("utf-8")
+        assert list(TelemetryReader(io.BytesIO(data))) == snaps
+        with mock.patch.object(basestation, "_bulk", return_value=None):
+            assert list(TelemetryReader(io.BytesIO(data))) == snaps
+        read = parse_telemetry(data).snapshots
+        assert serialize_snapshots(nodes, read).encode("utf-8") == data
+
+    def test_reading_views(self):
+        s = Snapshot(3, 3000, ("N1", "1.1"), {Channel.TEMP_C: (25.0, None),
+                                             Channel.LIGHT_RAW: (512.0, None),
+                                             Channel.CO_PPM: ("-", None)})
+        assert s.readings == (Reading("N1", {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0}),
+                              null_reading("1.1", gases=(Channel.CO_PPM,)))
+        assert s.reading_for("1.1") == s.readings[1]
+        assert s.reading_for("N2") is None
+        assert Snapshot.from_readings(3, 3000, s.readings) == s
+
+
 class TestParserErrors:
     def test_bad_header(self):
         with pytest.raises(TelemetryError, match="BAD_HEADER"):
@@ -377,6 +451,14 @@ class TestParserErrors:
             parse_telemetry(f"#WSNLOG v1 nodes={nodes}\n")
         assert exc.value.line_no == 1
         assert exc.value.message == f"line 1: {message}"
+
+    @pytest.mark.parametrize("nodes", ["N1,,N2", ",N1,", "N1,"])
+    def test_header_rejects_empty_node_ids(self, nodes):
+        """No record can name an empty node; the writer never writes one."""
+        with pytest.raises(TelemetryError, match="BAD_HEADER") as exc:
+            parse_telemetry(f"#WSNLOG v1 nodes={nodes}\n")
+        assert exc.value.line_no == 1
+        assert exc.value.message == f"line 1: empty node id in 'nodes={nodes}'"
 
     def test_wrong_field_count_names_line(self):
         text = header_line(("N1",)) + "\n" + "0,0,N1,25.0000,512\n"
@@ -455,7 +537,7 @@ class TestParserErrors:
         (0, "00"), (0, "٣"), (0, "+0"), (0, "-0"), (1, "01000"), (1, " 0"),
     ])
     def test_non_canonical_numbers_rejected(self, column, text):
-        """Only the text record_line writes for a value is accepted."""
+        """Only the text snapshot_block writes for a value is accepted."""
         header = header_line(("N1",)) + "\n"
         line = "0,0,N1,25.5000,512,0,0,0,OK"
         assert parse_telemetry(header + line + "\n").snapshots
@@ -475,7 +557,7 @@ class TestParserErrors:
                   STATUS),
     ))
     def test_accepted_lines_round_trip(self, fields):
-        """Every line parse_record accepts is the line record_line writes."""
+        """Every line parse_record accepts is the line snapshot_block writes."""
         line = ",".join(fields)
         try:
             rnd, time_ms, reading = parse_record(line)
@@ -483,11 +565,11 @@ class TestParserErrors:
             return
         values = list(reading.values.values())
         assert values.count(None) in (0, len(values))  # NULL is all-or-none
-        assert record_line(f"{rnd},{time_ms},", reading) == line
+        assert line_of(rnd, time_ms, reading) == line
 
     def test_parse_record_roundtrips_single_line(self):
         r = ok_reading(gases={Channel.CO_PPM: 42.0})
-        assert parse_record(record_line("3,3000,", r)) == (3, 3000, r)
+        assert parse_record(line_of(3, 3000, r)) == (3, 3000, r)
 
 
 class TestWriter:

@@ -2,6 +2,7 @@
 
 import errno
 import io
+import os
 import socket
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from helpers import make_config, desk_topology
 from wsnmon import basestation
-from wsnmon.basestation import parse_record, parse_telemetry, record_line
+from wsnmon.basestation import parse_record, parse_telemetry
 from wsnmon.cli import main
 from wsnmon.environment import Channel
 from wsnmon.gateway import Gateway
@@ -37,6 +38,17 @@ def free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+def test_import_loads_neither_simulator_nor_server():
+    """fetch and plotdata start without the modules only ``wsn run`` needs."""
+    code = ("import sys, wsnmon.cli; print(sorted({'wsnmon.config', 'wsnmon.gateway', "
+            "'wsnmon.netsim', 'socketserver'} & set(sys.modules)))")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 class TestRun:
@@ -141,18 +153,19 @@ class TestRun:
     def test_each_record_rendered_once(self, tmp_path, monkeypatch):
         """The log and the mirror share one rendering of each round."""
         renders = []
+        render_block = basestation._render_block
 
-        def counting_record_line(prefix, reading):
-            renders.append(reading)
-            return record_line(prefix, reading)
+        def counting_render_block(s):
+            renders.append(s.round)
+            return render_block(s)
 
-        monkeypatch.setattr(basestation, "record_line", counting_record_line)
+        monkeypatch.setattr(basestation, "_render_block", counting_render_block)
         rc = main(["run", str(ROOT / "configs" / "desk.cfg"), "--out", str(tmp_path / "t.log"),
                    "--rewrite-latest", str(tmp_path / "latest.log")])
         assert rc == 0
         parsed = parse_telemetry((tmp_path / "t.log").read_bytes())
         assert len(parsed.snapshots) == 100
-        assert len(renders) == len(parsed.snapshots) * len(parsed.nodes)
+        assert renders == [s.round for s in parsed.snapshots]
 
     def test_overflowing_walk_saturates(self, tmp_path):
         """A walk past the float range reads the sensor's bounds; the run completes."""

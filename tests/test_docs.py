@@ -17,6 +17,7 @@ def documented_exports() -> set[str]:
 
 
 def test_readme_export_list_matches_package():
-    public = {name for name, value in vars(wsnmon).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert documented_exports() == public
+    assert documented_exports() == set(wsnmon.__all__)
+    for name in wsnmon.__all__:  # each resolves, on first use, to what its module defines
+        assert not isinstance(getattr(wsnmon, name), types.ModuleType)
+    assert set(wsnmon.__all__) <= set(dir(wsnmon))

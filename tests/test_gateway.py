@@ -18,9 +18,10 @@ from helpers import (
     desk_topology,
     random_rules,
     random_snapshot,
+    record_line,
 )
 from wsnmon import basestation, gateway
-from wsnmon.basestation import parse_record, record_line
+from wsnmon.basestation import LatestMirror, TelemetryWriter, parse_record
 from wsnmon.config import parse_config
 from wsnmon.environment import Channel
 from wsnmon.errors import GatewayError
@@ -52,7 +53,7 @@ def co_snapshot(round_index, co_by_node):
             values = {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0,
                       Channel.CO_PPM: float(value)}
         readings.append(Reading(node, values))
-    return Snapshot(round=round_index, time_ms=round_index * 1000, readings=tuple(readings))
+    return Snapshot.from_readings(round_index, round_index * 1000, readings)
 
 
 def replay(rules, snapshots):
@@ -94,7 +95,7 @@ class TestEvaluateAlerts:
             Reading(n, {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0, Channel.O2_PCT: 18.0})
             for n in DESK_NODES
         )
-        _, fired = evaluate_alerts([rule], Snapshot(0, 0, readings), {})
+        _, fired = evaluate_alerts([rule], Snapshot.from_readings(0, 0, readings), {})
         assert len(fired) == len(DESK_NODES)
         assert all(a.severity is Severity.DANGER for a in fired)
 
@@ -252,11 +253,12 @@ class TestHandleRequest:
         gw = self.make_gateway()
         s = co_snapshot(1, {})
         with pytest.raises(ValueError):
-            gw.publish(Snapshot(s.round, s.time_ms, s.readings[::-1]))
+            gw.publish(Snapshot(s.round, s.time_ms, s.nodes[::-1], s.columns))
 
-    def test_requests_never_render(self, monkeypatch):
-        """Records are rendered once per round, at publish; a request looks one up."""
-        calls = {"record_line": 0, "format_value": 0}
+    def test_requests_never_render(self, monkeypatch, tmp_path):
+        """A round's records are rendered once, whichever of publish, the log
+        and the mirror takes the round first; a request looks one up."""
+        calls = {"_render_block": 0, "format_value": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -264,16 +266,22 @@ class TestHandleRequest:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(basestation, "record_line", counting("record_line", record_line))
+        monkeypatch.setattr(basestation, "_render_block",
+                            counting("_render_block", basestation._render_block))
         monkeypatch.setattr(gateway, "format_value",
                             counting("format_value", gateway.format_value))
         cfg = make_config(gas=True, rounds=4)
         rule = AlertRule("co_any", Channel.CO_PPM, Comparator.GREATER, 1.0, Severity.WARN)
         gw = Gateway(desk_topology(), rules=(rule,))
-        for r in range(4):
-            gw.publish(run_round(cfg, r)[0])
+        mirror = LatestMirror(tmp_path / "latest.log", DESK_NODES)
+        with TelemetryWriter(tmp_path / "t.log", DESK_NODES) as writer:
+            for r in range(4):
+                s = run_round(cfg, r)[0]
+                gw.publish(s)
+                writer.append(s)
+                mirror.update(s)
         published = dict(calls)
-        assert published["record_line"] == 4 * len(DESK_NODES)
+        assert published["_render_block"] == 4
         requests = ["SNAPSHOT", "ALERTS", "PING", "CLUSTER N1", "CLUSTER 1.1", "NODE 9.9",
                     "FETCH", *(f"NODE {n}" for n in DESK_NODES)]
         for _ in range(50):

@@ -52,7 +52,7 @@ class TestRunRound:
         """All six nodes report OK and the wire carries exactly 12 messages."""
         cfg = make_config()
         snapshot, events = run_round(cfg, 0)
-        assert snapshot.nodes() == ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
+        assert snapshot.nodes == ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
         assert all(status_of(r) == "OK" for r in snapshot.readings)
         sent = message_events(events)
         assert len(sent) == 12
@@ -99,7 +99,7 @@ class TestRunRound:
     def test_null_readings_present_not_absent(self):
         cfg = make_config(failure_prob=1.0)
         snapshot, events = run_round(cfg, 0)
-        assert snapshot.nodes() == ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
+        assert snapshot.nodes == ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
         assert all(status_of(r) == "NULL" for r in snapshot.readings)
         # every attempted message dropped: the two head polls
         drops = [ev for ev in events if ev.kind is EventKind.LINK_DROP]
@@ -109,7 +109,7 @@ class TestRunRound:
         cfg = make_config(failure_prob=0.5, seed=99)
         for round_index in range(20):
             snapshot, _ = run_round(cfg, round_index)
-            assert snapshot.nodes() == cfg.topology.sensing_nodes()
+            assert snapshot.nodes == cfg.topology.sensing_nodes()
 
     def test_round_out_of_range(self):
         cfg = make_config(rounds=10)
