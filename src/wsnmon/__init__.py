@@ -16,7 +16,7 @@ _EXPORTS = {
     "basestation": ("LatestMirror", "ParsedTelemetry", "PartialRound", "TelemetryReader",
                     "TelemetryWriter", "parse_record", "parse_telemetry",
                     "serialize_snapshots"),
-    "config": ("RunConfig", "format_topology", "parse_config"),
+    "config": ("RunConfig", "parse_config"),
     "environment": ("Channel", "ChannelModel", "Drift", "EnvField", "SensorSpec",
                     "default_spec", "sense", "truth_at"),
     "errors": ("ConfigError", "EnvError", "GatewayError", "SimError", "TelemetryError",
@@ -26,8 +26,7 @@ _EXPORTS = {
     "netsim": ("EventKind", "LinkOutage", "SimConfig", "SimEvent", "SimSummary",
                "run_round", "run_simulation"),
     "records": ("Reading", "Snapshot"),
-    "topology": ("NodeRole", "RadioSpec", "TreeTopology", "build_topology",
-                 "round_message_count"),
+    "topology": ("NodeRole", "RadioSpec", "TreeTopology", "build_topology"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

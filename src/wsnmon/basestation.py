@@ -20,14 +20,13 @@ does not depend on its number of rounds. A round is checked as columns,
 grow with the round's width either. A slice passes when every line splits
 into nine fields, the round and time columns each hold one text, the node
 column is the header's, each value column reads through the memoised readers
-``parse_record`` uses, each gas column is all ``-`` or has none, and the
-NULLs of every column and the status agree; its value columns are then the
-round's, and the round's Snapshot is built from them with no per-record
-object. A slice that fails a check, a gas column that one slice equips and
-another does not, and the rest of the round, are read line by line with
-``parse_record``: that path names the line of an error, or accepts what the
-column checks leave out (a gas column that mixes ``-`` with values), so
-``parse_record`` stays the one definition of a record line.
+``parse_record`` uses (``-`` only in a gas column), and the NULLs of every
+column and the status agree; its value columns are then the round's, a gas
+channel that a slice lacks reads ``-`` there, and the round's Snapshot is
+built from them with no per-record object. Every valid slice passes, so a
+slice that fails is re-read line by line with ``parse_record`` only to name
+its first bad line, and ``parse_record`` stays the one definition of a
+record line.
 ``parse_telemetry`` collects the reader for a log held in memory, and
 ``wsn plotdata`` writes no CSV row unless the whole log checks out.
 
@@ -49,7 +48,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import is_
 from typing import Iterable, Iterator, Sequence
 
@@ -206,6 +205,12 @@ def _temperature(text: str) -> float | None:
     return value
 
 
+@_memo
+def _gas(text: str) -> float | str | None:
+    """A gas column that some nodes lack: "-" in their cells."""
+    return _NOT_EQUIPPED if text == _NOT_EQUIPPED else _count(text)
+
+
 _READERS = tuple((ch, _temperature if ch is Channel.TEMP_C else _count) for ch in _COLUMNS)
 
 
@@ -304,93 +309,43 @@ class TelemetryReader:
         """The next round, read up to its last line and no further, or None
         at the end of the log (``partial`` set if the log ends inside it)."""
         lines, nodes = self._lines, self.nodes
-        width = len(nodes)
-        cells = None  # the round's columns so far, as _bulk gives them
+        cells: list[list | None] = [None] * len(_COLUMNS)  # the round's columns so far
         stamp = None  # the round's (round, time_ms), from its first slice
         done = 0
-        while done < width:
-            raws = list(islice(lines, min(_SLICE_LINES, width - done)))
-            checked = _bulk(raws, nodes[done : done + len(raws)], stamp, last_done)
-            if checked is not None and cells is not None and (
-                    [c is None for c in checked[1]] != [c is None for c in cells]):
-                checked = None  # a gas channel equipped in some slices only
+        while done < len(nodes):
+            part = nodes[done : done + _SLICE_LINES]
+            raws = list(islice(lines, len(part)))
+            checked = _bulk(raws, part, stamp, last_done)
             if checked is None:
-                # the records checked so far, as the line-by-line path keeps them
-                group = [] if cells is None else list(
-                    Snapshot(*stamp, nodes[:done], _equipped(cells)).readings)
-                rest = chain(raws, islice(lines, width - done - len(raws)))
-                return self._line_by_line(rest, line_no + done, group, stamp, last_done)
+                stamp, good = _fault(raws, part, line_no + done, stamp, last_done)
+                if stamp is not None:
+                    self.partial = PartialRound(round=stamp[0], records=done + good)
+                elif raws:  # the round's first line is torn
+                    self.partial = PartialRound(round=None, records=0)
+                return None
             stamp, columns = checked
-            if cells is None:
-                cells = columns
-            else:
-                for column, more in zip(cells, columns):
-                    if column is not None:
-                        column += more
+            for i, (column, more) in enumerate(zip(cells, columns)):
+                # a gas channel equipped in some slices only reads "-" in the others
+                if column is not None:
+                    column += more or repeat(_NOT_EQUIPPED, len(raws))
+                elif more is not None:
+                    cells[i] = [_NOT_EQUIPPED] * done + more
             done += len(raws)
-        return Snapshot(*stamp, nodes, _equipped(cells))
-
-    def _line_by_line(self, lines: Iterable[bytes], line_no: int, group: list[Reading],
-                      stamp: tuple[int, int] | None, last_done: int) -> Snapshot | None:
-        """The rest of a round, ``lines`` from ``line_no`` on, one line at a
-        time; ``group`` holds the round's records checked so far, stamped
-        ``stamp``. Raises the error that names the first bad line, else
-        returns as ``_round`` does."""
-        nodes = self.nodes
-        group_round, group_time = stamp or (-1, -1)
-        torn = False
-        for line_no, raw in enumerate(lines, start=line_no):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise _not_utf8(e, line_no) from None
-            if line[-1:] != "\n":  # only the last line can lack its LF
-                torn = True
-                break
-            rnd, time_ms, r = parse_record(line[:-1], line_no)
-            if not group:
-                if rnd <= last_done:
-                    raise TelemetryError(
-                        "MALFORMED_RECORD", f"round {rnd} repeats or goes backwards",
-                        line_no=line_no,
-                    )
-                group_round, group_time = rnd, time_ms
-            elif rnd != group_round or time_ms != group_time:
-                raise TelemetryError(
-                    "MALFORMED_RECORD", f"round/time changed inside round {group_round}",
-                    line_no=line_no,
-                )
-            expected = nodes[len(group)]
-            if r.node != expected:
-                raise TelemetryError(
-                    "MALFORMED_RECORD", f"expected node {expected!r}, found {r.node!r}",
-                    line_no=line_no,
-                )
-            group.append(r)
-        if len(group) == len(nodes):
-            return Snapshot.from_readings(group_round, group_time, group)
-        if group:
-            self.partial = PartialRound(round=group_round, records=len(group))
-        elif torn:
-            self.partial = PartialRound(round=None, records=0)
-        return None
+        return Snapshot(*stamp, nodes, {channel: tuple(column)
+                                        for channel, column in zip(_COLUMNS, cells)
+                                        if column is not None})
 
 
 # A round is checked in slices of at most this many lines (see the module).
 _SLICE_LINES = 64
 
 
-def _equipped(columns: list[list | None]) -> dict[Channel, tuple]:
-    """``_bulk``'s columns as a Snapshot holds them."""
-    return {channel: tuple(column) for channel, column in zip(_COLUMNS, columns)
-            if column is not None}
-
-
 def _bulk(raws: list[bytes], nodes: tuple[str, ...], stamp: tuple[int, int] | None,
           last_done: int) -> tuple[tuple[int, int], list[list | None]] | None:
     """The (round, time_ms) and value columns of ``raws``, the next lines of
     a round, for ``nodes``: one list per Channel, None for a gas channel no
-    line equips. None when any check fails (see the module).
+    line equips, "-" in the cells of a gas channel some lines lack. None
+    when any check fails (see the module).
 
     The round and time must be ``stamp`` once the round has begun, else the
     round must come after ``last_done``. Each line keeps its LF, so the
@@ -413,21 +368,47 @@ def _bulk(raws: list[bytes], nodes: tuple[str, ...], stamp: tuple[int, int] | No
         columns = [list(map(_temperature, temps)), list(map(_count, lights))]
         for texts in gases:
             dashes = texts.count(_NOT_EQUIPPED)
-            if dashes == n:
-                columns.append(None)
-            elif dashes:  # the channel equipped on some nodes only
-                return None
-            else:
-                columns.append(list(map(_count, texts)))
+            columns.append(None if dashes == n else list(map(_gas if dashes else _count, texts)))
     except ValueError:  # UnicodeDecodeError included
         return None
     lost = list(map(is_, columns[0], repeat(None)))
-    if any(list(map(is_, column, repeat(None))) != lost
-           for column in columns[1:] if column is not None):
-        return None
+    for column in columns[1:]:
+        # a "-" cell (a node without the gas channel) fits a row either way
+        if column is not None and list(map(is_, column, repeat(None))) != lost and any(
+                (v is None) != x for v, x in zip(column, lost) if v != _NOT_EQUIPPED):
+            return None
     if tuple(map(_STATUS_LINES.__getitem__, lost)) != statuses:
         return None
     return rnd_time, columns
+
+
+def _fault(raws: list[bytes], nodes: tuple[str, ...], line_no: int,
+           stamp: tuple[int, int] | None, last_done: int) -> tuple[tuple[int, int] | None, int]:
+    """Re-read ``raws``, from line ``line_no`` on, a slice of a round that
+    ``_bulk`` rejected, one line at a time, and raise the error that names
+    its first bad line. A slice with no bad line must end early, at the
+    end of the log or at a torn last line: returns the round's stamp (None
+    before its first whole record) and the number of whole records."""
+    for i, raw in enumerate(raws):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise _not_utf8(e, line_no + i) from None
+        if line[-1:] != "\n":  # only the last line can lack its LF
+            return stamp, i
+        rnd, time_ms, r = parse_record(line[:-1], line_no + i)
+        if stamp is None:
+            if rnd <= last_done:
+                raise _malformed(f"round {rnd} repeats or goes backwards", line_no + i)
+            stamp = rnd, time_ms
+        elif (rnd, time_ms) != stamp:
+            raise _malformed(f"round/time changed inside round {stamp[0]}", line_no + i)
+        if r.node != nodes[i]:
+            raise _malformed(f"expected node {nodes[i]!r}, found {r.node!r}", line_no + i)
+    if len(raws) == len(nodes):
+        raise RuntimeError(f"lines {line_no}-{line_no + len(raws) - 1}: "
+                           "the column check rejected records the line check accepts")
+    return stamp, len(raws)
 
 
 def parse_telemetry(data: bytes | str) -> ParsedTelemetry:

@@ -37,7 +37,7 @@ from .netsim import (
     LinkOutage,
     SimConfig,
 )
-from .topology import RadioSpec, TreeTopology, build_topology
+from .topology import RadioSpec, build_topology
 
 DEFAULT_ROUNDS = 100
 DEFAULT_BASELINES = {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0}
@@ -247,17 +247,3 @@ def _parse_script(token: str, line_no: int) -> Drift:
             )
         )
     return Drift.scripted(points)
-
-
-def _format_number(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(v)
-
-
-def format_topology(t: TreeTopology) -> str:
-    """Serialize a topology back to config lines (parse gives it back exactly)."""
-    lines = [f"radio {_format_number(t.radio.range_m)} {_format_number(t.radio.failure_prob)}"]
-    for head in t.cluster_heads():
-        lines.append(" ".join(["cluster", head, *t.children[head]]))
-    for node, (x, y) in t.positions.items():
-        lines.append(f"pos {node} {_format_number(x)} {_format_number(y)}")
-    return "\n".join(lines) + "\n"

@@ -36,7 +36,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .basestation import format_value, snapshot_block
 from .environment import Channel
@@ -74,8 +74,7 @@ class AlertRule:
             raise GatewayError("INVALID_RULE", "threshold must be finite")
 
 
-@dataclass(frozen=True)
-class Alert:
+class Alert(NamedTuple):
     rule_id: str
     node: str
     round: int

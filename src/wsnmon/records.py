@@ -8,19 +8,17 @@ reading is lost or kept as a whole: a link failure wipes every channel of the
 affected node for that round, never a subset, so a row is NULL exactly when
 its temperature cell is None; the log's status column is rendered from that.
 A log may equip a gas channel on some nodes only; its column then holds the
-``NOT_EQUIPPED`` marker ``"-"`` in the other nodes' cells. In the pipeline,
-only the line-by-line parse path builds such a column.
+``NOT_EQUIPPED`` marker ``"-"`` in the other nodes' cells.
 
 ``Reading`` is one row as a named tuple ``(node, values)``: ``values`` maps
 exactly the channels the node is equipped with to its cell. ``parse_record``
-returns one, and a snapshot builds them on demand (``readings``,
-``reading_for``); no stage of the pipeline does.
+returns one, and ``reading_for`` builds one on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .environment import Channel
 
@@ -51,25 +49,10 @@ class Snapshot:
     columns: Mapping[Channel, tuple[float | str | None, ...]]
     _block: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_readings(cls, round: int, time_ms: int, readings: Iterable[Reading]) -> Snapshot:
-        """The snapshot of ``readings``; a channel no reading has is unequipped."""
-        readings = tuple(readings)
-        columns = {}
-        for channel in Channel:
-            column = tuple(r.values.get(channel, NOT_EQUIPPED) for r in readings)
-            if column.count(NOT_EQUIPPED) != len(column):
-                columns[channel] = column
-        return cls(round, time_ms, tuple(r.node for r in readings), columns)
-
     def _reading(self, i: int) -> Reading:
         return Reading(self.nodes[i], {channel: column[i]
                                        for channel, column in self.columns.items()
                                        if column[i] != NOT_EQUIPPED})
-
-    @property
-    def readings(self) -> tuple[Reading, ...]:
-        return tuple(map(self._reading, range(len(self.nodes))))
 
     def reading_for(self, node: str) -> Reading | None:
         try:

@@ -69,9 +69,6 @@ class TreeTopology:
     radio: RadioSpec
     positions: Mapping[str, tuple[float, float]] = field(default_factory=dict)
 
-    def nodes(self) -> tuple[str, ...]:
-        return (self.root,) + self.sensing_nodes()
-
     def cluster_heads(self) -> tuple[str, ...]:
         return self.children[self.root]
 
@@ -137,13 +134,6 @@ def build_topology(
     )
     _check_ranges(topo)
     return topo
-
-
-def round_message_count(t: TreeTopology) -> int:
-    """Messages per collection round: one poll + one data reply per link."""
-    heads = t.cluster_heads()
-    total_leaflets = sum(len(t.children[h]) for h in heads)
-    return 2 * len(heads) + 2 * total_leaflets
 
 
 def _check_ranges(t: TreeTopology) -> None:

@@ -20,8 +20,8 @@ from wsnmon.environment import (
 )
 from wsnmon.gateway import AlertRule, Comparator, Severity
 from wsnmon.netsim import SimConfig
-from wsnmon.records import Reading, Snapshot
-from wsnmon.topology import RadioSpec, build_topology
+from wsnmon.records import NOT_EQUIPPED, Reading, Snapshot
+from wsnmon.topology import RadioSpec, TreeTopology, build_topology
 
 DESK_CLUSTERS = [("N1", ["1.1", "1.2"]), ("N2", ["2.1", "2.2"])]
 DESK_NODES = ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
@@ -65,6 +65,47 @@ def make_config(
     return SimConfig(
         topology=topo, field=field, sensors=sensors, rounds=rounds, seed=seed, **kwargs
     )
+
+
+# ------------------------------------------------ rows, counts and text
+
+
+def from_readings(round_index: int, time_ms: int, rows) -> Snapshot:
+    """The snapshot of ``rows`` (``Reading``s); a channel no row has is unequipped."""
+    rows = tuple(rows)
+    columns = {}
+    for channel in Channel:
+        column = tuple(r.values.get(channel, NOT_EQUIPPED) for r in rows)
+        if column.count(NOT_EQUIPPED) != len(column):
+            columns[channel] = column
+    return Snapshot(round_index, time_ms, tuple(r.node for r in rows), columns)
+
+
+def readings(snapshot: Snapshot) -> tuple[Reading, ...]:
+    """Every row of ``snapshot`` as a ``Reading``, in node order."""
+    return tuple(Reading(node, {channel: column[i] for channel, column in snapshot.columns.items()
+                                if column[i] != NOT_EQUIPPED})
+                 for i, node in enumerate(snapshot.nodes))
+
+
+def round_message_count(t: TreeTopology) -> int:
+    """Messages per collection round: one poll + one data reply per link."""
+    heads = t.cluster_heads()
+    return 2 * len(heads) + 2 * sum(len(t.children[h]) for h in heads)
+
+
+def _format_number(v: float) -> str:
+    return str(int(v)) if float(v).is_integer() else repr(v)
+
+
+def format_topology(t: TreeTopology) -> str:
+    """A topology as config lines (``parse_config`` gives it back exactly)."""
+    lines = [f"radio {_format_number(t.radio.range_m)} {_format_number(t.radio.failure_prob)}"]
+    for head in t.cluster_heads():
+        lines.append(" ".join(["cluster", head, *t.children[head]]))
+    for node, (x, y) in t.positions.items():
+        lines.append(f"pos {node} {_format_number(x)} {_format_number(y)}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- oracles
@@ -170,7 +211,7 @@ def record_line(prefix: str, r: Reading) -> str:
 def reference_block(snapshot: Snapshot) -> str:
     """The record lines of ``snapshot``, one ``record_line`` per reading."""
     prefix = f"{snapshot.round},{snapshot.time_ms},"
-    return "".join(record_line(prefix, r) + "\n" for r in snapshot.readings)
+    return "".join(record_line(prefix, r) + "\n" for r in readings(snapshot))
 
 
 # ------------------------------------------------- randomized test data
@@ -201,22 +242,22 @@ def random_snapshot(
         Channel.CO_PPM: (0, 1000),
         Channel.O2_PCT: (0, 25),
     }
-    readings = []
+    rows = []
     for node in nodes:
         if rng.random() < null_prob:
-            readings.append(
+            rows.append(
                 Reading(node, dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, *gases)))
             )
         else:
             gas_values = {
                 g: float(rng.randrange(ranges[g][0], ranges[g][1] + 1)) for g in gases
             }
-            readings.append(
+            rows.append(
                 Reading(node, {Channel.TEMP_C: grid_temp(rng),
                                Channel.LIGHT_RAW: float(rng.randrange(0, 65536)),
                                **gas_values})
             )
-    return Snapshot.from_readings(round_index, time_ms, readings)
+    return from_readings(round_index, time_ms, rows)
 
 
 def random_rules(rng: random.Random, count: int) -> list[AlertRule]:

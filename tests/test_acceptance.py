@@ -20,6 +20,8 @@ from helpers import (
     desk_topology,
     random_rules,
     random_snapshot,
+    readings,
+    round_message_count,
     status_of,
 )
 from wsnmon.basestation import (
@@ -38,7 +40,7 @@ from wsnmon.netsim import (
     run_round,
     run_simulation,
 )
-from wsnmon.topology import RadioSpec, build_topology, round_message_count
+from wsnmon.topology import RadioSpec, build_topology
 
 
 @contextmanager
@@ -71,10 +73,10 @@ class TestAcceptance:
             assert summary.rounds_run == 100
             assert len(snapshots) == 100
             for s in snapshots:
-                assert len(s.readings) == 6
-                assert all(status_of(r) == "OK" for r in s.readings)
+                assert len(readings(s)) == 6
+                assert all(status_of(r) == "OK" for r in readings(s))
             parsed = parse_telemetry(out.read_bytes())
-            assert sum(len(s.readings) for s in parsed.snapshots) == 600
+            assert sum(len(readings(s)) for s in parsed.snapshots) == 600
             assert parsed.partial is None
             assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
@@ -123,7 +125,7 @@ class TestAcceptance:
                 snaps = []
                 run_simulation(cfg, snaps.append)
                 for s in snaps:
-                    nulled = {r.node for r in s.readings
+                    nulled = {r.node for r in readings(s)
                               if status_of(r) == "NULL"}
                     if 10 <= s.round <= 20:
                         assert nulled == expected_nulls, (link, s.round)
@@ -147,7 +149,7 @@ class TestAcceptance:
             run_simulation(cfg, snaps.append)
             for s in snaps:
                 truth = truth_at(field, Channel.TEMP_C, s.round)
-                for r in s.readings:
+                for r in readings(s):
                     assert status_of(r) == "OK"
                     samples += 2
                     if abs(r.values[Channel.TEMP_C] - truth) > 0.5 + 0.0625 / 2:

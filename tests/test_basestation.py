@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import DESK_NODES, random_snapshot, reference_block
+from helpers import DESK_NODES, from_readings, random_snapshot, readings, reference_block
 from wsnmon import basestation
 from wsnmon.basestation import (
     LatestMirror,
@@ -36,7 +36,7 @@ def null_reading(node="N1", gases=()):
 
 def line_of(rnd, time_ms, reading):
     """The record line ``snapshot_block`` writes for ``reading`` in its round."""
-    return snapshot_block(Snapshot.from_readings(rnd, time_ms, [reading])).removesuffix("\n")
+    return snapshot_block(from_readings(rnd, time_ms, [reading])).removesuffix("\n")
 
 
 def snapshots_for(rounds, rng=None, **kwargs):
@@ -197,7 +197,7 @@ def line_by_line(data):
                     line_no)
             group.append(reading)
             if len(group) == len(nodes):
-                snapshots.append(Snapshot.from_readings(rnd, time_ms, group))
+                snapshots.append(from_readings(rnd, time_ms, group))
                 last_done, group = rnd, []
         if group:
             partial = PartialRound(round=group_round, records=len(group))
@@ -219,11 +219,11 @@ def read_all(data):
 def mixed_gas(rng, snapshot, gas):
     """``snapshot`` with ``gas`` left unequipped on some of its nodes (and with
     NULL readings kept all-NULL)."""
-    readings = tuple(
+    rows = tuple(
         Reading(r.node, {c: v for c, v in r.values.items() if c is not gas})
         if rng.random() < 0.5 else r
-        for r in snapshot.readings)
-    return Snapshot.from_readings(snapshot.round, snapshot.time_ms, readings)
+        for r in readings(snapshot))
+    return from_readings(snapshot.round, snapshot.time_ms, rows)
 
 
 LOG_BYTES = st.one_of(st.sampled_from(b",\n-.0123456789NULOK"), st.integers(0, 255))
@@ -368,14 +368,15 @@ class TestReader:
 def columnar_rounds(draw):
     """Snapshots built as columns: NULL rows, zeros of both signs, gas columns,
     one of which may mix "-" with values (cell by cell, or in blocks of a
-    checked slice), and widths that give more distinct values than a text
-    cache keeps."""
+    checked slice, the first block with or without the channel), and widths
+    that give more distinct values than a text cache keeps."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     width = draw(st.sampled_from([1, 6, 64, 65, 150, basestation._TEXT_CACHE_MAX + 300]))
     nodes = wide_nodes(width)
     gases = draw(st.sampled_from([(), (Channel.CO_PPM,), tuple(Channel)[2:]]))
     mixed = gases[-1] if gases and draw(st.booleans()) else None
     by_slice = draw(st.booleans())
+    phase = draw(st.integers(0, 1))  # by slice: 1 when the first slice lacks the channel
     null_prob = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
     zeros = draw(st.sampled_from([0.0, 0.1]))  # the share of cells that are +-0.0
 
@@ -396,9 +397,10 @@ def columnar_rounds(draw):
                    Channel.LIGHT_RAW: [None if x else number(65535) for x in lost]}
         for gas in gases:
             columns[gas] = [None if x else number(2**53 - 1) for x in lost]
-        if mixed is not None:  # its first cell stays equipped: the column is never all "-"
-            for i in range(1, width):
-                if ((i // basestation._SLICE_LINES) % 2 if by_slice else rng.random() < 0.5):
+        if mixed is not None:  # its last cell stays equipped: the column is never all "-"
+            for i in range(width - 1):
+                if ((i // basestation._SLICE_LINES + phase) % 2 if by_slice
+                        else rng.random() < 0.5):
                     columns[mixed][i] = "-"
         snaps.append(Snapshot(rnd, rnd * 1000, nodes,
                               {channel: tuple(column) for channel, column in columns.items()}))
@@ -410,26 +412,42 @@ class TestColumns:
     @given(columnar_rounds())
     def test_block_renders_and_reads_back(self, rounds):
         """snapshot_block writes what a per-record reference writes, and the
-        reader gives back every snapshot, by columns and line by line alike."""
+        reader gives back every snapshot, as the line-by-line reference does."""
         nodes, snaps = rounds
         for s in snaps:
             assert snapshot_block(s) == reference_block(s)
         data = serialize_snapshots(nodes, snaps).encode("utf-8")
-        assert list(TelemetryReader(io.BytesIO(data))) == snaps
-        with mock.patch.object(basestation, "_bulk", return_value=None):
-            assert list(TelemetryReader(io.BytesIO(data))) == snaps
+        assert read_all(data) == line_by_line(data) == (nodes, snaps, None)
         read = parse_telemetry(data).snapshots
         assert serialize_snapshots(nodes, read).encode("utf-8") == data
+
+    def test_a_valid_slice_the_columns_reject_is_an_internal_error(self):
+        """Every valid slice reads as columns, so the line check, finding no
+        fault in a whole slice, raises before the round is yielded or marked
+        partial."""
+        nodes = wide_nodes(150)
+        data = serialize_snapshots(nodes, snapshots_for(2, nodes=nodes)).encode("utf-8")
+        bulk, calls = basestation._bulk, []
+
+        def reject_second_slice(*args):
+            calls.append(args)
+            return None if len(calls) == 2 else bulk(*args)
+
+        reader, yielded = TelemetryReader(io.BytesIO(data)), []
+        with mock.patch.object(basestation, "_bulk", reject_second_slice):
+            with pytest.raises(RuntimeError, match="^lines 66-129: "):
+                yielded.extend(reader)
+        assert yielded == [] and reader.partial is None
 
     def test_reading_views(self):
         s = Snapshot(3, 3000, ("N1", "1.1"), {Channel.TEMP_C: (25.0, None),
                                              Channel.LIGHT_RAW: (512.0, None),
                                              Channel.CO_PPM: ("-", None)})
-        assert s.readings == (Reading("N1", {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0}),
-                              null_reading("1.1", gases=(Channel.CO_PPM,)))
-        assert s.reading_for("1.1") == s.readings[1]
+        assert readings(s) == (Reading("N1", {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0}),
+                               null_reading("1.1", gases=(Channel.CO_PPM,)))
+        assert s.reading_for("1.1") == readings(s)[1]
         assert s.reading_for("N2") is None
-        assert Snapshot.from_readings(3, 3000, s.readings) == s
+        assert from_readings(3, 3000, readings(s)) == s
 
 
 class TestParserErrors:
@@ -583,7 +601,7 @@ class TestWriter:
         parsed = parse_telemetry(path.read_bytes())
         assert parsed.snapshots == snaps
         # record count = rounds x sensing nodes
-        assert sum(len(s.readings) for s in parsed.snapshots) == 3 * 6
+        assert sum(len(readings(s)) for s in parsed.snapshots) == 3 * 6
 
     def test_first_round_file_shape(self, tmp_path):
         path = tmp_path / "t.log"

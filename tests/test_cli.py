@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import make_config, desk_topology
+from helpers import make_config, desk_topology, readings
 from wsnmon import basestation
 from wsnmon.basestation import parse_record, parse_telemetry
 from wsnmon.cli import main
@@ -174,7 +174,7 @@ class TestRun:
         assert main(["run", cfg, "--out", str(out)]) == 0
         parsed = parse_telemetry(out.read_bytes())
         assert len(parsed.snapshots) == 50
-        temps = {r.values[Channel.TEMP_C] for s in parsed.snapshots[1:] for r in s.readings}
+        temps = {r.values[Channel.TEMP_C] for s in parsed.snapshots[1:] for r in readings(s)}
         assert temps == {-40.0, 125.0}
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import desk_topology
-from wsnmon.config import RunConfig, format_topology, parse_config
+from helpers import desk_topology, format_topology
+from wsnmon.config import RunConfig, parse_config
 from wsnmon.environment import Channel, DriftKind
 from wsnmon.errors import ConfigError
 from wsnmon.gateway import Comparator, Severity
@@ -54,7 +54,8 @@ class TestParse:
 
     def test_comments_and_blank_lines(self):
         text = "\n\n# header\nradio 30 0.0   # trailing\n\ncluster N1 1.1\n   \n"
-        assert parse_config(text).sim.topology.nodes() == ("BS", "N1", "1.1")
+        topology = parse_config(text).sim.topology
+        assert (topology.root, *topology.sensing_nodes()) == ("BS", "N1", "1.1")
 
     def test_radio_defaults_when_absent(self):
         run = parse_config("cluster N1 1.1\n")

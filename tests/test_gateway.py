@@ -16,8 +16,10 @@ from helpers import (
     brute_force_alerts,
     make_config,
     desk_topology,
+    from_readings,
     random_rules,
     random_snapshot,
+    readings,
     record_line,
 )
 from wsnmon import basestation, gateway
@@ -44,7 +46,7 @@ CO_RULE = AlertRule("co_high", Channel.CO_PPM, Comparator.GREATER, 50.0, Severit
 
 def co_snapshot(round_index, co_by_node):
     """Snapshot where every node carries a CO sensor; None means a NULL round."""
-    readings = []
+    rows = []
     for node in DESK_NODES:
         value = co_by_node.get(node, 0.0)
         if value is None:
@@ -52,8 +54,8 @@ def co_snapshot(round_index, co_by_node):
         else:
             values = {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0,
                       Channel.CO_PPM: float(value)}
-        readings.append(Reading(node, values))
-    return Snapshot.from_readings(round_index, round_index * 1000, readings)
+        rows.append(Reading(node, values))
+    return from_readings(round_index, round_index * 1000, rows)
 
 
 def replay(rules, snapshots):
@@ -91,11 +93,11 @@ class TestEvaluateAlerts:
 
     def test_less_than_comparator(self):
         rule = AlertRule("o2_low", Channel.O2_PCT, Comparator.LESS, 19.5, Severity.DANGER)
-        readings = tuple(
+        rows = tuple(
             Reading(n, {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0, Channel.O2_PCT: 18.0})
             for n in DESK_NODES
         )
-        _, fired = evaluate_alerts([rule], Snapshot.from_readings(0, 0, readings), {})
+        _, fired = evaluate_alerts([rule], from_readings(0, 0, rows), {})
         assert len(fired) == len(DESK_NODES)
         assert all(a.severity is Severity.DANGER for a in fired)
 
@@ -338,7 +340,7 @@ class TestServer:
 
     def test_many_clients_same_bytes(self):
         gw, snapshot = live_gateway()
-        expected = ["BEGIN 0 6"] + [record_line("0,0,", r) for r in snapshot.readings] + ["END"]
+        expected = ["BEGIN 0 6"] + [record_line("0,0,", r) for r in readings(snapshot)] + ["END"]
         failures = []
 
         def worker():

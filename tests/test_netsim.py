@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from helpers import (
     enumerate_round_messages,
     make_config,
     nulled_by_link,
+    readings,
     status_of,
 )
 from wsnmon.basestation import format_value, serialize_snapshots, snapshot_block
@@ -53,7 +55,7 @@ class TestRunRound:
         cfg = make_config()
         snapshot, events = run_round(cfg, 0)
         assert snapshot.nodes == ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
-        assert all(status_of(r) == "OK" for r in snapshot.readings)
+        assert all(status_of(r) == "OK" for r in readings(snapshot))
         sent = message_events(events)
         assert len(sent) == 12
         assert len(sent) == len(enumerate_round_messages(DESK_CLUSTERS))
@@ -71,17 +73,43 @@ class TestRunRound:
         _, events = run_round(make_config(), 0)
         assert trace_line(events[0]) == "0 INTERRUPT_CALL BS N1"
 
+    def test_hop_zero_trace_keeps_emission_order(self):
+        """With hop_ms 0 every event of a round has one time: the stable sort
+        keeps emission order (the head polls, then cluster by cluster), and
+        each LINK_DROP follows the message it marks."""
+        _, events = run_round(make_config(failure_prob=0.3, rounds=1, seed=3,
+                                          hop_latency_ms=0), 0)
+        assert [trace_line(e) for e in events] == [
+            "0 INTERRUPT_CALL BS N1",
+            "0 INTERRUPT_CALL BS N2",
+            "0 INTERRUPT_CALL N1 1.1",
+            "0 INTERRUPT_CALL N1 1.2",
+            "0 DATA_MSG 1.1 N1",
+            "0 LINK_DROP 1.1 N1",
+            "0 DATA_MSG 1.2 N1",
+            "0 DATA_MSG N1 BS",
+            "0 INTERRUPT_CALL N2 2.1",
+            "0 INTERRUPT_CALL N2 2.2",
+            "0 LINK_DROP N2 2.2",
+            "0 DATA_MSG 2.1 N2",
+            "0 DATA_MSG N2 BS",
+        ]
+        for before, ev in zip(events, events[1:]):
+            if ev.kind is EventKind.LINK_DROP:
+                assert before.kind is not EventKind.LINK_DROP
+                assert (before.src, before.dst) == (ev.src, ev.dst)
+
     def test_leaf_link_override_nulls_only_that_leaf(self):
         cfg = make_config(outages=(LinkOutage("N1", "1.1", 0, 0),))
         snapshot, _ = run_round(cfg, 0)
-        statuses = {r.node: status_of(r) for r in snapshot.readings}
+        statuses = {r.node: status_of(r) for r in readings(snapshot)}
         assert statuses["1.1"] == "NULL"
         assert all(s == "OK" for n, s in statuses.items() if n != "1.1")
 
     def test_head_link_override_nulls_branch(self):
         cfg = make_config(outages=(LinkOutage("BS", "N2", 0, 0),))
         snapshot, events = run_round(cfg, 0)
-        statuses = {r.node: status_of(r) for r in snapshot.readings}
+        statuses = {r.node: status_of(r) for r in readings(snapshot)}
         nulled = {n for n, s in statuses.items() if s == "NULL"}
         assert nulled == {"N2", "2.1", "2.2"}
         # a dead branch is silent: no polls below N2 were even attempted
@@ -93,14 +121,14 @@ class TestRunRound:
                  ("1.2", "N1"), ("N2", "BS")]
         for link in links:
             snapshot, _ = run_round(make_config(outages=(LinkOutage(*link, 0, 0),)), 0)
-            nulled = {r.node for r in snapshot.readings if status_of(r) == "NULL"}
+            nulled = {r.node for r in readings(snapshot) if status_of(r) == "NULL"}
             assert nulled == nulled_by_link(DESK_CLUSTERS, link), link
 
     def test_null_readings_present_not_absent(self):
         cfg = make_config(failure_prob=1.0)
         snapshot, events = run_round(cfg, 0)
         assert snapshot.nodes == ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
-        assert all(status_of(r) == "NULL" for r in snapshot.readings)
+        assert all(status_of(r) == "NULL" for r in readings(snapshot))
         # every attempted message dropped: the two head polls
         drops = [ev for ev in events if ev.kind is EventKind.LINK_DROP]
         assert len(drops) == len(message_events(events)) == 2
@@ -128,7 +156,7 @@ class TestRunRound:
         for round_index in range(50):
             snapshot, _ = run_round(cfg, round_index)
             truth = truth_at(field, Channel.TEMP_C, round_index)
-            for r in snapshot.readings:
+            for r in readings(snapshot):
                 assert abs(r.values[Channel.TEMP_C] - truth) <= spec.accuracy + spec.quantum / 2
 
 
@@ -149,7 +177,7 @@ class TestSensing:
         field = EnvField({ch: ChannelModel(t) for ch, t in zip(Channel, truths)}, seed=seed)
         cfg = make_config(clusters=[("N1", ["1.1"])], field=field, seed=seed, rounds=1)
         noise = random.Random(f"{seed}/noise/0").random
-        for reading in run_round(cfg, 0)[0].readings:
+        for reading in readings(run_round(cfg, 0)[0]):
             for spec, truth in zip(cfg.sensors, truths):
                 try:
                     expected = sense(spec, truth, -1.0 + 2.0 * noise())
@@ -208,7 +236,7 @@ class TestSignExactSensing:
             assert raised.value.code == e.code == "INVALID_TRUTH"
             return
         snapshot, _ = run_round(cfg, 0)
-        for r in snapshot.readings:
+        for r in readings(snapshot):
             assert [repr(r.values[ch]) for ch in Channel] == list(map(repr, expected[r.node]))
         for line, node in zip(snapshot_block(snapshot).splitlines(), nodes):
             assert line.split(",")[3:8] == [format_value(s.channel, v)
@@ -229,7 +257,7 @@ class TestRunSimulation:
 
     def test_certain_failure(self):
         snaps, summary = collect(make_config(failure_prob=1.0, rounds=100))
-        assert all(status_of(r) == "NULL" for s in snaps for r in s.readings)
+        assert all(status_of(r) == "NULL" for s in snaps for r in readings(s))
         assert summary.messages_dropped == summary.messages_sent
 
     def test_scripted_outage_covers_inclusive_range(self):
@@ -263,6 +291,23 @@ class TestRunSimulation:
         assert n > 1000
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(summary.messages_dropped / n - p) <= 4 * sigma
+
+
+    def test_each_link_drops_at_the_radio_probability(self):
+        """Every directed link loses each message it carries with the radio's
+        probability: its drop share stays within 4 sigma of a binomial draw."""
+        p = 0.3
+        attempts, drops = Counter(), Counter()
+
+        def count(ev):
+            (drops if ev.kind is EventKind.LINK_DROP else attempts)[ev.src, ev.dst] += 1
+
+        run_simulation(make_config(failure_prob=p, rounds=2000, seed=42), lambda s: None,
+                       on_event=count)
+        assert set(attempts) == set(enumerate_round_messages(DESK_CLUSTERS))
+        for link, n in attempts.items():
+            sigma = math.sqrt(p * (1 - p) / n)
+            assert abs(drops[link] / n - p) <= 4 * sigma, link
 
 
 class TestDeterminism:

@@ -4,14 +4,19 @@ import random
 
 import pytest
 
-from helpers import DESK_CLUSTERS, enumerate_round_messages, desk_topology
-from wsnmon.config import format_topology, parse_config
+from helpers import (
+    DESK_CLUSTERS,
+    desk_topology,
+    enumerate_round_messages,
+    format_topology,
+    round_message_count,
+)
+from wsnmon.config import parse_config
 from wsnmon.errors import TopologyError
 from wsnmon.topology import (
     NodeRole,
     RadioSpec,
     build_topology,
-    round_message_count,
 )
 
 
