@@ -26,7 +26,7 @@ _EXPORTS = {
     "netsim": ("EventKind", "LinkOutage", "SimConfig", "SimEvent", "SimSummary",
                "run_round", "run_simulation"),
     "records": ("Reading", "Snapshot"),
-    "topology": ("NodeRole", "RadioSpec", "TreeTopology", "build_topology"),
+    "topology": ("RadioSpec", "TreeTopology", "build_topology"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -440,8 +440,13 @@ class TelemetryWriter:
         self._lock = threading.Lock()
         try:
             self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
-            self._fh.write(header_line(self.nodes) + "\n")
-            self._fh.flush()
+            try:
+                self._fh.write(header_line(self.nodes) + "\n")
+                self._fh.flush()
+            except OSError:
+                with contextlib.suppress(OSError):  # close's own flush fails the same way
+                    self._fh.close()
+                raise
         except OSError as e:
             raise TelemetryError("IO_FAILURE", f"cannot open {self.path}: {e}") from e
 

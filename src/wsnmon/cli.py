@@ -6,7 +6,8 @@
     wsn plotdata <telemetry> --node <id> --channel <c>
 
 Data goes to standard output only; every diagnostic goes to standard error.
-Exit codes: run 0 ok / 1 config error / 2 runtime failure; fetch 0 ok /
+Exit codes: run 0 ok / 1 config error / 2 runtime failure / 130 interrupted
+before the last round (the log keeps every whole round); fetch 0 ok /
 3 ERR response / 2 connection or output failure; plotdata 0 ok / 1 bad input /
 2 output failure. A failed write to standard output is reported as
 ``cannot write output: ...``.
@@ -137,7 +138,13 @@ def cmd_run(args: argparse.Namespace) -> int:
                     time.sleep(sim.round_period_ms / 1000.0)
 
             on_event = events.append if trace_fh is not None else None
-            summary = run_simulation(sim, sink, on_event=on_event)
+            try:
+                summary = run_simulation(sim, sink, on_event=on_event)
+            except KeyboardInterrupt:  # each append is whole: the log ends on a whole round
+                last = writer.last_round
+                _err(f"wsn run: interrupted; the log ends with round {last}" if last >= 0
+                     else "wsn run: interrupted before any round was written")
+                return 130
             _err(f"ran {summary.rounds_run} rounds: {summary.messages_sent} messages sent, "
                  f"{summary.messages_dropped} dropped")
             if server is not None:

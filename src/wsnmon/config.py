@@ -37,7 +37,7 @@ from .netsim import (
     LinkOutage,
     SimConfig,
 )
-from .topology import RadioSpec, build_topology
+from .topology import DEFAULT_ROOT, RadioSpec, build_topology, validate_label
 
 DEFAULT_ROUNDS = 100
 DEFAULT_BASELINES = {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0}
@@ -72,7 +72,7 @@ def _integer(token: str, line_no: int, what: str) -> int:
 def parse_config(text: str) -> RunConfig:
     radio: RadioSpec | None = None
     clusters: list[tuple[str, list[str]]] = []
-    seen_labels: set[str] = set()
+    seen_labels = {DEFAULT_ROOT}  # the root's name is taken before any cluster line
     positions: dict[str, tuple[float, float]] = {}
     pos_lines: dict[str, int] = {}
     env_models: dict[Channel, ChannelModel] = {}
@@ -103,6 +103,7 @@ def parse_config(text: str) -> RunConfig:
                 if not args:
                     raise ConfigError("cluster takes <head_id> [leaf_id ...]", line_no)
                 for label in args:
+                    validate_label(label)
                     if label in seen_labels:
                         raise ConfigError(f"label {label!r} used twice", line_no)
                     seen_labels.add(label)
@@ -195,9 +196,11 @@ def parse_config(text: str) -> RunConfig:
     try:
         topology = build_topology(clusters, radio, positions)
     except TopologyError as e:
-        raise ConfigError(e.message) from None
+        # the cluster lines were checked one by one, so only a link out of
+        # radio range is left; it is known once the later endpoint is placed
+        raise ConfigError(e.message, max(pos_lines[node] for node in e.link)) from None
     for node, line_no in pos_lines.items():
-        if node not in topology.roles:
+        if node not in topology.children:
             raise ConfigError(f"pos for unknown node {node!r}", line_no)
 
     for channel, baseline in DEFAULT_BASELINES.items():

@@ -199,7 +199,7 @@ class Gateway:
             return "ERR BAD_REQUEST\n"
         if not responses:
             return "ERR NO_DATA\n"
-        if tokens[0] == "CLUSTER" and tokens[1] in self.topology.roles:
+        if tokens[0] == "CLUSTER" and tokens[1] in self.topology.children:
             return "ERR NOT_A_CLUSTER_HEAD\n"
         return "ERR UNKNOWN_NODE\n"
 

@@ -20,11 +20,11 @@ with the links its outages force down.
    sensing node and equipped sensor in topology order, whether or not the
    value survives (keeps values independent of drop outcomes).
 
-A round is built as columns: ``measure_all`` senses each equipped channel as
-one column over the sensing nodes, and ``run_round`` writes None into the
-cells of every node whose data is lost (a head is followed by its leaflets,
-so a lost branch is one slice of each column). The Snapshot holds those
-columns; no per-node object is built.
+A round is built as columns: ``run_round`` senses each equipped channel as
+one column over the sensing nodes, then writes None into the cells of every
+node whose data is lost (a head is followed by its leaflets, so a lost branch
+is one slice of each column). The Snapshot holds those columns; no per-node
+object is built.
 
 Sensing by step lookup: ``environment.sense`` is the one definition of a
 sensed value, and its value depends only on the spec and the quantization
@@ -165,41 +165,6 @@ class SimSummary:
     messages_dropped: int
 
 
-class _Round:
-    """Builder for one round's events and value columns."""
-
-    def __init__(self, cfg: SimConfig, round_index: int):
-        self.cfg = cfg
-        self.down = {(o.src, o.dst) for o in cfg.outages if o.covers(round_index)}
-        self.t0 = round_index * cfg.round_period_ms
-        self.round_index = round_index
-        self.draw = random.Random(f"{cfg.seed}/drops/{round_index}").random
-        self.failure_prob = cfg.topology.radio.failure_prob
-        self.events: list[SimEvent] = []
-        self.emit = self.events.append
-
-    def attempt(self, kind: EventKind, src: str, dst: str, at: int) -> bool:
-        """Emit the message event; decide and mark loss. True when delivered."""
-        self.emit(_new_tuple(SimEvent, (at, kind, src, dst)))
-        # a forced outage drops without consuming a draw
-        if (src, dst) in self.down or self.draw() < self.failure_prob:
-            self.emit(_new_tuple(SimEvent, (at, _LINK_DROP, src, dst)))
-            return False
-        return True
-
-    def measure_all(self, nodes: tuple[str, ...]) -> list[list[float]]:
-        """Each equipped channel's column: every node of ``nodes`` sensed,
-        in ``cfg.sensors`` order (every draw consumed)."""
-        cfg = self.cfg
-        width = len(cfg.sensors)
-        rng = random.Random(f"{cfg.seed}/noise/{self.round_index}")
-        # the round's draws in their fixed order: node by node, sensor by sensor
-        draws = list(map(random.Random.random, repeat(rng, len(nodes) * width)))
-        return [_sense_column(spec, truth_at(cfg.field, spec.channel, self.round_index),
-                              draws[i::width])
-                for i, spec in enumerate(cfg.sensors)]
-
-
 # A run senses the same few steps of each channel over and over; this many
 # distinct steps per spec are kept before its table starts afresh.
 _STEP_TABLE_MAX = 4096
@@ -240,19 +205,38 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent
         raise SimError(
             "ROUND_OUT_OF_RANGE", f"round {round_index} not in 0..{cfg.rounds - 1}"
         )
-    rnd = _Round(cfg, round_index)
-    attempt = rnd.attempt
     topo = cfg.topology
-    root, hop, t0 = topo.root, cfg.hop_latency_ms, rnd.t0
+    root, children, hop = topo.root, topo.children, cfg.hop_latency_ms
+    t0 = round_index * cfg.round_period_ms
+    down = {(o.src, o.dst) for o in cfg.outages if o.covers(round_index)}
+    draw = random.Random(f"{cfg.seed}/drops/{round_index}").random
+    failure_prob = topo.radio.failure_prob
+    events: list[SimEvent] = []
+    emit = events.append
+
+    def attempt(kind: EventKind, src: str, dst: str, at: int) -> bool:
+        """Emit the message event; decide and mark loss. True when delivered."""
+        emit(_new_tuple(SimEvent, (at, kind, src, dst)))
+        # a forced outage drops without consuming a draw
+        if (src, dst) in down or draw() < failure_prob:
+            emit(_new_tuple(SimEvent, (at, _LINK_DROP, src, dst)))
+            return False
+        return True
+
     nodes = topo.sensing_nodes()
-    columns = rnd.measure_all(nodes)
+    width = len(cfg.sensors)
+    noise = random.Random(f"{cfg.seed}/noise/{round_index}")
+    # the round's draws in their fixed order: node by node, sensor by sensor
+    draws = list(map(random.Random.random, repeat(noise, len(nodes) * width)))
+    columns = [_sense_column(spec, truth_at(cfg.field, spec.channel, round_index), draws[i::width])
+               for i, spec in enumerate(cfg.sensors)]
     lost: list[tuple[int, int]] = []  # the [start, stop) spans of nodes whose data is lost
 
-    heads = topo.cluster_heads()
+    heads = children[root]
     polled = [attempt(_POLL, root, head, t0) for head in heads]
     start = 0
     for head, head_polled in zip(heads, polled):
-        leaves = topo.leaflets(head)
+        leaves = children[head]
         stop = start + 1 + len(leaves)  # a head is followed by its leaflets
         if head_polled:
             leaf_polled = [attempt(_POLL, head, leaf, t0 + hop) for leaf in leaves]
@@ -271,7 +255,7 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent
         for start, stop in lost:
             column[start:stop] = nulls[start:stop]
     channels = [spec.channel for spec in cfg.sensors]
-    events = sorted(rnd.events, key=attrgetter("time_ms"))  # stable: ties keep emission order
+    events = sorted(events, key=attrgetter("time_ms"))  # stable: ties keep emission order
     return Snapshot(round_index, t0, nodes, dict(zip(channels, map(tuple, columns)))), events
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping, Sequence
 
 from .errors import TopologyError
@@ -18,12 +17,6 @@ from .errors import TopologyError
 RESERVED_LABELS = frozenset({"NULL", "-"})
 
 DEFAULT_ROOT = "BS"
-
-
-class NodeRole(Enum):
-    BASE_STATION = "BASE_STATION"
-    CLUSTER_HEAD = "CLUSTER_HEAD"
-    LEAFLET = "LEAFLET"
 
 
 def validate_label(label: str) -> None:
@@ -58,26 +51,19 @@ class RadioSpec:
 class TreeTopology:
     """Immutable depth-2 tree rooted at the base station.
 
-    ``children`` maps every node to its ordered child tuple (empty for
-    leaflets); ``roles`` classifies every node. Treat both mappings as
-    read-only.
+    ``children`` maps every node, the root included, to its ordered child
+    tuple: the root's children are the cluster heads, a head's are its
+    leaflets, and a leaflet's is empty. It is the only description of the
+    tree; treat it as read-only.
     """
 
     root: str
     children: Mapping[str, tuple[str, ...]]
-    roles: Mapping[str, NodeRole]
     radio: RadioSpec
     positions: Mapping[str, tuple[float, float]] = field(default_factory=dict)
 
     def cluster_heads(self) -> tuple[str, ...]:
         return self.children[self.root]
-
-    def leaflets(self, head: str) -> tuple[str, ...]:
-        if head not in self.roles:
-            raise TopologyError("UNKNOWN_NODE", f"no node {head!r}")
-        if self.roles[head] is not NodeRole.CLUSTER_HEAD:
-            raise TopologyError("NOT_A_CLUSTER_HEAD", f"{head!r} is not a cluster head")
-        return self.children[head]
 
     def sensing_nodes(self) -> tuple[str, ...]:
         """All nodes that sense, in deterministic polling order.
@@ -94,41 +80,37 @@ class TreeTopology:
     def is_link(self, a: str, b: str) -> bool:
         """True when (a, b) is a tree edge in either direction."""
         for node in (a, b):
-            if node not in self.roles:
+            if node not in self.children:
                 raise TopologyError("UNKNOWN_NODE", f"no node {node!r}")
-        return b in self.children.get(a, ()) or a in self.children.get(b, ())
+        return b in self.children[a] or a in self.children[b]
 
 
 def build_topology(
     cluster_heads: Sequence[tuple[str, Sequence[str]]],
     radio: RadioSpec,
     positions: Mapping[str, tuple[float, float]] | None = None,
-    root: str = DEFAULT_ROOT,
 ) -> TreeTopology:
-    """Build and validate a topology from (head, leaflets) pairs.
+    """Build and validate a topology from (head, leaflets) pairs, rooted at
+    ``DEFAULT_ROOT``.
 
     This is the only constructor that checks the tree's invariants; raises
-    INVALID_LABEL, DUPLICATE_LABEL, EMPTY_TOPOLOGY, or RANGE_VIOLATION.
+    INVALID_LABEL, DUPLICATE_LABEL, EMPTY_TOPOLOGY, or RANGE_VIOLATION (whose
+    error carries the offending ``(parent, child)`` pair as ``link``).
     """
     if not cluster_heads:
         raise TopologyError("EMPTY_TOPOLOGY", "at least one cluster head is required")
-    validate_label(root)
-    children: dict[str, tuple[str, ...]] = {}
-    roles: dict[str, NodeRole] = {root: NodeRole.BASE_STATION}
+    children: dict[str, tuple[str, ...]] = {DEFAULT_ROOT: ()}  # the root's name is taken
     for head, leaves in cluster_heads:
         for label in (head, *leaves):
             validate_label(label)
-            if label in roles:
+            if label in children:
                 raise TopologyError("DUPLICATE_LABEL", f"label {label!r} used twice")
-            roles[label] = NodeRole.CLUSTER_HEAD if label == head else NodeRole.LEAFLET
+            children[label] = ()
         children[head] = tuple(leaves)
-        for leaf in leaves:
-            children[leaf] = ()
-    children[root] = tuple(head for head, _ in cluster_heads)
+    children[DEFAULT_ROOT] = tuple(head for head, _ in cluster_heads)
     topo = TreeTopology(
-        root=root,
+        root=DEFAULT_ROOT,
         children=children,
-        roles=roles,
         radio=radio,
         positions=dict(positions or {}),
     )
@@ -138,8 +120,6 @@ def build_topology(
 
 def _check_ranges(t: TreeTopology) -> None:
     # positions are optional; only links with both endpoints placed are checked
-    if not t.positions:
-        return
     for parent, kids in t.children.items():
         for kid in kids:
             if parent in t.positions and kid in t.positions:
@@ -147,7 +127,9 @@ def _check_ranges(t: TreeTopology) -> None:
                 kx, ky = t.positions[kid]
                 dist = math.hypot(px - kx, py - ky)
                 if dist > t.radio.range_m:
-                    raise TopologyError(
+                    e = TopologyError(
                         "RANGE_VIOLATION",
                         f"link {parent}-{kid} spans {dist:.1f} m > range {t.radio.range_m} m",
                     )
+                    e.link = (parent, kid)  # lets parse_config name the pos line
+                    raise e

@@ -3,10 +3,12 @@
 import errno
 import io
 import os
+import signal
 import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -40,13 +42,17 @@ def free_port():
         return s.getsockname()[1]
 
 
+def src_env():
+    """The environment for a child Python that imports this checkout's package."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def test_import_loads_neither_simulator_nor_server():
     """fetch and plotdata start without the modules only ``wsn run`` needs."""
     code = ("import sys, wsnmon.cli; print(sorted({'wsnmon.config', 'wsnmon.gateway', "
             "'wsnmon.netsim', 'socketserver'} & set(sys.modules)))")
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout == "[]\n"
 
@@ -93,6 +99,47 @@ class TestRun:
         rc = main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "no/dir/t.log")])
         assert rc == 2
         assert "IO_FAILURE" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_out_path_closes_the_log(self, tmp_path):
+        """A log whose header cannot be written exits 2 with one line: the
+        file is closed, so -X dev reports no unclosed file or ignored error."""
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "wsnmon.cli", "run", write_cfg(tmp_path),
+             "--out", "/dev/full"],
+            env=src_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.startswith("wsn run: IO_FAILURE: ")
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+
+    @pytest.mark.skipif(os.name != "posix", reason="sends SIGINT")
+    def test_interrupt_ends_on_a_whole_round(self, tmp_path):
+        """Ctrl-C during a paced run exits 130 without a traceback, naming
+        the last round of a log that still parses whole."""
+        paced = DESK_CFG.replace("rounds 5", "rounds 500\nperiod_ms 20\nhop_ms 1")
+        cfg = write_cfg(tmp_path, paced)
+        out = tmp_path / "t.log"
+        with subprocess.Popen(
+            [sys.executable, "-m", "wsnmon.cli", "run", cfg, "--out", str(out), "--pace"],
+            env=src_env(), stderr=subprocess.PIPE, text=True,
+            # a launcher that ignores SIGINT would pass that on to the child
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        ) as proc:
+            try:
+                deadline = time.monotonic() + 30
+                while not (out.exists() and out.read_bytes().count(b"\n") > 6):  # a round
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+                proc.send_signal(signal.SIGINT)
+                err = proc.communicate(timeout=30)[1]
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+        assert proc.returncode == 130, err
+        parsed = parse_telemetry(out.read_bytes())
+        assert parsed.partial is None
+        last = parsed.snapshots[-1].round
+        assert err == f"wsn run: interrupted; the log ends with round {last}\n"
 
     def test_unwritable_trace_path(self, tmp_path, capsys):
         out = tmp_path / "t.log"

@@ -1,7 +1,7 @@
 """Config file grammar: directives, defaults, and line-numbered errors."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import desk_topology, format_topology
 from wsnmon.config import RunConfig, parse_config
@@ -22,9 +22,9 @@ cluster N2 2.1 2.2
 # directive-shaped lines: a directive (or a bad one), then tokens
 DIRECTIVES = ["radio", "cluster", "pos", "rounds", "period_ms", "hop_ms", "fail", "env",
               "seed", "alert", "bogus"]
-TOKENS = ["N1", "1.1", "N2", "BS", "0", "1", "-1", "0.5", "30", "1e308", "1e400", "nan",
-          "x", "#", "walk", "script", "0:1,5:2", "1:", ":", "temp_c", "light_raw", "co_ppm",
-          "GT", "LT", "WARN", "DANGER", "99999999999999999999"]
+TOKENS = ["N1", "1.1", "N2", "BS", "NULL", "0", "1", "-1", "0.5", "30", "1e308", "1e400",
+          "nan", "x", "#", "walk", "script", "0:1,5:2", "1:", ":", "temp_c", "light_raw",
+          "co_ppm", "GT", "LT", "WARN", "DANGER", "99999999999999999999"]
 
 
 def parse_error(text) -> ConfigError:
@@ -127,7 +127,14 @@ class TestErrors:
         assert "1.1" in err.message
 
     def test_reserved_label(self):
-        assert parse_error("cluster NULL\n").code == "CONFIG"
+        err = parse_error("radio 30 0\ncluster NULL\n")
+        assert err.line_no == 2
+        assert "reserved" in err.message
+
+    def test_root_label_is_taken(self):
+        err = parse_error(DESK_CFG + "cluster BS 3.1\n")
+        assert err.line_no == 5
+        assert "'BS' used twice" in err.message
 
     def test_duplicate_pos(self):
         assert parse_error(DESK_CFG + "pos N1 0 0\npos N1 1 1\n").line_no == 6
@@ -138,8 +145,12 @@ class TestErrors:
         assert "X9" in err.message
 
     def test_pos_out_of_radio_range(self):
+        """The error names the later of the link's two pos lines."""
         err = parse_error("radio 30 0\ncluster N1 1.1\npos N1 0 0\npos 1.1 100 0\n")
-        assert "RANGE" in str(err) or "range" in err.message
+        assert err.line_no == 4
+        assert "range" in err.message
+        err = parse_error("radio 30 0\ncluster N1 1.1\npos 1.1 100 0\nrounds 3\npos N1 0 0\n")
+        assert err.line_no == 5
 
     def test_rounds_zero(self):
         err = parse_error(DESK_CFG + "rounds 0\n")
@@ -240,12 +251,16 @@ class TestErrors:
             max_size=6,
         ).map("\n".join),
     ))
+    @example("cluster N1 1.1 NULL")
+    @example("cluster BS 1.1")
+    @example("radio 10 0\ncluster N1 1.1\npos 1.1 50 0\npos N1 0 0")
     def test_parser_raises_only_config_error(self, text):
-        """Arbitrary text or directive-shaped lines parse or raise ConfigError."""
+        """Arbitrary text or directive-shaped lines parse or raise ConfigError,
+        which names its line unless the file has no cluster line at all."""
         try:
             parse_config(text)
-        except ConfigError:
-            pass
+        except ConfigError as e:
+            assert e.line_no is not None or "no cluster lines" in e.message, e
 
 
 class TestFormatTopology:

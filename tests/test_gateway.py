@@ -206,6 +206,8 @@ class TestHandleRequest:
     def test_cluster_of_leaflet(self):
         gw = self.make_gateway()
         assert gw.handle_request("CLUSTER 1.1\n") == "ERR NOT_A_CLUSTER_HEAD\n"
+        # the base station is a known node but heads no cluster of its own
+        assert gw.handle_request("CLUSTER BS\n") == "ERR NOT_A_CLUSTER_HEAD\n"
 
     def test_bad_requests(self):
         gw = self.make_gateway()

@@ -13,23 +13,19 @@ from helpers import (
 )
 from wsnmon.config import parse_config
 from wsnmon.errors import TopologyError
-from wsnmon.topology import (
-    NodeRole,
-    RadioSpec,
-    build_topology,
-)
+from wsnmon.topology import RadioSpec, build_topology
 
 
 class TestBuildTopology:
     def test_desk_layout(self):
         """Two heads with two leaflets each: 6 sensing nodes plus the root."""
         t = desk_topology()
-        assert len(t.roles) == 7
+        assert len(t.children) == 7
         assert t.root == "BS"
         assert t.cluster_heads() == ("N1", "N2")
         assert t.sensing_nodes() == ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
-        assert t.roles["N1"] is NodeRole.CLUSTER_HEAD
-        assert t.roles["2.2"] is NodeRole.LEAFLET
+        assert t.children["N1"] == ("1.1", "1.2")
+        assert t.children["2.2"] == ()  # a leaflet has no children
 
     def test_single_head_no_leaflets(self):
         t = build_topology([("N1", [])], RadioSpec(30.0))
@@ -40,6 +36,8 @@ class TestBuildTopology:
             build_topology([("N1", ["1.1", "1.1"])], RadioSpec(30.0))
         with pytest.raises(TopologyError, match="DUPLICATE_LABEL"):
             build_topology([("N1", []), ("N1", [])], RadioSpec(30.0))
+        with pytest.raises(TopologyError, match="DUPLICATE_LABEL"):  # the root's name
+            build_topology([("N1", ["BS"])], RadioSpec(30.0))
 
     def test_empty_topology(self):
         with pytest.raises(TopologyError, match="EMPTY_TOPOLOGY"):
