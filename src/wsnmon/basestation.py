@@ -15,18 +15,15 @@ rounds plus at most one trailing partial round while a write is in flight.
 Lines are split on LF only. ``TelemetryReader`` is the one parser: it reads
 a log as a stream of lines, one round at a time, and yields each round as
 soon as its last record has been checked, so reading a log takes memory that
-does not depend on its number of rounds. A round is checked as columns,
-``_SLICE_LINES`` lines at a time, so the texts and lists held at once do not
-grow with the round's width either. A slice passes when every line splits
-into nine fields, the round and time columns each hold one text, the node
-column is the header's, each value column reads through the memoised readers
-``parse_record`` uses (``-`` only in a gas column), and the NULLs of every
-column and the status agree; its value columns are then the round's, a gas
-channel that a slice lacks reads ``-`` there, and the round's Snapshot is
-built from them with no per-record object. Every valid slice passes, so a
-slice that fails is re-read line by line with ``parse_record`` only to name
-its first bad line, and ``parse_record`` stays the one definition of a
-record line.
+does not depend on its number of rounds. A round is checked as columns, in
+one piece. It passes when every line splits into nine fields, the round and
+time columns each hold one text, the node column is the header's, each value
+column reads through the memoised readers ``parse_record`` uses (``-`` only
+in a gas column), and the NULLs of every column and the status agree; its
+value columns are then the round's Snapshot, built with no per-record
+object. Every valid round passes, so a round that fails is re-read line by
+line with ``parse_record`` only to name its first bad line, and
+``parse_record`` stays the one definition of a record line.
 ``parse_telemetry`` collects the reader for a log held in memory, and
 ``wsn plotdata`` writes no CSV row unless the whole log checks out.
 
@@ -308,47 +305,30 @@ class TelemetryReader:
     def _round(self, line_no: int, last_done: int) -> Snapshot | None:
         """The next round, read up to its last line and no further, or None
         at the end of the log (``partial`` set if the log ends inside it)."""
-        lines, nodes = self._lines, self.nodes
-        cells: list[list | None] = [None] * len(_COLUMNS)  # the round's columns so far
-        stamp = None  # the round's (round, time_ms), from its first slice
-        done = 0
-        while done < len(nodes):
-            part = nodes[done : done + _SLICE_LINES]
-            raws = list(islice(lines, len(part)))
-            checked = _bulk(raws, part, stamp, last_done)
-            if checked is None:
-                stamp, good = _fault(raws, part, line_no + done, stamp, last_done)
-                if stamp is not None:
-                    self.partial = PartialRound(round=stamp[0], records=done + good)
-                elif raws:  # the round's first line is torn
-                    self.partial = PartialRound(round=None, records=0)
-                return None
-            stamp, columns = checked
-            for i, (column, more) in enumerate(zip(cells, columns)):
-                # a gas channel equipped in some slices only reads "-" in the others
-                if column is not None:
-                    column += more or repeat(_NOT_EQUIPPED, len(raws))
-                elif more is not None:
-                    cells[i] = [_NOT_EQUIPPED] * done + more
-            done += len(raws)
-        return Snapshot(*stamp, nodes, {channel: tuple(column)
-                                        for channel, column in zip(_COLUMNS, cells)
+        nodes = self.nodes
+        raws = list(islice(self._lines, len(nodes)))
+        checked = _bulk(raws, nodes, last_done)
+        if checked is None:
+            stamp, good = _fault(raws, nodes, line_no, last_done)
+            if stamp is not None:
+                self.partial = PartialRound(round=stamp[0], records=good)
+            elif raws:  # the round's first line is torn
+                self.partial = PartialRound(round=None, records=0)
+            return None
+        stamp, columns = checked
+        return Snapshot(*stamp, nodes, {channel: column
+                                        for channel, column in zip(_COLUMNS, columns)
                                         if column is not None})
 
 
-# A round is checked in slices of at most this many lines (see the module).
-_SLICE_LINES = 64
+def _bulk(raws: list[bytes], nodes: tuple[str, ...],
+          last_done: int) -> tuple[tuple[int, int], list[tuple | None]] | None:
+    """The (round, time_ms) and value columns of ``raws``, a whole round for
+    ``nodes``: one tuple per Channel, None for a gas channel no line equips,
+    "-" in the cells of a gas channel some lines lack. None when any check
+    fails (see the module).
 
-
-def _bulk(raws: list[bytes], nodes: tuple[str, ...], stamp: tuple[int, int] | None,
-          last_done: int) -> tuple[tuple[int, int], list[list | None]] | None:
-    """The (round, time_ms) and value columns of ``raws``, the next lines of
-    a round, for ``nodes``: one list per Channel, None for a gas channel no
-    line equips, "-" in the cells of a gas channel some lines lack. None
-    when any check fails (see the module).
-
-    The round and time must be ``stamp`` once the round has begun, else the
-    round must come after ``last_done``. Each line keeps its LF, so the
+    The round must come after ``last_done``. Each line keeps its LF, so the
     status column also shows that no line is torn.
     """
     try:
@@ -360,15 +340,12 @@ def _bulk(raws: list[bytes], nodes: tuple[str, ...], stamp: tuple[int, int] | No
         if names != nodes or rounds.count(rounds[0]) != n or times.count(times[0]) != n:
             return None
         rnd_time = (_whole(rounds[0]), _whole(times[0]))
-        if stamp is None:
-            if rnd_time[0] <= last_done:
-                return None
-        elif rnd_time != stamp:
+        if rnd_time[0] <= last_done:
             return None
-        columns = [list(map(_temperature, temps)), list(map(_count, lights))]
+        columns = [tuple(map(_temperature, temps)), tuple(map(_count, lights))]
         for texts in gases:
             dashes = texts.count(_NOT_EQUIPPED)
-            columns.append(None if dashes == n else list(map(_gas if dashes else _count, texts)))
+            columns.append(None if dashes == n else tuple(map(_gas if dashes else _count, texts)))
     except ValueError:  # UnicodeDecodeError included
         return None
     lost = list(map(is_, columns[0], repeat(None)))
@@ -383,12 +360,13 @@ def _bulk(raws: list[bytes], nodes: tuple[str, ...], stamp: tuple[int, int] | No
 
 
 def _fault(raws: list[bytes], nodes: tuple[str, ...], line_no: int,
-           stamp: tuple[int, int] | None, last_done: int) -> tuple[tuple[int, int] | None, int]:
-    """Re-read ``raws``, from line ``line_no`` on, a slice of a round that
-    ``_bulk`` rejected, one line at a time, and raise the error that names
-    its first bad line. A slice with no bad line must end early, at the
-    end of the log or at a torn last line: returns the round's stamp (None
-    before its first whole record) and the number of whole records."""
+           last_done: int) -> tuple[tuple[int, int] | None, int]:
+    """Re-read ``raws``, a round that ``_bulk`` rejected whose first line is
+    ``line_no``, one line at a time, and raise the error that names its
+    first bad line. A round with no bad line must end early, at the end of
+    the log or at a torn last line: returns the round's stamp (None before
+    its first whole record) and the number of whole records."""
+    stamp = None
     for i, raw in enumerate(raws):
         try:
             line = raw.decode("utf-8")

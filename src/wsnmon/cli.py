@@ -6,11 +6,12 @@
     wsn plotdata <telemetry> --node <id> --channel <c>
 
 Data goes to standard output only; every diagnostic goes to standard error.
-Exit codes: run 0 ok / 1 config error / 2 runtime failure / 130 interrupted
-before the last round (the log keeps every whole round); fetch 0 ok /
-3 ERR response / 2 connection or output failure; plotdata 0 ok / 1 bad input /
-2 output failure. A failed write to standard output is reported as
-``cannot write output: ...``.
+Exit codes: run 0 ok / 1 config error (a config that is not UTF-8 included,
+naming its line) / 2 runtime failure or two outputs naming one file (refused
+before any file is created) / 130 interrupted before the last round (the log
+keeps every whole round); fetch 0 ok / 3 ERR response / 2 connection or output
+failure; plotdata 0 ok / 1 bad input / 2 output failure. A failed write to
+standard output is reported as ``cannot write output: ...``.
 """
 
 from __future__ import annotations
@@ -81,6 +82,15 @@ def main(argv: list[str] | None = None) -> int:
     return cmd_plotdata(args)
 
 
+def _config_text(data: bytes) -> str:
+    """A config file's text, its CRLF and CR line ends read as LF."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"not UTF-8: {e}", data.count(b"\n", 0, e.start) + 1) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     # imported here: fetch and plotdata need neither the simulator nor the server
     from .config import parse_config
@@ -88,16 +98,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .netsim import SimEvent, run_simulation, trace_line
 
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.config, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         _err(f"wsn run: cannot read config: {e}")
         return 1
     try:
-        run_cfg = parse_config(text)
+        run_cfg = parse_config(_config_text(data))
     except ConfigError as e:
         _err(f"wsn run: {e}")
         return 1
+    # outputs naming one file would write over each other's data
+    outputs = {"--out": args.out, "--trace": args.trace, "--rewrite-latest": args.rewrite_latest}
+    if args.rewrite_latest:
+        outputs["the --rewrite-latest temp file"] = args.rewrite_latest + ".tmp"
+    owners: dict[str, str] = {}
+    for option, path in outputs.items():
+        if path:
+            owner = owners.setdefault(os.path.realpath(path), option)
+            if owner != option:
+                _err(f"wsn run: SAME_FILE: {option} {path!r} is the file {owner} names")
+                return 2
 
     sim = run_cfg.sim
     nodes = sim.topology.sensing_nodes()

@@ -242,7 +242,7 @@ class GatewayServer:
     def __init__(self, gateway: Gateway, host: str, port: int):
         try:
             self._server = _Server((host, port), _Handler)
-        except OSError as e:
+        except (OSError, OverflowError) as e:  # OverflowError: a port outside 0-65535
             raise GatewayError("BIND_FAILURE", f"cannot bind {host}:{port}: {e}") from e
         self._server.gateway = gateway  # type: ignore[attr-defined]
         self.host, self.port = self._server.server_address[:2]

@@ -235,7 +235,7 @@ def record_logs(draw):
     and sometimes rounds whose gas column mixes "-" with values; then maybe one
     byte replaced, inserted or deleted, the log cut short, one value or status
     turned NULL or back, or round 0's records from some node on replaced by
-    round 1's (often from where a slice the reader checks at once begins)."""
+    round 1's."""
     edit = draw(st.sampled_from(["none", "replace", "insert", "delete", "cut", "flip",
                                  "splice"]))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -248,8 +248,7 @@ def record_logs(draw):
         snaps = [mixed_gas(rng, s, gases[0]) if rng.random() < 0.5 else s for s in snaps]
     data = serialize_snapshots(nodes, snaps).encode("utf-8")
     if edit == "splice":
-        k = draw(st.one_of(st.integers(0, width - 1),
-                           st.sampled_from(range(0, width, basestation._SLICE_LINES))))
+        k = draw(st.integers(0, width - 1))
         lines = data.splitlines(keepends=True)
         lines[1 + k : 1 + width] = lines[1 + width + k : 1 + 2 * width]
         return b"".join(lines)
@@ -364,19 +363,22 @@ class TestReader:
         assert outcome(data) == outcome(text)
 
 
+GAS_BLOCK = 64  # columnar_rounds: the block length of a gas column mixed in blocks
+
+
 @st.composite
 def columnar_rounds(draw):
     """Snapshots built as columns: NULL rows, zeros of both signs, gas columns,
-    one of which may mix "-" with values (cell by cell, or in blocks of a
-    checked slice, the first block with or without the channel), and widths
-    that give more distinct values than a text cache keeps."""
+    one of which may mix "-" with values (cell by cell, or in blocks of
+    ``GAS_BLOCK`` cells, the first block with or without the channel), and
+    widths that give more distinct values than a text cache keeps."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     width = draw(st.sampled_from([1, 6, 64, 65, 150, basestation._TEXT_CACHE_MAX + 300]))
     nodes = wide_nodes(width)
     gases = draw(st.sampled_from([(), (Channel.CO_PPM,), tuple(Channel)[2:]]))
     mixed = gases[-1] if gases and draw(st.booleans()) else None
-    by_slice = draw(st.booleans())
-    phase = draw(st.integers(0, 1))  # by slice: 1 when the first slice lacks the channel
+    by_block = draw(st.booleans())
+    phase = draw(st.integers(0, 1))  # by block: 1 when the first block lacks the channel
     null_prob = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
     zeros = draw(st.sampled_from([0.0, 0.1]))  # the share of cells that are +-0.0
 
@@ -399,7 +401,7 @@ def columnar_rounds(draw):
             columns[gas] = [None if x else number(2**53 - 1) for x in lost]
         if mixed is not None:  # its last cell stays equipped: the column is never all "-"
             for i in range(width - 1):
-                if ((i // basestation._SLICE_LINES + phase) % 2 if by_slice
+                if ((i // GAS_BLOCK + phase) % 2 if by_block
                         else rng.random() < 0.5):
                     columns[mixed][i] = "-"
         snaps.append(Snapshot(rnd, rnd * 1000, nodes,
@@ -421,21 +423,15 @@ class TestColumns:
         read = parse_telemetry(data).snapshots
         assert serialize_snapshots(nodes, read).encode("utf-8") == data
 
-    def test_a_valid_slice_the_columns_reject_is_an_internal_error(self):
-        """Every valid slice reads as columns, so the line check, finding no
-        fault in a whole slice, raises before the round is yielded or marked
+    def test_a_valid_round_the_columns_reject_is_an_internal_error(self):
+        """Every valid round reads as columns, so the line check, finding no
+        fault in a whole round, raises before the round is yielded or marked
         partial."""
         nodes = wide_nodes(150)
         data = serialize_snapshots(nodes, snapshots_for(2, nodes=nodes)).encode("utf-8")
-        bulk, calls = basestation._bulk, []
-
-        def reject_second_slice(*args):
-            calls.append(args)
-            return None if len(calls) == 2 else bulk(*args)
-
         reader, yielded = TelemetryReader(io.BytesIO(data)), []
-        with mock.patch.object(basestation, "_bulk", reject_second_slice):
-            with pytest.raises(RuntimeError, match="^lines 66-129: "):
+        with mock.patch.object(basestation, "_bulk", return_value=None):
+            with pytest.raises(RuntimeError, match="^lines 2-151: "):
                 yielded.extend(reader)
         assert yielded == [] and reader.partial is None
 

@@ -168,6 +168,52 @@ class TestRun:
         assert capsys.readouterr().err.startswith("wsn run: ")
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
+    @pytest.mark.parametrize("outputs", [
+        ["--out", "a.log", "--rewrite-latest", "a.log"],
+        ["--out", "b.log", "--trace", "b.log"],
+        ["--out", "m.latest.tmp", "--rewrite-latest", "m.latest"],
+        ["--out", "c.log", "--trace", "sub/../c.log"],
+    ])
+    def test_two_outputs_naming_one_file_are_refused(self, tmp_path, capsys, monkeypatch,
+                                                      outputs):
+        """Each output is written whole in turn, so a run whose outputs share a
+        file (the mirror's temp file included) would lose data: it exits 2
+        before any file is created."""
+        cfg = write_cfg(tmp_path)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", cfg, *outputs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wsn run: SAME_FILE: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "sub"]
+
+    def test_config_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(DESK_CFG.replace("rounds 5", "rounds 5 # caf\u00e9").encode("latin-1"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "t.log")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wsn run: CONFIG: line 4: not UTF-8: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_config_line_ends_read_as_lf(self, tmp_path, newline):
+        """CRLF and CR end a config's lines, as they did when it was read as text."""
+        logs = []
+        for name, text in [("lf", DESK_CFG), ("other", DESK_CFG.replace("\n", newline))]:
+            out = tmp_path / f"{name}.log"
+            assert main(["run", write_cfg(tmp_path, text, f"{name}.cfg"), "--out", str(out)]) == 0
+            logs.append(out.read_bytes())
+        assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_out_of_range_port_exits_2(self, tmp_path, capsys, port):
+        out = tmp_path / "t.log"
+        assert main(["run", write_cfg(tmp_path), "--out", str(out), "--serve",
+                     "--port", port]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"wsn run: BIND_FAILURE: cannot bind 127.0.0.1:{port}: ")
+        assert not out.exists()
+
     def test_unreplaceable_mirror_leaves_no_temp_file(self, tmp_path, capsys):
         """A mirror path that is a directory fails the run, and its temp file goes."""
         mirror = tmp_path / "latest"

@@ -402,6 +402,15 @@ class TestServer:
             with pytest.raises(GatewayError, match="BIND_FAILURE"):
                 serve(gw, port=server.port)
 
+    @pytest.mark.parametrize("port", [70000, -1])
+    def test_out_of_range_port_is_a_bind_failure(self, port):
+        """socket.bind raises OverflowError, not OSError, for a port outside 0-65535."""
+        gw, _ = live_gateway()
+        threads = threading.active_count()
+        with pytest.raises(GatewayError, match=f"^BIND_FAILURE: cannot bind 127.0.0.1:{port}: "):
+            serve(gw, port=port)
+        assert threading.active_count() == threads
+
     def test_over_long_line_closes_only_its_session(self):
         gw, _ = live_gateway()
         with serve(gw, port=0) as server:
