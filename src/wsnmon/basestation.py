@@ -43,6 +43,7 @@ import functools
 import io
 import math
 import os
+import stat
 import threading
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -460,12 +461,18 @@ class LatestMirror:
     Reproduces the original deployment's single rewritten .txt: on every
     round the file is replaced wholesale (write-temp-then-rename, so readers
     never see a half-written file). Until the first round it holds the header
-    alone.
+    alone. A path (or temp path) that exists and is not a regular file is
+    refused: replacing or removing a device, FIFO or symlink destroys it.
     """
 
     def __init__(self, path: str | os.PathLike, nodes: Sequence[str]):
         self.path = os.fspath(path)
         self.nodes = tuple(nodes)
+        for p in (self.path, self.path + ".tmp"):
+            with contextlib.suppress(OSError):  # nothing to see there: _replace reports it
+                if not stat.S_ISREG(os.lstat(p).st_mode):
+                    raise TelemetryError(
+                        "IO_FAILURE", f"cannot write {self.path}: {p} is not a regular file")
         # a zero-round file: an unwritable path fails here, before any round runs
         self._replace("")
 

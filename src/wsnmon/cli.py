@@ -91,6 +91,13 @@ def _config_text(data: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _close_flushed(fh) -> None:
+    """Close a file that is flushed after every write: close can fail only by
+    retrying a flush whose failure has already been raised."""
+    with contextlib.suppress(OSError):
+        fh.close()
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     # imported here: fetch and plotdata need neither the simulator nor the server
     from .config import parse_config
@@ -129,14 +136,20 @@ def cmd_run(args: argparse.Namespace) -> int:
                 # bind before any output file exists, so a busy port leaves none behind
                 gateway = Gateway(sim.topology, run_cfg.rules)
                 server = stack.enter_context(serve(gateway, host=args.host, port=args.port))
-            with contextlib.ExitStack() as undo:  # removes this run's files unless all open
+            # removes the files this run creates unless all open; a path that
+            # existed before the run (a user's file, /dev/null) is never removed
+            with contextlib.ExitStack() as undo:
                 if args.rewrite_latest:
+                    created = not os.path.lexists(args.rewrite_latest)
                     mirror = LatestMirror(args.rewrite_latest, nodes)
-                    undo.callback(os.remove, args.rewrite_latest)
+                    if created:
+                        undo.callback(os.remove, args.rewrite_latest)
                 if args.trace:
-                    trace_fh = stack.enter_context(
-                        open(args.trace, "w", encoding="utf-8", newline="\n"))
-                    undo.callback(os.remove, args.trace)
+                    created = not os.path.lexists(args.trace)
+                    trace_fh = open(args.trace, "w", encoding="utf-8", newline="\n")
+                    stack.callback(_close_flushed, trace_fh)
+                    if created:
+                        undo.callback(os.remove, args.trace)
                 writer = stack.enter_context(TelemetryWriter(args.out, nodes))
                 undo.pop_all()
             if server is not None:
@@ -145,8 +158,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             events: list[SimEvent] = []  # the round's, when tracing
 
             def sink(s: Snapshot) -> None:
-                if events:  # the whole round in one write, before its log append
+                if events:  # the whole round in one write, flushed before its log append
                     trace_fh.write("\n".join(map(trace_line, events)) + "\n")
+                    trace_fh.flush()
                     events.clear()
                 writer.append(s)
                 if mirror is not None:

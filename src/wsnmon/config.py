@@ -6,7 +6,7 @@
     rounds <n>         period_ms <n>        hop_ms <n>
     fail <from> <to> <round_start> <round_end>
     env <channel> <baseline> [walk <sigma> | script <round>:<value>,...]
-    seed <u64>
+    seed <n>           (any integer >= 0; seeds every random stream of the run)
     alert <id> <channel> <GT|LT> <threshold> <WARN|DANGER>
 
 ``#`` starts a comment. Channel tokens are temp_c, light_raw, ch4_ppm,
@@ -27,7 +27,6 @@ from .environment import (
     Drift,
     EnvField,
     channel_from_token,
-    default_spec,
 )
 from .errors import ConfigError, SimError, TopologyError, WsnError
 from .gateway import AlertRule, Comparator, Severity
@@ -211,19 +210,13 @@ def parse_config(text: str) -> RunConfig:
                 f"alert {rule.rule_id!r} watches {rule.channel.value}, which has no env line",
                 line_no,
             )
-    seed = scalars.get("seed", 0)
-    env_field = EnvField(channels=env_models, seed=seed)
-    sensors = tuple(default_spec(ch) for ch in Channel if ch in env_models)
-
     try:
         sim = SimConfig(
             topology=topology,
-            field=env_field,
-            sensors=sensors,
+            field=EnvField(channels=env_models, seed=scalars.get("seed", 0)),
             rounds=scalars.get("rounds", DEFAULT_ROUNDS),
             round_period_ms=scalars.get("period_ms", DEFAULT_ROUND_PERIOD_MS),
             hop_latency_ms=scalars.get("hop_ms", DEFAULT_HOP_LATENCY_MS),
-            seed=seed,
             outages=tuple(outage for outage, _ in outages),
         )
     except (SimError, TopologyError) as e:

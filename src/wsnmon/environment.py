@@ -77,10 +77,6 @@ DEFAULT_SPECS: dict[Channel, SensorSpec] = {
 }
 
 
-def default_spec(channel: Channel) -> SensorSpec:
-    return DEFAULT_SPECS[channel]
-
-
 class DriftKind(Enum):
     NONE = "NONE"
     RANDOM_WALK = "RANDOM_WALK"

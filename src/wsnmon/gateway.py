@@ -14,7 +14,8 @@ Errors are single lines: ERR BAD_REQUEST | UNKNOWN_NODE | NOT_A_CLUSTER_HEAD
 | NO_DATA. A request line longer than MAX_REQUEST_BYTES (newline included)
 gets ERR BAD_REQUEST and its session is closed, so no client can make the
 server buffer an unbounded line. A client that resets or drops its
-connection ends its own session quietly. Only the latest complete round is
+connection ends its own session quietly, and closing the server shuts every
+open session down (each client reads EOF). Only the latest complete round is
 served; the telemetry file is the historical record.
 
 Every response a round can get is rendered once, when the round is
@@ -28,9 +29,11 @@ NULL (or unequipped) round resets the edge so recovery can fire again.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import operator
+import socket
 import socketserver
 import threading
 from dataclasses import dataclass
@@ -232,8 +235,32 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class _Server(socketserver.ThreadingTCPServer):
-    daemon_threads = True
+    # session threads are not daemons: server_close joins them, once
+    # end_sessions has ended their sessions
     allow_reuse_address = True
+
+    def __init__(self, *args):
+        self._sessions: set[socket.socket] = set()  # the open session sockets
+        self._sessions_lock = threading.Lock()
+        super().__init__(*args)
+
+    def process_request(self, request, client_address):
+        with self._sessions_lock:
+            self._sessions.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._sessions_lock:  # forgotten before it closes, never shut down after
+            self._sessions.discard(request)
+        super().shutdown_request(request)
+
+    def end_sessions(self) -> None:
+        """Shut every open session's socket down: its reads see EOF and its
+        writes fail, so each session thread ends."""
+        with self._sessions_lock:
+            for sock in self._sessions:
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)
 
 
 class GatewayServer:
@@ -252,8 +279,10 @@ class GatewayServer:
         self._thread.start()
 
     def close(self) -> None:
+        """Stop accepting, end every open session, and join every thread."""
         self._server.shutdown()
-        self._server.server_close()
+        self._server.end_sessions()
+        self._server.server_close()  # joins the session threads
         self._thread.join()
 
     def __enter__(self) -> "GatewayServer":
@@ -265,5 +294,6 @@ class GatewayServer:
 
 def serve(gateway: Gateway, host: str = "127.0.0.1", *, port: int) -> GatewayServer:
     """Start accepting client sessions; returns the running service handle.
-    Port 0 binds a free port, which the handle's ``port`` names."""
+    Port 0 binds a free port, which the handle's ``port`` names. Close the
+    handle (or use it as a context manager) to end every session."""
     return GatewayServer(gateway, host, port)

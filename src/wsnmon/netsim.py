@@ -8,17 +8,22 @@ the radio's failure probability (or deterministically when its link is forced
 down); any node whose data depended on a lost message gets a NULL reading for
 the round. Nothing is retried, and no reading is carried across rounds.
 
-Reproducibility: all randomness comes from streams derived from the config
-seed by fixed strings, so identical configs give byte-identical runs. The
-environment's walk is generated once per run and carried forward
-(``truth_at`` is amortized O(1)), so a round costs the same at round 5 as at
-round 5000, and ``run_round`` still gives any round on its own, in any order,
-with the links its outages force down.
+Reproducibility: all randomness comes from streams derived by fixed strings
+from ``EnvField.seed`` (the config's ``seed`` line), so identical configs give
+byte-identical runs. The environment's walk is generated once per run and
+carried forward (``truth_at`` is amortized O(1)), so a round costs the same at
+round 5 as at round 5000, and ``run_round`` still gives any round on its own,
+in any order, with the links its outages force down.
  - drop decisions:  Random(f"{seed}/drops/{round}"), consumed in emission
    order of attempted messages;
  - noise draws:     Random(f"{seed}/noise/{round}"), consumed for every
    sensing node and equipped sensor in topology order, whether or not the
-   value survives (keeps values independent of drop outcomes).
+   value survives (keeps values independent of drop outcomes);
+ - walk steps:      Random(f"{seed}/walk/{channel}"), see ``environment``.
+
+A node carries the default sensor (``environment.DEFAULT_SPECS``) of each
+channel its field configures, so ``SimConfig.sensors`` is derived from the
+field, in Channel order.
 
 A round is built as columns: ``run_round`` senses each equipped channel as
 one column over the sensing nodes, then writes None into the cells of every
@@ -50,7 +55,7 @@ from itertools import repeat
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .environment import Channel, EnvField, SensorSpec, sense, truth_at
+from .environment import DEFAULT_SPECS, Channel, EnvField, SensorSpec, sense, truth_at
 from .errors import SimError, WsnError
 from .records import Snapshot
 from .topology import TreeTopology
@@ -108,14 +113,21 @@ class LinkOutage:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A run: the tree, the field (whose seed drives every random stream, see
+    the module docstring), and the round schedule. The sensors are derived
+    from the field."""
+
     topology: TreeTopology
     field: EnvField
-    sensors: tuple[SensorSpec, ...]
     rounds: int
     round_period_ms: int = DEFAULT_ROUND_PERIOD_MS
     hop_latency_ms: int = DEFAULT_HOP_LATENCY_MS
-    seed: int = 0
     outages: tuple[LinkOutage, ...] = ()
+
+    @property
+    def sensors(self) -> tuple[SensorSpec, ...]:
+        """The default spec of each channel the field configures, in Channel order."""
+        return tuple(DEFAULT_SPECS[ch] for ch in Channel if ch in self.field.channels)
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -130,25 +142,9 @@ class SimConfig:
                 "INVALID_CONFIG",
                 f"period_ms {self.round_period_ms} must be >= 4x hop_ms {self.hop_latency_ms}",
             )
-        channels = [s.channel for s in self.sensors]
-        if len(set(channels)) != len(channels):
-            raise SimError("INVALID_CONFIG", "duplicate sensor channel")
         for required in (Channel.TEMP_C, Channel.LIGHT_RAW):
-            if required not in channels:
-                raise SimError("INVALID_CONFIG", f"sensor for {required.value} is required")
-        for s in self.sensors:
-            # the file format stores these as unsigned integers
-            if s.channel is not Channel.TEMP_C:
-                if not (float(s.quantum).is_integer() and float(s.min_value).is_integer()
-                        and s.min_value >= 0):
-                    raise SimError(
-                        "INVALID_CONFIG",
-                        f"{s.channel.value} quantum/min must be whole numbers, min >= 0",
-                    )
-            if s.channel not in self.field.channels:
-                raise SimError(
-                    "INVALID_CONFIG", f"no field configured for {s.channel.value}"
-                )
+            if required not in self.field.channels:
+                raise SimError("INVALID_CONFIG", f"no field configured for {required.value}")
         for outage in self.outages:
             try:
                 if not self.topology.is_link(outage.src, outage.dst):
@@ -209,7 +205,7 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent
     root, children, hop = topo.root, topo.children, cfg.hop_latency_ms
     t0 = round_index * cfg.round_period_ms
     down = {(o.src, o.dst) for o in cfg.outages if o.covers(round_index)}
-    draw = random.Random(f"{cfg.seed}/drops/{round_index}").random
+    draw = random.Random(f"{cfg.field.seed}/drops/{round_index}").random
     failure_prob = topo.radio.failure_prob
     events: list[SimEvent] = []
     emit = events.append
@@ -224,12 +220,13 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent
         return True
 
     nodes = topo.sensing_nodes()
-    width = len(cfg.sensors)
-    noise = random.Random(f"{cfg.seed}/noise/{round_index}")
+    sensors = cfg.sensors
+    width = len(sensors)
+    noise = random.Random(f"{cfg.field.seed}/noise/{round_index}")
     # the round's draws in their fixed order: node by node, sensor by sensor
     draws = list(map(random.Random.random, repeat(noise, len(nodes) * width)))
     columns = [_sense_column(spec, truth_at(cfg.field, spec.channel, round_index), draws[i::width])
-               for i, spec in enumerate(cfg.sensors)]
+               for i, spec in enumerate(sensors)]
     lost: list[tuple[int, int]] = []  # the [start, stop) spans of nodes whose data is lost
 
     heads = children[root]
@@ -254,7 +251,7 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent
     for column in columns:
         for start, stop in lost:
             column[start:stop] = nulls[start:stop]
-    channels = [spec.channel for spec in cfg.sensors]
+    channels = [spec.channel for spec in sensors]
     events = sorted(events, key=attrgetter("time_ms"))  # stable: ties keep emission order
     return Snapshot(round_index, t0, nodes, dict(zip(channels, map(tuple, columns)))), events
 

@@ -16,7 +16,6 @@ from wsnmon.environment import (
     ChannelModel,
     Drift,
     EnvField,
-    default_spec,
 )
 from wsnmon.gateway import AlertRule, Comparator, Severity
 from wsnmon.netsim import SimConfig
@@ -61,10 +60,7 @@ def make_config(
             models[Channel.CO_PPM] = ChannelModel(10.0)
             models[Channel.O2_PCT] = ChannelModel(21.0)
             field = EnvField(channels=models, seed=seed)
-    sensors = tuple(default_spec(ch) for ch in Channel if ch in field.channels)
-    return SimConfig(
-        topology=topo, field=field, sensors=sensors, rounds=rounds, seed=seed, **kwargs
-    )
+    return SimConfig(topology=topo, field=field, rounds=rounds, **kwargs)
 
 
 # ------------------------------------------------ rows, counts and text

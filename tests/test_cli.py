@@ -214,15 +214,73 @@ class TestRun:
             f"wsn run: BIND_FAILURE: cannot bind 127.0.0.1:{port}: ")
         assert not out.exists()
 
-    def test_unreplaceable_mirror_leaves_no_temp_file(self, tmp_path, capsys):
-        """A mirror path that is a directory fails the run, and its temp file goes."""
+    def test_unreplaceable_mirror_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
+        """A mirror whose temp file cannot replace it fails the run, and its temp file goes."""
+        def fail(src, dst):
+            raise OSError(errno.EXDEV, "cross-device link")
+
+        monkeypatch.setattr(os, "replace", fail)
         mirror = tmp_path / "latest"
-        mirror.mkdir()
         rc = main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "t.log"),
                    "--rewrite-latest", str(mirror)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"wsn run: IO_FAILURE: cannot write {mirror}: ")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["latest", "run.cfg"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo", "symlink", "symlinked temp file"])
+    def test_mirror_refuses_a_path_that_is_not_a_regular_file(self, tmp_path, capsys, kind):
+        """Replacing a device, FIFO or symlink would destroy it: the run exits 2
+        before any round, and leaves the path as it was."""
+        mirror = tmp_path / "latest"
+        target = tmp_path / "target.txt"
+        target.write_text("keep\n", encoding="utf-8")
+        if kind == "directory":
+            mirror.mkdir()
+        elif kind == "fifo":
+            os.mkfifo(mirror)
+        else:
+            (tmp_path / ("latest.tmp" if kind == "symlinked temp file" else "latest")).symlink_to(
+                target)
+        before = sorted((p.name, p.lstat().st_mode) for p in tmp_path.iterdir())
+        out = tmp_path / "t.log"
+        rc = main(["run", write_cfg(tmp_path), "--out", str(out), "--rewrite-latest", str(mirror)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"wsn run: IO_FAILURE: cannot write {mirror}: ") and (
+            "is not a regular file" in err), err
+        (tmp_path / "run.cfg").unlink()
+        assert sorted((p.name, p.lstat().st_mode) for p in tmp_path.iterdir()) == before
+        assert target.read_text(encoding="utf-8") == "keep\n"
+
+    def test_failed_start_removes_only_the_files_it_created(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """A trace or mirror path that existed before the run stays when a later
+        output fails to open; one the run created goes."""
+        removed = []
+        remove = os.remove
+        monkeypatch.setattr(os, "remove", lambda path: (removed.append(path), remove(path)))
+        for old in (False, True):
+            trace, mirror = tmp_path / f"{old}.trace", tmp_path / f"{old}.latest"
+            if old:
+                trace.write_text("", encoding="utf-8")
+                mirror.write_text("", encoding="utf-8")
+            rc = main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "no/dir/t.log"),
+                       "--trace", str(trace), "--rewrite-latest", str(mirror)])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("wsn run: IO_FAILURE: ")
+            assert trace.exists() == mirror.exists() == old
+        assert sorted(removed) == sorted([str(tmp_path / "False.trace"),
+                                          str(tmp_path / "False.latest")])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_trace_stops_the_run_before_its_round_is_logged(self, tmp_path, capsys):
+        """Each round's trace is flushed before the round is appended to the log."""
+        out = tmp_path / "t.log"
+        rc = main(["run", write_cfg(tmp_path), "--out", str(out), "--trace", "/dev/full"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wsn run: SINK_FAILURE: sink failed at round 0: "), err
+        assert out.read_bytes().count(b"\n") == 1  # the header alone
 
     def test_trace_export(self, tmp_path):
         out = tmp_path / "t.log"

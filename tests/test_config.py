@@ -41,7 +41,7 @@ class TestParse:
         assert run.sim.rounds == 100
         assert run.sim.round_period_ms == 1000
         assert run.sim.hop_latency_ms == 10
-        assert run.sim.seed == 0
+        assert run.sim.field.seed == 0
         assert run.rules == ()
 
     def test_builtin_channel_defaults(self):
@@ -65,8 +65,7 @@ class TestParse:
         text = DESK_CFG + "rounds 7\nperiod_ms 400\nhop_ms 25\nseed 99\n"
         run = parse_config(text)
         assert (run.sim.rounds, run.sim.round_period_ms) == (7, 400)
-        assert (run.sim.hop_latency_ms, run.sim.seed) == (25, 99)
-        assert run.sim.field.seed == 99
+        assert (run.sim.hop_latency_ms, run.sim.field.seed) == (25, 99)
 
     def test_positions(self):
         text = "radio 100 0\ncluster N1 1.1\npos BS 0 0\npos N1 30 0\npos 1.1 30 25.5\n"

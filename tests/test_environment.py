@@ -8,19 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsnmon.environment import (
+    DEFAULT_SPECS,
     Channel,
     ChannelModel,
     Drift,
     EnvField,
     SensorSpec,
-    default_spec,
     sense,
     truth_at,
 )
 from wsnmon.errors import EnvError
 
-TEMP = default_spec(Channel.TEMP_C)
-LIGHT = default_spec(Channel.LIGHT_RAW)
+TEMP = DEFAULT_SPECS[Channel.TEMP_C]
+LIGHT = DEFAULT_SPECS[Channel.LIGHT_RAW]
 
 
 def field_with(channel: Channel, model: ChannelModel, seed: int = 0) -> EnvField:

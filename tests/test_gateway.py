@@ -411,6 +411,25 @@ class TestServer:
             serve(gw, port=port)
         assert threading.active_count() == threads
 
+    def test_close_ends_open_sessions(self):
+        """close() shuts every open session down: each client then reads EOF,
+        and every thread serve started has ended."""
+        gw, _ = live_gateway()
+        threads = threading.active_count()
+        server = serve(gw, port=0)
+        clients = [Client(server.port) for _ in range(2)]
+        try:
+            for c in clients:
+                assert c.ask("PING") == ["PONG"]
+            server.close()
+            for c in clients:
+                assert c.rfile.readline() == ""
+        finally:
+            server.close()
+            for c in clients:
+                c.close()
+        assert threading.active_count() == threads
+
     def test_over_long_line_closes_only_its_session(self):
         gw, _ = live_gateway()
         with serve(gw, port=0) as server:

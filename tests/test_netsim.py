@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     DESK_CLUSTERS,
+    GAS_CHANNELS,
     default_field,
     enumerate_round_messages,
     make_config,
@@ -18,19 +19,17 @@ from helpers import (
 )
 from wsnmon.basestation import format_value, serialize_snapshots, snapshot_block
 from wsnmon.environment import (
-    Channel, ChannelModel, Drift, EnvField, SensorSpec, default_spec, sense, truth_at,
+    DEFAULT_SPECS, Channel, ChannelModel, Drift, EnvField, sense, truth_at,
 )
 from wsnmon.errors import EnvError, SimError, TopologyError
 from wsnmon.netsim import (
     EventKind,
     LinkOutage,
-    SimConfig,
     SimSummary,
     run_round,
     run_simulation,
     trace_line,
 )
-from wsnmon.topology import RadioSpec, build_topology
 
 
 def collect(cfg):
@@ -152,7 +151,7 @@ class TestRunRound:
             seed=5,
         )
         cfg = make_config(field=field, seed=5, rounds=50)
-        spec = default_spec(Channel.TEMP_C)
+        spec = DEFAULT_SPECS[Channel.TEMP_C]
         for round_index in range(50):
             snapshot, _ = run_round(cfg, round_index)
             truth = truth_at(field, Channel.TEMP_C, round_index)
@@ -162,7 +161,7 @@ class TestRunRound:
 
 def near_bounds(channel):
     """Any finite truth, one near the float range's ends, or one near a bound."""
-    spec = default_spec(channel)
+    spec = DEFAULT_SPECS[channel]
     slack = 2 * (spec.accuracy + spec.quantum)
     return st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                      st.floats(1e300, allow_infinity=False), st.floats(None, -1e300),
@@ -186,45 +185,34 @@ class TestSensing:
                 assert reading.values[spec.channel] == expected
 
 
-@st.composite
-def specs_and_truths(draw):
-    """Library-built specs (signed zero minimums, non-power-of-two quanta,
-    bounds near the float range) and, per spec, a truth anywhere, near a
-    bound, where steps are 2**49..2**50 quanta (float ties are common there,
-    and 2**50 is where the step table hands over to sense), or not finite."""
-    specs, truths = [], []
-    for channel in Channel:
-        if channel is Channel.TEMP_C:
-            lo = draw(st.sampled_from([-0.0, 0.0, -40.0, 0.1]))
-            quantum = draw(st.sampled_from([0.0625, 0.1, 0.3]))
-        else:  # the log stores these as whole numbers
-            lo = draw(st.sampled_from([-0.0, 0.0, 3.0]))
-            quantum = draw(st.sampled_from([1.0, 3.0]))
-        hi = draw(st.sampled_from([lo + 1000 * quantum, 1e300]))
-        accuracy = draw(st.sampled_from([0.0, 0.7, 8 * quantum]))
-        slack = 2 * (accuracy + quantum)
-        far_steps = st.floats(lo + 2.0 ** 49 * quantum, lo + 2.0 ** 50 * quantum + slack)
-        truths.append(draw(far_steps if hi == 1e300 and draw(st.booleans()) else st.one_of(
-            st.floats(allow_nan=False, allow_infinity=False),
-            st.floats(1e300, allow_infinity=False), st.floats(None, -1e300),
-            *[st.floats(b - slack, b + slack) for b in (lo, hi)],
-            st.sampled_from([math.nan, math.inf, -math.inf]),
-        )))
-        specs.append(SensorSpec(channel, accuracy, quantum, lo, hi))
-    return tuple(specs), tuple(truths)
+def default_truths(channel):
+    """A truth for the channel's default spec: anywhere, near a bound, where
+    steps are 2**49..2**50 quanta from the minimum (float ties are common
+    there, and 2**50 is where the step table hands over to sense), or not
+    finite."""
+    spec = DEFAULT_SPECS[channel]
+    lo, q = spec.min_value, spec.quantum
+    slack = 2 * (spec.accuracy + q)
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(1e300, allow_infinity=False), st.floats(None, -1e300),
+        *[st.floats(b - slack, b + slack) for b in (lo, spec.max_value)],
+        st.floats(lo + 2.0 ** 49 * q, lo + 2.0 ** 50 * q + slack),
+        st.floats(lo - 2.0 ** 50 * q - slack, lo - 2.0 ** 49 * q),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
 
 
 class TestSignExactSensing:
     @settings(max_examples=300, deadline=None)
-    @given(case=specs_and_truths(), seed=st.integers(0, 2**32))
-    def test_values_and_texts_are_sense_of_each_draw(self, case, seed):
+    @given(truths=st.tuples(*map(default_truths, Channel)), seed=st.integers(0, 2**32))
+    def test_values_and_texts_are_sense_of_each_draw(self, truths, seed):
         """Every value is sense() of its draw bit for bit (repr tells -0.0 from
         0.0, where == does not), and every record renders it with format_value."""
-        specs, truths = case
-        field = EnvField({s.channel: ChannelModel(t) for s, t in zip(specs, truths)}, seed=seed)
-        topology = build_topology([("N1", ["1.1", "1.2", "1.3", "1.4"]), ("N2", ["2.1", "2.2"])],
-                                  RadioSpec(30.0, 0.0))
-        cfg = SimConfig(topology=topology, field=field, sensors=specs, rounds=1, seed=seed)
+        field = EnvField({ch: ChannelModel(t) for ch, t in zip(Channel, truths)}, seed=seed)
+        cfg = make_config([("N1", ["1.1", "1.2", "1.3", "1.4"]), ("N2", ["2.1", "2.2"])],
+                          field=field, rounds=1)
+        specs = [DEFAULT_SPECS[ch] for ch in Channel]
         nodes = cfg.topology.sensing_nodes()
         noise = random.Random(f"{seed}/noise/0").random  # node by node, sensor by sensor
         try:
@@ -361,17 +349,23 @@ class TestConfigValidation:
             make_config(round_period_ms=30, hop_latency_ms=10)
 
     def test_temperature_and_light_are_required(self):
-        field = EnvField(channels={Channel.TEMP_C: ChannelModel(25.0)})
-        with pytest.raises(SimError, match="INVALID_CONFIG"):
-            make_config(field=field)
+        for present, missing in [(Channel.TEMP_C, "light_raw"), (Channel.LIGHT_RAW, "temp_c")]:
+            field = EnvField(channels={present: ChannelModel(25.0)})
+            with pytest.raises(SimError, match=f"^INVALID_CONFIG: .*{missing}"):
+                make_config(field=field)
 
-    def test_count_channels_cannot_go_negative(self):
-        # the log stores light and gas values as unsigned integers
-        base = make_config()
-        light = SensorSpec(Channel.LIGHT_RAW, 8.0, 1.0, -10.0, 100.0)
-        sensors = tuple(light if s.channel is Channel.LIGHT_RAW else s for s in base.sensors)
-        with pytest.raises(SimError, match="min >= 0"):
-            SimConfig(topology=base.topology, field=base.field, sensors=sensors, rounds=1)
+    @pytest.mark.parametrize("gases, channels", [
+        ((), "temp_c light_raw"),
+        (GAS_CHANNELS, "temp_c light_raw ch4_ppm co_ppm o2_pct"),
+        ((Channel.O2_PCT, Channel.CH4_PPM), "temp_c light_raw ch4_ppm o2_pct"),
+    ])
+    def test_sensors_are_the_default_specs_of_the_field(self, gases, channels):
+        """A node carries the default sensor of each channel its field has, in
+        Channel order, whatever order the field lists them in."""
+        field = default_field(**{ch.value: ChannelModel(1.0) for ch in gases})
+        sensors = make_config(field=field).sensors
+        assert [s.channel.value for s in sensors] == channels.split()
+        assert all(s is DEFAULT_SPECS[s.channel] for s in sensors)
 
     def test_outage_must_reference_a_link(self):
         with pytest.raises(SimError, match="NOT_A_LINK"):
