@@ -7,10 +7,12 @@ File format (UTF-8, LF line endings):
 
 Temperature carries exactly 4 decimal places (one 0.0625-step per digit
 grid), light and gas values are integers, lost channels are the literal
-``NULL`` and unequipped gas channels the literal ``-``. The status is ``NULL``
-when the reading was lost (every value is None), else ``OK``. A round's
-records are written as one atomic group, so a reader only ever sees whole
-rounds plus at most one trailing partial round while a write is in flight.
+``NULL``, and a gas channel the round does not carry is ``-`` on every
+node: a round carries each channel on all of its nodes or on none. The
+status is ``NULL`` when the reading was lost (every value is None), else
+``OK``. A round's records are written as one atomic group, so a reader only
+ever sees whole rounds plus at most one trailing partial round while a write
+is in flight.
 
 Lines are split on LF only. ``TelemetryReader`` is the one parser: it reads
 a log as a stream of lines, one round at a time, and yields each round as
@@ -18,12 +20,13 @@ soon as its last record has been checked, so reading a log takes memory that
 does not depend on its number of rounds. A round is checked as columns, in
 one piece. It passes when every line splits into nine fields, the round and
 time columns each hold one text, the node column is the header's, each value
-column reads through the memoised readers ``parse_record`` uses (``-`` only
-in a gas column), and the NULLs of every column and the status agree; its
-value columns are then the round's Snapshot, built with no per-record
-object. Every valid round passes, so a round that fails is re-read line by
-line with ``parse_record`` only to name its first bad line, and
-``parse_record`` stays the one definition of a record line.
+column reads through the memoised readers ``parse_record`` uses (a gas
+column all ``-`` is a channel the round does not carry), and the NULLs of
+every column and the status agree; its value columns are then the round's
+Snapshot, built with no per-record object. Every valid round passes, so a
+round that fails is re-read line by line with ``parse_record`` only to name
+its first bad line, and ``parse_record`` stays the one definition of a
+record line.
 ``parse_telemetry`` collects the reader for a log held in memory, and
 ``wsn plotdata`` writes no CSV row unless the whole log checks out.
 
@@ -52,13 +55,13 @@ from typing import Iterable, Iterator, Sequence
 
 from .environment import Channel
 from .errors import TelemetryError
-from .records import NOT_EQUIPPED as _NOT_EQUIPPED
 from .records import Reading, Snapshot
 
 MAGIC = "#WSNLOG"
 VERSION = "v1"
 
 _NULL = "NULL"
+_NOT_EQUIPPED = "-"  # every cell of a gas column the round does not carry
 _OK = "OK"
 _STATUS_LINES = (_OK + "\n", _NULL + "\n")  # indexed by "is NULL"
 _TEMP = Channel.TEMP_C  # a module global: reading an Enum member off its class is slow
@@ -104,23 +107,22 @@ def parse_header(line: str) -> tuple[str, ...]:
     return nodes
 
 
-# per column, value -> text (see the module docstring); None and "-" are seeded
+# per column, value -> text (see the module docstring); None is seeded
 _TEXT_CACHE_MAX = 4096
-_FIXED_TEXTS = {None: _NULL, _NOT_EQUIPPED: _NOT_EQUIPPED}
-_COLUMN_TEXTS = tuple((channel, dict(_FIXED_TEXTS)) for channel in _COLUMNS)
+_COLUMN_TEXTS = tuple((channel, {None: _NULL}) for channel in _COLUMNS)
 
 
-def _text(channel: Channel, texts: dict, v: float | str | None) -> str:
-    """The column text of ``v`` (a number, None or "-"), kept in ``texts``."""
-    if v is None or v == _NOT_EQUIPPED:
-        return _FIXED_TEXTS[v]  # a cache emptied by another thread lacks them
+def _text(channel: Channel, texts: dict, v: float | None) -> str:
+    """The column text of ``v`` (a number or None), kept in ``texts``."""
+    if v is None:
+        return _NULL  # a cache emptied by another thread lacks it
     text = format_value(channel, v)
     # -0.0 == 0.0 as a key, yet f"{-0.0:.4f}" is "-0.0000": a zero is kept
     # only where its sign does not show
     if v or format_value(channel, -v) == text:
         if len(texts) >= _TEXT_CACHE_MAX:
             texts.clear()
-            texts.update(_FIXED_TEXTS)
+            texts[None] = _NULL
         texts[v] = text
     return text
 
@@ -201,12 +203,6 @@ def _temperature(text: str) -> float | None:
     if not (math.isfinite(value) and format_value(Channel.TEMP_C, value) == text):
         raise ValueError(text)
     return value
-
-
-@_memo
-def _gas(text: str) -> float | str | None:
-    """A gas column that some nodes lack: "-" in their cells."""
-    return _NOT_EQUIPPED if text == _NOT_EQUIPPED else _count(text)
 
 
 _READERS = tuple((ch, _temperature if ch is Channel.TEMP_C else _count) for ch in _COLUMNS)
@@ -325,9 +321,8 @@ class TelemetryReader:
 def _bulk(raws: list[bytes], nodes: tuple[str, ...],
           last_done: int) -> tuple[tuple[int, int], list[tuple | None]] | None:
     """The (round, time_ms) and value columns of ``raws``, a whole round for
-    ``nodes``: one tuple per Channel, None for a gas channel no line equips,
-    "-" in the cells of a gas channel some lines lack. None when any check
-    fails (see the module).
+    ``nodes``: one tuple per Channel, None for a gas channel whose every
+    cell is "-". None when any check fails (see the module).
 
     The round must come after ``last_done``. Each line keeps its LF, so the
     status column also shows that no line is torn.
@@ -344,16 +339,13 @@ def _bulk(raws: list[bytes], nodes: tuple[str, ...],
         if rnd_time[0] <= last_done:
             return None
         columns = [tuple(map(_temperature, temps)), tuple(map(_count, lights))]
-        for texts in gases:
-            dashes = texts.count(_NOT_EQUIPPED)
-            columns.append(None if dashes == n else tuple(map(_gas if dashes else _count, texts)))
+        for texts in gases:  # a "-" among values fails _count
+            columns.append(None if texts.count(_NOT_EQUIPPED) == n else tuple(map(_count, texts)))
     except ValueError:  # UnicodeDecodeError included
         return None
     lost = list(map(is_, columns[0], repeat(None)))
     for column in columns[1:]:
-        # a "-" cell (a node without the gas channel) fits a row either way
-        if column is not None and list(map(is_, column, repeat(None))) != lost and any(
-                (v is None) != x for v, x in zip(column, lost) if v != _NOT_EQUIPPED):
+        if column is not None and list(map(is_, column, repeat(None))) != lost:
             return None
     if tuple(map(_STATUS_LINES.__getitem__, lost)) != statuses:
         return None
@@ -364,9 +356,10 @@ def _fault(raws: list[bytes], nodes: tuple[str, ...], line_no: int,
            last_done: int) -> tuple[tuple[int, int] | None, int]:
     """Re-read ``raws``, a round that ``_bulk`` rejected whose first line is
     ``line_no``, one line at a time, and raise the error that names its
-    first bad line. A round with no bad line must end early, at the end of
-    the log or at a torn last line: returns the round's stamp (None before
-    its first whole record) and the number of whole records."""
+    first bad line; a record that carries other gas channels than the
+    round's first record is one. A round with no bad line must end early,
+    at the end of the log or at a torn last line: returns the round's stamp
+    (None before its first whole record) and the number of whole records."""
     stamp = None
     for i, raw in enumerate(raws):
         try:
@@ -379,11 +372,14 @@ def _fault(raws: list[bytes], nodes: tuple[str, ...], line_no: int,
         if stamp is None:
             if rnd <= last_done:
                 raise _malformed(f"round {rnd} repeats or goes backwards", line_no + i)
-            stamp = rnd, time_ms
+            stamp, carried = (rnd, time_ms), r.values.keys()
         elif (rnd, time_ms) != stamp:
             raise _malformed(f"round/time changed inside round {stamp[0]}", line_no + i)
         if r.node != nodes[i]:
             raise _malformed(f"expected node {nodes[i]!r}, found {r.node!r}", line_no + i)
+        if r.values.keys() != carried:
+            raise _malformed(f"{r.node!r} carries other gas channels than {nodes[0]!r}",
+                             line_no + i)
     if len(raws) == len(nodes):
         raise RuntimeError(f"lines {line_no}-{line_no + len(raws) - 1}: "
                            "the column check rejected records the line check accepts")

@@ -11,7 +11,9 @@ naming its line) / 2 runtime failure or two outputs naming one file (refused
 before any file is created) / 130 interrupted before the last round (the log
 keeps every whole round); fetch 0 ok / 3 ERR response / 2 connection or output
 failure; plotdata 0 ok / 1 bad input / 2 output failure. A failed write to
-standard output is reported as ``cannot write output: ...``.
+standard output is reported as ``cannot write output: ...``. ``wsn run`` takes
+SIGTERM as it takes SIGINT: before the last round it exits 130, and a served
+run after its last round closes the gateway and exits 0.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import time
 from .basestation import LatestMirror, TelemetryReader, TelemetryWriter, format_value
 from .environment import channel_from_token
 from .errors import ConfigError, EnvError, TelemetryError, WsnError
-from .records import NOT_EQUIPPED, Snapshot
+from .records import Snapshot
 
 DEFAULT_PORT = 7070  # the gateway's port for `run --serve` and `fetch`
 
@@ -99,6 +101,17 @@ def _close_flushed(fh) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    import signal  # imported here, as in _run: fetch and plotdata do not need it
+
+    # SIGTERM interrupts the run as SIGINT does; the caller's handler is put back
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        return _run(args)
+    finally:  # None: a handler not installed from Python, as SIG_DFL is
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
+def _run(args: argparse.Namespace) -> int:
     # imported here: fetch and plotdata need neither the simulator nor the server
     from .config import parse_config
     from .gateway import Gateway, serve
@@ -245,11 +258,11 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
             index = reader.nodes.index(args.node)
             for snapshot in reader:
                 column = snapshot.columns.get(channel)
-                value = NOT_EQUIPPED if column is None else column[index]
-                if value == NOT_EQUIPPED:
+                if column is None:
                     _err(f"wsn plotdata: UNKNOWN_CHANNEL: log carries no {channel.value} "
-                         f"values for {args.node} in round {snapshot.round}")
+                         f"values in round {snapshot.round}")
                     return 1
+                value = column[index]
                 if value is None:
                     rows.append(f"{snapshot.round},\n")  # explicit gap, never interpolated
                 else:

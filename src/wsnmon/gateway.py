@@ -44,7 +44,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .basestation import format_value, snapshot_block
 from .environment import Channel
 from .errors import GatewayError
-from .records import NOT_EQUIPPED, Snapshot
+from .records import Snapshot
 from .topology import TreeTopology
 
 MAX_REQUEST_BYTES = 4096
@@ -92,8 +92,8 @@ def alert_line(a: Alert, channel: Channel) -> str:
 AlertState = Mapping[tuple[str, str], bool]
 
 _COMPARE = {Comparator.GREATER: operator.gt, Comparator.LESS: operator.lt}
-# a lost or unequipped cell reads as nan, which no comparison holds for
-_NO_VALUE = {None: math.nan, NOT_EQUIPPED: math.nan}
+# a lost cell reads as nan, which no comparison holds for
+_NO_VALUE = {None: math.nan}
 
 
 def evaluate_alerts(
@@ -102,7 +102,7 @@ def evaluate_alerts(
     """Advance alert state by one round; returns (new state, newly fired).
 
     State maps (rule_id, node) to "predicate held last round". Pairs whose
-    channel is NULL or unequipped this round are false in the new state.
+    channel is NULL or not carried this round are false in the new state.
     """
     new_state: dict[tuple[str, str], bool] = {}
     fired: list[Alert] = []

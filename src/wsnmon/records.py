@@ -1,18 +1,18 @@
 """Per-round data records: a Snapshot holds one collection round as columns.
 
 A snapshot names its sensing nodes once, in topology order, and holds one
-value column per equipped channel, a cell per node: temperature and light
+value column per carried channel, a cell per node: temperature and light
 always (the demonstration hardware carried both), a gas channel only when the
-run has one. A cell is a number, or None when the node's data was lost. A
-reading is lost or kept as a whole: a link failure wipes every channel of the
-affected node for that round, never a subset, so a row is NULL exactly when
-its temperature cell is None; the log's status column is rendered from that.
-A log may equip a gas channel on some nodes only; its column then holds the
-``NOT_EQUIPPED`` marker ``"-"`` in the other nodes' cells.
+run has one. A round carries each channel on every node or on none, so a
+channel the round lacks is a missing column, never a marker in some cells. A
+cell is a number, or None when the node's data was lost. A reading is lost or
+kept as a whole: a link failure wipes every channel of the affected node for
+that round, never a subset, so a row is NULL exactly when its temperature
+cell is None; the log's status column is rendered from that.
 
 ``Reading`` is one row as a named tuple ``(node, values)``: ``values`` maps
-exactly the channels the node is equipped with to its cell. ``parse_record``
-returns one, and ``reading_for`` builds one on demand.
+exactly the channels the node carries to its cell. ``parse_record`` returns
+one, and ``reading_for`` builds one on demand.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ from typing import Mapping, NamedTuple
 
 from .environment import Channel
 
-#: the cell of a channel the node is not equipped with, in a mixed gas column
-NOT_EQUIPPED = "-"
-
 
 class Reading(NamedTuple):
-    """One node's values for one round, by equipped channel (see the module)."""
+    """One node's values for one round, by carried channel (see the module)."""
 
     node: str
     values: Mapping[Channel, float | None]
@@ -37,7 +34,7 @@ class Reading(NamedTuple):
 class Snapshot:
     """All readings of one collection round, in deterministic topology order.
 
-    ``columns`` maps each equipped channel to a tuple of one cell per node
+    ``columns`` maps each carried channel to a tuple of one cell per node
     of ``nodes`` (see the module). The round's record block is rendered into
     ``_block`` on first use (``basestation.snapshot_block``), so every sink
     shares one string.
@@ -46,13 +43,12 @@ class Snapshot:
     round: int
     time_ms: int
     nodes: tuple[str, ...]
-    columns: Mapping[Channel, tuple[float | str | None, ...]]
+    columns: Mapping[Channel, tuple[float | None, ...]]
     _block: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def _reading(self, i: int) -> Reading:
         return Reading(self.nodes[i], {channel: column[i]
-                                       for channel, column in self.columns.items()
-                                       if column[i] != NOT_EQUIPPED})
+                                       for channel, column in self.columns.items()})
 
     def reading_for(self, node: str) -> Reading | None:
         try:

@@ -19,7 +19,7 @@ from wsnmon.environment import (
 )
 from wsnmon.gateway import AlertRule, Comparator, Severity
 from wsnmon.netsim import SimConfig
-from wsnmon.records import NOT_EQUIPPED, Reading, Snapshot
+from wsnmon.records import Reading, Snapshot
 from wsnmon.topology import RadioSpec, TreeTopology, build_topology
 
 DESK_CLUSTERS = [("N1", ["1.1", "1.2"]), ("N2", ["2.1", "2.2"])]
@@ -67,20 +67,18 @@ def make_config(
 
 
 def from_readings(round_index: int, time_ms: int, rows) -> Snapshot:
-    """The snapshot of ``rows`` (``Reading``s); a channel no row has is unequipped."""
+    """The snapshot of ``rows`` (``Reading``s), which all carry the same channels."""
     rows = tuple(rows)
-    columns = {}
-    for channel in Channel:
-        column = tuple(r.values.get(channel, NOT_EQUIPPED) for r in rows)
-        if column.count(NOT_EQUIPPED) != len(column):
-            columns[channel] = column
+    carried = rows[0].values.keys()
+    assert all(r.values.keys() == carried for r in rows), "rows carry different channels"
+    columns = {channel: tuple(r.values[channel] for r in rows) for channel in carried}
     return Snapshot(round_index, time_ms, tuple(r.node for r in rows), columns)
 
 
 def readings(snapshot: Snapshot) -> tuple[Reading, ...]:
     """Every row of ``snapshot`` as a ``Reading``, in node order."""
-    return tuple(Reading(node, {channel: column[i] for channel, column in snapshot.columns.items()
-                                if column[i] != NOT_EQUIPPED})
+    columns = snapshot.columns.items()
+    return tuple(Reading(node, {channel: column[i] for channel, column in columns})
                  for i, node in enumerate(snapshot.nodes))
 
 
@@ -192,8 +190,8 @@ def record_line(prefix: str, r: Reading) -> str:
     """Reference renderer of one record; ``prefix`` is ``<round>,<time_ms>,``.
 
     Every field is formatted on its own, with no text cache: "-" for a
-    channel the node lacks, NULL for None, else ``format_value``; the status
-    is NULL exactly when temperature (always equipped) is.
+    channel the node does not carry, NULL for None, else ``format_value``;
+    the status is NULL exactly when temperature (always carried) is.
     """
     fields = [prefix + r.node]
     for channel in Channel:

@@ -166,7 +166,8 @@ def wide_nodes(width):
 
 
 def line_by_line(data):
-    """The reader as one loop over the log's lines, each checked by parse_record:
+    """The reader as one loop over the log's lines, each checked by parse_record,
+    every record of a round carrying the channels of its first:
     (nodes, snapshots, partial), or the TelemetryError as (code, line_no, str)."""
     lines = io.BytesIO(data)
     try:
@@ -195,6 +196,10 @@ def line_by_line(data):
                 raise TelemetryError(
                     "MALFORMED_RECORD", f"expected node {expected!r}, found {reading.node!r}",
                     line_no)
+            if group and reading.values.keys() != group[0].values.keys():
+                raise TelemetryError(
+                    "MALFORMED_RECORD",
+                    f"{reading.node!r} carries other gas channels than {nodes[0]!r}", line_no)
             group.append(reading)
             if len(group) == len(nodes):
                 snapshots.append(from_readings(rnd, time_ms, group))
@@ -216,14 +221,16 @@ def read_all(data):
     return reader.nodes, snapshots, reader.partial
 
 
-def mixed_gas(rng, snapshot, gas):
-    """``snapshot`` with ``gas`` left unequipped on some of its nodes (and with
-    NULL readings kept all-NULL)."""
-    rows = tuple(
-        Reading(r.node, {c: v for c, v in r.values.items() if c is not gas})
-        if rng.random() < 0.5 else r
-        for r in readings(snapshot))
-    return from_readings(snapshot.round, snapshot.time_ms, rows)
+def dash_cells(data, gas, records):
+    """``data`` with the ``gas`` field of each record in ``records`` (1 for the
+    log's first record) written as "-", the text of a channel not carried."""
+    lines = data.splitlines(keepends=True)
+    column = 3 + tuple(Channel).index(gas)
+    for k in records:
+        fields = lines[k].split(b",")
+        fields[column] = b"-"
+        lines[k] = b",".join(fields)
+    return b"".join(lines)
 
 
 LOG_BYTES = st.one_of(st.sampled_from(b",\n-.0123456789NULOK"), st.integers(0, 255))
@@ -244,9 +251,11 @@ def record_logs(draw):
     gases = draw(st.sampled_from([(), (Channel.CO_PPM,), tuple(Channel)[2:]]))
     snaps = snapshots_for(draw(st.integers(2 if edit == "splice" else 1, 3)), rng, nodes=nodes,
                           gases=gases, null_prob=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])))
-    if gases and draw(st.booleans()):
-        snaps = [mixed_gas(rng, s, gases[0]) if rng.random() < 0.5 else s for s in snaps]
     data = serialize_snapshots(nodes, snaps).encode("utf-8")
+    if gases and draw(st.booleans()):  # "-" in some cells of some rounds' first gas column
+        data = dash_cells(data, gases[0], [1 + r * width + i for r in range(len(snaps))
+                                           if rng.random() < 0.5
+                                           for i in range(width) if rng.random() < 0.5])
     if edit == "splice":
         k = draw(st.integers(0, width - 1))
         lines = data.splitlines(keepends=True)
@@ -313,7 +322,7 @@ class TestReader:
         assert next(iter(reader)) == snaps[0]
 
     def test_yields_a_wide_round_before_reading_on(self):
-        """A round wider than one checked slice is still read to its end and no further."""
+        """A round of 220 records is read to its end and no further."""
         nodes = wide_nodes(220)
         snaps = snapshots_for(2, nodes=nodes, gases=(Channel.CO_PPM,))
         lines = serialize_snapshots(nodes, snaps).encode("utf-8").splitlines(keepends=True)
@@ -369,9 +378,10 @@ GAS_BLOCK = 64  # columnar_rounds: the block length of a gas column mixed in blo
 @st.composite
 def columnar_rounds(draw):
     """Snapshots built as columns: NULL rows, zeros of both signs, gas columns,
-    one of which may mix "-" with values (cell by cell, or in blocks of
-    ``GAS_BLOCK`` cells, the first block with or without the channel), and
-    widths that give more distinct values than a text cache keeps."""
+    and widths that give more distinct values than a text cache keeps; with
+    the gas channel ``mixed`` and, per round, the cells its log column gives
+    as "-" (cell by cell, or in blocks of ``GAS_BLOCK`` cells, the first block
+    with or without them), which mix "-" with values whenever there are any."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     width = draw(st.sampled_from([1, 6, 64, 65, 150, basestation._TEXT_CACHE_MAX + 300]))
     nodes = wide_nodes(width)
@@ -392,21 +402,19 @@ def columnar_rounds(draw):
             return rng.choice([0.0, -0.0])
         return rng.randrange(-10**9, 10**9) / 10**4
 
-    snaps = []
+    snaps, dashed = [], []
     for rnd in range(draw(st.integers(1, 3))):
         lost = [rng.random() < null_prob for _ in nodes]
         columns = {Channel.TEMP_C: [None if x else temperature() for x in lost],
                    Channel.LIGHT_RAW: [None if x else number(65535) for x in lost]}
         for gas in gases:
             columns[gas] = [None if x else number(2**53 - 1) for x in lost]
-        if mixed is not None:  # its last cell stays equipped: the column is never all "-"
-            for i in range(width - 1):
-                if ((i // GAS_BLOCK + phase) % 2 if by_block
-                        else rng.random() < 0.5):
-                    columns[mixed][i] = "-"
+        # the last cell keeps its value: a round's column is never all "-"
+        dashed.append({i for i in range(width - 1) if mixed is not None and (
+            (i // GAS_BLOCK + phase) % 2 if by_block else rng.random() < 0.5)})
         snaps.append(Snapshot(rnd, rnd * 1000, nodes,
                               {channel: tuple(column) for channel, column in columns.items()}))
-    return nodes, snaps
+    return nodes, snaps, mixed, dashed
 
 
 class TestColumns:
@@ -414,14 +422,26 @@ class TestColumns:
     @given(columnar_rounds())
     def test_block_renders_and_reads_back(self, rounds):
         """snapshot_block writes what a per-record reference writes, and the
-        reader gives back every snapshot, as the line-by-line reference does."""
-        nodes, snaps = rounds
+        reader gives back every snapshot, as the line-by-line reference does.
+        With "-" among a gas column's values, both fail at the first record
+        that carries other gas channels than its round's first record."""
+        nodes, snaps, mixed, dashed = rounds
         for s in snaps:
             assert snapshot_block(s) == reference_block(s)
         data = serialize_snapshots(nodes, snaps).encode("utf-8")
-        assert read_all(data) == line_by_line(data) == (nodes, snaps, None)
-        read = parse_telemetry(data).snapshots
-        assert serialize_snapshots(nodes, read).encode("utf-8") == data
+        if not any(dashed):
+            assert read_all(data) == line_by_line(data) == (nodes, snaps, None)
+            read = parse_telemetry(data).snapshots
+            assert serialize_snapshots(nodes, read).encode("utf-8") == data
+            return
+        width = len(nodes)
+        data = dash_cells(data, mixed, [1 + r * width + i for r, cells in enumerate(dashed)
+                                        for i in cells])
+        r, cells = next((r, cells) for r, cells in enumerate(dashed) if cells)
+        i = next(i for i in range(width) if (i in cells) != (0 in cells))
+        error = read_all(data)
+        assert error[:2] == ("MALFORMED_RECORD", 2 + r * width + i)
+        assert error == line_by_line(data)
 
     def test_a_valid_round_the_columns_reject_is_an_internal_error(self):
         """Every valid round reads as columns, so the line check, finding no
@@ -438,8 +458,8 @@ class TestColumns:
     def test_reading_views(self):
         s = Snapshot(3, 3000, ("N1", "1.1"), {Channel.TEMP_C: (25.0, None),
                                              Channel.LIGHT_RAW: (512.0, None),
-                                             Channel.CO_PPM: ("-", None)})
-        assert readings(s) == (Reading("N1", {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0}),
+                                             Channel.CO_PPM: (5.0, None)})
+        assert readings(s) == (ok_reading("N1", gases={Channel.CO_PPM: 5.0}),
                                null_reading("1.1", gases=(Channel.CO_PPM,)))
         assert s.reading_for("1.1") == readings(s)[1]
         assert s.reading_for("N2") is None

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -51,7 +52,7 @@ def src_env():
 def test_import_loads_neither_simulator_nor_server():
     """fetch and plotdata start without the modules only ``wsn run`` needs."""
     code = ("import sys, wsnmon.cli; print(sorted({'wsnmon.config', 'wsnmon.gateway', "
-            "'wsnmon.netsim', 'socketserver'} & set(sys.modules)))")
+            "'wsnmon.netsim', 'socketserver', 'signal'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout == "[]\n"
@@ -112,25 +113,26 @@ class TestRun:
         assert done.stderr.startswith("wsn run: IO_FAILURE: ")
         assert len(done.stderr.splitlines()) == 1, done.stderr
 
-    @pytest.mark.skipif(os.name != "posix", reason="sends SIGINT")
-    def test_interrupt_ends_on_a_whole_round(self, tmp_path):
-        """Ctrl-C during a paced run exits 130 without a traceback, naming
-        the last round of a log that still parses whole."""
+    @pytest.mark.skipif(os.name != "posix", reason="sends POSIX signals")
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_interrupt_ends_on_a_whole_round(self, tmp_path, signum):
+        """Ctrl-C (or SIGTERM) during a paced run exits 130 without a
+        traceback, naming the last round of a log that still parses whole."""
         paced = DESK_CFG.replace("rounds 5", "rounds 500\nperiod_ms 20\nhop_ms 1")
         cfg = write_cfg(tmp_path, paced)
         out = tmp_path / "t.log"
         with subprocess.Popen(
             [sys.executable, "-m", "wsnmon.cli", "run", cfg, "--out", str(out), "--pace"],
             env=src_env(), stderr=subprocess.PIPE, text=True,
-            # a launcher that ignores SIGINT would pass that on to the child
-            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+            # a launcher that ignores the signal would pass that on to the child
+            preexec_fn=lambda: signal.signal(signum, signal.SIG_DFL),
         ) as proc:
             try:
                 deadline = time.monotonic() + 30
                 while not (out.exists() and out.read_bytes().count(b"\n") > 6):  # a round
                     assert proc.poll() is None and time.monotonic() < deadline
                     time.sleep(0.01)
-                proc.send_signal(signal.SIGINT)
+                proc.send_signal(signum)
                 err = proc.communicate(timeout=30)[1]
             finally:
                 if proc.poll() is None:
@@ -140,6 +142,30 @@ class TestRun:
         assert parsed.partial is None
         last = parsed.snapshots[-1].round
         assert err == f"wsn run: interrupted; the log ends with round {last}\n"
+
+    @pytest.mark.parametrize("outside_python", [False, True])
+    def test_sigterm_handler_is_put_back(self, tmp_path, capsys, outside_python):
+        """A run leaves the caller's SIGTERM handler as it found it; a handler
+        Python cannot name (getsignal gives None) is put back as SIG_DFL."""
+        def handler(signum, frame):
+            pass
+
+        real_signal, installed = signal.signal, []
+
+        def recording_signal(signum, new):
+            installed.append(new)
+            old = real_signal(signum, new)
+            return None if outside_python else old
+
+        previous = real_signal(signal.SIGTERM, handler)
+        try:
+            with mock.patch.object(signal, "signal", recording_signal):
+                assert main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "t.log")]) == 0
+            restored = signal.SIG_DFL if outside_python else handler
+            assert installed == [signal.default_int_handler, restored]
+            assert signal.getsignal(signal.SIGTERM) is restored
+        finally:
+            real_signal(signal.SIGTERM, previous)
 
     def test_unwritable_trace_path(self, tmp_path, capsys):
         out = tmp_path / "t.log"
@@ -463,17 +489,34 @@ class TestPlotdata:
         assert main(["plotdata", str(good), "--node", "N3", "--channel", "temp_c"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 20
 
-    def test_channel_missing_from_a_later_round(self, tmp_path, capsys):
+    def blank_co(self, tmp_path, records):
+        """A desk log with co_ppm, its co_ppm field "-" on ``records`` of round 3."""
         out = self.run_log(tmp_path, "env co_ppm 5\n")
         lines = out.read_bytes().splitlines(keepends=True)
-        fields = lines[1 + 3 * 6].split(b",")  # N1 in round 3
-        fields[6] = b"-"
-        lines[1 + 3 * 6] = b",".join(fields)
+        for k in range(1 + 3 * 6, 1 + 3 * 6 + records):
+            fields = lines[k].split(b",")
+            fields[6] = b"-"
+            lines[k] = b",".join(fields)
         out.write_bytes(b"".join(lines))
+        return out
+
+    def test_channel_missing_from_a_later_round(self, tmp_path, capsys):
+        out = self.blank_co(tmp_path, records=6)
         rc = main(["plotdata", str(out), "--node", "N1", "--channel", "co_ppm"])
         captured = capsys.readouterr()
         assert rc == 1
         assert "UNKNOWN_CHANNEL" in captured.err and "round 3" in captured.err
+        assert captured.out == ""
+
+    def test_channel_missing_from_one_node_of_a_round(self, tmp_path, capsys):
+        """A round carries a channel on every node or on none."""
+        out = self.blank_co(tmp_path, records=1)
+        capsys.readouterr()
+        rc = main(["plotdata", str(out), "--node", "N1", "--channel", "co_ppm"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("wsn plotdata: MALFORMED_LOG: MALFORMED_RECORD: line 21: "
+                                "'1.1' carries other gas channels than 'N1'\n")
         assert captured.out == ""
 
     def test_series_rows(self, tmp_path, capsys):
@@ -588,3 +631,30 @@ class TestServeFlag:
                 proc.terminate()
                 proc.wait(timeout=10)
         assert len(parse_telemetry(out.read_bytes()).snapshots) == 5
+
+    @pytest.mark.skipif(os.name != "posix", reason="sends SIGTERM")
+    def test_sigterm_after_the_last_round_closes_the_gateway(self, tmp_path):
+        """SIGTERM stops a served run as an interrupt does: its client reads
+        EOF and the run exits 0 with nothing more on stderr."""
+        cfg = write_cfg(tmp_path)
+        with subprocess.Popen(
+            [sys.executable, "-u", "-m", "wsnmon.cli", "run", cfg,
+             "--out", str(tmp_path / "t.log"), "--serve", "--port", "0"],
+            env=src_env(), stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            try:
+                port = int(proc.stderr.readline().strip().rsplit(":", 1)[1])
+                assert "ran 5 rounds" in proc.stderr.readline()
+                assert "still serving" in proc.stderr.readline()
+                with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                    reader = sock.makefile("r", encoding="utf-8", newline="\n")
+                    sock.sendall(b"PING\n")
+                    assert reader.readline() == "PONG\n"
+                    proc.send_signal(signal.SIGTERM)
+                    assert reader.readline() == ""
+                err = proc.communicate(timeout=30)[1]
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+        assert proc.returncode == 0, err
+        assert err == ""
