@@ -17,8 +17,7 @@ _EXPORTS = {
                     "TelemetryWriter", "parse_record", "parse_telemetry",
                     "serialize_snapshots"),
     "config": ("RunConfig", "parse_config"),
-    "environment": ("Channel", "ChannelModel", "Drift", "EnvField", "SensorSpec", "sense",
-                    "truth_at"),
+    "environment": ("Channel", "ChannelModel", "EnvField", "SensorSpec", "sense", "truth_at"),
     "errors": ("ConfigError", "EnvError", "GatewayError", "SimError", "TelemetryError",
                "TopologyError", "WsnError"),
     "gateway": ("Alert", "AlertRule", "Comparator", "Gateway", "Severity",

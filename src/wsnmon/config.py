@@ -6,6 +6,7 @@
     rounds <n>         period_ms <n>        hop_ms <n>
     fail <from> <to> <round_start> <round_end>
     env <channel> <baseline> [walk <sigma> | script <round>:<value>,...]
+                       (walk 0 is a constant channel, as with no clause)
     seed <n>           (any integer >= 0; seeds every random stream of the run)
     alert <id> <channel> <GT|LT> <threshold> <WARN|DANGER>
 
@@ -21,13 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .environment import (
-    Channel,
-    ChannelModel,
-    Drift,
-    EnvField,
-    channel_from_token,
-)
+from .environment import Channel, ChannelModel, EnvField, channel_from_token
 from .errors import ConfigError, SimError, TopologyError, WsnError
 from .gateway import AlertRule, Comparator, Severity
 from .netsim import (
@@ -145,16 +140,16 @@ def parse_config(text: str) -> RunConfig:
                 if channel in env_models:
                     raise ConfigError(f"duplicate env line for {args[0]}", line_no)
                 baseline = _number(args[1], line_no, "baseline")
-                drift = Drift.none()
                 tail = args[2:]
-                if tail:
-                    if tail[0] == "walk" and len(tail) == 2:
-                        drift = Drift.walk(_number(tail[1], line_no, "walk sigma"))
-                    elif tail[0] == "script" and len(tail) == 2:
-                        drift = _parse_script(tail[1], line_no)
-                    else:
-                        raise ConfigError(f"bad env drift clause {' '.join(tail)!r}", line_no)
-                env_models[channel] = ChannelModel(baseline=baseline, drift=drift)
+                if not tail:
+                    model = ChannelModel(baseline)
+                elif tail[0] == "walk" and len(tail) == 2:
+                    model = ChannelModel(baseline, sigma=_number(tail[1], line_no, "walk sigma"))
+                elif tail[0] == "script" and len(tail) == 2:
+                    model = ChannelModel(baseline, script=_parse_script(tail[1], line_no))
+                else:
+                    raise ConfigError(f"bad env drift clause {' '.join(tail)!r}", line_no)
+                env_models[channel] = model
 
             elif directive == "alert":
                 if len(args) != 5:
@@ -230,7 +225,7 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(sim=sim, rules=tuple(rule for rule, _ in rules))
 
 
-def _parse_script(token: str, line_no: int) -> Drift:
+def _parse_script(token: str, line_no: int) -> tuple[tuple[int, float], ...]:
     points: list[tuple[int, float]] = []
     for part in token.split(","):
         if ":" not in part:
@@ -242,4 +237,4 @@ def _parse_script(token: str, line_no: int) -> Drift:
                 _number(value_text, line_no, "script value"),
             )
         )
-    return Drift.scripted(points)
+    return tuple(points)

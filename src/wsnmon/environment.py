@@ -1,14 +1,16 @@
 """Ground-truth environmental fields and bounded-error quantized sensing.
 
 All nodes in a run share one field per channel (they sit in the same room),
-so truth depends only on (channel, round, seed). A random walk is generated
-once per field: the first ``truth_at`` call for a round extends the channel's
-cached walk up to that round, later calls for any earlier or equal round read
-it back, so a run pays one Gaussian step per channel per round and
-``truth_at`` is amortized O(1); a walk that overflows saturates at the largest
-finite float, so truth is never infinite or nan. Sensor noise is uniform and
-bounded by the sensor's accuracy figure rather than Gaussian: the hardware
-datasheets state an error bound, and a hard bound is what the tests check.
+so truth depends only on (channel, round, seed). A channel's truth is a
+``ChannelModel``: a baseline that stays constant, walks, or follows a script,
+exactly the config's ``env`` forms. A random walk is generated once per field:
+the first ``truth_at`` call for a round extends the channel's cached walk up to
+that round, later calls for any earlier or equal round read it back, so a run
+pays one Gaussian step per channel per round and ``truth_at`` is amortized
+O(1); a walk that overflows saturates at the largest finite float, so truth is
+never infinite or nan. Sensor noise is uniform and bounded by the sensor's
+accuracy figure rather than Gaussian: the hardware datasheets state an error
+bound, and a hard bound is what the tests check.
 """
 
 from __future__ import annotations
@@ -77,53 +79,29 @@ DEFAULT_SPECS: dict[Channel, SensorSpec] = {
 }
 
 
-class DriftKind(Enum):
-    NONE = "NONE"
-    RANDOM_WALK = "RANDOM_WALK"
-    SCRIPTED = "SCRIPTED"
-
-
 @dataclass(frozen=True)
-class Drift:
-    """How a channel's truth moves over rounds.
-
-    RANDOM_WALK adds one Gaussian step of width sigma per round; SCRIPTED
-    holds the value of the last breakpoint at or before the round (step-hold).
+class ChannelModel:
+    """One channel's truth over rounds: its ``baseline``, moved by at most one of
+    a random walk (one Gaussian step of width ``sigma`` per round) or a
+    ``script`` of ``(round, value)`` breakpoints, each value held from its round
+    on (step-hold; the baseline holds before the first). With neither, the
+    channel is constant: ``sigma`` 0 is no walk.
     """
 
-    kind: DriftKind = DriftKind.NONE
+    baseline: float
     sigma: float = 0.0
     script: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        if self.kind is DriftKind.RANDOM_WALK and self.sigma < 0:
+        if not self.sigma >= 0:  # nan too
             raise EnvError("INVALID_DRIFT", f"sigma must be >= 0, got {self.sigma}")
-        if self.kind is DriftKind.SCRIPTED:
-            if not self.script:
-                raise EnvError("INVALID_DRIFT", "scripted drift needs at least one breakpoint")
-            rounds = [r for r, _ in self.script]
-            if any(r < 0 for r in rounds):
-                raise EnvError("INVALID_DRIFT", "breakpoint rounds must be >= 0")
-            if any(b <= a for a, b in zip(rounds, rounds[1:])):
-                raise EnvError("INVALID_DRIFT", "breakpoint rounds must be strictly increasing")
-
-    @classmethod
-    def none(cls) -> "Drift":
-        return cls(DriftKind.NONE)
-
-    @classmethod
-    def walk(cls, sigma: float) -> "Drift":
-        return cls(DriftKind.RANDOM_WALK, sigma=sigma)
-
-    @classmethod
-    def scripted(cls, points: list[tuple[int, float]] | tuple[tuple[int, float], ...]) -> "Drift":
-        return cls(DriftKind.SCRIPTED, script=tuple(points))
-
-
-@dataclass(frozen=True)
-class ChannelModel:
-    baseline: float
-    drift: Drift = Drift()
+        if self.sigma and self.script:
+            raise EnvError("INVALID_DRIFT", "a channel walks or follows a script, not both")
+        rounds = [r for r, _ in self.script]
+        if any(r < 0 for r in rounds):
+            raise EnvError("INVALID_DRIFT", "breakpoint rounds must be >= 0")
+        if any(b <= a for a, b in zip(rounds, rounds[1:])):
+            raise EnvError("INVALID_DRIFT", "breakpoint rounds must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -139,7 +117,7 @@ class EnvField:
 
 def _walk(f: EnvField, channel: Channel, model: ChannelModel, round_index: int) -> float:
     """The walk's value at ``round_index``, extending the cached prefix as needed."""
-    sigma = model.drift.sigma
+    sigma = model.sigma
     key = (channel, model.baseline, sigma)  # with f.seed, all that decides the walk
     if key not in f._walks:
         # string seeding hashes via SHA-512, stable across processes and platforms
@@ -161,13 +139,12 @@ def truth_at(f: EnvField, channel: Channel, round_index: int) -> float:
     if round_index < 0:
         raise EnvError("INVALID_ROUND", f"round must be >= 0, got {round_index}")
     model = f.channels[channel]
+    if model.sigma:
+        return _walk(f, channel, model, round_index)
     value = model.baseline
-    if model.drift.kind is DriftKind.RANDOM_WALK:
-        value = _walk(f, channel, model, round_index)
-    elif model.drift.kind is DriftKind.SCRIPTED:
-        for bp_round, bp_value in model.drift.script:
-            if bp_round <= round_index:
-                value = bp_value
+    for bp_round, bp_value in model.script:
+        if bp_round <= round_index:
+            value = bp_value
     return value
 
 

@@ -1,12 +1,13 @@
 """Deterministic round-based collection over the tree: polls, replies, drops.
 
-One round follows the two-tier pull protocol: the base station interrupt-calls
-each cluster head in configuration order, a polled head interrupt-calls its
-leaflets, leaflet data flows back to the head, and the head sends one
-aggregate message to the base station. Every message independently fails with
-the radio's failure probability (or deterministically when its link is forced
-down); any node whose data depended on a lost message gets a NULL reading for
-the round. Nothing is retried, and no reading is carried across rounds.
+One round follows the two-tier pull protocol, in this emission order: the base
+station interrupt-calls every cluster head in configuration order; then, head
+by head, a polled head interrupt-calls each leaflet, each polled leaflet sends
+its data back, and the head sends one aggregate message to the base station.
+Every message independently fails with the radio's failure probability (or
+deterministically when its link is forced down); any node whose data depended
+on a lost message gets a NULL reading for the round. Nothing is retried, and
+no reading is carried across rounds.
 
 Reproducibility: all randomness comes from streams derived by fixed strings
 from ``EnvField.seed`` (the config's ``seed`` line), so identical configs give

@@ -11,14 +11,9 @@ import random
 from collections import deque
 
 from wsnmon.basestation import format_value
-from wsnmon.environment import (
-    Channel,
-    ChannelModel,
-    Drift,
-    EnvField,
-)
+from wsnmon.environment import DEFAULT_SPECS, Channel, ChannelModel, EnvField, sense
 from wsnmon.gateway import AlertRule, Comparator, Severity
-from wsnmon.netsim import SimConfig
+from wsnmon.netsim import EventKind, SimConfig, SimEvent
 from wsnmon.records import Reading, Snapshot
 from wsnmon.topology import RadioSpec, TreeTopology, build_topology
 
@@ -206,6 +201,94 @@ def reference_block(snapshot: Snapshot) -> str:
     """The record lines of ``snapshot``, one ``record_line`` per reading."""
     prefix = f"{snapshot.round},{snapshot.time_ms},"
     return "".join(record_line(prefix, r) + "\n" for r in readings(snapshot))
+
+
+# ------------------------------------------------- reference simulator
+
+
+def naive_walk(seed: int, token: str, baseline: float, sigma: float, round_index: int) -> float:
+    """The walk replayed from round 0, as the environment docstring defines it."""
+    rng = random.Random(f"{seed}/walk/{token}")
+    value = baseline
+    for _ in range(round_index):
+        value += rng.gauss(0.0, sigma)
+    return value
+
+
+def naive_hold(baseline: float, script, round_index: int) -> float:
+    """The value of the last breakpoint at or before the round, else the baseline."""
+    held = [value for bp_round, value in script if bp_round <= round_index]
+    return held[-1] if held else baseline
+
+
+def naive_truth(field: EnvField, channel: Channel, round_index: int) -> float:
+    """A channel's truth from its model alone: a walk when sigma is set, else a hold."""
+    model = field.channels[channel]
+    if model.sigma:
+        return naive_walk(field.seed, channel.value, model.baseline, model.sigma, round_index)
+    return naive_hold(model.baseline, model.script, round_index)
+
+
+def reference_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent]]:
+    """A slow ``run_round`` read off the netsim docstring, with per-node dicts
+    and plain loops.
+
+    Messages go out in the documented emission order, each taking one drop
+    draw unless its link is forced down; the events are then sorted stably by
+    time. Every node senses every channel with ``sense``, one noise draw per
+    cell whether or not its data survives, and a node is NULL when a message
+    on its path is lost (``nulled_by_link``).
+    """
+    topo = cfg.topology
+    root, hop = topo.root, cfg.hop_latency_ms
+    clusters = [(head, topo.children[head]) for head in topo.children[root]]
+    t0 = round_index * cfg.round_period_ms
+    down = {(o.src, o.dst) for o in cfg.outages
+            if o.first_round <= round_index <= o.last_round}
+    drops = random.Random(f"{cfg.field.seed}/drops/{round_index}")
+    events: list[SimEvent] = []
+    lost_links = []
+
+    def send(kind: EventKind, src: str, dst: str, hops: int) -> bool:
+        """Emit one message ``hops`` hop latencies into the round; True when delivered."""
+        events.append(SimEvent(t0 + hops * hop, kind, src, dst))
+        lost = (src, dst) in down or drops.random() < topo.radio.failure_prob
+        if lost:
+            events.append(SimEvent(t0 + hops * hop, EventKind.LINK_DROP, src, dst))
+            lost_links.append((src, dst))
+        return not lost
+
+    polled = {}
+    for head, _ in clusters:
+        polled[head] = send(EventKind.INTERRUPT_CALL, root, head, 0)
+    for head, leaves in clusters:
+        if not polled[head]:
+            continue
+        reached = {}
+        for leaf in leaves:
+            reached[leaf] = send(EventKind.INTERRUPT_CALL, head, leaf, 1)
+        for leaf in leaves:
+            if reached[leaf]:
+                send(EventKind.DATA_MSG, leaf, head, 2)
+        send(EventKind.DATA_MSG, head, root, 3)
+    events.sort(key=lambda ev: ev.time_ms)
+
+    nulled = set()
+    for link in lost_links:
+        nulled |= nulled_by_link(clusters, link, root)
+    specs = [DEFAULT_SPECS[channel] for channel in Channel if channel in cfg.field.channels]
+    truths = {spec.channel: naive_truth(cfg.field, spec.channel, round_index) for spec in specs}
+    noise = random.Random(f"{cfg.field.seed}/noise/{round_index}")
+    nodes = [node for head, leaves in clusters for node in (head, *leaves)]
+    values = {}
+    for node in nodes:
+        values[node] = {}
+        for spec in specs:
+            value = sense(spec, truths[spec.channel], noise.uniform(-1.0, 1.0))
+            values[node][spec.channel] = None if node in nulled else value
+    columns = {spec.channel: tuple(values[node][spec.channel] for node in nodes)
+               for spec in specs}
+    return Snapshot(round_index, t0, tuple(nodes), columns), events
 
 
 # ------------------------------------------------- randomized test data

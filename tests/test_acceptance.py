@@ -32,7 +32,7 @@ from wsnmon.basestation import (
     serialize_snapshots,
 )
 from wsnmon.cli import main
-from wsnmon.environment import Channel, ChannelModel, Drift, EnvField, truth_at
+from wsnmon.environment import Channel, ChannelModel, EnvField, truth_at
 from wsnmon.gateway import Gateway, evaluate_alerts, serve
 from wsnmon.netsim import (
     EventKind,
@@ -137,8 +137,8 @@ class TestAcceptance:
         with criterion(4, "sensor bounds"):
             field = EnvField(
                 channels={
-                    Channel.TEMP_C: ChannelModel(25.0, Drift.walk(0.2)),
-                    Channel.LIGHT_RAW: ChannelModel(60000.0, Drift.walk(500.0)),
+                    Channel.TEMP_C: ChannelModel(25.0, sigma=0.2),
+                    Channel.LIGHT_RAW: ChannelModel(60000.0, sigma=500.0),
                 },
                 seed=11,
             )

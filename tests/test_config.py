@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import desk_topology, format_topology
 from wsnmon.config import RunConfig, parse_config
-from wsnmon.environment import Channel, DriftKind
+from wsnmon.environment import Channel, ChannelModel
 from wsnmon.errors import ConfigError
 from wsnmon.gateway import Comparator, Severity
 from wsnmon.netsim import LinkOutage
@@ -75,15 +75,15 @@ class TestParse:
     def test_env_walk(self):
         run = parse_config(DESK_CFG + "env temp_c 20 walk 0.5\n")
         model = run.sim.field.channels[Channel.TEMP_C]
-        assert model.baseline == 20.0
-        assert model.drift.kind is DriftKind.RANDOM_WALK
-        assert model.drift.sigma == 0.5
+        assert model == ChannelModel(20.0, sigma=0.5)
+        # a walk of width 0 is a constant channel, the same model as no clause
+        run = parse_config(DESK_CFG + "env temp_c 25 walk 0\n")
+        assert run.sim.field.channels[Channel.TEMP_C] == ChannelModel(25.0)
 
     def test_env_script(self):
         run = parse_config(DESK_CFG + "env ch4_ppm 1000 script 0:1000,50:12000,60:900\n")
         model = run.sim.field.channels[Channel.CH4_PPM]
-        assert model.drift.kind is DriftKind.SCRIPTED
-        assert model.drift.script == ((0, 1000.0), (50, 12000.0), (60, 900.0))
+        assert model == ChannelModel(1000.0, script=((0, 1000.0), (50, 12000.0), (60, 900.0)))
         # the gas line also equips the sensor, after temp and light
         assert [s.channel for s in run.sim.sensors] == [
             Channel.TEMP_C, Channel.LIGHT_RAW, Channel.CH4_PPM,

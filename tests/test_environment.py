@@ -7,11 +7,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import naive_hold, naive_walk
 from wsnmon.environment import (
     DEFAULT_SPECS,
     Channel,
     ChannelModel,
-    Drift,
     EnvField,
     SensorSpec,
     sense,
@@ -27,22 +27,13 @@ def field_with(channel: Channel, model: ChannelModel, seed: int = 0) -> EnvField
     return EnvField(channels={channel: model}, seed=seed)
 
 
-def naive_walk(seed: int, token: str, baseline: float, sigma: float, round_index: int) -> float:
-    """The walk replayed from round 0, as the module docstring defines it."""
-    rng = random.Random(f"{seed}/walk/{token}")
-    value = baseline
-    for _ in range(round_index):
-        value += rng.gauss(0.0, sigma)
-    return value
-
-
 class TestTruthAt:
     def test_constant_field(self):
         f = field_with(Channel.TEMP_C, ChannelModel(25.0))
         assert truth_at(f, Channel.TEMP_C, 100) == 25.0
 
     def test_scripted_step_hold(self):
-        model = ChannelModel(15.0, Drift.scripted([(0, 20.0), (50, 30.0)]))
+        model = ChannelModel(15.0, script=((0, 20.0), (50, 30.0)))
         f = field_with(Channel.CH4_PPM, model)
         assert truth_at(f, Channel.CH4_PPM, 0) == 20.0
         assert truth_at(f, Channel.CH4_PPM, 49) == 20.0
@@ -50,13 +41,13 @@ class TestTruthAt:
         assert truth_at(f, Channel.CH4_PPM, 5000) == 30.0
 
     def test_scripted_holds_baseline_before_first_breakpoint(self):
-        model = ChannelModel(15.0, Drift.scripted([(10, 99.0)]))
+        model = ChannelModel(15.0, script=((10, 99.0),))
         f = field_with(Channel.CO_PPM, model)
         assert truth_at(f, Channel.CO_PPM, 3) == 15.0
 
     def test_walk_reproducible(self):
         """Re-evaluation replays the same seeded walk exactly."""
-        model = ChannelModel(25.0, Drift.walk(0.1))
+        model = ChannelModel(25.0, sigma=0.1)
         value = truth_at(field_with(Channel.TEMP_C, model, seed=7), Channel.TEMP_C, 10)
         again = truth_at(field_with(Channel.TEMP_C, model, seed=7), Channel.TEMP_C, 10)
         assert value == again
@@ -75,33 +66,45 @@ class TestTruthAt:
         rounds=st.lists(st.integers(0, 300), min_size=1, max_size=12),
     )
     def test_walk_matches_naive_replay_in_any_order(self, seed, baseline, sigma, rounds):
-        f = field_with(Channel.LIGHT_RAW, ChannelModel(baseline, Drift.walk(sigma)), seed=seed)
+        f = field_with(Channel.LIGHT_RAW, ChannelModel(baseline, sigma=sigma), seed=seed)
         for r in rounds:  # any order, repeats included
             expected = naive_walk(seed, "light_raw", baseline, sigma, r)
             assert truth_at(f, Channel.LIGHT_RAW, r) == expected
 
-    @pytest.mark.parametrize("other", [ChannelModel(25.0, Drift.walk(0.3)),
-                                       ChannelModel(26.0, Drift.walk(0.1))],
+    @settings(max_examples=200, deadline=None)
+    @given(
+        baseline=st.floats(-1e6, 1e6),
+        script=st.dictionaries(st.integers(0, 300), st.floats(-1e6, 1e6), max_size=6).map(
+            lambda points: tuple(sorted(points.items()))),
+        rounds=st.lists(st.integers(0, 300), min_size=1, max_size=12),
+    )
+    def test_script_matches_naive_hold(self, baseline, script, rounds):
+        f = field_with(Channel.CO_PPM, ChannelModel(baseline, script=script))
+        for r in rounds:
+            assert truth_at(f, Channel.CO_PPM, r) == naive_hold(baseline, script, r)
+
+    @pytest.mark.parametrize("other", [ChannelModel(25.0, sigma=0.3),
+                                       ChannelModel(26.0, sigma=0.1)],
                              ids=["sigma", "baseline"])
     def test_walks_of_different_fields_never_mix(self, other):
-        model = ChannelModel(25.0, Drift.walk(0.1))
+        model = ChannelModel(25.0, sigma=0.1)
         a = field_with(Channel.TEMP_C, model, seed=7)
         b = field_with(Channel.TEMP_C, other, seed=7)
         # interleaved, each field ahead of the other in turn
         for ra, rb in ((40, 10), (3, 85), (90, 45), (0, 0)):
             assert truth_at(a, Channel.TEMP_C, ra) == naive_walk(7, "temp_c", 25.0, 0.1, ra)
             assert truth_at(b, Channel.TEMP_C, rb) == naive_walk(
-                7, "temp_c", other.baseline, other.drift.sigma, rb)
+                7, "temp_c", other.baseline, other.sigma, rb)
 
     def test_overflowing_walk_saturates(self):
         """Steps past the float range saturate, so the walk never reaches inf or nan."""
-        f = field_with(Channel.TEMP_C, ChannelModel(25.0, Drift.walk(1e308)))
+        f = field_with(Channel.TEMP_C, ChannelModel(25.0, sigma=1e308))
         walk = [truth_at(f, Channel.TEMP_C, r) for r in range(200)]
         assert all(math.isfinite(v) for v in walk)
         assert {sys.float_info.max, -sys.float_info.max} <= set(walk)
 
     def test_walk_seed_changes_value(self):
-        model = ChannelModel(25.0, Drift.walk(0.1))
+        model = ChannelModel(25.0, sigma=0.1)
         a = truth_at(field_with(Channel.TEMP_C, model, seed=7), Channel.TEMP_C, 10)
         b = truth_at(field_with(Channel.TEMP_C, model, seed=8), Channel.TEMP_C, 10)
         assert a != b
@@ -116,9 +119,18 @@ class TestTruthAt:
         with pytest.raises(EnvError, match="INVALID_ROUND"):
             truth_at(f, Channel.TEMP_C, -1)
 
-    def test_script_breakpoints_must_increase(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"sigma": -0.5},
+        {"sigma": math.nan},
+        {"sigma": 0.1, "script": ((0, 9.0),)},
+        {"script": ((-1, 9.0),)},
+        {"script": ((5, 1.0), (5, 2.0))},
+        {"script": ((5, 1.0), (4, 2.0))},
+    ], ids=["negative-sigma", "nan-sigma", "walk-and-script", "negative-round", "repeated-round",
+            "decreasing-round"])
+    def test_invalid_model_refused(self, kwargs):
         with pytest.raises(EnvError, match="INVALID_DRIFT"):
-            Drift.scripted([(5, 1.0), (5, 2.0)])
+            ChannelModel(25.0, **kwargs)
 
 
 class TestSense:

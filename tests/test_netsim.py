@@ -15,11 +15,12 @@ from helpers import (
     make_config,
     nulled_by_link,
     readings,
+    reference_round,
     status_of,
 )
 from wsnmon.basestation import format_value, serialize_snapshots, snapshot_block
 from wsnmon.environment import (
-    DEFAULT_SPECS, Channel, ChannelModel, Drift, EnvField, sense, truth_at,
+    DEFAULT_SPECS, Channel, ChannelModel, EnvField, sense, truth_at,
 )
 from wsnmon.errors import EnvError, SimError, TopologyError
 from wsnmon.netsim import (
@@ -146,7 +147,7 @@ class TestRunRound:
     def test_ok_temperature_tracks_truth(self):
         """Delivered temperatures stay within the sensing error bound."""
         field = EnvField(
-            channels={Channel.TEMP_C: ChannelModel(25.0, Drift.walk(0.2)),
+            channels={Channel.TEMP_C: ChannelModel(25.0, sigma=0.2),
                       Channel.LIGHT_RAW: ChannelModel(512.0)},
             seed=5,
         )
@@ -229,6 +230,59 @@ class TestSignExactSensing:
         for line, node in zip(snapshot_block(snapshot).splitlines(), nodes):
             assert line.split(",")[3:8] == [format_value(s.channel, v)
                                             for s, v in zip(specs, expected[node])]
+
+
+def channel_models(channel: Channel, rounds: int):
+    """Each model form of the channel: constant, a walk (sigma 0 included) or a
+    script, around the sensor's range."""
+    spec = DEFAULT_SPECS[channel]
+    slack, span = 2 * spec.accuracy, spec.max_value - spec.min_value
+    values = st.floats(spec.min_value - slack, spec.max_value + slack)
+    scripts = st.dictionaries(st.integers(0, rounds), values, min_size=1, max_size=3)
+    return st.one_of(
+        st.builds(ChannelModel, values),
+        st.builds(ChannelModel, values, sigma=st.floats(0.0, span / 8)),
+        st.builds(ChannelModel, values, script=scripts.map(lambda d: tuple(sorted(d.items())))),
+    )
+
+
+@st.composite
+def reference_configs(draw):
+    """1-6 heads of 0-5 leaflets, loss 0, 1 or between, outages, hop_ms 0 or
+    not, a subset of the gas channels, a seed, and each model form."""
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    clusters = [(f"N{h}", [f"{h}.{i}" for i in range(1, n + 1)]) for h, n in enumerate(sizes, 1)]
+    rounds = draw(st.integers(1, 4))
+    window = st.integers(0, rounds - 1)
+    outages = [LinkOutage(src, dst, min(a, b), max(a, b)) for (src, dst), a, b in draw(st.lists(
+        st.tuples(st.sampled_from(enumerate_round_messages(clusters)), window, window),
+        max_size=3))]
+    seed = draw(st.integers(0, 2**32))
+    channels = [Channel.TEMP_C, Channel.LIGHT_RAW,
+                *draw(st.lists(st.sampled_from(GAS_CHANNELS), unique=True))]
+    field = EnvField({ch: draw(channel_models(ch, rounds)) for ch in channels}, seed=seed)
+    return make_config(
+        clusters, rounds=rounds, field=field, outages=tuple(outages),
+        failure_prob=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        hop_latency_ms=draw(st.sampled_from([0, 1, 10])))
+
+
+class TestReferenceRound:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=reference_configs())
+    def test_run_simulation_matches_reference_round(self, cfg):
+        """Snapshots, events, trace text and counts all equal those of the
+        slow reference read off the netsim docstring."""
+        events = []
+        snaps, summary = collect_with_events(cfg, events)
+        expected = [reference_round(cfg, r) for r in range(cfg.rounds)]
+        assert snaps == [snapshot for snapshot, _ in expected]
+        expected_events = [ev for _, round_events in expected for ev in round_events]
+        assert events == expected_events
+        assert [trace_line(ev) for ev in events] == [
+            f"{time_ms} {kind.value} {src} {dst}" for time_ms, kind, src, dst in expected_events]
+        dropped = [ev.kind for ev in expected_events].count(EventKind.LINK_DROP)
+        assert summary == SimSummary(cfg.rounds, len(expected_events) - dropped, dropped)
 
 
 class TestRunSimulation:
@@ -329,9 +383,9 @@ class TestDeterminism:
         # the walk cache must answer a round it has already passed
         def walking_config():
             field = default_field(
-                seed=11, temp_c=ChannelModel(25.0, Drift.walk(0.2)),
-                light_raw=ChannelModel(512.0, Drift.walk(8.0)),
-                ch4_ppm=ChannelModel(1000.0, Drift.walk(40.0)))
+                seed=11, temp_c=ChannelModel(25.0, sigma=0.2),
+                light_raw=ChannelModel(512.0, sigma=8.0),
+                ch4_ppm=ChannelModel(1000.0, sigma=40.0))
             return make_config(failure_prob=0.3, rounds=25, seed=11, field=field)
 
         snaps, _ = collect(walking_config())
