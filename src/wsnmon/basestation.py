@@ -47,7 +47,6 @@ import io
 import math
 import os
 import stat
-import threading
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import is_
@@ -403,16 +402,15 @@ def parse_telemetry(data: bytes | str) -> ParsedTelemetry:
 class TelemetryWriter:
     """Single writer for one append-only telemetry file.
 
-    Each append is serialized under a lock and flushed as one group, so a
-    concurrent reader sees either the whole round or none of it. Round
-    indices must be strictly increasing.
+    One writer: a single thread appends, so no lock is taken. Each append is
+    written and flushed as one group, so a concurrent reader sees either the
+    whole round or none of it. Round indices must be strictly increasing.
     """
 
     def __init__(self, path: str | os.PathLike, nodes: Sequence[str]):
         self.path = os.fspath(path)
         self.nodes = tuple(nodes)
         self.last_round = -1
-        self._lock = threading.Lock()
         try:
             self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
             try:
@@ -426,20 +424,19 @@ class TelemetryWriter:
             raise TelemetryError("IO_FAILURE", f"cannot open {self.path}: {e}") from e
 
     def append(self, s: Snapshot) -> None:
-        with self._lock:
-            if s.round <= self.last_round:
-                raise TelemetryError(
-                    "NON_MONOTONIC_ROUND",
-                    f"round {s.round} after round {self.last_round}",
-                )
-            if s.nodes != self.nodes:
-                raise ValueError(f"snapshot nodes {s.nodes} do not match log {self.nodes}")
-            try:
-                self._fh.write(snapshot_block(s))
-                self._fh.flush()
-            except OSError as e:
-                raise TelemetryError("IO_FAILURE", f"round {s.round}: {e}") from e
-            self.last_round = s.round
+        if s.round <= self.last_round:
+            raise TelemetryError(
+                "NON_MONOTONIC_ROUND",
+                f"round {s.round} after round {self.last_round}",
+            )
+        if s.nodes != self.nodes:
+            raise ValueError(f"snapshot nodes {s.nodes} do not match log {self.nodes}")
+        try:
+            self._fh.write(snapshot_block(s))
+            self._fh.flush()
+        except OSError as e:
+            raise TelemetryError("IO_FAILURE", f"round {s.round}: {e}") from e
+        self.last_round = s.round
 
     def close(self) -> None:
         self._fh.close()

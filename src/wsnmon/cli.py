@@ -115,7 +115,7 @@ def _run(args: argparse.Namespace) -> int:
     # imported here: fetch and plotdata need neither the simulator nor the server
     from .config import parse_config
     from .gateway import Gateway, serve
-    from .netsim import SimEvent, run_simulation, trace_line
+    from .netsim import run_simulation
 
     try:
         with open(args.config, "rb") as fh:
@@ -168,13 +168,12 @@ def _run(args: argparse.Namespace) -> int:
             if server is not None:
                 _err(f"gateway listening on {server.host}:{server.port}")
 
-            events: list[SimEvent] = []  # the round's, when tracing
+            def on_trace(text: str) -> None:
+                # the whole round in one write, flushed before its log append
+                trace_fh.write(text)
+                trace_fh.flush()
 
             def sink(s: Snapshot) -> None:
-                if events:  # the whole round in one write, flushed before its log append
-                    trace_fh.write("\n".join(map(trace_line, events)) + "\n")
-                    trace_fh.flush()
-                    events.clear()
                 writer.append(s)
                 if mirror is not None:
                     mirror.update(s)
@@ -185,9 +184,9 @@ def _run(args: argparse.Namespace) -> int:
                 if args.pace:
                     time.sleep(sim.round_period_ms / 1000.0)
 
-            on_event = events.append if trace_fh is not None else None
             try:
-                summary = run_simulation(sim, sink, on_event=on_event)
+                summary = run_simulation(
+                    sim, sink, on_trace=on_trace if trace_fh is not None else None)
             except KeyboardInterrupt:  # each append is whole: the log ends on a whole round
                 last = writer.last_round
                 _err(f"wsn run: interrupted; the log ends with round {last}" if last >= 0

@@ -130,6 +130,7 @@ _ARITY = {"SNAPSHOT": 0, "ALERTS": 0, "NODE": 1, "CLUSTER": 1}
 class Gateway:
     """Shared state between the snapshot source and client sessions.
 
+    One writer: a single thread calls publish(), so no lock is taken.
     publish() renders every response a round can get, from the block the
     log and the mirror get, and swaps the request->response table in whole;
     a session reads that one reference, so no response ever mixes rounds or
@@ -149,7 +150,6 @@ class Gateway:
             start = self._nodes.index(head)
             stop = start + 1 + len(topology.children[head])
             self._clusters.append(("CLUSTER " + head, start, stop))
-        self._lock = threading.Lock()
         self._round = -1
         self._edge_state: dict[tuple[str, str], bool] = {}
         self._active: dict[tuple[str, str], str] = {}  # alert lines, rendered on firing
@@ -158,21 +158,20 @@ class Gateway:
     def publish(self, s: Snapshot) -> list[Alert]:
         """Observe one new round; returns the alerts it fired."""
         block = snapshot_block(s)
-        with self._lock:
-            if s.round <= self._round:
-                raise ValueError(f"round {s.round} after round {self._round}")
-            if s.nodes != self._nodes:
-                raise ValueError(f"round {s.round}: snapshot nodes do not match the topology")
-            self._edge_state, fired = evaluate_alerts(self.rules, s, self._edge_state)
-            active = self._active
-            for a in fired:
-                active[(a.rule_id, a.node)] = alert_line(a, self._channel_of[a.rule_id]) + "\n"
-            # a pair is active exactly while it holds, and the state is in
-            # rule, then node order: the order ALERTS lists them in
-            self._active = {k: active[k] for k, holds in self._edge_state.items() if holds}
-            self._responses = self._render(s.round, block)
-            self._round = s.round
-            return fired
+        if s.round <= self._round:
+            raise ValueError(f"round {s.round} after round {self._round}")
+        if s.nodes != self._nodes:
+            raise ValueError(f"round {s.round}: snapshot nodes do not match the topology")
+        self._edge_state, fired = evaluate_alerts(self.rules, s, self._edge_state)
+        active = self._active
+        for a in fired:
+            active[(a.rule_id, a.node)] = alert_line(a, self._channel_of[a.rule_id]) + "\n"
+        # a pair is active exactly while it holds, and the state is in
+        # rule, then node order: the order ALERTS lists them in
+        self._active = {k: active[k] for k, holds in self._edge_state.items() if holds}
+        self._responses = self._render(s.round, block)
+        self._round = s.round
+        return fired
 
     def _render(self, rnd: int, block: str) -> dict[str, str]:
         lines = block.splitlines(keepends=True)

@@ -15,8 +15,8 @@ byte-identical runs. The environment's walk is generated once per run and
 carried forward (``truth_at`` is amortized O(1)), so a round costs the same at
 round 5 as at round 5000, and ``run_round`` still gives any round on its own,
 in any order, with the links its outages force down.
- - drop decisions:  Random(f"{seed}/drops/{round}"), consumed in emission
-   order of attempted messages;
+ - drop decisions:  Random(f"{seed}/drops/{round}"), one draw per attempted
+   message in emission order; a message on a forced-down link takes none;
  - noise draws:     Random(f"{seed}/noise/{round}"), consumed for every
    sensing node and equipped sensor in topology order, whether or not the
    value survives (keeps values independent of drop outcomes);
@@ -26,11 +26,19 @@ A node carries the default sensor (``environment.DEFAULT_SPECS``) of each
 channel its field configures, so ``SimConfig.sensors`` is derived from the
 field, in Channel order.
 
-A round is built as columns: ``run_round`` senses each equipped channel as
-one column over the sensing nodes, then writes None into the cells of every
-node whose data is lost (a head is followed by its leaflets, so a lost branch
-is one slice of each column). The Snapshot holds those columns; no per-node
-object is built.
+A round is decided by hop tier, then sensed. The drop stream is read as a
+stream of decisions (delivered when a draw is >= the failure probability):
+one C-level pass takes the head polls' decisions, then, for each polled head,
+one pass each takes its leaflet polls', its polled leaflets' replies' and its
+aggregate's. In a round with forced-down links each pass is a comprehension
+that gives a down link False without a draw. Every output of the round comes
+from those decision lists: the Snapshot, ``SimSummary``'s counts, the trace
+text, and the ``SimEvent``s.
+
+A round is built as columns: once the links are decided, every noise draw is
+taken, but only the cells of the nodes whose data arrives are sensed; every
+other cell is None. The Snapshot holds one column per equipped channel; no
+per-node object is built.
 
 Sensing by step lookup: ``environment.sense`` is the one definition of a
 sensed value, and its value depends only on the spec and the quantization
@@ -38,13 +46,22 @@ step. A round computes each draw's step with sense's own arithmetic, in its
 order (a reassociated form is not bit-identical), and maps it through the
 spec's step table, which is filled on a miss by calling ``sense``. Where the
 step could overflow or be inexact (truth infinite, nan, or 2**50 quanta from
-min_value), the round calls ``sense`` for every draw.
+min_value), the round calls ``sense`` for every cell it senses.
 
 Event timing within a round starting at t0 (hop = per-message latency):
 polls BS->head at t0, polls head->leaflet at t0+hop, leaflet replies at
 t0+2*hop, head aggregates at t0+3*hop. A LINK_DROP event marks each lost
 message at the same timestamp. Events are ordered by time_ms, and events
 with the same time_ms keep their emission order.
+
+Events are built only where they are asked for: by ``run_round``, and by
+``run_simulation`` given ``on_event``. ``run_simulation``'s ``on_trace`` gets
+each round's trace text instead, rendered with no per-event call: each
+message's text after its time is built once per run, one string for
+delivered and one with its LINK_DROP line for lost, and a tier's text is its
+time prefix put before each line of the texts its decisions pick. With hop 0
+every event has one time, so the text follows emission order, cluster by
+cluster, rather than tier order.
 """
 
 from __future__ import annotations
@@ -52,8 +69,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import attrgetter
+from itertools import compress, islice, repeat
+from operator import attrgetter, getitem, itemgetter
 from typing import Callable, NamedTuple
 
 from .environment import DEFAULT_SPECS, Channel, EnvField, SensorSpec, sense, truth_at
@@ -73,7 +90,8 @@ class EventKind(Enum):
 
 class SimEvent(NamedTuple):
     """One message or loss; a tuple, which builds at a quarter of a frozen
-    dataclass's cost (a run emits one per message)."""
+    dataclass's cost (``run_round`` and ``on_event`` get one per message and
+    per loss)."""
 
     time_ms: int
     kind: EventKind
@@ -157,6 +175,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimSummary:
+    """A run's totals: ``messages_sent`` counts every attempted message,
+    dropped ones included, and ``messages_dropped`` those that were lost."""
+
     rounds_run: int
     messages_sent: int
     messages_dropped: int
@@ -191,6 +212,146 @@ def _sense_column(spec: SensorSpec, truth: float, draws: list[float]) -> list[fl
         return values
 
 
+def _round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[bool], list]:
+    """Decide the round's messages tier by tier, then sense its delivered cells.
+
+    Returns the Snapshot, the head polls' decisions (True: delivered) and, per
+    head, its ``(leaflet polls, replies of the polled leaflets, aggregate)``
+    decisions, or None for a head that was not polled.
+    """
+    if not 0 <= round_index < cfg.rounds:
+        raise SimError(
+            "ROUND_OUT_OF_RANGE", f"round {round_index} not in 0..{cfg.rounds - 1}"
+        )
+    topo = cfg.topology
+    root, children = topo.root, topo.children
+    heads = children[root]
+    down = {(o.src, o.dst) for o in cfg.outages if o.covers(round_index)}
+    drops = random.Random(f"{cfg.field.seed}/drops/{round_index}")
+    # the drop stream read as decisions, one per message: delivered when draw >= p
+    ok = map(float(topo.radio.failure_prob).__le__, map(random.Random.random, repeat(drops)))
+    # a forced outage drops without consuming a draw
+    if down:
+        polled = [(root, head) not in down and next(ok) for head in heads]
+    else:
+        polled = list(islice(ok, len(heads)))
+    branches: list[tuple[list[bool], list[bool], bool] | None] = []
+    delivered: list[int] = []  # the sensing-node indices whose data arrives
+    start = 0
+    for head, head_polled in zip(heads, polled):
+        leaves = children[head]
+        if head_polled:
+            if down:
+                leaf_polled = [(head, leaf) not in down and next(ok) for leaf in leaves]
+                replied = [(leaf, head) not in down and next(ok)
+                           for leaf in compress(leaves, leaf_polled)]
+                aggregated = (head, root) not in down and next(ok)
+            else:
+                leaf_polled = list(islice(ok, len(leaves)))
+                replied = list(islice(ok, leaf_polled.count(True)))
+                aggregated = next(ok)
+            branches.append((leaf_polled, replied, aggregated))
+            if aggregated:  # a head is followed by its leaflets
+                delivered.append(start)
+                delivered += compress(compress(range(start + 1, start + 1 + len(leaves)),
+                                               leaf_polled), replied)
+        else:
+            branches.append(None)  # head never polled; the whole branch stays silent
+        start += 1 + len(leaves)
+
+    nodes = topo.sensing_nodes()
+    sensors = cfg.sensors
+    width = len(sensors)
+    noise = random.Random(f"{cfg.field.seed}/noise/{round_index}")
+    # the round's draws in their fixed order, node by node, sensor by sensor,
+    # lost nodes included
+    draws = list(map(random.Random.random, repeat(noise, len(nodes) * width)))
+    # only the delivered cells are sensed; rank maps a cell to its place among
+    # them, 0 (None) for a lost one
+    rank = [0] * len(nodes)
+    for place, i in enumerate(delivered, 1):
+        rank[i] = place
+    place_cells = itemgetter(0, *rank)  # the leading 0 keeps a tuple for one node
+    columns = {}
+    for i, spec in enumerate(sensors):
+        sensed = _sense_column(spec, truth_at(cfg.field, spec.channel, round_index),
+                               list(compress(draws[i::width], rank)))
+        columns[spec.channel] = place_cells([None, *sensed])[1:]
+    snapshot = Snapshot(round_index, round_index * cfg.round_period_ms, nodes, columns)
+    return snapshot, polled, branches
+
+
+def _tally(polled: list[bool], branches: list) -> tuple[int, int]:
+    """The round's attempted messages, dropped ones included, and its dropped ones."""
+    sent, dropped = len(polled), polled.count(False)
+    for leaf_polled, replied, aggregated in filter(None, branches):
+        sent += len(leaf_polled) + len(replied) + 1
+        dropped += leaf_polled.count(False) + replied.count(False) + (not aggregated)
+    return sent, dropped
+
+
+def _events(cfg: SimConfig, t0: int, polled: list[bool], branches: list) -> list[SimEvent]:
+    """The round's events in (time, emission) order, from its decisions."""
+    topo, hop = cfg.topology, cfg.hop_latency_ms
+    root, children = topo.root, topo.children
+    heads = children[root]
+    sent = [(t0, _POLL, root, head, ok) for head, ok in zip(heads, polled)]
+    for head, branch in zip(heads, branches):
+        if branch is not None:
+            leaf_polled, replied, aggregated = branch
+            leaves = children[head]
+            sent += [(t0 + hop, _POLL, head, leaf, ok) for leaf, ok in zip(leaves, leaf_polled)]
+            sent += [(t0 + 2 * hop, _DATA, leaf, head, ok)
+                     for leaf, ok in zip(compress(leaves, leaf_polled), replied)]
+            sent.append((t0 + 3 * hop, _DATA, head, root, aggregated))
+    events: list[SimEvent] = []
+    for at, kind, src, dst, ok in sent:
+        events.append(_new_tuple(SimEvent, (at, kind, src, dst)))
+        if not ok:
+            events.append(_new_tuple(SimEvent, (at, _LINK_DROP, src, dst)))
+    return sorted(events, key=attrgetter("time_ms"))  # stable: ties keep emission order
+
+
+def _trace_suffixes(topo: TreeTopology) -> tuple[list, list]:
+    """Each message's trace text after its time, as a (lost, delivered) pair:
+    the head polls, and per head its leaflet polls, their replies and its
+    aggregate."""
+
+    def texts(kind: EventKind, src: str, dst: str) -> tuple[str, str]:
+        line = f"{kind.value} {src} {dst}\n"
+        return f"{line}{_LINK_DROP.value} {src} {dst}\n", line
+
+    root, children = topo.root, topo.children
+    heads = children[root]
+    return [texts(_POLL, root, head) for head in heads], [
+        ([texts(_POLL, head, leaf) for leaf in children[head]],
+         [texts(_DATA, leaf, head) for leaf in children[head]],
+         texts(_DATA, head, root)) for head in heads]
+
+
+def _stamp(prefix: str, body: str) -> str:
+    """``prefix`` put in front of each line of ``body``."""
+    return prefix + body[:-1].replace("\n", "\n" + prefix) + "\n" if body else ""
+
+
+def _trace_text(suffixes: tuple[list, list], t0: int, hop: int,
+                polled: list[bool], branches: list) -> str:
+    """The round's ``trace_line`` text, one LF-terminated line per event, in
+    (time, emission) order, from its decisions."""
+    head_polls, branch_suffixes = suffixes
+    # a bool decision indexes its (lost, delivered) pair
+    bodies = [("".join(map(getitem, leaf_polls, leaf_polled)),
+               "".join(map(getitem, compress(replies, leaf_polled), replied)),
+               aggregate[aggregated])
+              for (leaf_polls, replies, aggregate), (leaf_polled, replied, aggregated)
+              in zip(compress(branch_suffixes, polled), filter(None, branches))]
+    polls = "".join(map(getitem, head_polls, polled))
+    if not hop:  # one time for every event: emission order, cluster by cluster
+        return _stamp(f"{t0} ", polls + "".join(map("".join, bodies)))
+    tiers = [polls, *map("".join, zip(*bodies))]
+    return "".join(_stamp(f"{t0 + i * hop} ", body) for i, body in enumerate(tiers))
+
+
 def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent]]:
     """Simulate one collection round, with the links ``cfg.outages`` force down.
 
@@ -198,82 +359,39 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent
     node's cells are None, never absent) and its events in (time, emission)
     order.
     """
-    if not 0 <= round_index < cfg.rounds:
-        raise SimError(
-            "ROUND_OUT_OF_RANGE", f"round {round_index} not in 0..{cfg.rounds - 1}"
-        )
-    topo = cfg.topology
-    root, children, hop = topo.root, topo.children, cfg.hop_latency_ms
-    t0 = round_index * cfg.round_period_ms
-    down = {(o.src, o.dst) for o in cfg.outages if o.covers(round_index)}
-    draw = random.Random(f"{cfg.field.seed}/drops/{round_index}").random
-    failure_prob = topo.radio.failure_prob
-    events: list[SimEvent] = []
-    emit = events.append
-
-    def attempt(kind: EventKind, src: str, dst: str, at: int) -> bool:
-        """Emit the message event; decide and mark loss. True when delivered."""
-        emit(_new_tuple(SimEvent, (at, kind, src, dst)))
-        # a forced outage drops without consuming a draw
-        if (src, dst) in down or draw() < failure_prob:
-            emit(_new_tuple(SimEvent, (at, _LINK_DROP, src, dst)))
-            return False
-        return True
-
-    nodes = topo.sensing_nodes()
-    sensors = cfg.sensors
-    width = len(sensors)
-    noise = random.Random(f"{cfg.field.seed}/noise/{round_index}")
-    # the round's draws in their fixed order: node by node, sensor by sensor
-    draws = list(map(random.Random.random, repeat(noise, len(nodes) * width)))
-    columns = [_sense_column(spec, truth_at(cfg.field, spec.channel, round_index), draws[i::width])
-               for i, spec in enumerate(sensors)]
-    lost: list[tuple[int, int]] = []  # the [start, stop) spans of nodes whose data is lost
-
-    heads = children[root]
-    polled = [attempt(_POLL, root, head, t0) for head in heads]
-    start = 0
-    for head, head_polled in zip(heads, polled):
-        leaves = children[head]
-        stop = start + 1 + len(leaves)  # a head is followed by its leaflets
-        if head_polled:
-            leaf_polled = [attempt(_POLL, head, leaf, t0 + hop) for leaf in leaves]
-            replied = [ok and attempt(_DATA, leaf, head, t0 + 2 * hop)
-                       for leaf, ok in zip(leaves, leaf_polled)]
-            if attempt(_DATA, head, root, t0 + 3 * hop):
-                lost += [(i, i + 1) for i, ok in enumerate(replied, start + 1) if not ok]
-            else:
-                lost.append((start, stop))  # the aggregate is lost: the whole branch
-        else:
-            lost.append((start, stop))  # head never polled; the whole branch stays silent
-        start = stop
-
-    nulls = [None] * len(nodes)
-    for column in columns:
-        for start, stop in lost:
-            column[start:stop] = nulls[start:stop]
-    channels = [spec.channel for spec in sensors]
-    events = sorted(events, key=attrgetter("time_ms"))  # stable: ties keep emission order
-    return Snapshot(round_index, t0, nodes, dict(zip(channels, map(tuple, columns)))), events
+    snapshot, polled, branches = _round(cfg, round_index)
+    return snapshot, _events(cfg, snapshot.time_ms, polled, branches)
 
 
 def run_simulation(
     cfg: SimConfig,
     sink: Callable[[Snapshot], None],
     on_event: Callable[[SimEvent], None] | None = None,
+    on_trace: Callable[[str], None] | None = None,
 ) -> SimSummary:
-    """Run all configured rounds, handing each Snapshot to ``sink`` in order."""
+    """Run all configured rounds, handing each Snapshot to ``sink`` in order.
+
+    Before a round's Snapshot goes to ``sink``, ``on_event`` gets each of the
+    round's events, and ``on_trace`` gets its trace text: the ``trace_line``
+    of each event, each ending in LF, in one string. A failure of ``on_trace``
+    or ``sink`` is a SINK_FAILURE.
+    """
+    suffixes = None if on_trace is None else _trace_suffixes(cfg.topology)
     sent = 0
     dropped = 0
     for round_index in range(cfg.rounds):
-        snapshot, events = run_round(cfg, round_index)
-        lost = [ev.kind for ev in events].count(_LINK_DROP)
+        snapshot, polled, branches = _round(cfg, round_index)
+        attempted, lost = _tally(polled, branches)
+        sent += attempted
         dropped += lost
-        sent += len(events) - lost
         if on_event is not None:
-            for ev in events:
+            for ev in _events(cfg, snapshot.time_ms, polled, branches):
                 on_event(ev)
+        text = None if on_trace is None else _trace_text(
+            suffixes, snapshot.time_ms, cfg.hop_latency_ms, polled, branches)
         try:
+            if on_trace is not None:
+                on_trace(text)
             sink(snapshot)
         except Exception as e:
             raise SimError(

@@ -14,13 +14,14 @@ from unittest import mock
 
 import pytest
 
-from helpers import make_config, desk_topology, readings
+from helpers import make_config, desk_topology, readings, reference_round
 from wsnmon import basestation
 from wsnmon.basestation import parse_record, parse_telemetry
 from wsnmon.cli import main
+from wsnmon.config import parse_config
 from wsnmon.environment import Channel
 from wsnmon.gateway import Gateway
-from wsnmon.netsim import run_round
+from wsnmon.netsim import run_round, trace_line
 
 ROOT = Path(__file__).resolve().parent.parent
 DESK_CFG = """\
@@ -317,6 +318,22 @@ class TestRun:
         assert len(lines) == 5 * 12
         assert lines[0] == "0 INTERRUPT_CALL BS N1"
         assert lines[1] == "0 INTERRUPT_CALL BS N2"
+
+    def test_hop_zero_trace_with_an_outage_matches_reference_round(self, tmp_path):
+        """With hop_ms 0 every event of a round shares one time, so the trace
+        keeps emission order; a forced-down link drops without a draw."""
+        cfg_text = ("radio 30 0.3\ncluster N1 1.1 1.2 1.3\ncluster N2 2.1 2.2\n"
+                    "cluster N3\nrounds 12\nseed 5\nhop_ms 0\nfail N1 1.2 2 7\n"
+                    "fail N2 BS 5 5\n")
+        trace = tmp_path / "t.trace"
+        rc = main(["run", write_cfg(tmp_path, cfg_text), "--out", str(tmp_path / "t.log"),
+                   "--trace", str(trace)])
+        assert rc == 0
+        cfg = parse_config(cfg_text).sim
+        expected = "".join(trace_line(ev) + "\n" for r in range(cfg.rounds)
+                           for ev in reference_round(cfg, r)[1])
+        assert trace.read_text(encoding="utf-8") == expected
+        assert " LINK_DROP N1 1.2\n" in expected and " LINK_DROP N2 BS\n" in expected
 
     def test_rewrite_latest_holds_final_round(self, tmp_path):
         out = tmp_path / "t.log"

@@ -272,7 +272,8 @@ class TestReferenceRound:
     @given(cfg=reference_configs())
     def test_run_simulation_matches_reference_round(self, cfg):
         """Snapshots, events, trace text and counts all equal those of the
-        slow reference read off the netsim docstring."""
+        slow reference read off the netsim docstring; so does the trace text
+        that ``wsn run --trace`` writes, round by round."""
         events = []
         snaps, summary = collect_with_events(cfg, events)
         expected = [reference_round(cfg, r) for r in range(cfg.rounds)]
@@ -283,6 +284,11 @@ class TestReferenceRound:
             f"{time_ms} {kind.value} {src} {dst}" for time_ms, kind, src, dst in expected_events]
         dropped = [ev.kind for ev in expected_events].count(EventKind.LINK_DROP)
         assert summary == SimSummary(cfg.rounds, len(expected_events) - dropped, dropped)
+        texts, traced = [], []  # as cmd_run calls it: a sink and on_trace alone
+        assert run_simulation(cfg, traced.append, on_trace=texts.append) == summary
+        assert traced == snaps
+        assert texts == ["".join(trace_line(ev) + "\n" for ev in round_events)
+                         for _, round_events in expected]
 
 
 class TestRunSimulation:
