@@ -5,7 +5,9 @@ any number of clients while watching threshold alerts.
 
 Each export is imported from its module on first use (PEP 562), so a tool
 that needs one stage does not load the others: ``wsn plotdata`` never
-imports the simulator or the server.
+imports the simulator or the server, and a ``wsn run`` that does not serve
+never imports the server. The alert rules live in ``alerts``, which a config
+needs, apart from the server in ``gateway``.
 """
 
 import importlib
@@ -13,6 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "alerts": ("Alert", "AlertRule", "Comparator", "Severity", "evaluate_alerts"),
     "basestation": ("LatestMirror", "ParsedTelemetry", "PartialRound", "TelemetryReader",
                     "TelemetryWriter", "parse_record", "parse_telemetry",
                     "serialize_snapshots"),
@@ -20,8 +23,7 @@ _EXPORTS = {
     "environment": ("Channel", "ChannelModel", "EnvField", "SensorSpec", "sense", "truth_at"),
     "errors": ("ConfigError", "EnvError", "GatewayError", "SimError", "TelemetryError",
                "TopologyError", "WsnError"),
-    "gateway": ("Alert", "AlertRule", "Comparator", "Gateway", "Severity",
-                "evaluate_alerts", "serve"),
+    "gateway": ("Gateway", "serve"),
     "netsim": ("EventKind", "LinkOutage", "SimConfig", "SimEvent", "SimSummary",
                "run_round", "run_simulation"),
     "records": ("Reading", "Snapshot"),

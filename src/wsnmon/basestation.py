@@ -47,10 +47,9 @@ import io
 import math
 import os
 import stat
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import is_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .environment import Channel
 from .errors import TelemetryError
@@ -244,8 +243,7 @@ def parse_record(line: str, line_no: int = 0) -> tuple[int, int, Reading]:
     return rnd, time_ms, Reading(node, values)
 
 
-@dataclass(frozen=True)
-class PartialRound:
+class PartialRound(NamedTuple):
     """Trailing incomplete round found at EOF (round is None when even the
     first record of the group was torn mid-line)."""
 
@@ -253,8 +251,7 @@ class PartialRound:
     records: int
 
 
-@dataclass
-class ParsedTelemetry:
+class ParsedTelemetry(NamedTuple):
     nodes: tuple[str, ...]
     snapshots: list[Snapshot]
     partial: PartialRound | None

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import socket
 import sys
 import time
 
@@ -112,9 +111,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    # imported here: fetch and plotdata need neither the simulator nor the server
+    # imported here: fetch and plotdata need no simulator, and only --serve the server
     from .config import parse_config
-    from .gateway import Gateway, serve
     from .netsim import run_simulation
 
     try:
@@ -146,6 +144,8 @@ def _run(args: argparse.Namespace) -> int:
     try:
         with contextlib.ExitStack() as stack:
             if args.serve:
+                from .gateway import Gateway, serve
+
                 # bind before any output file exists, so a busy port leaves none behind
                 gateway = Gateway(sim.topology, run_cfg.rules)
                 server = stack.enter_context(serve(gateway, host=args.host, port=args.port))
@@ -208,6 +208,11 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
+    if not 0 <= args.port <= 65535:  # create_connection would take the port modulo 2**16
+        _err(f"wsn fetch: cannot reach {args.host}:{args.port}: port must be 0-65535")
+        return 2
+    import socket  # imported here: run and plotdata do not need it
+
     request = " ".join([args.verb, *args.args])
     reply: list[str] = []  # written once the exchange ends, so a write failure is told apart
     status = 0

@@ -20,11 +20,11 @@ Every error names the offending line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from .alerts import AlertRule, Comparator, Severity
 from .environment import Channel, ChannelModel, EnvField, channel_from_token
 from .errors import ConfigError, SimError, TopologyError, WsnError
-from .gateway import AlertRule, Comparator, Severity
 from .netsim import (
     DEFAULT_HOP_LATENCY_MS,
     DEFAULT_ROUND_PERIOD_MS,
@@ -40,8 +40,7 @@ _COMPARATORS = {"GT": Comparator.GREATER, "LT": Comparator.LESS}
 _SEVERITIES = {s.value: s for s in Severity}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     sim: SimConfig
     rules: tuple[AlertRule, ...]
 

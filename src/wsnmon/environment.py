@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
+from ._frozen import Frozen
 from .errors import EnvError
 
 
@@ -42,29 +42,24 @@ def channel_from_token(token: str) -> Channel:
     raise EnvError("UNKNOWN_CHANNEL", f"no channel named {token!r}")
 
 
-@dataclass(frozen=True)
-class SensorSpec:
-    """One channel's sampling model: bounded error, quantized, saturating."""
+class SensorSpec(Frozen):
+    """One channel's sampling model: bounded error (``accuracy``, the max
+    absolute error) and quantized by ``quantum``, both in channel units, and
+    saturating at ``min_value`` and ``max_value``."""
 
-    channel: Channel
-    accuracy: float  # max absolute error, channel units
-    quantum: float  # quantization step, channel units
-    min_value: float
-    max_value: float
-    # step -> sense()'s value for it: netsim's table, filled from sense alone
-    _sensed: dict[int, float] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("channel", "accuracy", "quantum", "min_value", "max_value")
+    # _sensed: step -> sense()'s value for it, netsim's table, filled from sense alone
+    __slots__ = (*_fields, "_sensed")
 
-    def __post_init__(self):
-        if self.accuracy < 0:
-            raise EnvError("INVALID_SENSOR", f"accuracy must be >= 0, got {self.accuracy}")
-        if self.quantum <= 0:
-            raise EnvError("INVALID_SENSOR", f"quantum must be > 0, got {self.quantum}")
-        if not self.min_value < self.max_value:
-            raise EnvError(
-                "INVALID_SENSOR",
-                f"min {self.min_value} must be below max {self.max_value}",
-            )
+    def __init__(self, channel: Channel, accuracy: float, quantum: float,
+                 min_value: float, max_value: float):
+        if accuracy < 0:
+            raise EnvError("INVALID_SENSOR", f"accuracy must be >= 0, got {accuracy}")
+        if quantum <= 0:
+            raise EnvError("INVALID_SENSOR", f"quantum must be > 0, got {quantum}")
+        if not min_value < max_value:
+            raise EnvError("INVALID_SENSOR", f"min {min_value} must be below max {max_value}")
+        self._init(channel, accuracy, quantum, min_value, max_value, {})
 
 
 # Temperature: 0.5 degC accuracy, 0.0625 degC step (12-bit sensor register).
@@ -79,8 +74,7 @@ DEFAULT_SPECS: dict[Channel, SensorSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class ChannelModel:
+class ChannelModel(Frozen):
     """One channel's truth over rounds: its ``baseline``, moved by at most one of
     a random walk (one Gaussian step of width ``sigma`` per round) or a
     ``script`` of ``(round, value)`` breakpoints, each value held from its round
@@ -88,31 +82,32 @@ class ChannelModel:
     channel is constant: ``sigma`` 0 is no walk.
     """
 
-    baseline: float
-    sigma: float = 0.0
-    script: tuple[tuple[int, float], ...] = ()
+    _fields = __slots__ = ("baseline", "sigma", "script")
 
-    def __post_init__(self):
-        if not self.sigma >= 0:  # nan too
-            raise EnvError("INVALID_DRIFT", f"sigma must be >= 0, got {self.sigma}")
-        if self.sigma and self.script:
+    def __init__(self, baseline: float, sigma: float = 0.0,
+                 script: tuple[tuple[int, float], ...] = ()):
+        if not sigma >= 0:  # nan too
+            raise EnvError("INVALID_DRIFT", f"sigma must be >= 0, got {sigma}")
+        if sigma and script:
             raise EnvError("INVALID_DRIFT", "a channel walks or follows a script, not both")
-        rounds = [r for r, _ in self.script]
+        rounds = [r for r, _ in script]
         if any(r < 0 for r in rounds):
             raise EnvError("INVALID_DRIFT", "breakpoint rounds must be >= 0")
         if any(b <= a for a, b in zip(rounds, rounds[1:])):
             raise EnvError("INVALID_DRIFT", "breakpoint rounds must be strictly increasing")
+        self._init(baseline, sigma, script)
 
 
-@dataclass(frozen=True)
-class EnvField:
+class EnvField(Frozen):
     """Shared room-level truth for every configured channel (one room, one field)."""
 
-    channels: Mapping[Channel, ChannelModel]
-    seed: int = 0
-    # (channel, baseline, sigma) -> (the walk's step stream, truth at rounds 0..len-1)
-    _walks: dict[tuple[Channel, float, float], tuple[random.Random, list[float]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("channels", "seed")
+    # _walks: (channel, baseline, sigma) -> (the walk's step stream, truth at
+    # rounds 0..len-1)
+    __slots__ = (*_fields, "_walks")
+
+    def __init__(self, channels: Mapping[Channel, ChannelModel], seed: int = 0):
+        self._init(channels, seed, {})
 
 
 def _walk(f: EnvField, channel: Channel, model: ChannelModel, round_index: int) -> float:

@@ -22,27 +22,20 @@ Every response a round can get is rendered once, when the round is
 published, from the same block of record lines the log and the mirror get
 (``basestation.snapshot_block``); a request is a table lookup.
 
-Alerts have rising-edge semantics: a (rule, node) pair fires when its
-predicate turns true after a round where it was false, NULL, or unknown; a
-NULL (or unequipped) round resets the edge so recovery can fire again.
+Alert rules and their rising-edge semantics are defined in ``alerts``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
-import math
-import operator
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass
-from enum import Enum
-from itertools import compress, repeat
-from typing import Mapping, NamedTuple, Sequence
+from typing import Sequence
 
-from .basestation import format_value, snapshot_block
-from .environment import Channel
+from .alerts import Alert, AlertRule, alert_line, evaluate_alerts
+from .basestation import snapshot_block
 from .errors import GatewayError
 from .records import Snapshot
 from .topology import TreeTopology
@@ -50,72 +43,6 @@ from .topology import TreeTopology
 MAX_REQUEST_BYTES = 4096
 
 log = logging.getLogger(__name__)
-
-
-class Comparator(Enum):
-    GREATER = "GT"
-    LESS = "LT"
-
-
-class Severity(Enum):
-    WARN = "WARN"
-    DANGER = "DANGER"
-
-
-@dataclass(frozen=True)
-class AlertRule:
-    rule_id: str
-    channel: Channel
-    comparator: Comparator
-    threshold: float
-    severity: Severity
-
-    def __post_init__(self):
-        if not self.rule_id or any(c.isspace() or c == "," for c in self.rule_id):
-            raise GatewayError("INVALID_RULE", f"bad rule id {self.rule_id!r}")
-        if self.threshold != self.threshold or self.threshold in (float("inf"), float("-inf")):
-            raise GatewayError("INVALID_RULE", "threshold must be finite")
-
-
-class Alert(NamedTuple):
-    rule_id: str
-    node: str
-    round: int
-    value: float
-    severity: Severity
-
-
-def alert_line(a: Alert, channel: Channel) -> str:
-    return f"{a.rule_id},{a.node},{a.round},{format_value(channel, a.value)},{a.severity.value}"
-
-
-AlertState = Mapping[tuple[str, str], bool]
-
-_COMPARE = {Comparator.GREATER: operator.gt, Comparator.LESS: operator.lt}
-# a lost cell reads as nan, which no comparison holds for
-_NO_VALUE = {None: math.nan}
-
-
-def evaluate_alerts(
-    rules: Sequence[AlertRule], s: Snapshot, state: AlertState
-) -> tuple[dict[tuple[str, str], bool], list[Alert]]:
-    """Advance alert state by one round; returns (new state, newly fired).
-
-    State maps (rule_id, node) to "predicate held last round". Pairs whose
-    channel is NULL or not carried this round are false in the new state.
-    """
-    new_state: dict[tuple[str, str], bool] = {}
-    fired: list[Alert] = []
-    for rule in rules:
-        keys = list(zip(repeat(rule.rule_id), s.nodes))
-        column = s.columns.get(rule.channel) or (None,) * len(keys)
-        holds = list(map(_COMPARE[rule.comparator], map(_NO_VALUE.get, column, column),
-                         repeat(rule.threshold)))
-        new_state.update(zip(keys, holds))
-        for key, value in compress(zip(keys, column), holds):
-            if not state.get(key, False):
-                fired.append(Alert(rule.rule_id, key[1], s.round, value, rule.severity))
-    return new_state, fired
 
 
 def _validate_rules(rules: Sequence[AlertRule]) -> None:

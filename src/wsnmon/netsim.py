@@ -67,12 +67,12 @@ cluster, rather than tier order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice, repeat
 from operator import attrgetter, getitem, itemgetter
 from typing import Callable, NamedTuple
 
+from ._frozen import Frozen
 from .environment import DEFAULT_SPECS, Channel, EnvField, SensorSpec, sense, truth_at
 from .errors import SimError, WsnError
 from .records import Snapshot
@@ -110,71 +110,61 @@ def trace_line(ev: SimEvent) -> str:
     return f"{time_ms} {kind._value_} {src} {dst}"  # _value_: no property call
 
 
-@dataclass(frozen=True)
-class LinkOutage:
+class LinkOutage(Frozen):
     """Force the directed link src->dst down for rounds first..last inclusive."""
 
-    src: str
-    dst: str
-    first_round: int
-    last_round: int
+    _fields = __slots__ = ("src", "dst", "first_round", "last_round")
 
-    def __post_init__(self):
-        if self.first_round < 0 or self.last_round < self.first_round:
+    def __init__(self, src: str, dst: str, first_round: int, last_round: int):
+        if first_round < 0 or last_round < first_round:
             raise SimError(
-                "INVALID_CONFIG",
-                f"outage rounds {self.first_round}..{self.last_round} out of order",
-            )
+                "INVALID_CONFIG", f"outage rounds {first_round}..{last_round} out of order")
+        self._init(src, dst, first_round, last_round)
 
     def covers(self, round_index: int) -> bool:
         return self.first_round <= round_index <= self.last_round
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Frozen):
     """A run: the tree, the field (whose seed drives every random stream, see
-    the module docstring), and the round schedule. The sensors are derived
-    from the field."""
+    the module docstring), and the round schedule. ``sensors``, the default
+    spec of each channel the field configures in Channel order, is derived
+    from the field once, at construction."""
 
-    topology: TreeTopology
-    field: EnvField
-    rounds: int
-    round_period_ms: int = DEFAULT_ROUND_PERIOD_MS
-    hop_latency_ms: int = DEFAULT_HOP_LATENCY_MS
-    outages: tuple[LinkOutage, ...] = ()
+    _fields = ("topology", "field", "rounds", "round_period_ms", "hop_latency_ms", "outages")
+    __slots__ = (*_fields, "sensors")
 
-    @property
-    def sensors(self) -> tuple[SensorSpec, ...]:
-        """The default spec of each channel the field configures, in Channel order."""
-        return tuple(DEFAULT_SPECS[ch] for ch in Channel if ch in self.field.channels)
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise SimError("INVALID_CONFIG", f"rounds must be >= 1, got {self.rounds}")
-        if self.round_period_ms <= 0:
+    def __init__(self, topology: TreeTopology, field: EnvField, rounds: int,
+                 round_period_ms: int = DEFAULT_ROUND_PERIOD_MS,
+                 hop_latency_ms: int = DEFAULT_HOP_LATENCY_MS,
+                 outages: tuple[LinkOutage, ...] = ()):
+        if rounds < 1:
+            raise SimError("INVALID_CONFIG", f"rounds must be >= 1, got {rounds}")
+        if round_period_ms <= 0:
             raise SimError("INVALID_CONFIG", "round_period_ms must be > 0")
-        if self.hop_latency_ms < 0:
+        if hop_latency_ms < 0:
             raise SimError("INVALID_CONFIG", "hop_latency_ms must be >= 0")
-        if self.round_period_ms < 4 * self.hop_latency_ms:
+        if round_period_ms < 4 * hop_latency_ms:
             # a round's four hops must finish before the next round starts
             raise SimError(
                 "INVALID_CONFIG",
-                f"period_ms {self.round_period_ms} must be >= 4x hop_ms {self.hop_latency_ms}",
+                f"period_ms {round_period_ms} must be >= 4x hop_ms {hop_latency_ms}",
             )
         for required in (Channel.TEMP_C, Channel.LIGHT_RAW):
-            if required not in self.field.channels:
+            if required not in field.channels:
                 raise SimError("INVALID_CONFIG", f"no field configured for {required.value}")
-        for outage in self.outages:
+        for outage in outages:
             try:
-                if not self.topology.is_link(outage.src, outage.dst):
+                if not topology.is_link(outage.src, outage.dst):
                     raise SimError("NOT_A_LINK", f"{outage.src}->{outage.dst} is not a link")
             except WsnError as e:  # a non-link, or a TopologyError for an unknown node
                 e.outage = outage  # lets parse_config name the line that declared it
                 raise
+        sensors = tuple(DEFAULT_SPECS[ch] for ch in Channel if ch in field.channels)
+        self._init(topology, field, rounds, round_period_ms, hop_latency_ms, outages, sensors)
 
 
-@dataclass(frozen=True)
-class SimSummary:
+class SimSummary(NamedTuple):
     """A run's totals: ``messages_sent`` counts every attempted message,
     dropped ones included, and ``messages_dropped`` those that were lost."""
 

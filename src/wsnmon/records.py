@@ -17,9 +17,9 @@ one, and ``reading_for`` builds one on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
+from ._frozen import Frozen
 from .environment import Channel
 
 
@@ -30,21 +30,21 @@ class Reading(NamedTuple):
     values: Mapping[Channel, float | None]
 
 
-@dataclass(frozen=True, slots=True)
-class Snapshot:
+class Snapshot(Frozen):
     """All readings of one collection round, in deterministic topology order.
 
     ``columns`` maps each carried channel to a tuple of one cell per node
     of ``nodes`` (see the module). The round's record block is rendered into
-    ``_block`` on first use (``basestation.snapshot_block``), so every sink
-    shares one string.
+    the ``_block`` cache on first use (``basestation.snapshot_block``), so
+    every sink shares one string.
     """
 
-    round: int
-    time_ms: int
-    nodes: tuple[str, ...]
-    columns: Mapping[Channel, tuple[float | None, ...]]
-    _block: str | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("round", "time_ms", "nodes", "columns")
+    __slots__ = (*_fields, "_block")
+
+    def __init__(self, round: int, time_ms: int, nodes: tuple[str, ...],
+                 columns: Mapping[Channel, tuple[float | None, ...]]):
+        self._init(round, time_ms, nodes, columns, None)
 
     def _reading(self, i: int) -> Reading:
         return Reading(self.nodes[i], {channel: column[i]

@@ -8,9 +8,9 @@ simulation) deterministic. Topology values are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from ._frozen import Frozen
 from .errors import TopologyError
 
 #: Labels that collide with value literals in the telemetry file format.
@@ -31,36 +31,40 @@ def validate_label(label: str) -> None:
             raise TopologyError("INVALID_LABEL", f"label {label!r} contains {ch!r}")
 
 
-@dataclass(frozen=True)
-class RadioSpec:
+class RadioSpec(Frozen):
     """Uniform per-link radio parameters (every node's range is the same)."""
 
-    range_m: float
-    failure_prob: float = 0.0
+    _fields = __slots__ = ("range_m", "failure_prob")
 
-    def __post_init__(self):
-        if not math.isfinite(self.range_m) or self.range_m <= 0:
-            raise TopologyError("INVALID_RADIO", f"range_m must be positive, got {self.range_m}")
-        if not 0.0 <= self.failure_prob <= 1.0:
+    def __init__(self, range_m: float, failure_prob: float = 0.0):
+        if not math.isfinite(range_m) or range_m <= 0:
+            raise TopologyError("INVALID_RADIO", f"range_m must be positive, got {range_m}")
+        if not 0.0 <= failure_prob <= 1.0:
             raise TopologyError(
-                "INVALID_RADIO", f"failure_prob must be in [0,1], got {self.failure_prob}"
+                "INVALID_RADIO", f"failure_prob must be in [0,1], got {failure_prob}"
             )
+        self._init(range_m, failure_prob)
 
 
-@dataclass(frozen=True)
-class TreeTopology:
+class TreeTopology(Frozen):
     """Immutable depth-2 tree rooted at the base station.
 
     ``children`` maps every node, the root included, to its ordered child
     tuple: the root's children are the cluster heads, a head's are its
     leaflets, and a leaflet's is empty. It is the only description of the
-    tree; treat it as read-only.
+    tree; treat it as read-only. ``positions`` defaults to a new empty dict.
     """
 
-    root: str
-    children: Mapping[str, tuple[str, ...]]
-    radio: RadioSpec
-    positions: Mapping[str, tuple[float, float]] = field(default_factory=dict)
+    _fields = ("root", "children", "radio", "positions")
+    __slots__ = (*_fields, "_nodes")
+
+    def __init__(self, root: str, children: Mapping[str, tuple[str, ...]], radio: RadioSpec,
+                 positions: Mapping[str, tuple[float, float]] | None = None):
+        nodes: list[str] = []
+        for head in children[root]:
+            nodes.append(head)
+            nodes.extend(children[head])
+        self._init(root, children, radio, {} if positions is None else positions, tuple(nodes))
 
     def cluster_heads(self) -> tuple[str, ...]:
         return self.children[self.root]
@@ -70,12 +74,9 @@ class TreeTopology:
 
         Each cluster head is immediately followed by its leaflets, heads in
         configuration order. This order fixes telemetry record order too.
+        The tuple is built once, with the topology.
         """
-        out: list[str] = []
-        for head in self.cluster_heads():
-            out.append(head)
-            out.extend(self.children[head])
-        return tuple(out)
+        return self._nodes
 
     def is_link(self, a: str, b: str) -> bool:
         """True when (a, b) is a tree edge in either direction."""

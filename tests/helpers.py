@@ -10,9 +10,9 @@ from __future__ import annotations
 import random
 from collections import deque
 
+from wsnmon.alerts import AlertRule, Comparator, Severity
 from wsnmon.basestation import format_value
 from wsnmon.environment import DEFAULT_SPECS, Channel, ChannelModel, EnvField, sense
-from wsnmon.gateway import AlertRule, Comparator, Severity
 from wsnmon.netsim import EventKind, SimConfig, SimEvent
 from wsnmon.records import Reading, Snapshot
 from wsnmon.topology import RadioSpec, TreeTopology, build_topology

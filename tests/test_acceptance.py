@@ -24,6 +24,7 @@ from helpers import (
     round_message_count,
     status_of,
 )
+from wsnmon.alerts import evaluate_alerts
 from wsnmon.basestation import (
     PartialRound,
     TelemetryWriter,
@@ -33,7 +34,7 @@ from wsnmon.basestation import (
 )
 from wsnmon.cli import main
 from wsnmon.environment import Channel, ChannelModel, EnvField, truth_at
-from wsnmon.gateway import Gateway, evaluate_alerts, serve
+from wsnmon.gateway import Gateway, serve
 from wsnmon.netsim import (
     EventKind,
     LinkOutage,

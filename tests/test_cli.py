@@ -50,13 +50,36 @@ def src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
-def test_import_loads_neither_simulator_nor_server():
-    """fetch and plotdata start without the modules only ``wsn run`` needs."""
-    code = ("import sys, wsnmon.cli; print(sorted({'wsnmon.config', 'wsnmon.gateway', "
-            "'wsnmon.netsim', 'socketserver', 'signal'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout == "[]\n"
+# argv[1]: the modules to look for; argv[2:]: a wsn command to run first, if any
+LOADED_PROBE = """\
+import sys
+bare = set(sys.modules)
+from wsnmon.cli import main
+if sys.argv[2:] and main(sys.argv[2:]) != 0:
+    sys.exit("the command failed")
+print(sorted(set(sys.argv[1].split()) & set(sys.modules) - bare))
+"""
+
+
+def test_import_loads_neither_simulator_nor_server(tmp_path):
+    """Each command imports only what it runs: fetch and plotdata start
+    without the simulator or the server, and a run that does not serve loads
+    no server, no socket and no dataclasses. A module that a bare interpreter
+    has already loaded (site may load some) is not looked for."""
+    log = str(tmp_path / "t.log")
+    commands = [
+        ([], "wsnmon.config wsnmon.gateway wsnmon.netsim socketserver signal socket "
+             "dataclasses"),
+        (["run", write_cfg(tmp_path), "--out", log],
+         "wsnmon.gateway socketserver socket logging dataclasses"),
+        (["plotdata", log, "--node", "N1", "--channel", "temp_c"],
+         "wsnmon.config wsnmon.netsim wsnmon.gateway socket dataclasses"),
+    ]
+    for argv, modules in commands:
+        done = subprocess.run([sys.executable, "-c", LOADED_PROBE, modules, *argv],
+                              env=src_env(), capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert done.stdout.splitlines()[-1] == "[]", argv
 
 
 class TestRun:
@@ -436,6 +459,15 @@ class TestFetch:
         assert rc == 2
         assert capsys.readouterr().err == (
             "wsn fetch: cannot write output: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+    def test_out_of_range_port_exits_2(self, capsys, port):
+        """A port outside 0-65535 is refused, not connected to modulo 2**16."""
+        with mock.patch("socket.create_connection", side_effect=OSError("refused")) as connect:
+            assert main(["fetch", "--port", port, "PING"]) == 2
+        connect.assert_not_called()
+        assert capsys.readouterr().err == (
+            f"wsn fetch: cannot reach 127.0.0.1:{port}: port must be 0-65535\n")
 
     def test_connection_refused(self, capsys):
         rc = main(["fetch", "--port", str(free_port()), "PING"])

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import desk_topology, format_topology
+from wsnmon.alerts import Comparator, Severity
 from wsnmon.config import RunConfig, parse_config
 from wsnmon.environment import Channel, ChannelModel
 from wsnmon.errors import ConfigError
-from wsnmon.gateway import Comparator, Severity
 from wsnmon.netsim import LinkOutage
 from wsnmon.topology import RadioSpec, build_topology
 

@@ -1,5 +1,6 @@
 """Gateway: alert edge semantics, the request grammar, and live socket sessions."""
 
+import math
 import random
 import socket
 import struct
@@ -22,22 +23,13 @@ from helpers import (
     readings,
     record_line,
 )
-from wsnmon import basestation, gateway
+from wsnmon import alerts, basestation
 from wsnmon.basestation import LatestMirror, TelemetryWriter, parse_record
 from wsnmon.config import parse_config
 from wsnmon.environment import Channel
 from wsnmon.errors import GatewayError
-from wsnmon.gateway import (
-    Alert,
-    AlertRule,
-    Comparator,
-    Gateway,
-    MAX_REQUEST_BYTES,
-    Severity,
-    alert_line,
-    evaluate_alerts,
-    serve,
-)
+from wsnmon.alerts import Alert, AlertRule, Comparator, Severity, alert_line, evaluate_alerts
+from wsnmon.gateway import Gateway, MAX_REQUEST_BYTES, serve
 from wsnmon.netsim import run_round
 from wsnmon.records import Reading, Snapshot
 
@@ -134,8 +126,9 @@ class TestRuleValidation:
                 AlertRule(rule_id, Channel.CO_PPM, Comparator.GREATER, 1.0, Severity.WARN)
 
     def test_threshold_must_be_finite(self):
-        with pytest.raises(GatewayError, match="INVALID_RULE"):
-            AlertRule("r", Channel.CO_PPM, Comparator.GREATER, float("nan"), Severity.WARN)
+        for threshold in (math.nan, math.inf, -math.inf):
+            with pytest.raises(GatewayError, match="INVALID_RULE"):
+                AlertRule("r", Channel.CO_PPM, Comparator.GREATER, threshold, Severity.WARN)
 
 
 class TestHandleRequest:
@@ -272,8 +265,8 @@ class TestHandleRequest:
 
         monkeypatch.setattr(basestation, "_render_block",
                             counting("_render_block", basestation._render_block))
-        monkeypatch.setattr(gateway, "format_value",
-                            counting("format_value", gateway.format_value))
+        monkeypatch.setattr(alerts, "format_value",
+                            counting("format_value", alerts.format_value))
         cfg = make_config(gas=True, rounds=4)
         rule = AlertRule("co_any", Channel.CO_PPM, Comparator.GREATER, 1.0, Severity.WARN)
         gw = Gateway(desk_topology(), rules=(rule,))

@@ -407,6 +407,8 @@ class TestConfigValidation:
             make_config(round_period_ms=0)
         with pytest.raises(SimError, match="INVALID_CONFIG"):
             make_config(round_period_ms=30, hop_latency_ms=10)
+        with pytest.raises(SimError, match="INVALID_CONFIG"):
+            make_config(hop_latency_ms=-1)
 
     def test_temperature_and_light_are_required(self):
         for present, missing in [(Channel.TEMP_C, "light_raw"), (Channel.LIGHT_RAW, "temp_c")]:
@@ -442,5 +444,6 @@ class TestConfigValidation:
         assert exc.value.outage == LinkOutage("BS", "X9", 0, 5)
 
     def test_outage_round_order(self):
-        with pytest.raises(SimError, match="INVALID_CONFIG"):
-            LinkOutage("BS", "N1", 5, 4)
+        for first, last in [(5, 4), (-1, 4)]:
+            with pytest.raises(SimError, match="INVALID_CONFIG"):
+                LinkOutage("BS", "N1", first, last)

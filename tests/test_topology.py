@@ -1,5 +1,6 @@
 """Tree structure: construction, validation, and message cost."""
 
+import math
 import random
 
 import pytest
@@ -60,10 +61,9 @@ class TestBuildTopology:
         assert t.positions == positions
 
     def test_bad_radio(self):
-        with pytest.raises(TopologyError, match="INVALID_RADIO"):
-            RadioSpec(0.0)
-        with pytest.raises(TopologyError, match="INVALID_RADIO"):
-            RadioSpec(30.0, 1.5)
+        for args in [(0.0,), (math.inf,), (30.0, 1.5), (30.0, math.nan)]:
+            with pytest.raises(TopologyError, match="INVALID_RADIO"):
+                RadioSpec(*args)
 
 
 class TestRoundMessageCount:
