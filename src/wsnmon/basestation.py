@@ -448,16 +448,20 @@ class TelemetryWriter:
 class LatestMirror:
     """Compatibility sink holding only the newest round in a second file.
 
-    Reproduces the original deployment's single rewritten .txt: on every
-    round the file is replaced wholesale (write-temp-then-rename, so readers
-    never see a half-written file). Until the first round it holds the header
-    alone. A path (or temp path) that exists and is not a regular file is
-    refused: replacing or removing a device, FIFO or symlink destroys it.
+    Reproduces the original deployment's single rewritten .txt: each
+    ``update`` replaces the file wholesale (write-temp-then-rename, so readers
+    never see a half-written file). Until the first update it holds the header
+    alone. How often to update is the caller's rule: ``wsn run`` updates every
+    round under ``--pace``; unpaced, for its first round, then at most once a
+    round period, and for the log's last round wherever the run stops. A path
+    (or temp path) that exists and is not a regular file is refused:
+    replacing or removing a device, FIFO or symlink destroys it.
     """
 
     def __init__(self, path: str | os.PathLike, nodes: Sequence[str]):
         self.path = os.fspath(path)
         self.nodes = tuple(nodes)
+        self._header = header_line(self.nodes) + "\n"
         for p in (self.path, self.path + ".tmp"):
             with contextlib.suppress(OSError):  # nothing to see there: _replace reports it
                 if not stat.S_ISREG(os.lstat(p).st_mode):
@@ -473,7 +477,7 @@ class LatestMirror:
         tmp = self.path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(header_line(self.nodes) + "\n")
+                fh.write(self._header)
                 fh.write(block)
             os.replace(tmp, self.path)
         except OSError as e:

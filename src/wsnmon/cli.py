@@ -26,7 +26,7 @@ import time
 
 from .basestation import LatestMirror, TelemetryReader, TelemetryWriter, format_value
 from .environment import channel_from_token
-from .errors import ConfigError, EnvError, TelemetryError, WsnError
+from .errors import ConfigError, EnvError, SimError, TelemetryError, WsnError
 from .records import Snapshot
 
 DEFAULT_PORT = 7070  # the gateway's port for `run --serve` and `fetch`
@@ -58,7 +58,9 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--host", default="127.0.0.1", help="gateway bind address")
     p_run.add_argument("--port", type=int, default=DEFAULT_PORT, help="gateway port")
     p_run.add_argument("--rewrite-latest", metavar="PATH",
-                       help="also keep a single-round file rewritten every round")
+                       help="also keep a single-round file: rewritten every round under "
+                            "--pace, else at most once a round period and after the "
+                            "last round")
     p_run.add_argument("--trace", metavar="PATH", help="write the event trace here")
     p_run.add_argument("--pace", action="store_true",
                        help="sleep one period per round (real-time demo pacing)")
@@ -173,10 +175,36 @@ def _run(args: argparse.Namespace) -> int:
                 trace_fh.write(text)
                 trace_fh.flush()
 
+            # A paced run rewrites the mirror every round. An unpaced run makes
+            # rounds faster than a reader polls, so it rewrites the mirror for
+            # its first round and then once a round period has passed; the
+            # catch-up makes it hold the log's last round wherever the run stops.
+            period_ns = sim.round_period_ms * 1_000_000  # ints: any period compares
+            due = 0  # time.monotonic_ns() from which the mirror is rewritten again
+            shown = -1  # the mirror's round (-1: the header alone; None: a rewrite unfinished)
+            before = newest = None  # the last two snapshots handed to sink
+
+            def show(s: Snapshot) -> None:
+                nonlocal shown
+                shown = None
+                mirror.update(s)
+                shown = s.round
+
+            def catch_up() -> None:
+                """Rewrite the mirror to the log's last whole round if it holds another."""
+                last = writer.last_round
+                if mirror is not None and shown != last:
+                    show(newest if newest.round == last else before)
+
             def sink(s: Snapshot) -> None:
+                nonlocal before, newest, due
+                before, newest = newest, s
                 writer.append(s)
                 if mirror is not None:
-                    mirror.update(s)
+                    now = time.monotonic_ns()
+                    if args.pace or shown == -1 or now >= due:
+                        due = now + period_ns
+                        show(s)
                 if gateway is not None:
                     for alert in gateway.publish(s):
                         _err(f"ALERT {alert.severity.value} {alert.rule_id} "
@@ -187,11 +215,18 @@ def _run(args: argparse.Namespace) -> int:
             try:
                 summary = run_simulation(
                     sim, sink, on_trace=on_trace if trace_fh is not None else None)
+                catch_up()
             except KeyboardInterrupt:  # each append is whole: the log ends on a whole round
+                catch_up()
                 last = writer.last_round
                 _err(f"wsn run: interrupted; the log ends with round {last}" if last >= 0
                      else "wsn run: interrupted before any round was written")
                 return 130
+            except SimError:  # SINK_FAILURE: a mirror that failed is not rewritten again
+                if shown is not None:
+                    with contextlib.suppress(WsnError):  # the first error is the one reported
+                        catch_up()
+                raise
             _err(f"ran {summary.rounds_run} rounds: {summary.messages_sent} messages sent, "
                  f"{summary.messages_dropped} dropped")
             if server is not None:

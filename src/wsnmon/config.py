@@ -13,12 +13,14 @@
 ``#`` starts a comment. Channel tokens are temp_c, light_raw, ch4_ppm,
 co_ppm, o2_pct. Temperature and light are always equipped (defaults: 25.0
 and 512 with no drift); a gas channel is equipped by giving it an env line,
-and an alert may only watch an equipped channel. Numbers must be finite.
+and an alert may only watch an equipped channel. Numbers must be finite,
+written in ASCII digits without ``_`` separators.
 Every error names the offending line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import NamedTuple
 
@@ -45,21 +47,24 @@ class RunConfig(NamedTuple):
     rules: tuple[AlertRule, ...]
 
 
+def _read(kind: type, token: str, line_no: int, what: str):
+    # int() and float() also read digit-group underscores and non-ASCII
+    # digits; a config number holds neither
+    if token.isascii() and "_" not in token:
+        with contextlib.suppress(ValueError):
+            return kind(token)
+    raise ConfigError(f"bad {what} {token!r}", line_no)
+
+
 def _number(token: str, line_no: int, what: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ConfigError(f"bad {what} {token!r}", line_no) from None
+    value = _read(float, token, line_no, what)
     if not math.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {token!r}", line_no)
     return value
 
 
 def _integer(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ConfigError(f"bad {what} {token!r}", line_no) from None
+    return _read(int, token, line_no, what)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -2,6 +2,7 @@
 
 import errno
 import io
+import itertools
 import os
 import signal
 import socket
@@ -9,14 +10,15 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from helpers import make_config, desk_topology, readings, reference_round
-from wsnmon import basestation
-from wsnmon.basestation import parse_record, parse_telemetry
+from wsnmon import basestation, cli
+from wsnmon.basestation import LatestMirror, TelemetryWriter, parse_record, parse_telemetry
 from wsnmon.cli import main
 from wsnmon.config import parse_config
 from wsnmon.environment import Channel
@@ -36,6 +38,19 @@ def write_cfg(tmp_path, text=DESK_CFG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def mirror_updates(monkeypatch) -> list[int]:
+    """The round of each ``LatestMirror.update`` call, in order."""
+    rounds = []
+    update = LatestMirror.update
+
+    def recording_update(mirror, s):
+        rounds.append(s.round)
+        update(mirror, s)
+
+    monkeypatch.setattr(LatestMirror, "update", recording_update)
+    return rounds
 
 
 def free_port():
@@ -383,6 +398,108 @@ class TestRun:
         parsed = parse_telemetry((tmp_path / "t.log").read_bytes())
         assert len(parsed.snapshots) == 100
         assert renders == [s.round for s in parsed.snapshots]
+
+    def test_paced_run_rewrites_the_mirror_every_round(self, tmp_path, monkeypatch):
+        """A paced run's reader can use every round, so each one is mirrored."""
+        mirrored = mirror_updates(monkeypatch)
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        rc = main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "t.log"),
+                   "--rewrite-latest", str(tmp_path / "t.latest"), "--pace"])
+        assert rc == 0
+        assert mirrored == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("period_ms", [10**9, 10**400], ids=["1e9", "1e400"])
+    def test_unpaced_run_rewrites_the_mirror_once_a_period(self, tmp_path, monkeypatch,
+                                                           period_ms):
+        """Unpaced, the mirror is rewritten for the first round, then once a
+        period has passed, and for the last round; a period past the float
+        range is compared exactly."""
+        mirrored = mirror_updates(monkeypatch)
+        latest = tmp_path / "t.latest"
+        cfg = DESK_CFG.replace("rounds 5", f"rounds 100\nperiod_ms {period_ms}")
+        rc = main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "t.log"),
+                   "--rewrite-latest", str(latest)])
+        assert rc == 0
+        assert mirrored == [0, 99]
+        assert [s.round for s in parse_telemetry(latest.read_bytes()).snapshots] == [99]
+
+    @pytest.mark.parametrize("fault, step_ns, exc", [
+        (fault, step_ns, exc)
+        for fault, step_ns in [("before append", 10**12), ("after append", 10**12),
+                               ("mirror rename", 10**12), ("before append", 0),
+                               ("after append", 0)]
+        for exc in [KeyboardInterrupt, OSError]
+        # an OSError in the mirror's rename is the mirror's own failure: not caught up
+        if not (fault == "mirror rename" and exc is OSError)
+    ])
+    def test_a_stopped_run_leaves_the_mirror_on_the_logs_last_round(
+            self, tmp_path, capsys, monkeypatch, fault, step_ns, exc):
+        """An interrupt (exit 130) or a sink failure (exit 2) at round 3 of an
+        unpaced run, between or inside its writes, leaves the mirror holding
+        the log's last whole round and no temp file. The clock passes a period
+        (1000 ms) at each round's check, or never passes one."""
+        k, code = 3, 130 if exc is KeyboardInterrupt else 2
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+            monotonic_ns=itertools.count(0, step_ns).__next__, sleep=time.sleep))
+        append, replace = TelemetryWriter.append, os.replace
+        struck = []
+
+        def strike(point, rounds):
+            if fault == point and rounds == [k] and not struck:  # once: the catch-up succeeds
+                struck.append(point)
+                raise exc(errno.ENOSPC, "no space left")
+
+        def faulty_append(writer, s):
+            strike("before append", [s.round])
+            append(writer, s)
+            strike("after append", [s.round])
+
+        def faulty_replace(src, dst):
+            strike("mirror rename", [s.round for s in parse_telemetry(
+                Path(src).read_bytes()).snapshots])
+            replace(src, dst)
+
+        monkeypatch.setattr(TelemetryWriter, "append", faulty_append)
+        monkeypatch.setattr(os, "replace", faulty_replace)
+        out, latest = tmp_path / "t.log", tmp_path / "t.latest"
+        rc = main(["run", write_cfg(tmp_path), "--out", str(out), "--rewrite-latest", str(latest)])
+        assert rc == code and struck == [fault]
+        log = parse_telemetry(out.read_bytes())
+        assert log.partial is None
+        last = k - 1 if fault == "before append" else k
+        assert log.snapshots[-1].round == last
+        err = capsys.readouterr().err
+        if code == 130:
+            assert err == f"wsn run: interrupted; the log ends with round {last}\n"
+        else:
+            assert err.startswith(f"wsn run: SINK_FAILURE: sink failed at round {k}: "), err
+        assert parse_telemetry(latest.read_bytes()).snapshots == log.snapshots[-1:]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "t.latest", "t.log"]
+
+    def test_a_mirror_that_fails_is_not_rewritten_again(self, tmp_path, capsys, monkeypatch):
+        """A failed mirror rewrite ends the run with its own error: the mirror
+        keeps the round before and its temp file goes."""
+        calls = []
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 4:  # the header, rounds 0 and 1, then round 2
+                raise OSError(errno.EXDEV, "cross-device link")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+            monotonic_ns=itertools.count(0, 10**12).__next__, sleep=time.sleep))
+        monkeypatch.setattr(os, "replace", failing_replace)
+        latest = tmp_path / "t.latest"
+        rc = main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "t.log"),
+                   "--rewrite-latest", str(latest)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"wsn run: SINK_FAILURE: sink failed at round 2: IO_FAILURE: cannot write {latest}: ")
+        assert len(calls) == 4
+        assert [s.round for s in parse_telemetry(latest.read_bytes()).snapshots] == [1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "t.latest", "t.log"]
 
     def test_overflowing_walk_saturates(self, tmp_path):
         """A walk past the float range reads the sensor's bounds; the run completes."""

@@ -24,7 +24,8 @@ DIRECTIVES = ["radio", "cluster", "pos", "rounds", "period_ms", "hop_ms", "fail"
               "seed", "alert", "bogus"]
 TOKENS = ["N1", "1.1", "N2", "BS", "NULL", "0", "1", "-1", "0.5", "30", "1e308", "1e400",
           "nan", "x", "#", "walk", "script", "0:1,5:2", "1:", ":", "temp_c", "light_raw",
-          "co_ppm", "GT", "LT", "WARN", "DANGER", "99999999999999999999"]
+          "co_ppm", "GT", "LT", "WARN", "DANGER", "99999999999999999999", "1_0", "\u0663",
+          "1_0.5", "0:1_0"]
 
 
 def parse_error(text) -> ConfigError:
@@ -236,6 +237,37 @@ class TestErrors:
         err = parse_error(DESK_CFG + lines + "\n")
         assert err.line_no == line_no
         assert "finite" in err.message
+
+    @pytest.mark.parametrize("lines, line_no", [
+        ("rounds 1_0", 5),
+        ("seed \u0663", 5),
+        ("env temp_c 1_0.5", 5),
+        ("pos N1 \uff11 0", 5),
+        ("fail N1 1.1 0 1_0", 5),
+        ("env temp_c 25 script 0:20,\u0663:21", 5),
+    ])
+    def test_numbers_are_ascii_without_separators(self, lines, line_no):
+        """int() and float() read these; a config number may not hold them."""
+        err = parse_error(DESK_CFG + lines + "\n")
+        assert err.line_no == line_no
+        assert "bad " in err.message
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=10, max_value=10**6), st.data())
+    def test_a_number_int_reads_but_the_grammar_does_not_names_its_line(self, n, data):
+        """A digit written in another script, or a ``_`` between digits,
+        makes a number int() and float() read: each is a ConfigError."""
+        digits = str(n)
+        at = data.draw(st.integers(min_value=1, max_value=len(digits) - 1))
+        odd = data.draw(st.one_of(
+            st.just("_"),
+            st.characters(categories=["Nd"]).filter(lambda c: not c.isascii()),
+        ))
+        token = digits[:at] + odd + digits[at + (odd != "_"):]
+        assert int(token) > 0 and float(token) > 0
+        directive = data.draw(st.sampled_from(["rounds", "seed", "period_ms", "env temp_c"]))
+        err = parse_error(DESK_CFG + f"{directive} {token}\n")
+        assert err.line_no == 5 and repr(token) in err.message, err
 
     def test_message_names_line(self):
         err = parse_error("radio 30 0\nbogus\ncluster N1\n")
