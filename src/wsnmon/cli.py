@@ -30,6 +30,7 @@ from .errors import ConfigError, EnvError, SimError, TelemetryError, WsnError
 from .records import Snapshot
 
 DEFAULT_PORT = 7070  # the gateway's port for `run --serve` and `fetch`
+_DAY_MS = 86_400_000  # the longest sleep --pace asks for at once
 
 
 def _err(message: str) -> None:
@@ -209,8 +210,11 @@ def _run(args: argparse.Namespace) -> int:
                     for alert in gateway.publish(s):
                         _err(f"ALERT {alert.severity.value} {alert.rule_id} "
                              f"node={alert.node} round={alert.round} value={alert.value}")
-                if args.pace:
-                    time.sleep(sim.round_period_ms / 1000.0)
+                if args.pace:  # in whole-ms slices of at most a day: any int period adds up
+                    left = sim.round_period_ms
+                    while left > 0:
+                        time.sleep(min(left, _DAY_MS) / 1000)
+                        left -= _DAY_MS
 
             try:
                 summary = run_simulation(

@@ -11,12 +11,15 @@ a single parser:
     PING              -> PONG
 
 Errors are single lines: ERR BAD_REQUEST | UNKNOWN_NODE | NOT_A_CLUSTER_HEAD
-| NO_DATA. A request line longer than MAX_REQUEST_BYTES (newline included)
-gets ERR BAD_REQUEST and its session is closed, so no client can make the
-server buffer an unbounded line. A client that resets or drops its
-connection ends its own session quietly, and closing the server shuts every
-open session down (each client reads EOF). Only the latest complete round is
-served; the telemetry file is the historical record.
+| NO_DATA | BUSY. No client can exhaust the server. A request line longer than
+MAX_REQUEST_BYTES (newline included) gets ERR BAD_REQUEST and its session is
+closed, so no line is buffered unbounded. A connection made while
+MAX_SESSIONS sessions are open gets ERR BUSY and is closed, without a thread.
+A session that sends no request, or takes no response, for IDLE_TIMEOUT_S
+seconds is closed. A client that resets or drops its connection ends its own
+session quietly, and closing the server shuts every open session down (each
+client reads EOF). Only the latest complete round is served; the telemetry
+file is the historical record.
 
 Every response a round can get is rendered once, when the round is
 published, from the same block of record lines the log and the mirror get
@@ -41,6 +44,9 @@ from .records import Snapshot
 from .topology import TreeTopology
 
 MAX_REQUEST_BYTES = 4096
+MAX_SESSIONS = 64  # open sessions; one more connection gets ERR BUSY
+IDLE_TIMEOUT_S = 300.0  # a session blocked this long on its socket ends
+_POLL_S = 0.05  # how soon close() stops the accept loop
 
 log = logging.getLogger(__name__)
 
@@ -134,14 +140,15 @@ class Gateway:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    server: GatewayServer
+    timeout = IDLE_TIMEOUT_S  # setup() puts it on the socket: each read and write
+
     def handle(self):
-        try:
+        with contextlib.suppress(OSError):  # a reset, a drop or IDLE_TIMEOUT_S: it just ends
             self._session()
-        except OSError:
-            pass  # the client reset or dropped the connection: its session just ends
 
     def _session(self):
-        gateway: Gateway = self.server.gateway  # type: ignore[attr-defined]
+        gateway = self.server.gateway
         while True:
             raw = self.rfile.readline(MAX_REQUEST_BYTES)
             if not raw:
@@ -160,59 +167,51 @@ class _Handler(socketserver.StreamRequestHandler):
             self.wfile.write(response.encode("utf-8"))
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    # session threads are not daemons: server_close joins them, once
-    # end_sessions has ended their sessions
+class GatewayServer(socketserver.ThreadingTCPServer):
+    """A running gateway endpoint: one accepting thread, and one thread per
+    session, which close() ends and joins (they are not daemons)."""
+
     allow_reuse_address = True
 
-    def __init__(self, *args):
+    def __init__(self, gateway: Gateway, host: str, port: int):
+        self.gateway = gateway
         self._sessions: set[socket.socket] = set()  # the open session sockets
         self._sessions_lock = threading.Lock()
-        super().__init__(*args)
+        try:
+            super().__init__((host, port), _Handler)
+        except (OSError, OverflowError) as e:  # OverflowError: a port outside 0-65535
+            raise GatewayError("BIND_FAILURE", f"cannot bind {host}:{port}: {e}") from e
+        self.host, self.port = self.server_address[:2]
+        self._accepting = threading.Thread(
+            target=self.serve_forever, args=(_POLL_S,), name="wsn-gateway", daemon=True)
+        self._accepting.start()
 
     def process_request(self, request, client_address):
         with self._sessions_lock:
-            self._sessions.add(request)
-        super().process_request(request, client_address)
+            busy = len(self._sessions) >= MAX_SESSIONS
+            if not busy:
+                self._sessions.add(request)
+        if busy:  # refused on the accepting thread: no session thread is started
+            with contextlib.suppress(OSError):
+                request.sendall(b"ERR BUSY\n")
+            self.shutdown_request(request)
+        else:
+            super().process_request(request, client_address)
 
     def shutdown_request(self, request):
         with self._sessions_lock:  # forgotten before it closes, never shut down after
             self._sessions.discard(request)
         super().shutdown_request(request)
 
-    def end_sessions(self) -> None:
-        """Shut every open session's socket down: its reads see EOF and its
-        writes fail, so each session thread ends."""
-        with self._sessions_lock:
+    def close(self) -> None:
+        """Stop accepting, end every open session, and join every thread."""
+        self.shutdown()
+        with self._sessions_lock:  # reads see EOF and writes fail: each session ends
             for sock in self._sessions:
                 with contextlib.suppress(OSError):
                     sock.shutdown(socket.SHUT_RDWR)
-
-
-class GatewayServer:
-    """Handle to a running gateway endpoint."""
-
-    def __init__(self, gateway: Gateway, host: str, port: int):
-        try:
-            self._server = _Server((host, port), _Handler)
-        except (OSError, OverflowError) as e:  # OverflowError: a port outside 0-65535
-            raise GatewayError("BIND_FAILURE", f"cannot bind {host}:{port}: {e}") from e
-        self._server.gateway = gateway  # type: ignore[attr-defined]
-        self.host, self.port = self._server.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="wsn-gateway", daemon=True
-        )
-        self._thread.start()
-
-    def close(self) -> None:
-        """Stop accepting, end every open session, and join every thread."""
-        self._server.shutdown()
-        self._server.end_sessions()
-        self._server.server_close()  # joins the session threads
-        self._thread.join()
-
-    def __enter__(self) -> "GatewayServer":
-        return self
+        self.server_close()  # joins the session threads
+        self._accepting.join()
 
     def __exit__(self, *exc) -> None:
         self.close()

@@ -408,6 +408,37 @@ class TestRun:
         assert rc == 0
         assert mirrored == [0, 1, 2, 3, 4]
 
+    def test_paced_run_sleeps_a_period_past_the_float_range(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """A paced period of 10**400 ms is slept a day at a time, not refused."""
+        slept = []
+
+        def interrupted_sleep(seconds):
+            slept.append(seconds)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(time, "sleep", interrupted_sleep)
+        out = tmp_path / "t.log"
+        cfg = DESK_CFG.replace("rounds 5", f"rounds 5\nperiod_ms {10**400}")
+        rc = main(["run", write_cfg(tmp_path, cfg), "--out", str(out), "--pace"])
+        assert rc == 130
+        assert "the log ends with round 0" in capsys.readouterr().err
+        assert [s.round for s in parse_telemetry(out.read_bytes()).snapshots] == [0]
+        assert len(slept) == 1 and 0 < slept[0] <= 86_400
+
+    def test_paced_run_sleeps_exactly_one_period_a_round(self, tmp_path, monkeypatch):
+        """Each round's slices add up to its period, to the millisecond."""
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        period_ms = 2 * 86_400_000 + 5
+        cfg = DESK_CFG.replace("rounds 5", f"rounds 5\nperiod_ms {period_ms}")
+        rc = main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "t.log"), "--pace"])
+        assert rc == 0
+        assert len(slept) == 5 * 3
+        for r in range(5):
+            assert sum(round(s * 1000) for s in slept[3 * r:3 * r + 3]) == period_ms
+        assert max(slept) <= 86_400
+
     @pytest.mark.parametrize("period_ms", [10**9, 10**400], ids=["1e9", "1e400"])
     def test_unpaced_run_rewrites_the_mirror_once_a_period(self, tmp_path, monkeypatch,
                                                            period_ms):

@@ -23,7 +23,7 @@ from helpers import (
     readings,
     record_line,
 )
-from wsnmon import alerts, basestation
+from wsnmon import alerts, basestation, gateway
 from wsnmon.basestation import LatestMirror, TelemetryWriter, parse_record
 from wsnmon.config import parse_config
 from wsnmon.environment import Channel
@@ -318,6 +318,15 @@ def live_gateway():
     return gw, snapshot
 
 
+def wide_lossy_gateway():
+    """A gateway holding round 0 of the 1200-node bench config: large responses."""
+    wide = Path(__file__).resolve().parent.parent / "bench" / "configs" / "wide-lossy.cfg"
+    cfg = parse_config(wide.read_text(encoding="utf-8")).sim
+    gw = Gateway(cfg.topology)
+    gw.publish(run_round(cfg, 0)[0])
+    return gw
+
+
 class TestServer:
     def test_session_survives_garbage(self):
         gw, _ = live_gateway()
@@ -458,11 +467,7 @@ class TestServer:
 
     def test_client_reset_mid_response_ends_only_its_session(self, capsys):
         """A client that resets while its responses are written leaves no traceback."""
-        wide = Path(__file__).resolve().parent.parent / "bench" / "configs" / "wide-lossy.cfg"
-        cfg = parse_config(wide.read_text(encoding="utf-8")).sim
-        gw = Gateway(cfg.topology)
-        gw.publish(run_round(cfg, 0)[0])
-        with serve(gw, port=0) as server:
+        with serve(wide_lossy_gateway(), port=0) as server:
             reset = socket.create_connection(("127.0.0.1", server.port), timeout=5)
             reset.sendall(b"SNAPSHOT\n" * 200)  # about 10 MB of responses, never read
             assert reset.recv(6) == b"BEGIN "  # the server is writing them
@@ -475,3 +480,77 @@ class TestServer:
                 c.close()
         # closing the server waited for the reset session's thread to end
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestBounds:
+    """MAX_SESSIONS and the idle timeout, patched small: a handful of sockets."""
+
+    def test_a_connection_past_the_cap_gets_busy(self, monkeypatch):
+        monkeypatch.setattr(gateway, "MAX_SESSIONS", 2)
+        gw, _ = live_gateway()
+        with serve(gw, port=0) as server:
+            clients = [Client(server.port) for _ in range(2)]
+            try:
+                for c in clients:
+                    assert c.ask("PING") == ["PONG"]  # both sessions are open
+                busy = Client(server.port)  # reads before it sends: no reset can race the line
+                try:
+                    assert busy.rfile.read() == "ERR BUSY\n"  # the line, then EOF
+                finally:
+                    busy.close()
+                clients.pop().close()
+                # the closed session's thread ends a moment later; until then one is refused
+                deadline = time.monotonic() + 5
+                while True:
+                    c = Client(server.port)
+                    try:
+                        reply = c.ask("PING")
+                    except OSError:  # refused after it sent: the close may reset
+                        reply = ["ERR BUSY"]
+                    finally:
+                        c.close()
+                    if reply == ["PONG"] or time.monotonic() > deadline:
+                        break
+                    time.sleep(0.01)
+                assert reply == ["PONG"]
+            finally:
+                for c in clients:
+                    c.close()
+
+    def test_a_silent_session_times_out(self, monkeypatch):
+        """A silent client reads EOF; one that asks every 0.05 s keeps its session."""
+        assert gateway._Handler.timeout == gateway.IDLE_TIMEOUT_S  # what the patch replaces
+        monkeypatch.setattr(gateway._Handler, "timeout", 0.2)
+        gw, _ = live_gateway()
+        with serve(gw, port=0) as server:
+            silent, chatty = Client(server.port), Client(server.port)
+            try:
+                started = time.monotonic()
+                while time.monotonic() - started < 0.5:
+                    assert chatty.ask("PING") == ["PONG"]
+                    time.sleep(0.05)
+                assert silent.rfile.readline() == ""
+                assert chatty.ask("PING") == ["PONG"]
+            finally:
+                silent.close()
+                chatty.close()
+
+    def test_a_stalled_reader_times_out(self, monkeypatch):
+        """A client that asks for far more than it reads ends its session: its
+        thread goes, and close() returns."""
+        monkeypatch.setattr(gateway._Handler, "timeout", 0.2)
+        gw = wide_lossy_gateway()
+        threads = threading.active_count()
+        server = serve(gw, port=0)
+        stalled = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        try:
+            stalled.sendall(b"SNAPSHOT\n" * 200)  # about 10 MB of responses
+            assert stalled.recv(6) == b"BEGIN "  # its session thread is writing them
+            deadline = time.monotonic() + 5
+            while threading.active_count() > threads + 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert threading.active_count() == threads + 1  # the accepting thread alone
+        finally:
+            server.close()
+            stalled.close()
+        assert threading.active_count() == threads
