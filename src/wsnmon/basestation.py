@@ -17,38 +17,46 @@ is in flight.
 Lines are split on LF only. ``TelemetryReader`` is the one parser: it reads
 a log as a stream of lines, one round at a time, and yields each round as
 soon as its last record has been checked, so reading a log takes memory that
-does not depend on its number of rounds. A round is checked as columns, in
-one piece. It passes when every line splits into nine fields, the round and
-time columns each hold one text, the node column is the header's, each value
-column reads through the memoised readers ``parse_record`` uses (a gas
-column all ``-`` is a channel the round does not carry), and the NULLs of
-every column and the status agree; its value columns are then the round's
-Snapshot, built with no per-record object. Every valid round passes, so a
-round that fails is re-read line by line with ``parse_record`` only to name
-its first bad line, and ``parse_record`` stays the one definition of a
-record line.
+does not depend on its number of rounds. A round is checked in one piece:
+its lines are joined, decoded once and split once on ",". A whole round of n
+lines is then 8n+1 fields, in which each line's status, its LF and the next
+line's round share one field, and each column is a stride-8 slice. It passes
+when there are 8n+1 fields, the node column is the header's, the time column
+holds one text, each value column reads through the reader's memos (a gas
+column all ``-`` is a channel the round does not carry), the NULLs of every
+column agree, and each status field is exactly the status the values call
+for, an LF and the first line's round text (the last one only the status and
+an LF). That last comparison puts exactly n LFs at the line ends, so the
+round is n whole lines of nine fields sharing one round text. Its value
+columns are then the round's Snapshot, built with no per-record object.
+Every valid round passes, so a round that fails is re-read line by line with
+``parse_record`` only to name its first bad line, and ``parse_record`` stays
+the one definition of a record line.
 ``parse_telemetry`` collects the reader for a log held in memory, and
 ``wsn plotdata`` writes no CSV row unless the whole log checks out.
 
-``snapshot_block`` renders a round column by column and joins the rows; the
-block is kept on the snapshot, so the log, the mirror and the gateway share
-one rendering whatever order they take the round in. Each column renders
-each distinct value once: it keeps a text cache by value, emptied when it
-reaches ``_TEXT_CACHE_MAX`` entries, so a long-lived process does not grow
-without limit. ``-0.0 == 0.0`` as a dict key but renders as ``-0.0000``, so a
-zero is cached only in a column where its sign does not show.
+``snapshot_block`` writes the same layout: one list of 7n+1 fields, filled
+by stride-7 slices and joined once with ",". The first is the round's
+``<round>,<time_ms>`` stamp; then each line has its node, its five value
+texts, and its status, an LF and the stamp (the last line: its status and an
+LF). The block is kept on the snapshot, so the log, the mirror and the
+gateway share one rendering whatever order they take the round in. Each
+column renders each distinct value once: it keeps a text cache by value,
+emptied when it reaches ``_TEXT_CACHE_MAX`` entries, so a long-lived process
+does not grow without limit. ``-0.0 == 0.0`` as a dict key but renders as
+``-0.0000``, so a zero is cached only in a column where its sign does not
+show.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import math
 import os
 import stat
 from itertools import islice, repeat
-from operator import is_
+from operator import is_, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .environment import Channel
@@ -105,7 +113,8 @@ def parse_header(line: str) -> tuple[str, ...]:
     return nodes
 
 
-# per column, value -> text (see the module docstring); None is seeded
+# the size bound of the writer's text caches (per column, value -> text; None
+# is seeded) and of a reader's memos (see TelemetryReader)
 _TEXT_CACHE_MAX = 4096
 _COLUMN_TEXTS = tuple((channel, {None: _NULL}) for channel in _COLUMNS)
 
@@ -147,17 +156,24 @@ def snapshot_block(s: Snapshot) -> str:
 
 
 def _render_block(s: Snapshot) -> str:
-    """The record lines of ``s``, column by column and joined row by row."""
+    """The record lines of ``s`` as one field list, joined once (see the module)."""
     n = len(s.nodes)
-    prefix = f"{s.round},{s.time_ms},"
-    fields = [map(prefix.__add__, s.nodes)]
-    for channel, texts in _COLUMN_TEXTS:
+    if not n:
+        return ""
+    stamp = f"{s.round},{s.time_ms}"
+    # per row: node, five value texts, and the end "<status>\n" + the next row's stamp
+    fields = [_NOT_EQUIPPED] * (7 * n + 1)
+    fields[0] = stamp
+    fields[1::7] = s.nodes
+    for i, (channel, texts) in enumerate(_COLUMN_TEXTS, 2):
         column = s.columns.get(channel)
-        fields.append(repeat(_NOT_EQUIPPED, n) if column is None
-                      else _column_texts(channel, texts, column))
+        if column is not None:
+            fields[i::7] = _column_texts(channel, texts, column)
     # NULL is all-or-none and temperature always equipped, so it gives the status
-    fields.append(map(_STATUS_LINES.__getitem__, map(is_, s.columns[_TEMP], repeat(None))))
-    return "".join(map(",".join, zip(*fields)))
+    lost = list(map(is_, s.columns[_TEMP], repeat(None)))
+    fields[7::7] = map((_OK + "\n" + stamp, _NULL + "\n" + stamp).__getitem__, lost)
+    fields[-1] = _STATUS_LINES[lost[-1]]
+    return ",".join(fields)
 
 
 def serialize_snapshots(nodes: Sequence[str], snapshots: Iterable[Snapshot]) -> str:
@@ -169,12 +185,7 @@ def _malformed(msg: str, line_no: int) -> TelemetryError:
 
 
 # The readers below raise ValueError for any text the writer would not have
-# written for the value it denotes. Logs repeat their round, time and value
-# texts, so each text is checked once and its object shared among records.
-_memo = functools.lru_cache(maxsize=4096)
-
-
-@_memo
+# written for the value it denotes.
 def _whole(text: str) -> int:
     """A count as str(int) writes it: ASCII digits, no sign, no leading zero."""
     if text.isdigit() and text.isascii() and (text[0] != "0" or len(text) == 1):
@@ -182,7 +193,6 @@ def _whole(text: str) -> int:
     raise ValueError(text)
 
 
-@_memo
 def _count(text: str) -> float | None:
     """A light or gas column; beyond 2**53 a float no longer holds the count."""
     if text == _NULL:
@@ -193,7 +203,6 @@ def _count(text: str) -> float | None:
     return float(n)
 
 
-@_memo
 def _temperature(text: str) -> float | None:
     if text == _NULL:
         return None
@@ -265,14 +274,18 @@ class TelemetryReader:
     """A telemetry log read as a stream of complete rounds, one at a time.
 
     ``lines`` yields the log's lines as a binary file does: bytes, each
-    ending in LF except perhaps a torn last one. Each line is decoded on its
-    own; no UTF-8 sequence contains the byte 0x0A, so this accepts exactly
-    what decoding the whole file would, and an error names its line. The
-    header is read at construction and sets ``nodes``. Iterating (once)
+    ending in LF except perhaps a torn last one. A round's lines are joined
+    and decoded in one piece. No UTF-8 sequence contains the byte 0x0A, so
+    this accepts exactly what decoding each line on its own would; only a
+    round that fails is decoded line by line, so an error names its line.
+    The header is read at construction and sets ``nodes``. Iterating (once)
     yields each Snapshot as soon as its last record has been checked and
     keeps no earlier round, so memory does not grow with the log. When
     iteration ends, ``partial`` reports a trailing incomplete round (an
-    in-flight or torn write), which is never yielded.
+    in-flight or torn write), which is never yielded. The reader keeps its
+    own memos of the value texts it has read, one for temperatures and one
+    for counts; a memo that would pass ``_TEXT_CACHE_MAX`` entries is emptied
+    first, so it holds at most that many, or one round's column.
     """
 
     def __init__(self, lines: Iterable[bytes]):
@@ -287,6 +300,8 @@ class TelemetryReader:
         if header[-1] != "\n":
             raise TelemetryError("BAD_HEADER", "truncated header", line_no=1)
         self.nodes = parse_header(header[:-1])
+        self._names = [*self.nodes]  # the node column a round must split into
+        self._memos = ({}, {})  # text -> value: temperatures, counts
 
     def __iter__(self) -> Iterator[Snapshot]:
         line_no, last_done = 2, -1  # line_no: the round's first record
@@ -300,7 +315,7 @@ class TelemetryReader:
         at the end of the log (``partial`` set if the log ends inside it)."""
         nodes = self.nodes
         raws = list(islice(self._lines, len(nodes)))
-        checked = _bulk(raws, nodes, last_done)
+        checked = _bulk(raws, last_done, self._names, *self._memos)
         if checked is None:
             stamp, good = _fault(raws, nodes, line_no, last_done)
             if stamp is not None:
@@ -314,36 +329,58 @@ class TelemetryReader:
                                         if column is not None})
 
 
-def _bulk(raws: list[bytes], nodes: tuple[str, ...],
-          last_done: int) -> tuple[tuple[int, int], list[tuple | None]] | None:
-    """The (round, time_ms) and value columns of ``raws``, a whole round for
-    ``nodes``: one tuple per Channel, None for a gas channel whose every
-    cell is "-". None when any check fails (see the module).
-
-    The round must come after ``last_done``. Each line keeps its LF, so the
-    status column also shows that no line is torn.
-    """
+def _read(memo: dict, read, texts: list[str]) -> tuple:
+    """The values of ``texts`` by ``read``, from and into ``memo``; a miss
+    reads the column's new texts (ValueError for a bad one)."""
+    get = itemgetter(*texts)  # looks every text up in C; of one text, gives its value
     try:
-        fields = list(zip(*map(str.split, map(bytes.decode, raws), repeat(",")), strict=True))
-        if len(fields) != 9:
-            return None
-        rounds, times, names, temps, lights, *gases, statuses = fields
-        n = len(names)
-        if names != nodes or rounds.count(rounds[0]) != n or times.count(times[0]) != n:
-            return None
-        rnd_time = (_whole(rounds[0]), _whole(times[0]))
+        values = get(memo)
+    except KeyError:
+        if len(memo) + len(texts) > _TEXT_CACHE_MAX:
+            memo.clear()
+        new = set(texts).difference(memo)
+        memo.update(zip(new, map(read, new)))
+        values = get(memo)
+    return values if len(texts) > 1 else (values,)
+
+
+def _bulk(raws: list[bytes], last_done: int, names: list[str], temps: dict,
+          counts: dict) -> tuple[tuple[int, int], list[tuple | None]] | None:
+    """The (round, time_ms) and value columns of ``raws``, a whole round for
+    the node column ``names``: one tuple per Channel, None for a gas channel
+    whose every cell is "-". None when any check fails (see the module).
+
+    The round must come after ``last_done``; ``temps`` and ``counts`` are
+    the reader's memos.
+    """
+    n = len(names)
+    try:
+        fields = b"".join(raws).decode().split(",")
+    except UnicodeDecodeError:
+        return None
+    if len(fields) != 8 * n + 1 or fields[2::8] != names:
+        return None
+    times = fields[1::8]
+    if times.count(times[0]) != n:
+        return None
+    try:
+        rnd_time = (_whole(fields[0]), _whole(times[0]))
         if rnd_time[0] <= last_done:
             return None
-        columns = [tuple(map(_temperature, temps)), tuple(map(_count, lights))]
-        for texts in gases:  # a "-" among values fails _count
-            columns.append(None if texts.count(_NOT_EQUIPPED) == n else tuple(map(_count, texts)))
-    except ValueError:  # UnicodeDecodeError included
+        columns = [_read(temps, _temperature, fields[3::8]), _read(counts, _count, fields[4::8])]
+        for i in (5, 6, 7):  # a "-" among values fails _count
+            texts = fields[i::8]
+            columns.append(None if texts.count(_NOT_EQUIPPED) == n
+                           else _read(counts, _count, texts))
+    except ValueError:
         return None
     lost = list(map(is_, columns[0], repeat(None)))
     for column in columns[1:]:
         if column is not None and list(map(is_, column, repeat(None))) != lost:
             return None
-    if tuple(map(_STATUS_LINES.__getitem__, lost)) != statuses:
+    ends = list(map((_OK + "\n" + fields[0], _NULL + "\n" + fields[0]).__getitem__, lost))
+    ends[-1] = _STATUS_LINES[lost[-1]]
+    if fields[8::8] != ends:
         return None
     return rnd_time, columns
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from enum import Enum
 from typing import Mapping
 
@@ -82,7 +83,9 @@ class ChannelModel(Frozen):
     channel is constant: ``sigma`` 0 is no walk.
     """
 
-    _fields = __slots__ = ("baseline", "sigma", "script")
+    _fields = ("baseline", "sigma", "script")
+    # _rounds: the script's breakpoint rounds, which truth_at bisects
+    __slots__ = (*_fields, "_rounds")
 
     def __init__(self, baseline: float, sigma: float = 0.0,
                  script: tuple[tuple[int, float], ...] = ()):
@@ -90,12 +93,12 @@ class ChannelModel(Frozen):
             raise EnvError("INVALID_DRIFT", f"sigma must be >= 0, got {sigma}")
         if sigma and script:
             raise EnvError("INVALID_DRIFT", "a channel walks or follows a script, not both")
-        rounds = [r for r, _ in script]
+        rounds = tuple(r for r, _ in script)
         if any(r < 0 for r in rounds):
             raise EnvError("INVALID_DRIFT", "breakpoint rounds must be >= 0")
         if any(b <= a for a, b in zip(rounds, rounds[1:])):
             raise EnvError("INVALID_DRIFT", "breakpoint rounds must be strictly increasing")
-        self._init(baseline, sigma, script)
+        self._init(baseline, sigma, script, rounds)
 
 
 class EnvField(Frozen):
@@ -136,11 +139,8 @@ def truth_at(f: EnvField, channel: Channel, round_index: int) -> float:
     model = f.channels[channel]
     if model.sigma:
         return _walk(f, channel, model, round_index)
-    value = model.baseline
-    for bp_round, bp_value in model.script:
-        if bp_round <= round_index:
-            value = bp_value
-    return value
+    held = bisect_right(model._rounds, round_index)  # breakpoints at or before the round
+    return model.script[held - 1][1] if held else model.baseline
 
 
 def sense(spec: SensorSpec, truth: float, noise_draw: float) -> float:

@@ -6,7 +6,7 @@ import threading
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import DESK_NODES, from_readings, random_snapshot, readings, reference_block
 from wsnmon import basestation
@@ -236,21 +236,41 @@ def dash_cells(data, gas, records):
 LOG_BYTES = st.one_of(st.sampled_from(b",\n-.0123456789NULOK"), st.integers(0, 255))
 
 
+# record_logs: header nodes that read as a count, a temperature and a status
+VALUE_NODES = ("7", "25.0000", "OK")
+
+
+def echo_snapshots(rounds, rng, gases, null_prob):
+    """Rounds of ``VALUE_NODES`` whose times and values read as its nodes:
+    round r at 7r ms, every kept temperature 25.0000 and every count 7."""
+    snaps = []
+    for rnd in range(rounds):
+        lost = [rng.random() < null_prob for _ in VALUE_NODES]
+        snaps.append(Snapshot(rnd, 7 * rnd, VALUE_NODES, {
+            channel: tuple(None if x else 25.0 if channel is Channel.TEMP_C else 7.0
+                           for x in lost)
+            for channel in (Channel.TEMP_C, Channel.LIGHT_RAW, *gases)}))
+    return snaps
+
+
 @st.composite
-def record_logs(draw):
-    """A valid log of width 1, 12 or 220, with NULL rows, unequipped gas columns
-    and sometimes rounds whose gas column mixes "-" with values; then maybe one
-    byte replaced, inserted or deleted, the log cut short, one value or status
-    turned NULL or back, or round 0's records from some node on replaced by
-    round 1's."""
-    edit = draw(st.sampled_from(["none", "replace", "insert", "delete", "cut", "flip",
-                                 "splice"]))
+def record_logs(draw, edits=("none", "replace", "insert", "delete", "cut", "flip", "splice",
+                             "move")):
+    """A valid log of width 1, 3 (``echo_snapshots``), 12 or 220, with NULL rows,
+    unequipped gas columns and sometimes rounds whose gas column mixes "-"
+    with values; then maybe one byte replaced, inserted or deleted, the log
+    cut short, one value or status turned NULL or back, round 0's records
+    from some node on replaced by round 1's, or one "," moved from a record
+    line into another line of its round or of the next one."""
+    edit = draw(st.sampled_from(edits))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    width = 220 if edit == "splice" else draw(st.sampled_from([1, 12, 220]))
-    nodes = wide_nodes(width)
+    width = 220 if edit == "splice" else draw(st.sampled_from([1, 3, 12, 220]))
+    nodes = VALUE_NODES if width == 3 else wide_nodes(width)
     gases = draw(st.sampled_from([(), (Channel.CO_PPM,), tuple(Channel)[2:]]))
-    snaps = snapshots_for(draw(st.integers(2 if edit == "splice" else 1, 3)), rng, nodes=nodes,
-                          gases=gases, null_prob=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])))
+    rounds = draw(st.integers(2 if edit == "splice" else 1, 3))
+    null_prob = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    snaps = (echo_snapshots(rounds, rng, gases, null_prob) if width == 3 else
+             snapshots_for(rounds, rng, nodes=nodes, gases=gases, null_prob=null_prob))
     data = serialize_snapshots(nodes, snaps).encode("utf-8")
     if gases and draw(st.booleans()):  # "-" in some cells of some rounds' first gas column
         data = dash_cells(data, gases[0], [1 + r * width + i for r in range(len(snaps))
@@ -271,6 +291,20 @@ def record_logs(draw):
         else:
             fields[column] = b"OK" if column == 8 else b"25.0000" if column == 3 else b"7"
         lines[line_no] = b",".join(fields) + b"\n"
+        return b"".join(lines)
+    if edit == "move":  # the field total of the log, and of its round if both lines are in it
+        lines = data.splitlines(keepends=True)
+        source = draw(st.integers(1, len(lines) - 1))
+        first = 1 + (source - 1) // width * width  # the first line of its round
+        target = draw(st.sampled_from([k for k in range(first, first + 2 * width)
+                                       if k < len(lines) and k != source] or [source]))
+        if target == source:  # a width-1 log of one round: the comma stays in its line
+            return data
+        commas = [i for i, byte in enumerate(lines[source]) if byte == ord(",")]
+        cut = draw(st.sampled_from(commas))
+        lines[source] = lines[source][:cut] + lines[source][cut + 1:]
+        at = draw(st.integers(0, len(lines[target]) - 1))  # before the LF
+        lines[target] = lines[target][:at] + b"," + lines[target][at:]
         return b"".join(lines)
     if edit == "none":
         return data
@@ -353,6 +387,18 @@ class TestReader:
     def test_reads_as_the_line_by_line_loop(self, data):
         """Checking rounds as columns yields, keeps partial and raises as parse_record
         applied one line at a time does, down to the error's line and message."""
+        assert read_all(data) == line_by_line(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(record_logs(edits=("move",)))
+    # line 3's first comma moved into line 2, before its status: the round's
+    # node and value columns still check out; only its status field (empty
+    # for line 2) and its time field (line 2's status, for line 3) show it
+    @example(header_line(VALUE_NODES).encode() + b"\n0,0,7,25.0000,7,-,-,-,,OK\n"
+             b"00,25.0000,25.0000,7,-,-,-,OK\n0,0,OK,25.0000,7,-,-,-,OK\n")
+    def test_a_moved_comma_reads_as_the_line_by_line_loop(self, data):
+        """A comma moved between two lines keeps the round's field total, or
+        the log's, so the reader must find the lines' ends and stamps again."""
         assert read_all(data) == line_by_line(data)
 
     @settings(max_examples=300, deadline=None)

@@ -83,6 +83,20 @@ class TestTruthAt:
         for r in rounds:
             assert truth_at(f, Channel.CO_PPM, r) == naive_hold(baseline, script, r)
 
+    def test_long_script_matches_naive_hold(self):
+        """A 10 000-breakpoint script, before its first breakpoint, on one,
+        between two and past its last; the rounds are not kept in any field."""
+        rng = random.Random(5)
+        script = tuple(zip(range(7, 7 + 3 * 10_000, 3), (rng.uniform(-50, 50)
+                                                          for _ in range(10_000))))
+        model = ChannelModel(15.0, script=script)
+        f = field_with(Channel.CO_PPM, model)
+        for r in (0, 6, 7, 8, 9, 15_001, 15_002, 15_003, 3 * 10_000 + 4, 3 * 10_000 + 5, 10**9):
+            assert truth_at(f, Channel.CO_PPM, r) == naive_hold(15.0, script, r)
+        assert model == ChannelModel(15.0, script=script)
+        assert repr(model) == f"ChannelModel(baseline=15.0, sigma=0.0, script={script!r})"
+        assert hash(model) == hash((15.0, 0.0, script))
+
     @pytest.mark.parametrize("other", [ChannelModel(25.0, sigma=0.3),
                                        ChannelModel(26.0, sigma=0.1)],
                              ids=["sigma", "baseline"])
