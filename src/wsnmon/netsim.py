@@ -32,8 +32,8 @@ one C-level pass takes the head polls' decisions, then, for each polled head,
 one pass each takes its leaflet polls', its polled leaflets' replies' and its
 aggregate's. In a round with forced-down links each pass is a comprehension
 that gives a down link False without a draw. Every output of the round comes
-from those decision lists: the Snapshot, ``SimSummary``'s counts, the trace
-text, and the ``SimEvent``s.
+from those decision lists: the Snapshot, ``SimSummary``'s counts and the
+trace text.
 
 A round is built as columns: once the links are decided, every noise draw is
 taken, but only the cells of the nodes whose data arrives are sensed; every
@@ -54,14 +54,13 @@ t0+2*hop, head aggregates at t0+3*hop. A LINK_DROP event marks each lost
 message at the same timestamp. Events are ordered by time_ms, and events
 with the same time_ms keep their emission order.
 
-Events are built only where they are asked for: by ``run_round``, and by
-``run_simulation`` given ``on_event``. ``run_simulation``'s ``on_trace`` gets
-each round's trace text instead, rendered with no per-event call: each
+The trace text is the one rendering of a round's message order: each
 message's text after its time is built once per run, one string for
 delivered and one with its LINK_DROP line for lost, and a tier's text is its
 time prefix put before each line of the texts its decisions pick. With hop 0
 every event has one time, so the text follows emission order, cluster by
-cluster, rather than tier order.
+cluster, rather than tier order. ``run_round`` and ``run_simulation``'s
+``on_event`` read their ``SimEvent``s off that text, a line each.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from __future__ import annotations
 import random
 from enum import Enum
 from itertools import compress, islice, repeat
-from operator import attrgetter, getitem, itemgetter
+from operator import getitem, itemgetter
 from typing import Callable, NamedTuple
 
 from ._frozen import Frozen
@@ -89,19 +88,12 @@ class EventKind(Enum):
 
 
 class SimEvent(NamedTuple):
-    """One message or loss; a tuple, which builds at a quarter of a frozen
-    dataclass's cost (``run_round`` and ``on_event`` get one per message and
-    per loss)."""
+    """One message or loss: one line of a round's trace text."""
 
     time_ms: int
     kind: EventKind
     src: str
     dst: str
-
-
-_new_tuple = tuple.__new__  # SimEvent(*fields) without its Python-level __new__
-# module globals: reading an Enum member off its class is slow
-_POLL, _DATA, _LINK_DROP = EventKind.INTERRUPT_CALL, EventKind.DATA_MSG, EventKind.LINK_DROP
 
 
 def trace_line(ev: SimEvent) -> str:
@@ -280,28 +272,6 @@ def _tally(polled: list[bool], branches: list) -> tuple[int, int]:
     return sent, dropped
 
 
-def _events(cfg: SimConfig, t0: int, polled: list[bool], branches: list) -> list[SimEvent]:
-    """The round's events in (time, emission) order, from its decisions."""
-    topo, hop = cfg.topology, cfg.hop_latency_ms
-    root, children = topo.root, topo.children
-    heads = children[root]
-    sent = [(t0, _POLL, root, head, ok) for head, ok in zip(heads, polled)]
-    for head, branch in zip(heads, branches):
-        if branch is not None:
-            leaf_polled, replied, aggregated = branch
-            leaves = children[head]
-            sent += [(t0 + hop, _POLL, head, leaf, ok) for leaf, ok in zip(leaves, leaf_polled)]
-            sent += [(t0 + 2 * hop, _DATA, leaf, head, ok)
-                     for leaf, ok in zip(compress(leaves, leaf_polled), replied)]
-            sent.append((t0 + 3 * hop, _DATA, head, root, aggregated))
-    events: list[SimEvent] = []
-    for at, kind, src, dst, ok in sent:
-        events.append(_new_tuple(SimEvent, (at, kind, src, dst)))
-        if not ok:
-            events.append(_new_tuple(SimEvent, (at, _LINK_DROP, src, dst)))
-    return sorted(events, key=attrgetter("time_ms"))  # stable: ties keep emission order
-
-
 def _trace_suffixes(topo: TreeTopology) -> tuple[list, list]:
     """Each message's trace text after its time, as a (lost, delivered) pair:
     the head polls, and per head its leaflet polls, their replies and its
@@ -309,14 +279,15 @@ def _trace_suffixes(topo: TreeTopology) -> tuple[list, list]:
 
     def texts(kind: EventKind, src: str, dst: str) -> tuple[str, str]:
         line = f"{kind.value} {src} {dst}\n"
-        return f"{line}{_LINK_DROP.value} {src} {dst}\n", line
+        return f"{line}{EventKind.LINK_DROP.value} {src} {dst}\n", line
 
     root, children = topo.root, topo.children
     heads = children[root]
-    return [texts(_POLL, root, head) for head in heads], [
-        ([texts(_POLL, head, leaf) for leaf in children[head]],
-         [texts(_DATA, leaf, head) for leaf in children[head]],
-         texts(_DATA, head, root)) for head in heads]
+    poll, data = EventKind.INTERRUPT_CALL, EventKind.DATA_MSG
+    return [texts(poll, root, head) for head in heads], [
+        ([texts(poll, head, leaf) for leaf in children[head]],
+         [texts(data, leaf, head) for leaf in children[head]],
+         texts(data, head, root)) for head in heads]
 
 
 def _stamp(prefix: str, body: str) -> str:
@@ -342,6 +313,14 @@ def _trace_text(suffixes: tuple[list, list], t0: int, hop: int,
     return "".join(_stamp(f"{t0 + i * hop} ", body) for i, body in enumerate(tiers))
 
 
+def _events(text: str) -> list[SimEvent]:
+    """The events of a round's trace text, a line each. A line splits on its
+    spaces: every topology comes from ``build_topology``, whose
+    ``validate_label`` refuses a label with whitespace."""
+    return [SimEvent(int(time_ms), EventKind(kind), src, dst)
+            for time_ms, kind, src, dst in map(str.split, text.splitlines())]
+
+
 def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent]]:
     """Simulate one collection round, with the links ``cfg.outages`` force down.
 
@@ -350,7 +329,8 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent
     order.
     """
     snapshot, polled, branches = _round(cfg, round_index)
-    return snapshot, _events(cfg, snapshot.time_ms, polled, branches)
+    return snapshot, _events(_trace_text(_trace_suffixes(cfg.topology), snapshot.time_ms,
+                                         cfg.hop_latency_ms, polled, branches))
 
 
 def run_simulation(
@@ -366,7 +346,7 @@ def run_simulation(
     of each event, each ending in LF, in one string. A failure of ``on_trace``
     or ``sink`` is a SINK_FAILURE.
     """
-    suffixes = None if on_trace is None else _trace_suffixes(cfg.topology)
+    suffixes = None if on_trace is None and on_event is None else _trace_suffixes(cfg.topology)
     sent = 0
     dropped = 0
     for round_index in range(cfg.rounds):
@@ -374,11 +354,11 @@ def run_simulation(
         attempted, lost = _tally(polled, branches)
         sent += attempted
         dropped += lost
-        if on_event is not None:
-            for ev in _events(cfg, snapshot.time_ms, polled, branches):
-                on_event(ev)
-        text = None if on_trace is None else _trace_text(
+        text = None if suffixes is None else _trace_text(
             suffixes, snapshot.time_ms, cfg.hop_latency_ms, polled, branches)
+        if on_event is not None:
+            for ev in _events(text):
+                on_event(ev)
         try:
             if on_trace is not None:
                 on_trace(text)

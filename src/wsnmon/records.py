@@ -46,12 +46,9 @@ class Snapshot(Frozen):
                  columns: Mapping[Channel, tuple[float | None, ...]]):
         self._init(round, time_ms, nodes, columns, None)
 
-    def _reading(self, i: int) -> Reading:
-        return Reading(self.nodes[i], {channel: column[i]
-                                       for channel, column in self.columns.items()})
-
     def reading_for(self, node: str) -> Reading | None:
         try:
-            return self._reading(self.nodes.index(node))
+            i = self.nodes.index(node)
         except ValueError:
             return None
+        return Reading(node, {channel: column[i] for channel, column in self.columns.items()})

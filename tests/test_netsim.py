@@ -74,9 +74,10 @@ class TestRunRound:
         assert trace_line(events[0]) == "0 INTERRUPT_CALL BS N1"
 
     def test_hop_zero_trace_keeps_emission_order(self):
-        """With hop_ms 0 every event of a round has one time: the stable sort
-        keeps emission order (the head polls, then cluster by cluster), and
-        each LINK_DROP follows the message it marks."""
+        """With hop_ms 0 every event of a round has one time: the trace text,
+        and so the events read off it, keep emission order (the head polls,
+        then cluster by cluster), and each LINK_DROP follows the message it
+        marks."""
         _, events = run_round(make_config(failure_prob=0.3, rounds=1, seed=3,
                                           hop_latency_ms=0), 0)
         assert [trace_line(e) for e in events] == [
@@ -272,11 +273,12 @@ class TestReferenceRound:
     @given(cfg=reference_configs())
     def test_run_simulation_matches_reference_round(self, cfg):
         """Snapshots, events, trace text and counts all equal those of the
-        slow reference read off the netsim docstring; so does the trace text
-        that ``wsn run --trace`` writes, round by round."""
+        slow reference read off the netsim docstring; so do the trace text
+        that ``wsn run --trace`` writes and ``run_round``, round by round."""
         events = []
         snaps, summary = collect_with_events(cfg, events)
         expected = [reference_round(cfg, r) for r in range(cfg.rounds)]
+        assert [run_round(cfg, r) for r in range(cfg.rounds)] == expected
         assert snaps == [snapshot for snapshot, _ in expected]
         expected_events = [ev for _, round_events in expected for ev in round_events]
         assert events == expected_events
