@@ -444,7 +444,7 @@ class TelemetryWriter:
     def __init__(self, path: str | os.PathLike, nodes: Sequence[str]):
         self.path = os.fspath(path)
         self.nodes = tuple(nodes)
-        self.last_round = -1
+        self.last: Snapshot | None = None  # the log's last whole round, once flushed
         try:
             self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
             try:
@@ -458,11 +458,9 @@ class TelemetryWriter:
             raise TelemetryError("IO_FAILURE", f"cannot open {self.path}: {e}") from e
 
     def append(self, s: Snapshot) -> None:
-        if s.round <= self.last_round:
-            raise TelemetryError(
-                "NON_MONOTONIC_ROUND",
-                f"round {s.round} after round {self.last_round}",
-            )
+        before = -1 if self.last is None else self.last.round  # -1: the header alone
+        if s.round <= before:
+            raise TelemetryError("NON_MONOTONIC_ROUND", f"round {s.round} after round {before}")
         if s.nodes != self.nodes:
             raise ValueError(f"snapshot nodes {s.nodes} do not match log {self.nodes}")
         try:
@@ -470,7 +468,7 @@ class TelemetryWriter:
             self._fh.flush()
         except OSError as e:
             raise TelemetryError("IO_FAILURE", f"round {s.round}: {e}") from e
-        self.last_round = s.round
+        self.last = s
 
     def close(self) -> None:
         self._fh.close()
@@ -487,30 +485,31 @@ class LatestMirror:
 
     Reproduces the original deployment's single rewritten .txt: each
     ``update`` replaces the file wholesale (write-temp-then-rename, so readers
-    never see a half-written file). Until the first update it holds the header
-    alone. How often to update is the caller's rule: ``wsn run`` updates every
-    round under ``--pace``; unpaced, for its first round, then at most once a
-    round period, and for the log's last round wherever the run stops. A path
-    (or temp path) that exists and is not a regular file is refused:
-    replacing or removing a device, FIFO or symlink destroys it.
+    never see a half-written file). ``round`` is the round it holds: -1 for
+    the header alone, None from an update's start until it succeeds. How often
+    to update is the caller's rule: ``wsn run`` updates every round under
+    ``--pace``; unpaced, for its first round, then at most once a round period,
+    and for the log's last round wherever the run stops. A path (or temp path)
+    that exists and is not a regular file is refused: replacing or removing a
+    device, FIFO or symlink destroys it.
     """
 
     def __init__(self, path: str | os.PathLike, nodes: Sequence[str]):
         self.path = os.fspath(path)
-        self.nodes = tuple(nodes)
-        self._header = header_line(self.nodes) + "\n"
+        self._header = header_line(nodes) + "\n"
         for p in (self.path, self.path + ".tmp"):
             with contextlib.suppress(OSError):  # nothing to see there: _replace reports it
                 if not stat.S_ISREG(os.lstat(p).st_mode):
                     raise TelemetryError(
                         "IO_FAILURE", f"cannot write {self.path}: {p} is not a regular file")
         # a zero-round file: an unwritable path fails here, before any round runs
-        self._replace("")
+        self._replace("", -1)
 
     def update(self, s: Snapshot) -> None:
-        self._replace(snapshot_block(s))  # the block the log writer just rendered
+        self._replace(snapshot_block(s), s.round)  # the block the log writer just rendered
 
-    def _replace(self, block: str) -> None:
+    def _replace(self, block: str, round_index: int) -> None:
+        self.round: int | None = None
         tmp = self.path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -521,3 +520,4 @@ class LatestMirror:
             with contextlib.suppress(OSError):  # leave no temp file behind
                 os.remove(tmp)
             raise TelemetryError("IO_FAILURE", f"cannot write {self.path}: {e}") from e
+        self.round = round_index

@@ -12,8 +12,8 @@ before any file is created) / 130 interrupted before the last round (the log
 keeps every whole round); fetch 0 ok / 3 ERR response / 2 connection or output
 failure; plotdata 0 ok / 1 bad input / 2 output failure. A failed write to
 standard output is reported as ``cannot write output: ...``. ``wsn run`` takes
-SIGTERM as it takes SIGINT: before the last round it exits 130, and a served
-run after its last round closes the gateway and exits 0.
+SIGTERM as it takes SIGINT, between log appends: before the last round it exits
+130, and a served run after its last round closes the gateway and exits 0.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import contextlib
 import os
 import sys
 import time
+import types
 
 from .basestation import LatestMirror, TelemetryReader, TelemetryWriter, format_value
 from .environment import channel_from_token
@@ -105,15 +106,27 @@ def _close_flushed(fh) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     import signal  # imported here, as in _run: fetch and plotdata do not need it
 
-    # SIGTERM interrupts the run as SIGINT does; the caller's handler is put back
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    # SIGTERM interrupts the run, and so does SIGINT unless the caller ignores it (as
+    # CPython does in a job without job control); the caller's handlers are put back.
+    # One that lands in a log append is raised once the append returns (see sink).
+    hold = types.SimpleNamespace(appending=False, pending=False)
+
+    def interrupt(signum, frame) -> None:
+        if not hold.appending:
+            raise KeyboardInterrupt
+        hold.pending = True
+
+    previous = {signum: signal.signal(signum, interrupt)
+                for signum in (signal.SIGTERM, signal.SIGINT)
+                if signum == signal.SIGTERM or signal.getsignal(signum) is not signal.SIG_IGN}
     try:
-        return _run(args)
+        return _run(args, hold)
     finally:  # None: a handler not installed from Python, as SIG_DFL is
-        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, signal.SIG_DFL if handler is None else handler)
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace, hold: types.SimpleNamespace) -> int:
     # imported here: fetch and plotdata need no simulator, and only --serve the server
     from .config import parse_config
     from .netsim import run_simulation
@@ -182,30 +195,27 @@ def _run(args: argparse.Namespace) -> int:
             # catch-up makes it hold the log's last round wherever the run stops.
             period_ns = sim.round_period_ms * 1_000_000  # ints: any period compares
             due = 0  # time.monotonic_ns() from which the mirror is rewritten again
-            shown = -1  # the mirror's round (-1: the header alone; None: a rewrite unfinished)
-            before = newest = None  # the last two snapshots handed to sink
-
-            def show(s: Snapshot) -> None:
-                nonlocal shown
-                shown = None
-                mirror.update(s)
-                shown = s.round
 
             def catch_up() -> None:
                 """Rewrite the mirror to the log's last whole round if it holds another."""
-                last = writer.last_round
-                if mirror is not None and shown != last:
-                    show(newest if newest.round == last else before)
+                last = writer.last
+                if mirror is not None and last is not None and mirror.round != last.round:
+                    mirror.update(last)
 
             def sink(s: Snapshot) -> None:
-                nonlocal before, newest, due
-                before, newest = newest, s
-                writer.append(s)
+                nonlocal due
+                hold.appending = True  # a signal now waits: the log and writer.last agree
+                try:
+                    writer.append(s)
+                finally:
+                    hold.appending = False
+                if hold.pending:
+                    raise KeyboardInterrupt
                 if mirror is not None:
                     now = time.monotonic_ns()
-                    if args.pace or shown == -1 or now >= due:
+                    if args.pace or mirror.round == -1 or now >= due:
                         due = now + period_ns
-                        show(s)
+                        mirror.update(s)
                 if gateway is not None:
                     for alert in gateway.publish(s):
                         _err(f"ALERT {alert.severity.value} {alert.rule_id} "
@@ -222,12 +232,12 @@ def _run(args: argparse.Namespace) -> int:
                 catch_up()
             except KeyboardInterrupt:  # each append is whole: the log ends on a whole round
                 catch_up()
-                last = writer.last_round
-                _err(f"wsn run: interrupted; the log ends with round {last}" if last >= 0
-                     else "wsn run: interrupted before any round was written")
+                last = writer.last
+                _err(f"wsn run: interrupted; the log ends with round {last.round}"
+                     if last is not None else "wsn run: interrupted before any round was written")
                 return 130
             except SimError:  # SINK_FAILURE: a mirror that failed is not rewritten again
-                if shown is not None:
+                if mirror is None or mirror.round is not None:
                     with contextlib.suppress(WsnError):  # the first error is the one reported
                         catch_up()
                 raise

@@ -31,9 +31,9 @@ stream of decisions (delivered when a draw is >= the failure probability):
 one C-level pass takes the head polls' decisions, then, for each polled head,
 one pass each takes its leaflet polls', its polled leaflets' replies' and its
 aggregate's. In a round with forced-down links each pass is a comprehension
-that gives a down link False without a draw. Every output of the round comes
-from those decision lists: the Snapshot, ``SimSummary``'s counts and the
-trace text.
+that gives a down link False without a draw. The Snapshot and the trace text
+come from those decision lists, and ``SimSummary``'s counts are kept by the
+walk that takes them.
 
 A round is built as columns: once the links are decided, every noise draw is
 taken, but only the cells of the nodes whose data arrives are sensed; every
@@ -44,9 +44,9 @@ Sensing by step lookup: ``environment.sense`` is the one definition of a
 sensed value, and its value depends only on the spec and the quantization
 step. A round computes each draw's step with sense's own arithmetic, in its
 order (a reassociated form is not bit-identical), and maps it through the
-spec's step table, which is filled on a miss by calling ``sense``. Where the
-step could overflow or be inexact (truth infinite, nan, or 2**50 quanta from
-min_value), the round calls ``sense`` for every cell it senses.
+spec's step table; a miss senses one draw of each new step and maps again.
+Where the step could overflow or be inexact (truth infinite, nan, or 2**50
+quanta from min_value), the round calls ``sense`` for every cell it senses.
 
 Event timing within a round starting at t0 (hop = per-message latency):
 polls BS->head at t0, polls head->leaflet at t0+hop, leaflet replies at
@@ -182,24 +182,22 @@ def _sense_column(spec: SensorSpec, truth: float, draws: list[float]) -> list[fl
     table = spec._sensed
     try:
         return list(map(table.__getitem__, steps))
-    except KeyError:  # a step not sensed before
+    except KeyError:  # a step not sensed before: sense one draw of each new step
         if len(table) >= _STEP_TABLE_MAX:
             table.clear()
-        values = []
-        for step, r in zip(steps, draws):
-            value = table.get(step)
-            if value is None:
-                value = table[step] = sense(spec, truth, -1.0 + 2.0 * r)
-            values.append(value)
-        return values
+        draw_of = dict(zip(steps, draws))
+        for step in draw_of.keys() - table.keys():
+            table[step] = sense(spec, truth, -1.0 + 2.0 * draw_of[step])
+        return list(map(table.__getitem__, steps))
 
 
-def _round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[bool], list]:
+def _round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[bool], list, int, int]:
     """Decide the round's messages tier by tier, then sense its delivered cells.
 
-    Returns the Snapshot, the head polls' decisions (True: delivered) and, per
-    head, its ``(leaflet polls, replies of the polled leaflets, aggregate)``
-    decisions, or None for a head that was not polled.
+    Returns the Snapshot, the head polls' decisions (True: delivered), per
+    head its ``(leaflet polls, replies of the polled leaflets, aggregate)``
+    decisions or None for a head that was not polled, and the counts of the
+    round's attempted and dropped messages, kept as the decisions are taken.
     """
     if not 0 <= round_index < cfg.rounds:
         raise SimError(
@@ -219,6 +217,7 @@ def _round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[bool], list
         polled = list(islice(ok, len(heads)))
     branches: list[tuple[list[bool], list[bool], bool] | None] = []
     delivered: list[int] = []  # the sensing-node indices whose data arrives
+    sent, dropped = len(heads), polled.count(False)
     start = 0
     for head, head_polled in zip(heads, polled):
         leaves = children[head]
@@ -233,6 +232,8 @@ def _round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[bool], list
                 replied = list(islice(ok, leaf_polled.count(True)))
                 aggregated = next(ok)
             branches.append((leaf_polled, replied, aggregated))
+            sent += len(leaves) + len(replied) + 1
+            dropped += len(leaves) - len(replied) + replied.count(False) + (not aggregated)
             if aggregated:  # a head is followed by its leaflets
                 delivered.append(start)
                 delivered += compress(compress(range(start + 1, start + 1 + len(leaves)),
@@ -260,16 +261,7 @@ def _round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[bool], list
                                list(compress(draws[i::width], rank)))
         columns[spec.channel] = place_cells([None, *sensed])[1:]
     snapshot = Snapshot(round_index, round_index * cfg.round_period_ms, nodes, columns)
-    return snapshot, polled, branches
-
-
-def _tally(polled: list[bool], branches: list) -> tuple[int, int]:
-    """The round's attempted messages, dropped ones included, and its dropped ones."""
-    sent, dropped = len(polled), polled.count(False)
-    for leaf_polled, replied, aggregated in filter(None, branches):
-        sent += len(leaf_polled) + len(replied) + 1
-        dropped += leaf_polled.count(False) + replied.count(False) + (not aggregated)
-    return sent, dropped
+    return snapshot, polled, branches, sent, dropped
 
 
 def _trace_suffixes(topo: TreeTopology) -> tuple[list, list]:
@@ -328,7 +320,7 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent
     node's cells are None, never absent) and its events in (time, emission)
     order.
     """
-    snapshot, polled, branches = _round(cfg, round_index)
+    snapshot, polled, branches, _, _ = _round(cfg, round_index)
     return snapshot, _events(_trace_text(_trace_suffixes(cfg.topology), snapshot.time_ms,
                                          cfg.hop_latency_ms, polled, branches))
 
@@ -347,11 +339,9 @@ def run_simulation(
     or ``sink`` is a SINK_FAILURE.
     """
     suffixes = None if on_trace is None and on_event is None else _trace_suffixes(cfg.topology)
-    sent = 0
-    dropped = 0
+    sent = dropped = 0
     for round_index in range(cfg.rounds):
-        snapshot, polled, branches = _round(cfg, round_index)
-        attempted, lost = _tally(polled, branches)
+        snapshot, polled, branches, attempted, lost = _round(cfg, round_index)
         sent += attempted
         dropped += lost
         text = None if suffixes is None else _trace_text(

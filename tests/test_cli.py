@@ -1,5 +1,6 @@
 """End-to-end command tests: run, fetch, plotdata, and the served pipeline."""
 
+import contextlib
 import errno
 import io
 import itertools
@@ -8,6 +9,7 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import types
@@ -15,10 +17,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import make_config, desk_topology, readings, reference_round
 from wsnmon import basestation, cli
-from wsnmon.basestation import LatestMirror, TelemetryWriter, parse_record, parse_telemetry
+from wsnmon.basestation import (LatestMirror, TelemetryWriter, header_line, parse_record,
+                                parse_telemetry, snapshot_block)
 from wsnmon.cli import main
 from wsnmon.config import parse_config
 from wsnmon.environment import Channel
@@ -184,27 +188,91 @@ class TestRun:
 
     @pytest.mark.parametrize("outside_python", [False, True])
     def test_sigterm_handler_is_put_back(self, tmp_path, capsys, outside_python):
-        """A run leaves the caller's SIGTERM handler as it found it; a handler
-        Python cannot name (getsignal gives None) is put back as SIG_DFL."""
+        """A run takes SIGTERM and SIGINT with one handler that interrupts it,
+        and leaves the caller's handlers as it found them; a handler Python
+        cannot name (getsignal gives None) is put back as SIG_DFL."""
         def handler(signum, frame):
             pass
 
         real_signal, installed = signal.signal, []
 
         def recording_signal(signum, new):
-            installed.append(new)
+            installed.append((signum, new))
             old = real_signal(signum, new)
             return None if outside_python else old
 
-        previous = real_signal(signal.SIGTERM, handler)
+        both = (signal.SIGTERM, signal.SIGINT)
+        previous = {signum: real_signal(signum, handler) for signum in both}
         try:
             with mock.patch.object(signal, "signal", recording_signal):
                 assert main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "t.log")]) == 0
+            interrupt = installed[0][1]
+            with pytest.raises(KeyboardInterrupt):
+                interrupt(signal.SIGTERM, None)
             restored = signal.SIG_DFL if outside_python else handler
-            assert installed == [signal.default_int_handler, restored]
-            assert signal.getsignal(signal.SIGTERM) is restored
+            assert installed == [(signum, interrupt) for signum in both] + [
+                (signum, restored) for signum in both]
+            assert [signal.getsignal(signum) for signum in both] == [restored, restored]
         finally:
-            real_signal(signal.SIGTERM, previous)
+            for signum, old in previous.items():
+                real_signal(signum, old)
+
+    def test_an_ignored_sigint_stays_ignored(self, tmp_path, capsys):
+        """A caller that ignores SIGINT, as a shell does for a background job
+        without job control, keeps ignoring it; SIGTERM still interrupts."""
+        real_signal, installed = signal.signal, []
+
+        def recording_signal(signum, new):
+            installed.append(signum)
+            return real_signal(signum, new)
+
+        previous = real_signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            with mock.patch.object(signal, "signal", recording_signal):
+                assert main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "t.log")]) == 0
+            assert installed == [signal.SIGTERM, signal.SIGTERM]
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        finally:
+            real_signal(signal.SIGINT, previous)
+
+    @pytest.mark.skipif(os.name != "posix", reason="sends POSIX signals")
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    @pytest.mark.parametrize("serve", [False, True], ids=["unpaced", "served"])
+    def test_a_signal_inside_a_log_append_takes_effect_after_it(self, tmp_path, capsys,
+                                                                monkeypatch, serve, signum):
+        """A signal sent once round 3's append has flushed it: the run exits 130
+        naming round 3, the log's last whole round, and the mirror holds it."""
+        if signal.getsignal(signum) is signal.SIG_IGN:
+            pytest.skip("this process ignores the signal, so the run leaves it ignored")
+        k, sent = 3, []
+        init = TelemetryWriter.__init__
+
+        def init_with_signalling_flush(writer, path, nodes):
+            init(writer, path, nodes)
+            flush = writer._fh.flush
+
+            def signalling_flush():
+                flush()
+                whole = Path(writer.path).read_bytes().count(b"\n") == 1 + (k + 1) * len(nodes)
+                if whole and not sent:  # once: closing the log flushes it again
+                    sent.append(k)
+                    os.kill(os.getpid(), signum)
+
+            writer._fh.flush = signalling_flush
+
+        monkeypatch.setattr(TelemetryWriter, "__init__", init_with_signalling_flush)
+        out, latest = tmp_path / "t.log", tmp_path / "t.latest"
+        args = ["run", write_cfg(tmp_path), "--out", str(out), "--rewrite-latest", str(latest)]
+        try:
+            rc = main(args + (["--serve", "--port", "0"] if serve else []))
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped wsn run")
+        assert rc == 130 and sent == [k]
+        err = capsys.readouterr().err
+        assert err.endswith(f"wsn run: interrupted; the log ends with round {k}\n"), err
+        log = parse_telemetry(out.read_bytes())
+        assert log.partial is None and log.snapshots[-1].round == k
+        assert parse_telemetry(latest.read_bytes()).snapshots == log.snapshots[-1:]
 
     def test_unwritable_trace_path(self, tmp_path, capsys):
         out = tmp_path / "t.log"
@@ -855,3 +923,149 @@ class TestServeFlag:
                     proc.kill()
         assert proc.returncode == 0, err
         assert err == ""
+
+
+# a valid config, a choice per line, then up to two lines of token soup put in;
+# no drawn config runs more than DEFAULT_ROUNDS rounds of at most five nodes
+CONTRACT_CHOICES = [
+    ["", "radio 30 0.3", "radio 30 1.0"], ["cluster N1 1.1 1.2", "cluster N1"],
+    ["", "cluster N2 2.1"], ["", "rounds 1", "rounds 4"], ["", "hop_ms 0", "period_ms 40"],
+    ["", "seed 9"], ["", "fail N1 BS 1 2"],
+    ["", "env temp_c 25 walk 0.5", "env co_ppm 9 walk 1e308",
+     "env ch4_ppm 400 script 0:400,2:9000\nalert gas ch4_ppm GT 5000 DANGER"],
+]
+CONTRACT_TOKENS = [
+    "radio", "cluster", "pos", "rounds", "period_ms", "hop_ms", "seed", "fail", "env", "alert",
+    "N1", "1.1", "2.1", "BS", "NULL", "temp_c", "ch4_ppm", "walk", "script", "GT", "WARN",
+    "0", "1", "3", "0.5", "-1", "nan", "1e999", "#", ",", "0:1,2:5",
+]
+
+
+@st.composite
+def config_bytes(draw) -> bytes:
+    lines = "\n".join(map(draw, map(st.sampled_from, CONTRACT_CHOICES))).split("\n")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        soup = draw(st.lists(st.sampled_from(CONTRACT_TOKENS), max_size=6))
+        lines.insert(draw(st.integers(0, len(lines))), " ".join(soup))
+    data = draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode()
+    if draw(st.sampled_from([False, False, False, True])):  # a byte that is not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+# where an output goes: a new file (as often as not), a missing directory, a
+# directory, or a full device
+OUTPUT_KINDS = ["fine"] * 3 + ["missing", "dir", *(["full"] if os.path.exists("/dev/full") else [])]
+
+
+def contract_log() -> bytes:
+    """A six-round log with NULLs, a gas column and two unequipped ones."""
+    sim = parse_config(DESK_CFG.replace("radio 30 0.0", "radio 30 0.3").replace(
+        "rounds 5", "rounds 6\nenv ch4_ppm 400 walk 50")).sim
+    blocks = [snapshot_block(run_round(sim, r)[0]) for r in range(sim.rounds)]
+    return (header_line(sim.topology.sensing_nodes()) + "\n" + "".join(blocks)).encode()
+
+
+CONTRACT_LOG = contract_log()
+
+
+def contract_path(work: Path, kind: str, name: str) -> Path:
+    return {"fine": work / name, "missing": work / "no" / name, "dir": work / "adir",
+            "full": Path("/dev/full")}[kind]
+
+
+class TestContract:
+    """``wsn run`` and ``wsn plotdata`` on drawn inputs end in a documented
+    exit code, never in another exception, and leave no half-made output."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=config_bytes(), log_kind=st.sampled_from(OUTPUT_KINDS),
+           trace_kind=st.sampled_from(["off", *OUTPUT_KINDS]),
+           # a mirror at /dev/full is refused unopened; its temp file would lie outside work
+           mirror_kind=st.sampled_from(["off", "fine", "fine", "missing", "dir"]),
+           failing_replace=st.none() | st.integers(1, 4))
+    def test_run_exits_0_1_or_2_and_leaves_whole_outputs(
+            self, tmp_path, data, log_kind, trace_kind, mirror_kind, failing_replace):
+        """Exit 0 leaves exactly the three outputs: a log of the config's rounds,
+        a mirror of its last round and a trace whose counts are the summary's.
+        Exit 1, and exit 2 before the first round, leave no file the run made;
+        a SINK_FAILURE leaves only outputs, the log on a whole round. The
+        mirror's ``failing_replace``-th rename fails, if it is drawn."""
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        (work / "adir").mkdir()
+        cfg = work / "run.cfg"
+        cfg.write_bytes(data)
+        argv, chosen, fine = ["run", str(cfg)], {}, set()
+        for option, kind, name in [("--out", log_kind, "t.log"), ("--trace", trace_kind, "t.trace"),
+                                   ("--rewrite-latest", mirror_kind, "t.latest")]:
+            if kind != "off":
+                chosen[option] = contract_path(work, kind, name)
+                argv += [option, str(chosen[option])]
+                if kind == "fine":
+                    fine.add(chosen[option])
+        before = set(work.rglob("*"))
+        replace, renames = os.replace, itertools.count(1)
+
+        def maybe_failing_replace(src, dst):
+            if next(renames) == failing_replace:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            replace(src, dst)
+
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), mock.patch.object(os, "replace",
+                                                                maybe_failing_replace):
+            rc = main(argv)
+        err = err.getvalue()
+        created = set(work.rglob("*")) - before
+        assert rc in (0, 1, 2), err
+        if rc == 0:
+            assert created == fine, err
+            rounds = parse_config(data.decode().replace("\r\n", "\n")).sim.rounds
+            log = parse_telemetry(chosen["--out"].read_bytes())
+            assert log.partial is None and [s.round for s in log.snapshots] == list(range(rounds))
+            if "--rewrite-latest" in chosen:
+                mirror = parse_telemetry(chosen["--rewrite-latest"].read_bytes())
+                assert mirror.snapshots == log.snapshots[-1:] and mirror.partial is None
+            if "--trace" in chosen:
+                trace = chosen["--trace"].read_bytes()
+                dropped = trace.count(b" LINK_DROP ")
+                sent = trace.count(b"\n") - dropped
+                assert f"{sent} messages sent, {dropped} dropped" in err
+        elif "SINK_FAILURE" in err:
+            assert created <= fine, err
+            assert parse_telemetry(chosen["--out"].read_bytes()).partial is None
+        else:
+            assert created == set(), err
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.tuples(st.integers(0, 10**6),
+                                    st.sampled_from([b"", b",", b"\n", b"\xff", b"0", b"-",
+                                                     b"NULL", b" ", b"9" * 30]),
+                                    st.integers(0, 3)), max_size=3),
+           node=st.sampled_from(["N1", "2.1", "X9"]),
+           channel=st.sampled_from(["temp_c", "light_raw", "ch4_ppm", "co_ppm", "heat"]),
+           full=st.booleans())
+    def test_plotdata_exits_0_1_or_2_with_a_row_per_whole_round(
+            self, tmp_path, edits, node, channel, full):
+        """A damaged log exits 0, 1 or 2, never in another exception; exit 2
+        only when standard output fails, and exit 0 writes one row per whole
+        round. Each edit puts bytes in place of up to 3 bytes at a position."""
+        data = CONTRACT_LOG
+        for position, text, cut in edits:
+            position %= len(data) + 1
+            data = data[:position] + text + data[position + cut:]
+        path = tmp_path / "t.log"
+        path.write_bytes(data)
+        out = FullStdout() if full else io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["plotdata", str(path), "--node", node, "--channel", channel])
+        assert rc in (0, 1, 2)
+        assert rc != 2 or full
+        if rc == 0:
+            rows = out.getvalue().splitlines()
+            assert [row.split(",")[0] for row in rows] == [
+                str(s.round) for s in parse_telemetry(data).snapshots]
+
