@@ -24,9 +24,8 @@ _EXPORTS = {
     "errors": ("ConfigError", "EnvError", "GatewayError", "SimError", "TelemetryError",
                "TopologyError", "WsnError"),
     "gateway": ("Gateway", "serve"),
-    "netsim": ("EventKind", "LinkOutage", "SimConfig", "SimEvent", "SimSummary",
-               "run_round", "run_simulation"),
-    "records": ("Reading", "Snapshot"),
+    "netsim": ("LinkOutage", "SimConfig", "SimSummary", "run_round", "run_simulation"),
+    "records": ("Snapshot",),
     "topology": ("RadioSpec", "TreeTopology", "build_topology"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -61,7 +61,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .environment import Channel
 from .errors import TelemetryError
-from .records import Reading, Snapshot
+from .records import Snapshot
 
 MAGIC = "#WSNLOG"
 VERSION = "v1"
@@ -215,8 +215,11 @@ def _temperature(text: str) -> float | None:
 _READERS = tuple((ch, _temperature if ch is Channel.TEMP_C else _count) for ch in _COLUMNS)
 
 
-def parse_record(line: str, line_no: int = 0) -> tuple[int, int, Reading]:
-    """Parse one record line (the gateway's lines share this grammar).
+def parse_record(line: str, line_no: int = 0
+                 ) -> tuple[int, int, str, dict[Channel, float | None]]:
+    """Parse one record line (the gateway's lines share this grammar) into
+    ``(round, time_ms, node, values)``; ``values`` maps exactly the channels
+    the line carries to its cell.
 
     Every number and the status must be exactly what ``snapshot_block``
     writes for the values, so an accepted line re-serializes byte for byte.
@@ -249,7 +252,7 @@ def parse_record(line: str, line_no: int = 0) -> tuple[int, int, Reading]:
         raise _malformed(f"bad status {status!r}", line_no)
     elif set(values.values()) != {None}:
         raise _malformed(f"NULL record for {node} has a value", line_no)
-    return rnd, time_ms, Reading(node, values)
+    return rnd, time_ms, node, values
 
 
 class PartialRound(NamedTuple):
@@ -401,17 +404,17 @@ def _fault(raws: list[bytes], nodes: tuple[str, ...], line_no: int,
             raise _not_utf8(e, line_no + i) from None
         if line[-1:] != "\n":  # only the last line can lack its LF
             return stamp, i
-        rnd, time_ms, r = parse_record(line[:-1], line_no + i)
+        rnd, time_ms, node, values = parse_record(line[:-1], line_no + i)
         if stamp is None:
             if rnd <= last_done:
                 raise _malformed(f"round {rnd} repeats or goes backwards", line_no + i)
-            stamp, carried = (rnd, time_ms), r.values.keys()
+            stamp, carried = (rnd, time_ms), values.keys()
         elif (rnd, time_ms) != stamp:
             raise _malformed(f"round/time changed inside round {stamp[0]}", line_no + i)
-        if r.node != nodes[i]:
-            raise _malformed(f"expected node {nodes[i]!r}, found {r.node!r}", line_no + i)
-        if r.values.keys() != carried:
-            raise _malformed(f"{r.node!r} carries other gas channels than {nodes[0]!r}",
+        if node != nodes[i]:
+            raise _malformed(f"expected node {nodes[i]!r}, found {node!r}", line_no + i)
+        if values.keys() != carried:
+            raise _malformed(f"{node!r} carries other gas channels than {nodes[0]!r}",
                              line_no + i)
     if len(raws) == len(nodes):
         raise RuntimeError(f"lines {line_no}-{line_no + len(raws) - 1}: "

@@ -103,6 +103,12 @@ def _close_flushed(fh) -> None:
         fh.close()
 
 
+def _remove_if_present(path: str) -> None:
+    """Remove ``path``, which a failed open may or may not have created."""
+    if os.path.lexists(path):
+        os.remove(path)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     import signal  # imported here, as in _run: fetch and plotdata do not need it
 
@@ -166,19 +172,17 @@ def _run(args: argparse.Namespace, hold: types.SimpleNamespace) -> int:
                 gateway = Gateway(sim.topology, run_cfg.rules)
                 server = stack.enter_context(serve(gateway, host=args.host, port=args.port))
             # removes the files this run creates unless all open; a path that
-            # existed before the run (a user's file, /dev/null) is never removed
+            # existed before the run (a user's file, /dev/null) is never removed.
+            # Each is registered before its open, which can fail after creating it.
             with contextlib.ExitStack() as undo:
+                for path in (args.rewrite_latest, args.trace, args.out):
+                    if path and not os.path.lexists(path):
+                        undo.callback(_remove_if_present, path)
                 if args.rewrite_latest:
-                    created = not os.path.lexists(args.rewrite_latest)
                     mirror = LatestMirror(args.rewrite_latest, nodes)
-                    if created:
-                        undo.callback(os.remove, args.rewrite_latest)
                 if args.trace:
-                    created = not os.path.lexists(args.trace)
                     trace_fh = open(args.trace, "w", encoding="utf-8", newline="\n")
                     stack.callback(_close_flushed, trace_fh)
-                    if created:
-                        undo.callback(os.remove, args.trace)
                 writer = stack.enter_context(TelemetryWriter(args.out, nodes))
                 undo.pop_all()
             if server is not None:
@@ -191,8 +195,9 @@ def _run(args: argparse.Namespace, hold: types.SimpleNamespace) -> int:
 
             # A paced run rewrites the mirror every round. An unpaced run makes
             # rounds faster than a reader polls, so it rewrites the mirror for
-            # its first round and then once a round period has passed; the
-            # catch-up makes it hold the log's last round wherever the run stops.
+            # its first round, then once a round period has passed, and for its
+            # last round; the catch-up makes a stopped run's mirror hold the
+            # log's last round.
             period_ns = sim.round_period_ms * 1_000_000  # ints: any period compares
             due = 0  # time.monotonic_ns() from which the mirror is rewritten again
 
@@ -213,7 +218,7 @@ def _run(args: argparse.Namespace, hold: types.SimpleNamespace) -> int:
                     raise KeyboardInterrupt
                 if mirror is not None:
                     now = time.monotonic_ns()
-                    if args.pace or mirror.round == -1 or now >= due:
+                    if args.pace or now >= due or s.round == sim.rounds - 1:
                         due = now + period_ns
                         mirror.update(s)
                 if gateway is not None:
@@ -229,7 +234,6 @@ def _run(args: argparse.Namespace, hold: types.SimpleNamespace) -> int:
             try:
                 summary = run_simulation(
                     sim, sink, on_trace=on_trace if trace_fh is not None else None)
-                catch_up()
             except KeyboardInterrupt:  # each append is whole: the log ends on a whole round
                 catch_up()
                 last = writer.last

@@ -59,14 +59,14 @@ message's text after its time is built once per run, one string for
 delivered and one with its LINK_DROP line for lost, and a tier's text is its
 time prefix put before each line of the texts its decisions pick. With hop 0
 every event has one time, so the text follows emission order, cluster by
-cluster, rather than tier order. ``run_round`` and ``run_simulation``'s
-``on_event`` read their ``SimEvent``s off that text, a line each.
+cluster, rather than tier order. ``run_round`` returns that text, and
+``run_simulation``'s ``on_event`` gets each of its lines split into an
+``(time_ms, kind, src, dst)`` tuple.
 """
 
 from __future__ import annotations
 
 import random
-from enum import Enum
 from itertools import compress, islice, repeat
 from operator import getitem, itemgetter
 from typing import Callable, NamedTuple
@@ -81,25 +81,10 @@ DEFAULT_ROUND_PERIOD_MS = 1000
 DEFAULT_HOP_LATENCY_MS = 10
 
 
-class EventKind(Enum):
-    INTERRUPT_CALL = "INTERRUPT_CALL"
-    DATA_MSG = "DATA_MSG"
-    LINK_DROP = "LINK_DROP"
-
-
-class SimEvent(NamedTuple):
-    """One message or loss: one line of a round's trace text."""
-
-    time_ms: int
-    kind: EventKind
-    src: str
-    dst: str
-
-
-def trace_line(ev: SimEvent) -> str:
-    """One exported trace line per event."""
+def trace_line(ev: tuple[int, str, str, str]) -> str:
+    """The trace line, without its LF, of an ``(time_ms, kind, src, dst)`` event."""
     time_ms, kind, src, dst = ev
-    return f"{time_ms} {kind._value_} {src} {dst}"  # _value_: no property call
+    return f"{time_ms} {kind} {src} {dst}"
 
 
 class LinkOutage(Frozen):
@@ -269,13 +254,13 @@ def _trace_suffixes(topo: TreeTopology) -> tuple[list, list]:
     the head polls, and per head its leaflet polls, their replies and its
     aggregate."""
 
-    def texts(kind: EventKind, src: str, dst: str) -> tuple[str, str]:
-        line = f"{kind.value} {src} {dst}\n"
-        return f"{line}{EventKind.LINK_DROP.value} {src} {dst}\n", line
+    def texts(kind: str, src: str, dst: str) -> tuple[str, str]:
+        line = f"{kind} {src} {dst}\n"
+        return f"{line}LINK_DROP {src} {dst}\n", line
 
     root, children = topo.root, topo.children
     heads = children[root]
-    poll, data = EventKind.INTERRUPT_CALL, EventKind.DATA_MSG
+    poll, data = "INTERRUPT_CALL", "DATA_MSG"
     return [texts(poll, root, head) for head in heads], [
         ([texts(poll, head, leaf) for leaf in children[head]],
          [texts(data, leaf, head) for leaf in children[head]],
@@ -305,38 +290,31 @@ def _trace_text(suffixes: tuple[list, list], t0: int, hop: int,
     return "".join(_stamp(f"{t0 + i * hop} ", body) for i, body in enumerate(tiers))
 
 
-def _events(text: str) -> list[SimEvent]:
-    """The events of a round's trace text, a line each. A line splits on its
-    spaces: every topology comes from ``build_topology``, whose
-    ``validate_label`` refuses a label with whitespace."""
-    return [SimEvent(int(time_ms), EventKind(kind), src, dst)
-            for time_ms, kind, src, dst in map(str.split, text.splitlines())]
-
-
-def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent]]:
+def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, str]:
     """Simulate one collection round, with the links ``cfg.outages`` force down.
 
     Returns the round's Snapshot (a row for every sensing node; a lost
-    node's cells are None, never absent) and its events in (time, emission)
-    order.
+    node's cells are None, never absent) and its trace text.
     """
     snapshot, polled, branches, _, _ = _round(cfg, round_index)
-    return snapshot, _events(_trace_text(_trace_suffixes(cfg.topology), snapshot.time_ms,
-                                         cfg.hop_latency_ms, polled, branches))
+    return snapshot, _trace_text(_trace_suffixes(cfg.topology), snapshot.time_ms,
+                                 cfg.hop_latency_ms, polled, branches)
 
 
 def run_simulation(
     cfg: SimConfig,
     sink: Callable[[Snapshot], None],
-    on_event: Callable[[SimEvent], None] | None = None,
+    on_event: Callable[[tuple[int, str, str, str]], None] | None = None,
     on_trace: Callable[[str], None] | None = None,
 ) -> SimSummary:
     """Run all configured rounds, handing each Snapshot to ``sink`` in order.
 
-    Before a round's Snapshot goes to ``sink``, ``on_event`` gets each of the
-    round's events, and ``on_trace`` gets its trace text: the ``trace_line``
-    of each event, each ending in LF, in one string. A failure of ``on_trace``
-    or ``sink`` is a SINK_FAILURE.
+    Before a round's Snapshot goes to ``sink``, ``on_trace`` gets its trace
+    text, one LF-terminated ``trace_line`` per event, and ``on_event`` gets
+    each of its events as an ``(time_ms, kind, src, dst)`` tuple. A line
+    splits on its spaces: ``build_topology``'s ``validate_label`` refuses a
+    label with whitespace. A failure of ``on_trace`` or ``sink`` is a
+    SINK_FAILURE.
     """
     suffixes = None if on_trace is None and on_event is None else _trace_suffixes(cfg.topology)
     sent = dropped = 0
@@ -347,8 +325,8 @@ def run_simulation(
         text = None if suffixes is None else _trace_text(
             suffixes, snapshot.time_ms, cfg.hop_latency_ms, polled, branches)
         if on_event is not None:
-            for ev in _events(text):
-                on_event(ev)
+            for time_ms, kind, src, dst in map(str.split, text.splitlines()):
+                on_event((int(time_ms), kind, src, dst))
         try:
             if on_trace is not None:
                 on_trace(text)

@@ -10,24 +10,16 @@ kept as a whole: a link failure wipes every channel of the affected node for
 that round, never a subset, so a row is NULL exactly when its temperature
 cell is None; the log's status column is rendered from that.
 
-``Reading`` is one row as a named tuple ``(node, values)``: ``values`` maps
-exactly the channels the node carries to its cell. ``parse_record`` returns
-one, and ``reading_for`` builds one on demand.
+A row is read as a dict that maps exactly the channels the node carries to
+its cell: ``reading_for`` builds one on demand.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from ._frozen import Frozen
 from .environment import Channel
-
-
-class Reading(NamedTuple):
-    """One node's values for one round, by carried channel (see the module)."""
-
-    node: str
-    values: Mapping[Channel, float | None]
 
 
 class Snapshot(Frozen):
@@ -46,9 +38,10 @@ class Snapshot(Frozen):
                  columns: Mapping[Channel, tuple[float | None, ...]]):
         self._init(round, time_ms, nodes, columns, None)
 
-    def reading_for(self, node: str) -> Reading | None:
+    def reading_for(self, node: str) -> dict[Channel, float | None] | None:
+        """The row of ``node`` as ``{channel: cell}``, or None if the round lacks it."""
         try:
             i = self.nodes.index(node)
         except ValueError:
             return None
-        return Reading(node, {channel: column[i] for channel, column in self.columns.items()})
+        return {channel: column[i] for channel, column in self.columns.items()}

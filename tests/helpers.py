@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from typing import NamedTuple
 
 from wsnmon.alerts import AlertRule, Comparator, Severity
 from wsnmon.basestation import format_value
 from wsnmon.environment import DEFAULT_SPECS, Channel, ChannelModel, EnvField, sense
-from wsnmon.netsim import EventKind, SimConfig, SimEvent
-from wsnmon.records import Reading, Snapshot
+from wsnmon.netsim import SimConfig
+from wsnmon.records import Snapshot
 from wsnmon.topology import RadioSpec, TreeTopology, build_topology
 
 DESK_CLUSTERS = [("N1", ["1.1", "1.2"]), ("N2", ["2.1", "2.2"])]
@@ -58,11 +59,34 @@ def make_config(
     return SimConfig(topology=topo, field=field, rounds=rounds, **kwargs)
 
 
-# ------------------------------------------------ rows, counts and text
+# ------------------------------------------------ rows, events, counts and text
+
+
+class Row(NamedTuple):
+    """One node's cells for one round: ``values`` maps exactly the channels
+    the node carries to its cell."""
+
+    node: str
+    values: dict
+
+
+class Event(NamedTuple):
+    """One line of a trace text: a message or the loss of one."""
+
+    time_ms: int
+    kind: str
+    src: str
+    dst: str
+
+
+def trace_events(text: str) -> list[Event]:
+    """The events of a trace text, one per line."""
+    return [Event(int(time_ms), kind, src, dst)
+            for time_ms, kind, src, dst in map(str.split, text.splitlines())]
 
 
 def from_readings(round_index: int, time_ms: int, rows) -> Snapshot:
-    """The snapshot of ``rows`` (``Reading``s), which all carry the same channels."""
+    """The snapshot of ``rows`` (``Row``s), which all carry the same channels."""
     rows = tuple(rows)
     carried = rows[0].values.keys()
     assert all(r.values.keys() == carried for r in rows), "rows carry different channels"
@@ -70,10 +94,10 @@ def from_readings(round_index: int, time_ms: int, rows) -> Snapshot:
     return Snapshot(round_index, time_ms, tuple(r.node for r in rows), columns)
 
 
-def readings(snapshot: Snapshot) -> tuple[Reading, ...]:
-    """Every row of ``snapshot`` as a ``Reading``, in node order."""
+def readings(snapshot: Snapshot) -> tuple[Row, ...]:
+    """Every row of ``snapshot`` as a ``Row``, in node order."""
     columns = snapshot.columns.items()
-    return tuple(Reading(node, {channel: column[i] for channel, column in columns})
+    return tuple(Row(node, {channel: column[i] for channel, column in columns})
                  for i, node in enumerate(snapshot.nodes))
 
 
@@ -160,7 +184,7 @@ def brute_force_alerts(rules, snapshots) -> list[tuple[str, str, int, float]]:
     """
 
     def observed(snapshot, node: str, channel: Channel):
-        return snapshot.reading_for(node).values.get(channel)
+        return snapshot.reading_for(node).get(channel)
 
     def holds(rule: AlertRule, value) -> bool:
         if value is None:
@@ -181,7 +205,7 @@ def brute_force_alerts(rules, snapshots) -> list[tuple[str, str, int, float]]:
     return sorted(fired)
 
 
-def record_line(prefix: str, r: Reading) -> str:
+def record_line(prefix: str, r: Row) -> str:
     """Reference renderer of one record; ``prefix`` is ``<round>,<time_ms>,``.
 
     Every field is formatted on its own, with no text cache: "-" for a
@@ -229,15 +253,15 @@ def naive_truth(field: EnvField, channel: Channel, round_index: int) -> float:
     return naive_hold(model.baseline, model.script, round_index)
 
 
-def reference_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[SimEvent]]:
+def reference_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, str]:
     """A slow ``run_round`` read off the netsim docstring, with per-node dicts
     and plain loops.
 
     Messages go out in the documented emission order, each taking one drop
     draw unless its link is forced down; the events are then sorted stably by
-    time. Every node senses every channel with ``sense``, one noise draw per
-    cell whether or not its data survives, and a node is NULL when a message
-    on its path is lost (``nulled_by_link``).
+    time and rendered a line each. Every node senses every channel with
+    ``sense``, one noise draw per cell whether or not its data survives, and a
+    node is NULL when a message on its path is lost (``nulled_by_link``).
     """
     topo = cfg.topology
     root, hop = topo.root, cfg.hop_latency_ms
@@ -246,32 +270,35 @@ def reference_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[Si
     down = {(o.src, o.dst) for o in cfg.outages
             if o.first_round <= round_index <= o.last_round}
     drops = random.Random(f"{cfg.field.seed}/drops/{round_index}")
-    events: list[SimEvent] = []
+    events = []
     lost_links = []
 
-    def send(kind: EventKind, src: str, dst: str, hops: int) -> bool:
+    def send(kind: str, src: str, dst: str, hops: int) -> bool:
         """Emit one message ``hops`` hop latencies into the round; True when delivered."""
-        events.append(SimEvent(t0 + hops * hop, kind, src, dst))
+        events.append((t0 + hops * hop, kind, src, dst))
         lost = (src, dst) in down or drops.random() < topo.radio.failure_prob
         if lost:
-            events.append(SimEvent(t0 + hops * hop, EventKind.LINK_DROP, src, dst))
+            events.append((t0 + hops * hop, "LINK_DROP", src, dst))
             lost_links.append((src, dst))
         return not lost
 
     polled = {}
     for head, _ in clusters:
-        polled[head] = send(EventKind.INTERRUPT_CALL, root, head, 0)
+        polled[head] = send("INTERRUPT_CALL", root, head, 0)
     for head, leaves in clusters:
         if not polled[head]:
             continue
         reached = {}
         for leaf in leaves:
-            reached[leaf] = send(EventKind.INTERRUPT_CALL, head, leaf, 1)
+            reached[leaf] = send("INTERRUPT_CALL", head, leaf, 1)
         for leaf in leaves:
             if reached[leaf]:
-                send(EventKind.DATA_MSG, leaf, head, 2)
-        send(EventKind.DATA_MSG, head, root, 3)
-    events.sort(key=lambda ev: ev.time_ms)
+                send("DATA_MSG", leaf, head, 2)
+        send("DATA_MSG", head, root, 3)
+    events.sort(key=lambda ev: ev[0])
+    text = ""
+    for time_ms, kind, src, dst in events:
+        text += f"{time_ms} {kind} {src} {dst}\n"
 
     nulled = set()
     for link in lost_links:
@@ -288,7 +315,7 @@ def reference_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[Si
             values[node][spec.channel] = None if node in nulled else value
     columns = {spec.channel: tuple(values[node][spec.channel] for node in nodes)
                for spec in specs}
-    return Snapshot(round_index, t0, tuple(nodes), columns), events
+    return Snapshot(round_index, t0, tuple(nodes), columns), text
 
 
 # ------------------------------------------------- randomized test data
@@ -299,9 +326,10 @@ def grid_temp(rng: random.Random) -> float:
     return -40.0 + rng.randrange(0, int((125 + 40) / 0.0625) + 1) * 0.0625
 
 
-def status_of(reading: Reading) -> str:
-    """"NULL" when every value is None, "OK" when none is, else "MIXED"."""
-    lost = [v is None for v in reading.values.values()]
+def status_of(values) -> str:
+    """"NULL" when every value of a row's ``{channel: cell}`` is None, "OK"
+    when none is, else "MIXED"."""
+    lost = [v is None for v in values.values()]
     return "NULL" if all(lost) else "MIXED" if any(lost) else "OK"
 
 
@@ -322,17 +350,15 @@ def random_snapshot(
     rows = []
     for node in nodes:
         if rng.random() < null_prob:
-            rows.append(
-                Reading(node, dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, *gases)))
-            )
+            rows.append(Row(node, dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, *gases))))
         else:
             gas_values = {
                 g: float(rng.randrange(ranges[g][0], ranges[g][1] + 1)) for g in gases
             }
             rows.append(
-                Reading(node, {Channel.TEMP_C: grid_temp(rng),
-                               Channel.LIGHT_RAW: float(rng.randrange(0, 65536)),
-                               **gas_values})
+                Row(node, {Channel.TEMP_C: grid_temp(rng),
+                           Channel.LIGHT_RAW: float(rng.randrange(0, 65536)),
+                           **gas_values})
             )
     return from_readings(round_index, time_ms, rows)
 

@@ -23,6 +23,7 @@ from helpers import (
     readings,
     round_message_count,
     status_of,
+    trace_events,
 )
 from wsnmon.alerts import evaluate_alerts
 from wsnmon.basestation import (
@@ -36,7 +37,6 @@ from wsnmon.cli import main
 from wsnmon.environment import Channel, ChannelModel, EnvField, truth_at
 from wsnmon.gateway import Gateway, serve
 from wsnmon.netsim import (
-    EventKind,
     LinkOutage,
     run_round,
     run_simulation,
@@ -75,7 +75,7 @@ class TestAcceptance:
             assert len(snapshots) == 100
             for s in snapshots:
                 assert len(readings(s)) == 6
-                assert all(status_of(r) == "OK" for r in readings(s))
+                assert all(status_of(r.values) == "OK" for r in readings(s))
             parsed = parse_telemetry(out.read_bytes())
             assert sum(len(readings(s)) for s in parsed.snapshots) == 600
             assert parsed.partial is None
@@ -86,8 +86,8 @@ class TestAcceptance:
         with criterion(2, "message-count oracle"):
             def sent_events(clusters):
                 cfg = make_config(clusters=clusters, rounds=1)
-                _, events = run_round(cfg, 0)
-                return [e for e in events if e.kind is not EventKind.LINK_DROP]
+                _, text = run_round(cfg, 0)
+                return [e for e in trace_events(text) if e.kind != "LINK_DROP"]
 
             reference = sent_events(DESK_CLUSTERS)
             assert len(reference) == 12
@@ -127,7 +127,7 @@ class TestAcceptance:
                 run_simulation(cfg, snaps.append)
                 for s in snaps:
                     nulled = {r.node for r in readings(s)
-                              if status_of(r) == "NULL"}
+                              if status_of(r.values) == "NULL"}
                     if 10 <= s.round <= 20:
                         assert nulled == expected_nulls, (link, s.round)
                     else:
@@ -151,7 +151,7 @@ class TestAcceptance:
             for s in snaps:
                 truth = truth_at(field, Channel.TEMP_C, s.round)
                 for r in readings(s):
-                    assert status_of(r) == "OK"
+                    assert status_of(r.values) == "OK"
                     samples += 2
                     if abs(r.values[Channel.TEMP_C] - truth) > 0.5 + 0.0625 / 2:
                         violations += 1

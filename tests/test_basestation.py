@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import DESK_NODES, from_readings, random_snapshot, readings, reference_block
+from helpers import DESK_NODES, Row, from_readings, random_snapshot, readings, reference_block
 from wsnmon import basestation
 from wsnmon.basestation import (
     LatestMirror,
@@ -23,15 +23,15 @@ from wsnmon.basestation import (
 )
 from wsnmon.environment import Channel
 from wsnmon.errors import TelemetryError
-from wsnmon.records import Reading, Snapshot
+from wsnmon.records import Snapshot
 
 
 def ok_reading(node="N1", temp=25.0, light=512.0, gases=None):
-    return Reading(node, {Channel.TEMP_C: temp, Channel.LIGHT_RAW: light, **(gases or {})})
+    return Row(node, {Channel.TEMP_C: temp, Channel.LIGHT_RAW: light, **(gases or {})})
 
 
 def null_reading(node="N1", gases=()):
-    return Reading(node, dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, *gases)))
+    return Row(node, dict.fromkeys((Channel.TEMP_C, Channel.LIGHT_RAW, *gases)))
 
 
 def line_of(rnd, time_ms, reading):
@@ -182,7 +182,8 @@ def line_by_line(data):
             if not line.endswith("\n"):
                 partial = PartialRound(round=None, records=0)
                 break
-            rnd, time_ms, reading = parse_record(line[:-1], line_no)
+            rnd, time_ms, *row = parse_record(line[:-1], line_no)
+            reading = Row(*row)
             if not group:
                 if rnd <= last_done:
                     raise TelemetryError(
@@ -507,7 +508,7 @@ class TestColumns:
                                              Channel.CO_PPM: (5.0, None)})
         assert readings(s) == (ok_reading("N1", gases={Channel.CO_PPM: 5.0}),
                                null_reading("1.1", gases=(Channel.CO_PPM,)))
-        assert s.reading_for("1.1") == readings(s)[1]
+        assert s.reading_for("1.1") == readings(s)[1].values
         assert s.reading_for("N2") is None
         assert from_readings(3, 3000, readings(s)) == s
 
@@ -640,16 +641,17 @@ class TestParserErrors:
         """Every line parse_record accepts is the line snapshot_block writes."""
         line = ",".join(fields)
         try:
-            rnd, time_ms, reading = parse_record(line)
+            rnd, time_ms, *row = parse_record(line)
         except TelemetryError:
             return
+        reading = Row(*row)
         values = list(reading.values.values())
         assert values.count(None) in (0, len(values))  # NULL is all-or-none
         assert line_of(rnd, time_ms, reading) == line
 
     def test_parse_record_roundtrips_single_line(self):
         r = ok_reading(gases={Channel.CO_PPM: 42.0})
-        assert parse_record(line_of(3, 3000, r)) == (3, 3000, r)
+        assert parse_record(line_of(3, 3000, r)) == (3, 3000, *r)
 
 
 class TestWriter:

@@ -27,7 +27,7 @@ from wsnmon.cli import main
 from wsnmon.config import parse_config
 from wsnmon.environment import Channel
 from wsnmon.gateway import Gateway
-from wsnmon.netsim import run_round, trace_line
+from wsnmon.netsim import run_round
 
 ROOT = Path(__file__).resolve().parent.parent
 DESK_CFG = """\
@@ -155,6 +155,28 @@ class TestRun:
         assert done.returncode == 2
         assert done.stderr.startswith("wsn run: IO_FAILURE: ")
         assert len(done.stderr.splitlines()) == 1, done.stderr
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a file size limit")
+    def test_a_log_created_but_not_written_is_removed(self, tmp_path):
+        """Under a file size limit of 0 the log is created and its header
+        refused: the run exits 2 and removes the log and the trace it made.
+        The child's stdout and stderr are pipes, which the limit spares."""
+        import resource
+
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a refused write fails with EFBIG
+            resource.setrlimit(resource.RLIMIT_FSIZE, (0, 0))
+
+        cfg = write_cfg(tmp_path)
+        done = subprocess.run(
+            [sys.executable, "-m", "wsnmon.cli", "run", cfg, "--out", str(tmp_path / "o.log"),
+             "--trace", str(tmp_path / "t.tr")],
+            env=dict(src_env(), PYTHONDONTWRITEBYTECODE="1"), preexec_fn=limit_file_size,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(
+            f"wsn run: IO_FAILURE: cannot open {tmp_path / 'o.log'}: "), done.stderr
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
     @pytest.mark.skipif(os.name != "posix", reason="sends POSIX signals")
     @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
@@ -436,8 +458,7 @@ class TestRun:
                    "--trace", str(trace)])
         assert rc == 0
         cfg = parse_config(cfg_text).sim
-        expected = "".join(trace_line(ev) + "\n" for r in range(cfg.rounds)
-                           for ev in reference_round(cfg, r)[1])
+        expected = "".join(reference_round(cfg, r)[1] for r in range(cfg.rounds))
         assert trace.read_text(encoding="utf-8") == expected
         assert " LINK_DROP N1 1.2\n" in expected and " LINK_DROP N2 BS\n" in expected
 
@@ -600,6 +621,34 @@ class TestRun:
         assert [s.round for s in parse_telemetry(latest.read_bytes()).snapshots] == [1]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "t.latest", "t.log"]
 
+    def test_a_failed_rewrite_for_the_last_round_is_a_sink_failure(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        """An unpaced run rewrites the mirror for its last round in that
+        round's sink, so a failure there is the round's SINK_FAILURE: the log
+        keeps every round, the mirror its last good round, and no temp file
+        is left. The clock never passes a period."""
+        calls = []
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 3:  # the header, round 0, then the last round
+                raise OSError(errno.ENOSPC, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+            monotonic_ns=itertools.count(0, 0).__next__, sleep=time.sleep))
+        monkeypatch.setattr(os, "replace", failing_replace)
+        out, latest = tmp_path / "t.log", tmp_path / "t.latest"
+        rc = main(["run", write_cfg(tmp_path), "--out", str(out), "--rewrite-latest", str(latest)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"wsn run: SINK_FAILURE: sink failed at round 4: IO_FAILURE: cannot write {latest}: ")
+        log = parse_telemetry(out.read_bytes())
+        assert [s.round for s in log.snapshots] == [0, 1, 2, 3, 4] and log.partial is None
+        assert [s.round for s in parse_telemetry(latest.read_bytes()).snapshots] == [0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "t.latest", "t.log"]
+
     def test_overflowing_walk_saturates(self, tmp_path):
         """A walk past the float range reads the sensor's bounds; the run completes."""
         out = tmp_path / "t.log"
@@ -647,7 +696,7 @@ class TestFetch:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "BEGIN 2 6"
         assert lines[-1] == "END"
-        assert [parse_record(l)[2].node for l in lines[1:-1]] == [
+        assert [parse_record(l)[2] for l in lines[1:-1]] == [
             "N1", "1.1", "1.2", "N2", "2.1", "2.2",
         ]
 
@@ -661,7 +710,7 @@ class TestFetch:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "BEGIN 2 3"
-        assert [parse_record(l)[2].node for l in lines[1:-1]] == ["N2", "2.1", "2.2"]
+        assert [parse_record(l)[2] for l in lines[1:-1]] == ["N2", "2.1", "2.2"]
 
     def test_error_response_exit_code(self, served_gateway, capsys):
         rc = main(["fetch", "--port", str(served_gateway), "NODE", "9.9"])
@@ -794,7 +843,7 @@ class TestPlotdata:
         for row, snapshot in zip(rows, parsed.snapshots):
             r, value = row.split(",")
             assert int(r) == snapshot.round
-            assert float(value) == snapshot.reading_for("1.1").values[Channel.TEMP_C]
+            assert float(value) == snapshot.reading_for("1.1")[Channel.TEMP_C]
             assert "." in value and len(value.split(".")[1]) == 4
 
     def test_light_rows_are_integers(self, tmp_path, capsys):

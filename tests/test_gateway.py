@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     GAS_CHANNELS,
     DESK_NODES,
+    Row,
     brute_force_alerts,
     make_config,
     desk_topology,
@@ -31,7 +32,7 @@ from wsnmon.errors import GatewayError
 from wsnmon.alerts import Alert, AlertRule, Comparator, Severity, alert_line, evaluate_alerts
 from wsnmon.gateway import Gateway, MAX_REQUEST_BYTES, serve
 from wsnmon.netsim import run_round
-from wsnmon.records import Reading, Snapshot
+from wsnmon.records import Snapshot
 
 CO_RULE = AlertRule("co_high", Channel.CO_PPM, Comparator.GREATER, 50.0, Severity.WARN)
 
@@ -46,7 +47,7 @@ def co_snapshot(round_index, co_by_node):
         else:
             values = {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0,
                       Channel.CO_PPM: float(value)}
-        rows.append(Reading(node, values))
+        rows.append(Row(node, values))
     return from_readings(round_index, round_index * 1000, rows)
 
 
@@ -86,7 +87,7 @@ class TestEvaluateAlerts:
     def test_less_than_comparator(self):
         rule = AlertRule("o2_low", Channel.O2_PCT, Comparator.LESS, 19.5, Severity.DANGER)
         rows = tuple(
-            Reading(n, {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0, Channel.O2_PCT: 18.0})
+            Row(n, {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0, Channel.O2_PCT: 18.0})
             for n in DESK_NODES
         )
         _, fired = evaluate_alerts([rule], from_readings(0, 0, rows), {})
@@ -174,8 +175,8 @@ class TestHandleRequest:
         assert len(lines) == 8
         # body lines are exactly the record grammar
         for i, line in enumerate(lines[1:-1]):
-            rnd, _, rec = parse_record(line)
-            assert rec.node == DESK_NODES[i]
+            rnd, _, node, _ = parse_record(line)
+            assert node == DESK_NODES[i]
             assert rnd == 0
 
     def test_node_query(self):
@@ -194,7 +195,7 @@ class TestHandleRequest:
         gw = self.make_gateway()
         lines = gw.handle_request("CLUSTER N1\n").splitlines()
         assert lines[0] == "BEGIN 0 3"
-        assert [parse_record(l)[2].node for l in lines[1:-1]] == ["N1", "1.1", "1.2"]
+        assert [parse_record(l)[2] for l in lines[1:-1]] == ["N1", "1.1", "1.2"]
 
     def test_cluster_of_leaflet(self):
         gw = self.make_gateway()

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     DESK_CLUSTERS,
     GAS_CHANNELS,
+    Event,
     default_field,
     enumerate_round_messages,
     make_config,
@@ -17,6 +18,7 @@ from helpers import (
     readings,
     reference_round,
     status_of,
+    trace_events,
 )
 from wsnmon.basestation import format_value, serialize_snapshots, snapshot_block
 from wsnmon.environment import (
@@ -24,7 +26,6 @@ from wsnmon.environment import (
 )
 from wsnmon.errors import EnvError, SimError, TopologyError
 from wsnmon.netsim import (
-    EventKind,
     LinkOutage,
     SimSummary,
     run_round,
@@ -40,22 +41,30 @@ def collect(cfg):
 
 
 def collect_with_events(cfg, events):
+    """A run's snapshots and summary; ``events`` gets its events as ``Event``s."""
     snaps = []
-    summary = run_simulation(cfg, snaps.append, on_event=events.append)
+    summary = run_simulation(cfg, snaps.append,
+                             on_event=lambda ev: events.append(Event._make(ev)))
     return snaps, summary
 
 
+def round_events(cfg, round_index):
+    """``run_round``'s snapshot, and the events of its trace text."""
+    snapshot, text = run_round(cfg, round_index)
+    return snapshot, trace_events(text)
+
+
 def message_events(events):
-    return [ev for ev in events if ev.kind is not EventKind.LINK_DROP]
+    return [ev for ev in events if ev.kind != "LINK_DROP"]
 
 
 class TestRunRound:
     def test_failure_free_desk_round(self):
         """All six nodes report OK and the wire carries exactly 12 messages."""
         cfg = make_config()
-        snapshot, events = run_round(cfg, 0)
+        snapshot, events = round_events(cfg, 0)
         assert snapshot.nodes == ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
-        assert all(status_of(r) == "OK" for r in readings(snapshot))
+        assert all(status_of(r.values) == "OK" for r in readings(snapshot))
         sent = message_events(events)
         assert len(sent) == 12
         assert len(sent) == len(enumerate_round_messages(DESK_CLUSTERS))
@@ -63,24 +72,25 @@ class TestRunRound:
 
     def test_events_are_time_ordered(self):
         cfg = make_config()
-        _, events = run_round(cfg, 3)
+        _, events = round_events(cfg, 3)
         times = [e.time_ms for e in events]
         assert times == sorted(times)
         assert times[0] == 3 * cfg.round_period_ms
         assert times[-1] == 3 * cfg.round_period_ms + 3 * cfg.hop_latency_ms
 
     def test_trace_line_format(self):
-        _, events = run_round(make_config(), 0)
+        _, events = round_events(make_config(), 0)
         assert trace_line(events[0]) == "0 INTERRUPT_CALL BS N1"
+        assert trace_line((10, "LINK_DROP", "N1", "1.2")) == "10 LINK_DROP N1 1.2"
 
     def test_hop_zero_trace_keeps_emission_order(self):
-        """With hop_ms 0 every event of a round has one time: the trace text,
-        and so the events read off it, keep emission order (the head polls,
-        then cluster by cluster), and each LINK_DROP follows the message it
-        marks."""
-        _, events = run_round(make_config(failure_prob=0.3, rounds=1, seed=3,
-                                          hop_latency_ms=0), 0)
-        assert [trace_line(e) for e in events] == [
+        """With hop_ms 0 every event of a round has one time: the trace text
+        keeps emission order (the head polls, then cluster by cluster), and
+        each LINK_DROP follows the message it marks."""
+        _, text = run_round(make_config(failure_prob=0.3, rounds=1, seed=3,
+                                        hop_latency_ms=0), 0)
+        events = trace_events(text)
+        assert text.splitlines() == [
             "0 INTERRUPT_CALL BS N1",
             "0 INTERRUPT_CALL BS N2",
             "0 INTERRUPT_CALL N1 1.1",
@@ -96,21 +106,21 @@ class TestRunRound:
             "0 DATA_MSG N2 BS",
         ]
         for before, ev in zip(events, events[1:]):
-            if ev.kind is EventKind.LINK_DROP:
-                assert before.kind is not EventKind.LINK_DROP
+            if ev.kind == "LINK_DROP":
+                assert before.kind != "LINK_DROP"
                 assert (before.src, before.dst) == (ev.src, ev.dst)
 
     def test_leaf_link_override_nulls_only_that_leaf(self):
         cfg = make_config(outages=(LinkOutage("N1", "1.1", 0, 0),))
         snapshot, _ = run_round(cfg, 0)
-        statuses = {r.node: status_of(r) for r in readings(snapshot)}
+        statuses = {r.node: status_of(r.values) for r in readings(snapshot)}
         assert statuses["1.1"] == "NULL"
         assert all(s == "OK" for n, s in statuses.items() if n != "1.1")
 
     def test_head_link_override_nulls_branch(self):
         cfg = make_config(outages=(LinkOutage("BS", "N2", 0, 0),))
-        snapshot, events = run_round(cfg, 0)
-        statuses = {r.node: status_of(r) for r in readings(snapshot)}
+        snapshot, events = round_events(cfg, 0)
+        statuses = {r.node: status_of(r.values) for r in readings(snapshot)}
         nulled = {n for n, s in statuses.items() if s == "NULL"}
         assert nulled == {"N2", "2.1", "2.2"}
         # a dead branch is silent: no polls below N2 were even attempted
@@ -122,16 +132,16 @@ class TestRunRound:
                  ("1.2", "N1"), ("N2", "BS")]
         for link in links:
             snapshot, _ = run_round(make_config(outages=(LinkOutage(*link, 0, 0),)), 0)
-            nulled = {r.node for r in readings(snapshot) if status_of(r) == "NULL"}
+            nulled = {r.node for r in readings(snapshot) if status_of(r.values) == "NULL"}
             assert nulled == nulled_by_link(DESK_CLUSTERS, link), link
 
     def test_null_readings_present_not_absent(self):
         cfg = make_config(failure_prob=1.0)
-        snapshot, events = run_round(cfg, 0)
+        snapshot, events = round_events(cfg, 0)
         assert snapshot.nodes == ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
-        assert all(status_of(r) == "NULL" for r in readings(snapshot))
+        assert all(status_of(r.values) == "NULL" for r in readings(snapshot))
         # every attempted message dropped: the two head polls
-        drops = [ev for ev in events if ev.kind is EventKind.LINK_DROP]
+        drops = [ev for ev in events if ev.kind == "LINK_DROP"]
         assert len(drops) == len(message_events(events)) == 2
 
     def test_lossy_rounds_keep_snapshot_complete(self):
@@ -272,25 +282,24 @@ class TestReferenceRound:
     @settings(max_examples=150, deadline=None)
     @given(cfg=reference_configs())
     def test_run_simulation_matches_reference_round(self, cfg):
-        """Snapshots, events, trace text and counts all equal those of the
-        slow reference read off the netsim docstring; so do the trace text
-        that ``wsn run --trace`` writes and ``run_round``, round by round."""
-        events = []
-        snaps, summary = collect_with_events(cfg, events)
+        """Snapshots, trace text, events and counts all equal those of the
+        slow reference read off the netsim docstring, round by round: from
+        ``run_round``, from the ``on_trace`` text that ``wsn run --trace``
+        writes, and from ``on_event``, whose ``trace_line``s join to that
+        text."""
         expected = [reference_round(cfg, r) for r in range(cfg.rounds)]
         assert [run_round(cfg, r) for r in range(cfg.rounds)] == expected
+        texts, snaps = [], []  # as cmd_run calls it: a sink and on_trace alone
+        summary = run_simulation(cfg, snaps.append, on_trace=texts.append)
         assert snaps == [snapshot for snapshot, _ in expected]
-        expected_events = [ev for _, round_events in expected for ev in round_events]
-        assert events == expected_events
-        assert [trace_line(ev) for ev in events] == [
-            f"{time_ms} {kind.value} {src} {dst}" for time_ms, kind, src, dst in expected_events]
-        dropped = [ev.kind for ev in expected_events].count(EventKind.LINK_DROP)
-        assert summary == SimSummary(cfg.rounds, len(expected_events) - dropped, dropped)
-        texts, traced = [], []  # as cmd_run calls it: a sink and on_trace alone
-        assert run_simulation(cfg, traced.append, on_trace=texts.append) == summary
-        assert traced == snaps
-        assert texts == ["".join(trace_line(ev) + "\n" for ev in round_events)
-                         for _, round_events in expected]
+        assert texts == [text for _, text in expected]
+        trace, events, again = "".join(texts), [], []
+        assert run_simulation(cfg, again.append, on_event=events.append) == summary
+        assert again == snaps
+        assert "".join(trace_line(ev) + "\n" for ev in events) == trace
+        assert events == trace_events(trace)  # times are ints
+        dropped = trace.count(" LINK_DROP ")
+        assert summary == SimSummary(cfg.rounds, len(events) - dropped, dropped)
 
 
 class TestRunSimulation:
@@ -307,7 +316,7 @@ class TestRunSimulation:
 
     def test_certain_failure(self):
         snaps, summary = collect(make_config(failure_prob=1.0, rounds=100))
-        assert all(status_of(r) == "NULL" for s in snaps for r in readings(s))
+        assert all(status_of(r.values) == "NULL" for s in snaps for r in readings(s))
         assert summary.messages_dropped == summary.messages_sent
 
     def test_scripted_outage_covers_inclusive_range(self):
@@ -350,7 +359,8 @@ class TestRunSimulation:
         attempts, drops = Counter(), Counter()
 
         def count(ev):
-            (drops if ev.kind is EventKind.LINK_DROP else attempts)[ev.src, ev.dst] += 1
+            time_ms, kind, src, dst = ev
+            (drops if kind == "LINK_DROP" else attempts)[src, dst] += 1
 
         run_simulation(make_config(failure_prob=p, rounds=2000, seed=42), lambda s: None,
                        on_event=count)
