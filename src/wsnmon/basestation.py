@@ -17,21 +17,28 @@ is in flight.
 Lines are split on LF only. ``TelemetryReader`` is the one parser: it reads
 a log as a stream of lines, one round at a time, and yields each round as
 soon as its last record has been checked, so reading a log takes memory that
-does not depend on its number of rounds. A round is checked in one piece:
-its lines are joined, decoded once and split once on ",". A whole round of n
-lines is then 8n+1 fields, in which each line's status, its LF and the next
-line's round share one field, and each column is a stride-8 slice. It passes
-when there are 8n+1 fields, the node column is the header's, the time column
-holds one text, each value column reads through the reader's memos (a gas
-column all ``-`` is a channel the round does not carry), the NULLs of every
-column agree, and each status field is exactly the status the values call
-for, an LF and the first line's round text (the last one only the status and
-an LF). That last comparison puts exactly n LFs at the line ends, so the
-round is n whole lines of nine fields sharing one round text. Its value
-columns are then the round's Snapshot, built with no per-record object.
-Every valid round passes, so a round that fails is re-read line by line with
-``parse_record`` only to name its first bad line, and ``parse_record`` stays
-the one definition of a record line.
+does not depend on its number of rounds. A round is checked in one piece and
+as bytes: its lines are joined and split once on ",", and no decoded copy of
+the round is made. A whole round of n lines is then 8n+1 fields, in which
+each line's status, its LF and the next line's round share one field, and
+each column is a stride-8 slice. It passes when there are 8n+1 fields, the
+node column is the header's (encoded once), the time column holds one text,
+each value column reads through the reader's memos (a gas column all ``-``
+is a channel the round does not carry), the NULLs of every column agree, and
+each status field is exactly the status the values call for, an LF and the
+first line's round text (the last one only the status and an LF). That last
+comparison puts exactly n LFs at the line ends, so the round is n whole
+lines of nine fields sharing one round text. Its value columns are then the
+round's Snapshot, built with no per-record object. The memos are keyed by
+the raw field bytes; a text they lack is decoded as ASCII and read as
+``parse_record`` reads it, and a byte that is not ASCII fails the round.
+So every field of an accepted round is ASCII: a text the readers took, a
+``-``, a status, or a header node id, which ``validate_label`` keeps to
+printable ASCII. An accepted round is therefore valid UTF-8 without being
+decoded. Every valid round passes, so a round that fails is re-read line by
+line with ``parse_record`` only to name its first bad line: ``_fault`` is
+the one place a record line is decoded, and ``parse_record`` stays the one
+definition of a record line.
 ``parse_telemetry`` collects the reader for a log held in memory, and
 ``wsn plotdata`` writes no CSV row unless the whole log checks out.
 
@@ -60,7 +67,7 @@ from operator import is_, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .environment import Channel
-from .errors import TelemetryError
+from .errors import TelemetryError, TopologyError
 from .records import Snapshot
 
 MAGIC = "#WSNLOG"
@@ -70,8 +77,24 @@ _NULL = "NULL"
 _NOT_EQUIPPED = "-"  # every cell of a gas column the round does not carry
 _OK = "OK"
 _STATUS_LINES = (_OK + "\n", _NULL + "\n")  # indexed by "is NULL"
+_STATUS_ENDS = tuple(map(str.encode, _STATUS_LINES))  # as _bulk compares them
+_DASH = _NOT_EQUIPPED.encode()
 _TEMP = Channel.TEMP_C  # a module global: reading an Enum member off its class is slow
 _COLUMNS = tuple(Channel)  # value columns 4-8, in Channel order
+
+
+def validate_label(label: str) -> None:
+    """Reject a node label that cannot survive the config and telemetry
+    grammars: ``topology`` checks each config label with it, and
+    ``parse_header`` each node the log header names."""
+    if not label:
+        raise TopologyError("INVALID_LABEL", "empty node label")
+    if label in (_NULL, _NOT_EQUIPPED):  # the log's value literals
+        raise TopologyError("INVALID_LABEL", f"label {label!r} is a reserved literal")
+    for ch in label:
+        # printable ASCII, no whitespace; ',' splits records, '#' starts comments
+        if not (33 <= ord(ch) <= 126) or ch in {",", "#"}:
+            raise TopologyError("INVALID_LABEL", f"label {label!r} contains {ch!r}")
 
 
 def format_value(channel: Channel, value: float) -> str:
@@ -99,14 +122,17 @@ def parse_header(line: str) -> tuple[str, ...]:
     nodes = tuple(parts[2][len("nodes=") :].split(","))
     if nodes == ("",):
         raise TelemetryError("BAD_HEADER", "empty node list", line_no=1)
-    # a record names its node, and never NULL or "-": each header node can
-    # be matched by exactly one record of a round
+    # a node is a label a config could name (never NULL or "-", which no
+    # record can carry), and each header node is matched by exactly one
+    # record of a round
     seen: set[str] = set()
     for node in nodes:
         if not node:
             raise TelemetryError("BAD_HEADER", f"empty node id in {parts[2]!r}", line_no=1)
-        if node in (_NULL, _NOT_EQUIPPED):
-            raise TelemetryError("BAD_HEADER", f"bad node id {node!r}", line_no=1)
+        try:
+            validate_label(node)
+        except TopologyError:
+            raise TelemetryError("BAD_HEADER", f"bad node id {node!r}", line_no=1) from None
         if node in seen:
             raise TelemetryError("BAD_HEADER", f"node {node!r} named twice", line_no=1)
         seen.add(node)
@@ -114,7 +140,8 @@ def parse_header(line: str) -> tuple[str, ...]:
 
 
 # the size bound of the writer's text caches (per column, value -> text; None
-# is seeded) and of a reader's memos (see TelemetryReader)
+# is seeded) and of a reader's memos (per reader, raw field bytes -> value;
+# see TelemetryReader)
 _TEXT_CACHE_MAX = 4096
 _COLUMN_TEXTS = tuple((channel, {None: _NULL}) for channel in _COLUMNS)
 
@@ -278,17 +305,19 @@ class TelemetryReader:
 
     ``lines`` yields the log's lines as a binary file does: bytes, each
     ending in LF except perhaps a torn last one. A round's lines are joined
-    and decoded in one piece. No UTF-8 sequence contains the byte 0x0A, so
-    this accepts exactly what decoding each line on its own would; only a
-    round that fails is decoded line by line, so an error names its line.
+    and checked as bytes, with no decoded copy (see the module): every field
+    of an accepted round is ASCII, so the round is valid UTF-8 and reads as
+    decoding each line on its own would. Only a round that fails is decoded,
+    line by line, so an error names its line.
     The header is read at construction and sets ``nodes``. Iterating (once)
     yields each Snapshot as soon as its last record has been checked and
     keeps no earlier round, so memory does not grow with the log. When
     iteration ends, ``partial`` reports a trailing incomplete round (an
     in-flight or torn write), which is never yielded. The reader keeps its
-    own memos of the value texts it has read, one for temperatures and one
-    for counts; a memo that would pass ``_TEXT_CACHE_MAX`` entries is emptied
-    first, so it holds at most that many, or one round's column.
+    own memos of the value texts it has read, keyed by their raw bytes, one
+    for temperatures and one for counts; a memo that would pass
+    ``_TEXT_CACHE_MAX`` entries is emptied first, so it holds at most that
+    many, or one round's column.
     """
 
     def __init__(self, lines: Iterable[bytes]):
@@ -303,7 +332,7 @@ class TelemetryReader:
         if header[-1] != "\n":
             raise TelemetryError("BAD_HEADER", "truncated header", line_no=1)
         self.nodes = parse_header(header[:-1])
-        self._names = [*self.nodes]  # the node column a round must split into
+        self._names = [node.encode() for node in self.nodes]  # a round's node column
         self._memos = ({}, {})  # text -> value: temperatures, counts
 
     def __iter__(self) -> Iterator[Snapshot]:
@@ -332,9 +361,10 @@ class TelemetryReader:
                                         if column is not None})
 
 
-def _read(memo: dict, read, texts: list[str]) -> tuple:
-    """The values of ``texts`` by ``read``, from and into ``memo``; a miss
-    reads the column's new texts (ValueError for a bad one)."""
+def _read(memo: dict, read, texts: list[bytes]) -> tuple:
+    """The values of the raw field ``texts`` by ``read``, from and into
+    ``memo``; a miss decodes the column's new texts as ASCII and reads them
+    (ValueError for a bad one; a UnicodeDecodeError is one)."""
     get = itemgetter(*texts)  # looks every text up in C; of one text, gives its value
     try:
         values = get(memo)
@@ -342,38 +372,36 @@ def _read(memo: dict, read, texts: list[str]) -> tuple:
         if len(memo) + len(texts) > _TEXT_CACHE_MAX:
             memo.clear()
         new = set(texts).difference(memo)
-        memo.update(zip(new, map(read, new)))
+        memo.update((text, read(text.decode("ascii"))) for text in new)
         values = get(memo)
     return values if len(texts) > 1 else (values,)
 
 
-def _bulk(raws: list[bytes], last_done: int, names: list[str], temps: dict,
+def _bulk(raws: list[bytes], last_done: int, names: list[bytes], temps: dict,
           counts: dict) -> tuple[tuple[int, int], list[tuple | None]] | None:
     """The (round, time_ms) and value columns of ``raws``, a whole round for
-    the node column ``names``: one tuple per Channel, None for a gas channel
-    whose every cell is "-". None when any check fails (see the module).
+    the encoded node column ``names``: one tuple per Channel, None for a gas
+    channel whose every cell is "-". None when any check fails (see the
+    module); the round is checked as bytes and never decoded.
 
     The round must come after ``last_done``; ``temps`` and ``counts`` are
     the reader's memos.
     """
     n = len(names)
-    try:
-        fields = b"".join(raws).decode().split(",")
-    except UnicodeDecodeError:
-        return None
+    fields = b"".join(raws).split(b",")
     if len(fields) != 8 * n + 1 or fields[2::8] != names:
         return None
     times = fields[1::8]
     if times.count(times[0]) != n:
         return None
     try:
-        rnd_time = (_whole(fields[0]), _whole(times[0]))
+        rnd_time = (_whole(fields[0].decode("ascii")), _whole(times[0].decode("ascii")))
         if rnd_time[0] <= last_done:
             return None
         columns = [_read(temps, _temperature, fields[3::8]), _read(counts, _count, fields[4::8])]
         for i in (5, 6, 7):  # a "-" among values fails _count
             texts = fields[i::8]
-            columns.append(None if texts.count(_NOT_EQUIPPED) == n
+            columns.append(None if texts.count(_DASH) == n
                            else _read(counts, _count, texts))
     except ValueError:
         return None
@@ -381,8 +409,8 @@ def _bulk(raws: list[bytes], last_done: int, names: list[str], temps: dict,
     for column in columns[1:]:
         if column is not None and list(map(is_, column, repeat(None))) != lost:
             return None
-    ends = list(map((_OK + "\n" + fields[0], _NULL + "\n" + fields[0]).__getitem__, lost))
-    ends[-1] = _STATUS_LINES[lost[-1]]
+    ends = list(map(tuple(end + fields[0] for end in _STATUS_ENDS).__getitem__, lost))
+    ends[-1] = _STATUS_ENDS[lost[-1]]
     if fields[8::8] != ends:
         return None
     return rnd_time, columns

@@ -33,7 +33,7 @@ from .netsim import (
     LinkOutage,
     SimConfig,
 )
-from .topology import DEFAULT_ROOT, RadioSpec, build_topology, validate_label
+from .topology import RadioSpec, add_cluster, grown_tree
 
 DEFAULT_ROUNDS = 100
 DEFAULT_BASELINES = {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0}
@@ -69,8 +69,7 @@ def _integer(token: str, line_no: int, what: str) -> int:
 
 def parse_config(text: str) -> RunConfig:
     radio: RadioSpec | None = None
-    clusters: list[tuple[str, list[str]]] = []
-    seen_labels = {DEFAULT_ROOT}  # the root's name is taken before any cluster line
+    children: dict = {}  # the tree, grown one cluster line at a time (topology.add_cluster)
     positions: dict[str, tuple[float, float]] = {}
     pos_lines: dict[str, int] = {}
     env_models: dict[Channel, ChannelModel] = {}
@@ -100,12 +99,7 @@ def parse_config(text: str) -> RunConfig:
             elif directive == "cluster":
                 if not args:
                     raise ConfigError("cluster takes <head_id> [leaf_id ...]", line_no)
-                for label in args:
-                    validate_label(label)
-                    if label in seen_labels:
-                        raise ConfigError(f"label {label!r} used twice", line_no)
-                    seen_labels.add(label)
-                clusters.append((args[0], args[1:]))
+                add_cluster(children, args[0], args[1:])
 
             elif directive == "pos":
                 if len(args) != 3:
@@ -186,15 +180,15 @@ def parse_config(text: str) -> RunConfig:
         except WsnError as e:  # a library constructor rejected this line's values
             raise ConfigError(e.message, line_no) from None
 
-    if not clusters:
+    if not children:
         raise ConfigError("no cluster lines; at least one cluster head is required")
     if radio is None:
         radio = RadioSpec(range_m=30.0, failure_prob=0.0)
 
     try:
-        topology = build_topology(clusters, radio, positions)
+        topology = grown_tree(children, radio, positions)
     except TopologyError as e:
-        # the cluster lines were checked one by one, so only a link out of
+        # each cluster line was checked as it was added, so only a link out of
         # radio range is left; it is known once the later endpoint is placed
         raise ConfigError(e.message, max(pos_lines[node] for node in e.link)) from None
     for node, line_no in pos_lines.items():
@@ -209,22 +203,26 @@ def parse_config(text: str) -> RunConfig:
                 f"alert {rule.rule_id!r} watches {rule.channel.value}, which has no env line",
                 line_no,
             )
+    period = scalars.get("period_ms", DEFAULT_ROUND_PERIOD_MS)
+    hop = scalars.get("hop_ms", DEFAULT_HOP_LATENCY_MS)
     try:
         sim = SimConfig(
             topology=topology,
             field=EnvField(channels=env_models, seed=scalars.get("seed", 0)),
             rounds=scalars.get("rounds", DEFAULT_ROUNDS),
-            round_period_ms=scalars.get("period_ms", DEFAULT_ROUND_PERIOD_MS),
-            hop_latency_ms=scalars.get("hop_ms", DEFAULT_HOP_LATENCY_MS),
+            round_period_ms=period,
+            hop_latency_ms=hop,
             outages=tuple(outage for outage, _ in outages),
         )
     except (SimError, TopologyError) as e:
         # the per-line checks above leave an outage off the tree (the error
-        # names it) or period_ms < 4x hop_ms as the only failures
+        # names it), period_ms < 4x hop_ms, or event times too long to write
+        # (a default period_ms is short, so then rounds is the long one)
         if hasattr(e, "outage"):
             line_no = next(line for outage, line in outages if outage is e.outage)
         else:
-            line_no = scalar_lines.get("period_ms", scalar_lines.get("hop_ms"))
+            line_no = scalar_lines.get(
+                "period_ms", scalar_lines.get("hop_ms" if period < 4 * hop else "rounds"))
         raise ConfigError(e.message, line_no) from None
     return RunConfig(sim=sim, rules=tuple(rule for rule, _ in rules))
 

@@ -127,6 +127,11 @@ class SimConfig(Frozen):
                 "INVALID_CONFIG",
                 f"period_ms {round_period_ms} must be >= 4x hop_ms {hop_latency_ms}",
             )
+        try:  # the log and the trace write every event time as text
+            str((rounds - 1) * round_period_ms + 3 * hop_latency_ms)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise SimError("INVALID_CONFIG", "the last round's event times have too many "
+                           "digits to write") from None
         for required in (Channel.TEMP_C, Channel.LIGHT_RAW):
             if required not in field.channels:
                 raise SimError("INVALID_CONFIG", f"no field configured for {required.value}")

@@ -11,24 +11,10 @@ import math
 from typing import Mapping, Sequence
 
 from ._frozen import Frozen
+from .basestation import validate_label  # the log header's rule for a node label
 from .errors import TopologyError
 
-#: Labels that collide with value literals in the telemetry file format.
-RESERVED_LABELS = frozenset({"NULL", "-"})
-
 DEFAULT_ROOT = "BS"
-
-
-def validate_label(label: str) -> None:
-    """Reject labels that cannot survive the config and telemetry grammars."""
-    if not label:
-        raise TopologyError("INVALID_LABEL", "empty node label")
-    if label in RESERVED_LABELS:
-        raise TopologyError("INVALID_LABEL", f"label {label!r} is a reserved literal")
-    for ch in label:
-        # printable ASCII, no whitespace; ',' splits records, '#' starts comments
-        if not (33 <= ord(ch) <= 126) or ch in {",", "#"}:
-            raise TopologyError("INVALID_LABEL", f"label {label!r} contains {ch!r}")
 
 
 class RadioSpec(Frozen):
@@ -92,23 +78,40 @@ def build_topology(
     positions: Mapping[str, tuple[float, float]] | None = None,
 ) -> TreeTopology:
     """Build and validate a topology from (head, leaflets) pairs, rooted at
-    ``DEFAULT_ROOT``.
+    ``DEFAULT_ROOT``: one ``add_cluster`` step per pair, then ``grown_tree``.
 
-    This is the only constructor that checks the tree's invariants; raises
+    These are the only constructors that check the tree's invariants; raises
     INVALID_LABEL, DUPLICATE_LABEL, EMPTY_TOPOLOGY, or RANGE_VIOLATION (whose
     error carries the offending ``(parent, child)`` pair as ``link``).
     """
-    if not cluster_heads:
-        raise TopologyError("EMPTY_TOPOLOGY", "at least one cluster head is required")
-    children: dict[str, tuple[str, ...]] = {DEFAULT_ROOT: ()}  # the root's name is taken
+    children: dict = {}
     for head, leaves in cluster_heads:
-        for label in (head, *leaves):
-            validate_label(label)
-            if label in children:
-                raise TopologyError("DUPLICATE_LABEL", f"label {label!r} used twice")
-            children[label] = ()
-        children[head] = tuple(leaves)
-    children[DEFAULT_ROOT] = tuple(head for head, _ in cluster_heads)
+        add_cluster(children, head, leaves)
+    return grown_tree(children, radio, positions)
+
+
+def add_cluster(children: dict, head: str, leaves: Sequence[str]) -> None:
+    """Check the labels of the cluster ``head`` with ``leaves``, then add it
+    to ``children``, a tree's children map grown from ``{}`` (its root entry
+    lists the heads added so far, and takes the root's name before any
+    label). Raises INVALID_LABEL or DUPLICATE_LABEL."""
+    heads = children.setdefault(DEFAULT_ROOT, [])
+    for label in (head, *leaves):
+        validate_label(label)
+        if label in children:
+            raise TopologyError("DUPLICATE_LABEL", f"label {label!r} used twice")
+        children[label] = ()
+    children[head] = tuple(leaves)
+    heads.append(head)
+
+
+def grown_tree(children: dict, radio: RadioSpec,
+               positions: Mapping[str, tuple[float, float]] | None = None) -> TreeTopology:
+    """The topology of ``children`` grown by ``add_cluster`` steps; raises
+    EMPTY_TOPOLOGY or RANGE_VIOLATION."""
+    if not children:
+        raise TopologyError("EMPTY_TOPOLOGY", "at least one cluster head is required")
+    children[DEFAULT_ROOT] = tuple(children[DEFAULT_ROOT])
     topo = TreeTopology(
         root=DEFAULT_ROOT,
         children=children,

@@ -525,9 +525,16 @@ class TestParserErrors:
         ("N1,1.1,N2,1.1", "node '1.1' named twice"),
         ("N1,NULL", "bad node id 'NULL'"),
         ("-,N1", "bad node id '-'"),
+        # ids no config label can be (validate_label's rule)
+        ("N1,a#b", "bad node id 'a#b'"),
+        ("N1,a\tb", "bad node id 'a\\tb'"),
+        ("N1,a\x00b", "bad node id 'a\\x00b'"),
+        ("N1,\u00e9", "bad node id '\u00e9'"),
     ])
     def test_header_names_each_node_once(self, nodes, message):
-        """No record could follow a NULL or "-" node; a repeated one would be read twice."""
+        """No record could follow a NULL or "-" node, nor could a config name
+        a node with a "#", whitespace or a byte outside printable ASCII; a
+        repeated one would be read twice."""
         with pytest.raises(TelemetryError, match="BAD_HEADER") as exc:
             parse_telemetry(f"#WSNLOG v1 nodes={nodes}\n")
         assert exc.value.line_no == 1

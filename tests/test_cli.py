@@ -139,6 +139,18 @@ class TestRun:
         assert capsys.readouterr().err == f"wsn run: CONFIG: line 6: {message}\n"
         assert not (tmp_path / "t.log").exists()
 
+    def test_event_times_str_cannot_write_name_their_line(self, tmp_path, capsys):
+        """A traced run of a schedule whose round times str() cannot write
+        stops at its period_ms line, before any output file is made."""
+        cfg = write_cfg(tmp_path, DESK_CFG.replace(
+            "rounds 5", "rounds 12\nperiod_ms 1" + "0" * 4299 + "\nhop_ms 0"))
+        out, trace = tmp_path / "t.log", tmp_path / "t.trace"
+        assert main(["run", cfg, "--out", str(out), "--trace", str(trace)]) == 1
+        assert capsys.readouterr().err == (
+            "wsn run: CONFIG: line 5: the last round's event times have too many digits "
+            "to write\n")
+        assert not out.exists() and not trace.exists()
+
     def test_unwritable_out_path(self, tmp_path, capsys):
         rc = main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "no/dir/t.log")])
         assert rc == 2

@@ -168,6 +168,19 @@ class TestErrors:
         assert err.line_no == 5
         assert "4x" in err.message
 
+    @pytest.mark.parametrize("lines, line_no", [
+        # the last round starts at 11 * 10**4299 ms, a time of 4301 digits
+        ("rounds 12\nperiod_ms 1" + "0" * 4299 + "\nhop_ms 0", 6),
+        # with the default period_ms, the rounds line is the long one
+        ("hop_ms 0\nrounds 1" + "0" * 4299, 6),
+    ], ids=["period_ms", "rounds"])
+    def test_event_times_str_cannot_write(self, lines, line_no):
+        """Round times past the interpreter's int-to-str digit limit could be
+        written to no log or trace: the schedule is refused."""
+        err = parse_error(DESK_CFG + lines + "\n")
+        assert err.line_no == line_no
+        assert "too many digits" in err.message
+
     def test_fail_on_non_link(self):
         err = parse_error(DESK_CFG + "fail 1.1 2.1 0 5\n")
         assert err.line_no == 5
