@@ -81,6 +81,7 @@ _STATUS_ENDS = tuple(map(str.encode, _STATUS_LINES))  # as _bulk compares them
 _DASH = _NOT_EQUIPPED.encode()
 _TEMP = Channel.TEMP_C  # a module global: reading an Enum member off its class is slow
 _COLUMNS = tuple(Channel)  # value columns 4-8, in Channel order
+DEFAULT_ROOT = "BS"  # the base station: every tree's root, never a sensing node
 
 
 def validate_label(label: str) -> None:
@@ -122,9 +123,9 @@ def parse_header(line: str) -> tuple[str, ...]:
     nodes = tuple(parts[2][len("nodes=") :].split(","))
     if nodes == ("",):
         raise TelemetryError("BAD_HEADER", "empty node list", line_no=1)
-    # a node is a label a config could name (never NULL or "-", which no
-    # record can carry), and each header node is matched by exactly one
-    # record of a round
+    # a node is a sensing node a config could name (never NULL or "-", which no
+    # record can carry, nor the base station), and each header node is matched
+    # by exactly one record of a round
     seen: set[str] = set()
     for node in nodes:
         if not node:
@@ -133,6 +134,8 @@ def parse_header(line: str) -> tuple[str, ...]:
             validate_label(node)
         except TopologyError:
             raise TelemetryError("BAD_HEADER", f"bad node id {node!r}", line_no=1) from None
+        if node == DEFAULT_ROOT:
+            raise TelemetryError("BAD_HEADER", f"node {node!r} is the base station", line_no=1)
         if node in seen:
             raise TelemetryError("BAD_HEADER", f"node {node!r} named twice", line_no=1)
         seen.add(node)

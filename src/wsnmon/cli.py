@@ -2,23 +2,32 @@
 
     wsn run <config> --out <path> [--serve --port <n>] [--rewrite-latest <path>]
             [--trace <path>] [--pace] [--host <addr>]
-    wsn fetch --host <h> --port <n> <VERB> [args...]
+    wsn fetch [--host <h>] [--port <n>] <VERB> [args...]
     wsn plotdata <telemetry> --node <id> --channel <c>
 
+Options are spelled in full, as ``--opt value`` or ``--opt=value``, before or
+after the positionals; ``--`` ends the options, and a repeated option's last
+value counts. A word that begins with ``-`` is an option unless it is ``-`` or
+a negative integer. ``-h`` or ``--help`` prints this text and exits 0.
+
 Data goes to standard output only; every diagnostic goes to standard error.
+Every command exits 2 on a usage error (no or an unknown command, an unknown
+option, a missing option, value or argument, an extra argument, a --port that
+is not an integer), printing ``wsn: error: ...`` and the usage above.
 Exit codes: run 0 ok / 1 config error (a config that is not UTF-8 included,
 naming its line) / 2 runtime failure or two outputs naming one file (refused
 before any file is created) / 130 interrupted before the last round (the log
 keeps every whole round); fetch 0 ok / 3 ERR response / 2 connection or output
-failure; plotdata 0 ok / 1 bad input / 2 output failure. A failed write to
-standard output is reported as ``cannot write output: ...``. ``wsn run`` takes
-SIGTERM as it takes SIGINT, between log appends: before the last round it exits
-130, and a served run after its last round closes the gateway and exits 0.
+failure, or a reply that is not whole (``PONG``, ``ERR <CODE>``, or
+``BEGIN <round|ALERTS> <k>``, k lines and ``END``, each line ending in LF);
+plotdata 0 ok / 1 bad input / 2 output failure. A failed write to standard
+output is reported as ``cannot write output: ...``. ``wsn run`` takes SIGTERM
+as it takes SIGINT, between log appends: before the last round it exits 130,
+and a served run after its last round closes the gateway and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
@@ -49,37 +58,98 @@ def _write_output(command: str, data: str) -> bool:
     return True
 
 
+# each command's positionals ("*name" takes the rest), its required options,
+# and its options, each with its kind (bool: a flag; str or int: the type of its
+# value) and default; an option sets the attribute _attr names
+_HOST = (str, "127.0.0.1")
+_PORT = (int, DEFAULT_PORT)
+_COMMANDS = {
+    "run": (("config",), ("--out",), {
+        "--out": (str, None), "--serve": (bool, False), "--host": _HOST, "--port": _PORT,
+        "--rewrite-latest": (str, None), "--trace": (str, None), "--pace": (bool, False)}),
+    "fetch": (("verb", "*args"), (), {"--host": _HOST, "--port": _PORT}),
+    "plotdata": (("telemetry",), ("--node", "--channel"), {
+        "--node": (str, None), "--channel": (str, None)}),
+}
+_HELP = ("-h", "--help")
+
+
+def _attr(option: str) -> str:
+    return option[2:].replace("-", "_")  # --rewrite-latest sets args.rewrite_latest
+
+
+class _UsageError(Exception):
+    """A command line that the option table refuses."""
+
+
+def _is_option(word: str) -> bool:
+    """Whether ``word`` is read as an option: ``-`` and a negative integer are values."""
+    return word.startswith("-") and word != "-" and not word[1:].isdecimal()
+
+
+def _parse_args(argv: list[str]) -> types.SimpleNamespace | None:
+    """``argv``'s command and attributes, walked once against ``_COMMANDS``; None
+    for -h or --help. Raises _UsageError."""
+    words = iter(argv)
+    command = next(words, None)
+    if command in _HELP:
+        return None
+    if command not in _COMMANDS:
+        raise _UsageError("a command is required: run, fetch or plotdata" if command is None
+                          else f"unknown command {command!r}")
+    positionals, required, options = _COMMANDS[command]
+    values = {_attr(name): default for name, (_, default) in options.items()}
+    given: list[str] = []
+    for word in words:
+        if not _is_option(word):
+            given.append(word)
+            continue
+        if word == "--":  # the rest are positionals
+            given.extend(words)
+            break
+        if word in _HELP:
+            return None
+        name, eq, value = word.partition("=")
+        if name not in options:
+            raise _UsageError(f"unknown option {word!r}")
+        kind = options[name][0]
+        if kind is bool:
+            if eq:
+                raise _UsageError(f"{name} takes no value")
+            value = True
+        elif not eq:
+            value = next(words, None)
+            if value is None or _is_option(value):
+                raise _UsageError(f"{name} needs a value")
+        try:
+            values[_attr(name)] = kind(value)
+        except ValueError:
+            raise _UsageError(f"{name} needs an integer, not {value!r}") from None
+    for name in required:
+        if values[_attr(name)] is None:
+            raise _UsageError(f"{name} is required")
+    rest = positionals[-1][1:] if positionals[-1].startswith("*") else None
+    fixed = positionals[:-1] if rest else positionals
+    if len(given) < len(fixed):
+        raise _UsageError(f"<{fixed[len(given)]}> is required")
+    if len(given) > len(fixed) and not rest:
+        raise _UsageError(f"unexpected argument {given[len(fixed)]!r}")
+    values.update(zip(fixed, given))
+    if rest:
+        values[rest] = given[len(fixed):]
+    return types.SimpleNamespace(command=command, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="wsn", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="simulate, persist telemetry, optionally serve")
-    p_run.add_argument("config", help="run configuration file")
-    p_run.add_argument("--out", required=True, help="telemetry output path")
-    p_run.add_argument("--serve", action="store_true", help="serve the gateway while running")
-    p_run.add_argument("--host", default="127.0.0.1", help="gateway bind address")
-    p_run.add_argument("--port", type=int, default=DEFAULT_PORT, help="gateway port")
-    p_run.add_argument("--rewrite-latest", metavar="PATH",
-                       help="also keep a single-round file: rewritten every round under "
-                            "--pace, else at most once a round period and after the "
-                            "last round")
-    p_run.add_argument("--trace", metavar="PATH", help="write the event trace here")
-    p_run.add_argument("--pace", action="store_true",
-                       help="sleep one period per round (real-time demo pacing)")
-
-    p_fetch = sub.add_parser("fetch", help="send one request to a gateway")
-    p_fetch.add_argument("--host", default="127.0.0.1")
-    p_fetch.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p_fetch.add_argument("verb", help="SNAPSHOT | NODE | CLUSTER | ALERTS | PING")
-    p_fetch.add_argument("args", nargs="*", help="verb arguments")
-
-    p_plot = sub.add_parser("plotdata", help="export one node/channel series as CSV")
-    p_plot.add_argument("telemetry", help="telemetry log path")
-    p_plot.add_argument("--node", required=True)
-    p_plot.add_argument("--channel", required=True,
-                        help="temp_c | light_raw | ch4_ppm | co_ppm | o2_pct")
-
-    args = parser.parse_args(argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as e:
+        usage = __doc__.split("\n\n")[1]  # the block of command lines
+        _err(f"wsn: error: {e}\nusage:\n{usage}")
+        return 2
+    if args is None:
+        print(__doc__, end="")
+        return 0
     if args.command == "run":
         return cmd_run(args)
     if args.command == "fetch":
@@ -109,7 +179,7 @@ def _remove_if_present(path: str) -> None:
         os.remove(path)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: types.SimpleNamespace) -> int:
     import signal  # imported here, as in _run: fetch and plotdata do not need it
 
     # SIGTERM interrupts the run, and so does SIGINT unless the caller ignores it (as
@@ -132,7 +202,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             signal.signal(signum, signal.SIG_DFL if handler is None else handler)
 
 
-def _run(args: argparse.Namespace, hold: types.SimpleNamespace) -> int:
+def _run(args: types.SimpleNamespace, hold: types.SimpleNamespace) -> int:
     # imported here: fetch and plotdata need no simulator, and only --serve the server
     from .config import parse_config
     from .netsim import run_simulation
@@ -260,7 +330,40 @@ def _run(args: argparse.Namespace, hold: types.SimpleNamespace) -> int:
         return 2
 
 
-def cmd_fetch(args: argparse.Namespace) -> int:
+def _is_count(word: str) -> bool:
+    return word.isascii() and word.isdigit()
+
+
+def _read_reply(reader, reply: list[str]) -> str | None:
+    """Read one gateway reply into ``reply``, line by line; say what is not whole
+    about it (the module docstring gives the rule), or None."""
+    first = reader.readline()
+    if not first:
+        return "connection closed before any response"
+    reply.append(first)
+    if not first.endswith("\n"):
+        return f"connection closed inside the line {first!r}"
+    head = first[:-1].split(" ")
+    if first == "PONG\n" or (len(head) == 2 and head[0] == "ERR" and head[1]):
+        return None
+    if not (len(head) == 3 and head[0] == "BEGIN" and _is_count(head[2])
+            and (head[1] == "ALERTS" or _is_count(head[1]))):
+        return f"not PONG, ERR <CODE> or BEGIN <round|ALERTS> <k>: {first!r}"
+    while True:
+        line = reader.readline()
+        if not line:
+            return "connection closed inside envelope"
+        reply.append(line)
+        if not line.endswith("\n"):
+            return f"connection closed inside the line {line!r}"
+        if line == "END\n":
+            break
+    if head[2] != str(len(reply) - 2):  # compared as text: int() refuses long digit runs
+        return f"BEGIN says {head[2]} lines, END comes after {len(reply) - 2}"
+    return None
+
+
+def cmd_fetch(args: types.SimpleNamespace) -> int:
     if not 0 <= args.port <= 65535:  # create_connection would take the port modulo 2**16
         _err(f"wsn fetch: cannot reach {args.host}:{args.port}: port must be 0-65535")
         return 2
@@ -268,38 +371,26 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
     request = " ".join([args.verb, *args.args])
     reply: list[str] = []  # written once the exchange ends, so a write failure is told apart
-    status = 0
     try:
         with socket.create_connection((args.host, args.port), timeout=10) as sock:
             sock.sendall(request.encode("utf-8") + b"\n")
-            reader = sock.makefile("r", encoding="utf-8", newline="\n")
-            first = reader.readline()
-            if not first:
-                _err("wsn fetch: connection closed before any response")
-                return 2
-            reply.append(first)
-            if first.startswith("BEGIN"):
-                while True:
-                    line = reader.readline()
-                    if not line:
-                        _err("wsn fetch: connection closed inside envelope")
-                        status = 2
-                        break
-                    reply.append(line)
-                    if line.rstrip("\n") == "END":
-                        break
+            with sock.makefile("r", encoding="utf-8", newline="\n") as reader:
+                fault = _read_reply(reader, reply)
     except OSError as e:
         _err(f"wsn fetch: cannot reach {args.host}:{args.port}: {e}")
         return 2
     except UnicodeDecodeError as e:
         _err(f"wsn fetch: response from {args.host}:{args.port} is not UTF-8: {e}")
         return 2
+    if fault is not None:  # nothing of a reply that is not whole reaches standard output
+        _err(f"wsn fetch: bad response from {args.host}:{args.port}: {fault}")
+        return 2
     if not _write_output("fetch", "".join(reply)):
         return 2
-    return status or (3 if first.startswith("ERR") else 0)
+    return 3 if reply[0].startswith("ERR") else 0
 
 
-def cmd_plotdata(args: argparse.Namespace) -> int:
+def cmd_plotdata(args: types.SimpleNamespace) -> int:
     rows: list[str] = []  # one short row per round, written once the whole log checks out
     try:
         with open(args.telemetry, "rb") as fh:

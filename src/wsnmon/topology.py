@@ -11,10 +11,9 @@ import math
 from typing import Mapping, Sequence
 
 from ._frozen import Frozen
-from .basestation import validate_label  # the log header's rule for a node label
+# the log header's rule for a node label, and the root it may not name
+from .basestation import DEFAULT_ROOT, validate_label
 from .errors import TopologyError
-
-DEFAULT_ROOT = "BS"
 
 
 class RadioSpec(Frozen):

@@ -540,6 +540,16 @@ class TestParserErrors:
         assert exc.value.line_no == 1
         assert exc.value.message == f"line 1: {message}"
 
+    def test_header_may_not_name_the_base_station(self):
+        """No config can make the base station a sensing node (its name is
+        used twice), so a log whose header names it is refused, round and all."""
+        log = ("#WSNLOG v1 nodes=BS,N1\n0,0,BS,25.0000,512,-,-,-,OK\n"
+               "0,0,N1,25.0000,512,-,-,-,OK\n")
+        with pytest.raises(TelemetryError, match="BAD_HEADER") as exc:
+            parse_telemetry(log)
+        assert exc.value.line_no == 1
+        assert exc.value.message == "line 1: node 'BS' is the base station"
+
     @pytest.mark.parametrize("nodes", ["N1,,N2", ",N1,", "N1,"])
     def test_header_rejects_empty_node_ids(self, nodes):
         """No record can name an empty node; the writer never writes one."""

@@ -1,5 +1,6 @@
 """End-to-end command tests: run, fetch, plotdata, and the served pipeline."""
 
+import argparse
 import contextlib
 import errno
 import io
@@ -82,23 +83,189 @@ print(sorted(set(sys.argv[1].split()) & set(sys.modules) - bare))
 
 def test_import_loads_neither_simulator_nor_server(tmp_path):
     """Each command imports only what it runs: fetch and plotdata start
-    without the simulator or the server, and a run that does not serve loads
-    no server, no socket and no dataclasses. A module that a bare interpreter
-    has already loaded (site may load some) is not looked for."""
+    without the simulator or the server, a run that does not serve loads no
+    server, no socket and no dataclasses, and none loads argparse or the
+    gettext and locale it brings. A module that a bare interpreter has
+    already loaded (site may load some) is not looked for."""
     log = str(tmp_path / "t.log")
     commands = [
         ([], "wsnmon.config wsnmon.gateway wsnmon.netsim socketserver signal socket "
-             "dataclasses"),
+             "dataclasses argparse gettext locale"),
         (["run", write_cfg(tmp_path), "--out", log],
-         "wsnmon.gateway socketserver socket logging dataclasses"),
+         "wsnmon.gateway socketserver socket logging dataclasses argparse gettext locale"),
         (["plotdata", log, "--node", "N1", "--channel", "temp_c"],
-         "wsnmon.config wsnmon.netsim wsnmon.gateway socket dataclasses"),
+         "wsnmon.config wsnmon.netsim wsnmon.gateway socket dataclasses "
+         "argparse gettext locale"),
     ]
     for argv, modules in commands:
         done = subprocess.run([sys.executable, "-c", LOADED_PROBE, modules, *argv],
                               env=src_env(), capture_output=True, text=True, timeout=60,
                               check=True)
         assert done.stdout.splitlines()[-1] == "[]", argv
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``wsn`` had before its option table, which
+    the table's parser is held to."""
+    parser = argparse.ArgumentParser(prog="wsn")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run")
+    p_run.add_argument("config")
+    p_run.add_argument("--out", required=True)
+    p_run.add_argument("--serve", action="store_true")
+    p_run.add_argument("--host", default="127.0.0.1")
+    p_run.add_argument("--port", type=int, default=cli.DEFAULT_PORT)
+    p_run.add_argument("--rewrite-latest")
+    p_run.add_argument("--trace")
+    p_run.add_argument("--pace", action="store_true")
+    p_fetch = sub.add_parser("fetch")
+    p_fetch.add_argument("--host", default="127.0.0.1")
+    p_fetch.add_argument("--port", type=int, default=cli.DEFAULT_PORT)
+    p_fetch.add_argument("verb")
+    p_fetch.add_argument("args", nargs="*")
+    p_plot = sub.add_parser("plotdata")
+    p_plot.add_argument("telemetry")
+    p_plot.add_argument("--node", required=True)
+    p_plot.add_argument("--channel", required=True)
+    return parser
+
+
+def reference_parse(argv: list[str]) -> dict | None:
+    """The attributes argparse gives ``argv``, or None if it refuses it."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(reference_parser().parse_args(argv))
+    except SystemExit as e:
+        assert e.code == 2
+        return None
+
+
+def table_parse(argv: list[str]) -> dict | None:
+    """The attributes ``main`` hands its command, or None if it exits 2 with
+    a usage error; the command itself does not run."""
+    handed = []
+
+    def command(args):
+        handed.append(vars(args))
+        return 0
+
+    err = io.StringIO()
+    with mock.patch.multiple(cli, cmd_run=command, cmd_fetch=command, cmd_plotdata=command), \
+            contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc == 2:
+        assert not handed and err.getvalue().startswith("wsn: error: ")
+        assert "\nusage:\n    wsn run <config> --out <path>" in err.getvalue()
+        return None
+    assert rc == 0 and err.getvalue() == ""
+    return handed[0]
+
+
+# the documented grammar: each command's positionals ("..." takes the rest), its
+# options with the kind of their value, and its required options
+GRAMMAR = {
+    "run": (["config"], {"--out": "path", "--serve": "flag", "--host": "path", "--port": "int",
+                         "--rewrite-latest": "path", "--trace": "path", "--pace": "flag"},
+            ["--out"]),
+    "fetch": (["verb", "..."], {"--host": "path", "--port": "int"}, []),
+    "plotdata": (["telemetry"], {"--node": "path", "--channel": "path"}, ["--node", "--channel"]),
+}
+# a word that begins with "-" is an option unless it is "-" or a negative integer
+WORDS = st.from_regex(r"[ab1._/=]{0,4}|-|-1[01]{0,2}|--?[ab][ab1]{0,2}", fullmatch=True)
+PORTS = st.integers(-3, 70000).map(str) | st.sampled_from(["x", "1.5", "", "0x1f", " 7 ", "1_0"])
+FAULTS = [None, None, None, "drop option", "drop positional", "drop value", "unknown option",
+          "extra positional"]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """The command, its positionals, then its options in any order, each as
+    ``--opt value`` or ``--opt=value`` (some twice), the options cut in two
+    around the positionals; perhaps with one fault drawn in."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    positionals, options, required = GRAMMAR[command]
+    words = [draw(WORDS) for name in positionals if name != "..."]
+    if "..." in positionals:
+        words += draw(st.lists(WORDS, max_size=3))
+    groups = []
+    for name, kind in options.items():
+        for _ in range(draw(st.sampled_from([1, 1, 2]) if name in required
+                            else st.sampled_from([0, 1, 2]))):
+            if kind == "flag":
+                groups.append([name])
+                continue
+            value = draw(PORTS if kind == "int" else WORDS)
+            groups.append(draw(st.sampled_from([[name, value], [f"{name}={value}"]])))
+    groups = draw(st.permutations(groups))
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "drop option" and groups:
+        groups.pop(draw(st.integers(0, len(groups) - 1)))
+    elif fault == "drop positional" and words:
+        words.pop(draw(st.integers(0, len(words) - 1)))
+    elif fault == "drop value" and any(len(group) == 2 for group in groups):
+        draw(st.sampled_from([group for group in groups if len(group) == 2])).pop()
+    elif fault == "unknown option":
+        groups.insert(draw(st.integers(0, len(groups))),
+                      draw(st.sampled_from([["--bogus"], ["--bogus=1"], ["--bogus", "x"]])))
+    elif fault == "extra positional":
+        words.append(draw(WORDS))
+    cut = draw(st.integers(0, len(groups)))
+    return [command, *itertools.chain(*groups[:cut]), *words, *itertools.chain(*groups[cut:])]
+
+
+class TestCommandLine:
+    @settings(max_examples=400, deadline=None)
+    @given(argv=command_lines())
+    def test_parses_as_argparse_did(self, argv):
+        """On the documented grammar, and with a required option or positional
+        missing, an option without its value, a --port int() refuses, an
+        unknown option or a second positional drawn in, ``main`` refuses
+        exactly what argparse refused (exit 2), and hands its command the
+        attributes argparse gave."""
+        assert table_parse(argv) == reference_parse(argv)
+
+    @pytest.mark.parametrize("argv,attributes", [
+        (["fetch", "NODE", "--", "-x"], {"verb": "NODE", "args": ["-x"]}),
+        (["fetch", "--port", "1", "--", "--host", "-x"], {"verb": "--host", "args": ["-x"]}),
+        (["fetch", "NODE", "-1"], {"verb": "NODE", "args": ["-1"]}),
+        (["plotdata", "--node=N1", "t.log", "--channel", "temp_c", "--node", "N2"],
+         {"telemetry": "t.log", "node": "N2", "channel": "temp_c"}),
+    ])
+    def test_end_of_options_and_repeats(self, argv, attributes):
+        """``--`` ends the options, so a fetch argument may begin with "-"; a
+        negative integer is a value; a repeated option's last value counts."""
+        parsed = table_parse(argv)
+        assert parsed.items() >= attributes.items()
+        assert parsed == reference_parse(argv)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["run", "--help"],
+                                      ["fetch", "PING", "-h"]])
+    def test_help_prints_the_usage(self, capsys, argv):
+        with mock.patch.object(cli, "cmd_fetch") as fetch:
+            assert main(argv) == 0
+        fetch.assert_not_called()
+        out, err = capsys.readouterr()
+        assert out == cli.__doc__ and err == ""
+        assert "\n    wsn fetch [--host <h>] [--port <n>] <VERB> [args...]\n" in out
+
+    @pytest.mark.parametrize("argv,error", [
+        ([], "a command is required: run, fetch or plotdata"),
+        (["runs"], "unknown command 'runs'"),
+        (["run", "c.cfg", "--ou", "t.log"], "unknown option '--ou'"),  # no abbreviations
+        (["run", "c.cfg", "--out", "t.log", "--serve=yes"], "--serve takes no value"),
+        (["run", "c.cfg", "--out", "t.log", "--port", "http"],
+         "--port needs an integer, not 'http'"),
+        (["run", "c.cfg", "--out"], "--out needs a value"),
+        (["plotdata", "t.log", "--node", "N1"], "--channel is required"),
+        (["fetch", "--port", "1"], "<verb> is required"),
+        (["plotdata", "a.log", "b.log", "--node", "N1", "--channel", "temp_c"],
+         "unexpected argument 'b.log'"),
+    ])
+    def test_usage_errors_exit_2(self, capsys, argv, error):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        usage = cli.__doc__.split("\n\n")[1]
+        assert (out, err) == ("", f"wsn: error: {error}\nusage:\n{usage}\n")
 
 
 class TestRun:
@@ -701,6 +868,31 @@ def served_gateway():
         yield server.port
 
 
+@contextlib.contextmanager
+def one_shot_listener(reply: bytes):
+    """A local listener that answers one request with ``reply`` and closes; yields its port."""
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def reply_once():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(64)
+                conn.sendall(reply)
+
+        server = threading.Thread(target=reply_once)
+        server.start()
+        try:
+            yield listener.getsockname()[1]
+        finally:
+            server.join(timeout=30)
+            assert not server.is_alive()
+
+
+DESK_RECORD = b"0,0,N1,25.0000,512,-,-,-,OK\n"
+
+
 class TestFetch:
     def test_snapshot(self, served_gateway, capsys):
         rc = main(["fetch", "--port", str(served_gateway), "SNAPSHOT"])
@@ -753,25 +945,36 @@ class TestFetch:
 
     def test_non_utf8_response(self, capsys):
         """A reply that is not UTF-8 is a connection failure, not a traceback."""
-        with socket.socket() as listener:
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(1)
-
-            def reply_once():
-                conn, _ = listener.accept()
-                with conn:
-                    conn.recv(64)
-                    conn.sendall(b"BEGIN 0 1\n\xff\xfe\nEND\n")
-
-            server = threading.Thread(target=reply_once)
-            server.start()
-            try:
-                rc = main(["fetch", "--port", str(listener.getsockname()[1]), "SNAPSHOT"])
-            finally:
-                server.join()
+        with one_shot_listener(b"BEGIN 0 1\n\xff\xfe\nEND\n") as port:
+            rc = main(["fetch", "--port", str(port), "SNAPSHOT"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("wsn fetch: ") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("reply,rc,broke", [
+        (b"PON", 2, "connection closed inside the line 'PON'"),
+        (b"ERR BUS", 2, "connection closed inside the line 'ERR BUS'"),
+        (b"BEGIN 0 2\n" + DESK_RECORD + b"END\n", 2, "BEGIN says 2 lines, END comes after 1"),
+        (b"BEGIN 0 1\n" + DESK_RECORD + b"END", 2, "connection closed inside the line 'END'"),
+        (b"hello\n", 2, "not PONG, ERR <CODE> or BEGIN <round|ALERTS> <k>: 'hello\\n'"),
+        (b"BEGIN 0 1\n" + DESK_RECORD, 2, "connection closed inside envelope"),
+        (b"", 2, "connection closed before any response"),
+        (b"BEGIN 0 1\n" + DESK_RECORD + b"END\n", 0, None),
+        (b"BEGIN ALERTS 0\nEND\n", 0, None),
+        (b"ERR BUSY\n", 3, None),
+    ])
+    def test_only_a_whole_reply_is_printed(self, capsys, reply, rc, broke):
+        """A reply is whole when its first line is PONG, ERR <CODE> or
+        BEGIN <round|ALERTS> <k>, an envelope holds k lines before END, and its
+        last line ends in LF; anything else exits 2, naming what broke, with
+        nothing on standard output."""
+        with one_shot_listener(reply) as port:
+            assert main(["fetch", "--port", str(port), "SNAPSHOT"]) == rc
+        out, err = capsys.readouterr()
+        if broke is None:
+            assert (out, err) == (reply.decode(), "")
+        else:
+            assert (out, err) == ("", f"wsn fetch: bad response from 127.0.0.1:{port}: {broke}\n")
 
 
 # the benchmark's batch shape: 20 cluster heads of 10 leaflets each, 220 records a round
