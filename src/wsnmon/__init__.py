@@ -26,7 +26,7 @@ _EXPORTS = {
     "gateway": ("Gateway", "serve"),
     "netsim": ("LinkOutage", "SimConfig", "SimSummary", "run_round", "run_simulation"),
     "records": ("Snapshot",),
-    "topology": ("RadioSpec", "TreeTopology", "build_topology"),
+    "topology": ("RadioSpec", "TreeTopology"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

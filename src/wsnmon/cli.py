@@ -1,4 +1,19 @@
-"""Command-line entry points: run the pipeline, query a gateway, export plots.
+from __future__ import annotations
+
+import contextlib
+import os
+import sys
+import time
+import types
+
+from .basestation import LatestMirror, TelemetryReader, TelemetryWriter, format_value
+from .environment import channel_from_token
+from .errors import ConfigError, EnvError, SimError, TelemetryError, WsnError
+from .records import Snapshot
+
+# The module's docstring, kept as a constant that python -OO does not strip:
+# -h prints it, and a usage error prints its second paragraph, the command lines.
+HELP_TEXT = """Command-line entry points: run the pipeline, query a gateway, export plots.
 
     wsn run <config> --out <path> [--serve --port <n>] [--rewrite-latest <path>]
             [--trace <path>] [--pace] [--host <addr>]
@@ -25,19 +40,7 @@ output is reported as ``cannot write output: ...``. ``wsn run`` takes SIGTERM
 as it takes SIGINT, between log appends: before the last round it exits 130,
 and a served run after its last round closes the gateway and exits 0.
 """
-
-from __future__ import annotations
-
-import contextlib
-import os
-import sys
-import time
-import types
-
-from .basestation import LatestMirror, TelemetryReader, TelemetryWriter, format_value
-from .environment import channel_from_token
-from .errors import ConfigError, EnvError, SimError, TelemetryError, WsnError
-from .records import Snapshot
+__doc__ = HELP_TEXT
 
 DEFAULT_PORT = 7070  # the gateway's port for `run --serve` and `fetch`
 _DAY_MS = 86_400_000  # the longest sleep --pace asks for at once
@@ -144,11 +147,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
     except _UsageError as e:
-        usage = __doc__.split("\n\n")[1]  # the block of command lines
+        usage = HELP_TEXT.split("\n\n")[1]  # the block of command lines
         _err(f"wsn: error: {e}\nusage:\n{usage}")
         return 2
     if args is None:
-        print(__doc__, end="")
+        print(HELP_TEXT, end="")
         return 0
     if args.command == "run":
         return cmd_run(args)
@@ -292,9 +295,9 @@ def _run(args: types.SimpleNamespace, hold: types.SimpleNamespace) -> int:
                         due = now + period_ns
                         mirror.update(s)
                 if gateway is not None:
-                    for alert in gateway.publish(s):
-                        _err(f"ALERT {alert.severity.value} {alert.rule_id} "
-                             f"node={alert.node} round={alert.round} value={alert.value}")
+                    for alert in gateway.publish(s):  # the value as the log writes it
+                        _err(f"ALERT {alert.severity.value} {alert.rule_id} node={alert.node} "
+                             f"round={alert.round} value={gateway.value_text(alert)}")
                 if args.pace:  # in whole-ms slices of at most a day: any int period adds up
                     left = sim.round_period_ms
                     while left > 0:
@@ -315,7 +318,7 @@ def _run(args: types.SimpleNamespace, hold: types.SimpleNamespace) -> int:
                     with contextlib.suppress(WsnError):  # the first error is the one reported
                         catch_up()
                 raise
-            _err(f"ran {summary.rounds_run} rounds: {summary.messages_sent} messages sent, "
+            _err(f"ran {sim.rounds} rounds: {summary.messages_sent} messages sent, "
                  f"{summary.messages_dropped} dropped")
             if server is not None:
                 _err("simulation done; still serving (interrupt to stop)")

@@ -38,7 +38,7 @@ import threading
 from typing import Sequence
 
 from .alerts import Alert, AlertRule, alert_line, evaluate_alerts
-from .basestation import snapshot_block
+from .basestation import format_value, snapshot_block
 from .errors import GatewayError
 from .records import Snapshot
 from .topology import TreeTopology
@@ -79,7 +79,7 @@ class Gateway:
         self._node_requests = ["NODE " + n for n in self._nodes]
         # a head is followed by its leaflets, so a cluster is a slice of lines
         self._clusters: list[tuple[str, int, int]] = []
-        for head in topology.cluster_heads():
+        for head in topology.children[topology.root]:
             start = self._nodes.index(head)
             stop = start + 1 + len(topology.children[head])
             self._clusters.append(("CLUSTER " + head, start, stop))
@@ -105,6 +105,10 @@ class Gateway:
         self._responses = self._render(s.round, block)
         self._round = s.round
         return fired
+
+    def value_text(self, a: Alert) -> str:
+        """The value of ``a``, which this gateway fired, as ``ALERTS`` writes it."""
+        return format_value(self._channel_of[a.rule_id], a.value)
 
     def _render(self, rnd: int, block: str) -> dict[str, str]:
         lines = block.splitlines(keepends=True)

@@ -148,9 +148,9 @@ class SimConfig(Frozen):
 
 class SimSummary(NamedTuple):
     """A run's totals: ``messages_sent`` counts every attempted message,
-    dropped ones included, and ``messages_dropped`` those that were lost."""
+    dropped ones included, and ``messages_dropped`` those that were lost. A
+    run that returns one ran every round of its config (an interrupt raises)."""
 
-    rounds_run: int
     messages_sent: int
     messages_dropped: int
 
@@ -317,7 +317,7 @@ def run_simulation(
     Before a round's Snapshot goes to ``sink``, ``on_trace`` gets its trace
     text, one LF-terminated ``trace_line`` per event, and ``on_event`` gets
     each of its events as an ``(time_ms, kind, src, dst)`` tuple. A line
-    splits on its spaces: ``build_topology``'s ``validate_label`` refuses a
+    splits on its spaces: ``add_cluster``'s ``validate_label`` refuses a
     label with whitespace. A failure of ``on_trace`` or ``sink`` is a
     SINK_FAILURE.
     """
@@ -341,4 +341,4 @@ def run_simulation(
                 "SINK_FAILURE", f"sink failed at round {round_index}: {e}",
                 round_index=round_index,
             ) from e
-    return SimSummary(rounds_run=cfg.rounds, messages_sent=sent, messages_dropped=dropped)
+    return SimSummary(messages_sent=sent, messages_dropped=dropped)

@@ -1,8 +1,10 @@
 """Tree network structure: a base station root, cluster heads, and leaflets.
 
-The tree is fixed at depth 2 below the root. Children lists keep their
-configuration order, which is what makes polling (and therefore the whole
-simulation) deterministic. Topology values are immutable.
+The tree is fixed at depth 2 below the root, ``BS``, and is its children
+map and its radio. Children lists keep their configuration order, which is
+what makes polling (and therefore the whole simulation) deterministic.
+Topology values are immutable. Node positions serve only the radio range
+check when the tree is built; the tree does not keep them.
 """
 
 from __future__ import annotations
@@ -32,27 +34,25 @@ class RadioSpec(Frozen):
 
 
 class TreeTopology(Frozen):
-    """Immutable depth-2 tree rooted at the base station.
+    """Immutable depth-2 tree rooted at the base station, ``root`` (``BS``).
 
     ``children`` maps every node, the root included, to its ordered child
     tuple: the root's children are the cluster heads, a head's are its
     leaflets, and a leaflet's is empty. It is the only description of the
-    tree; treat it as read-only. ``positions`` defaults to a new empty dict.
+    tree; treat it as read-only. ``add_cluster`` steps and ``grown_tree``
+    build it and check its invariants.
     """
 
-    _fields = ("root", "children", "radio", "positions")
+    _fields = ("children", "radio")
     __slots__ = (*_fields, "_nodes")
+    root = DEFAULT_ROOT
 
-    def __init__(self, root: str, children: Mapping[str, tuple[str, ...]], radio: RadioSpec,
-                 positions: Mapping[str, tuple[float, float]] | None = None):
+    def __init__(self, children: Mapping[str, tuple[str, ...]], radio: RadioSpec):
         nodes: list[str] = []
-        for head in children[root]:
+        for head in children[self.root]:
             nodes.append(head)
             nodes.extend(children[head])
-        self._init(root, children, radio, {} if positions is None else positions, tuple(nodes))
-
-    def cluster_heads(self) -> tuple[str, ...]:
-        return self.children[self.root]
+        self._init(children, radio, tuple(nodes))
 
     def sensing_nodes(self) -> tuple[str, ...]:
         """All nodes that sense, in deterministic polling order.
@@ -71,24 +71,6 @@ class TreeTopology(Frozen):
         return b in self.children[a] or a in self.children[b]
 
 
-def build_topology(
-    cluster_heads: Sequence[tuple[str, Sequence[str]]],
-    radio: RadioSpec,
-    positions: Mapping[str, tuple[float, float]] | None = None,
-) -> TreeTopology:
-    """Build and validate a topology from (head, leaflets) pairs, rooted at
-    ``DEFAULT_ROOT``: one ``add_cluster`` step per pair, then ``grown_tree``.
-
-    These are the only constructors that check the tree's invariants; raises
-    INVALID_LABEL, DUPLICATE_LABEL, EMPTY_TOPOLOGY, or RANGE_VIOLATION (whose
-    error carries the offending ``(parent, child)`` pair as ``link``).
-    """
-    children: dict = {}
-    for head, leaves in cluster_heads:
-        add_cluster(children, head, leaves)
-    return grown_tree(children, radio, positions)
-
-
 def add_cluster(children: dict, head: str, leaves: Sequence[str]) -> None:
     """Check the labels of the cluster ``head`` with ``leaves``, then add it
     to ``children``, a tree's children map grown from ``{}`` (its root entry
@@ -105,34 +87,24 @@ def add_cluster(children: dict, head: str, leaves: Sequence[str]) -> None:
 
 
 def grown_tree(children: dict, radio: RadioSpec,
-               positions: Mapping[str, tuple[float, float]] | None = None) -> TreeTopology:
-    """The topology of ``children`` grown by ``add_cluster`` steps; raises
-    EMPTY_TOPOLOGY or RANGE_VIOLATION."""
+               positions: Mapping[str, tuple[float, float]]) -> TreeTopology:
+    """The topology of ``children`` grown by ``add_cluster`` steps. Raises
+    EMPTY_TOPOLOGY, or RANGE_VIOLATION for a link whose two endpoints
+    ``positions`` places farther apart than the radio's range (the error's
+    ``link`` is its ``(parent, child)`` pair). A link with an unplaced
+    endpoint is not checked, and the tree does not keep the positions."""
     if not children:
         raise TopologyError("EMPTY_TOPOLOGY", "at least one cluster head is required")
     children[DEFAULT_ROOT] = tuple(children[DEFAULT_ROOT])
-    topo = TreeTopology(
-        root=DEFAULT_ROOT,
-        children=children,
-        radio=radio,
-        positions=dict(positions or {}),
-    )
-    _check_ranges(topo)
-    return topo
-
-
-def _check_ranges(t: TreeTopology) -> None:
-    # positions are optional; only links with both endpoints placed are checked
-    for parent, kids in t.children.items():
+    for parent, kids in children.items():
         for kid in kids:
-            if parent in t.positions and kid in t.positions:
-                px, py = t.positions[parent]
-                kx, ky = t.positions[kid]
-                dist = math.hypot(px - kx, py - ky)
-                if dist > t.radio.range_m:
+            if parent in positions and kid in positions:
+                dist = math.dist(positions[parent], positions[kid])
+                if dist > radio.range_m:
                     e = TopologyError(
                         "RANGE_VIOLATION",
-                        f"link {parent}-{kid} spans {dist:.1f} m > range {t.radio.range_m} m",
+                        f"link {parent}-{kid} spans {dist:.1f} m > range {radio.range_m} m",
                     )
                     e.link = (parent, kid)  # lets parse_config name the pos line
                     raise e
+    return TreeTopology(children, radio)

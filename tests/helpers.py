@@ -16,7 +16,7 @@ from wsnmon.basestation import format_value
 from wsnmon.environment import DEFAULT_SPECS, Channel, ChannelModel, EnvField, sense
 from wsnmon.netsim import SimConfig
 from wsnmon.records import Snapshot
-from wsnmon.topology import RadioSpec, TreeTopology, build_topology
+from wsnmon.topology import RadioSpec, TreeTopology, add_cluster, grown_tree
 
 DESK_CLUSTERS = [("N1", ["1.1", "1.2"]), ("N2", ["2.1", "2.2"])]
 DESK_NODES = ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
@@ -24,8 +24,17 @@ DESK_NODES = ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
 GAS_CHANNELS = (Channel.CH4_PPM, Channel.CO_PPM, Channel.O2_PCT)
 
 
+def build_tree(clusters, radio: RadioSpec, positions=None) -> TreeTopology:
+    """The tree of ``(head, leaflets)`` pairs, built as ``parse_config`` builds
+    one: an ``add_cluster`` step per pair, then ``grown_tree``."""
+    children: dict = {}
+    for head, leaves in clusters:
+        add_cluster(children, head, leaves)
+    return grown_tree(children, radio, positions or {})
+
+
 def desk_topology(failure_prob: float = 0.0, range_m: float = 30.0):
-    return build_topology(DESK_CLUSTERS, RadioSpec(range_m, failure_prob))
+    return build_tree(DESK_CLUSTERS, RadioSpec(range_m, failure_prob))
 
 
 def default_field(seed: int = 0, **channels: ChannelModel) -> EnvField:
@@ -47,7 +56,7 @@ def make_config(
     gas: bool = False,
     **kwargs,
 ) -> SimConfig:
-    topo = build_topology(clusters or DESK_CLUSTERS, RadioSpec(30.0, failure_prob))
+    topo = build_tree(clusters or DESK_CLUSTERS, RadioSpec(30.0, failure_prob))
     if field is None:
         field = default_field(seed=seed)
         if gas:
@@ -103,7 +112,7 @@ def readings(snapshot: Snapshot) -> tuple[Row, ...]:
 
 def round_message_count(t: TreeTopology) -> int:
     """Messages per collection round: one poll + one data reply per link."""
-    heads = t.cluster_heads()
+    heads = t.children[t.root]
     return 2 * len(heads) + 2 * sum(len(t.children[h]) for h in heads)
 
 
@@ -111,12 +120,13 @@ def _format_number(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else repr(v)
 
 
-def format_topology(t: TreeTopology) -> str:
-    """A topology as config lines (``parse_config`` gives it back exactly)."""
+def format_topology(t: TreeTopology, positions=None) -> str:
+    """A topology, with ``pos`` lines for ``positions``, as config lines
+    (``parse_config`` gives the topology back exactly)."""
     lines = [f"radio {_format_number(t.radio.range_m)} {_format_number(t.radio.failure_prob)}"]
-    for head in t.cluster_heads():
+    for head in t.children[t.root]:
         lines.append(" ".join(["cluster", head, *t.children[head]]))
-    for node, (x, y) in t.positions.items():
+    for node, (x, y) in (positions or {}).items():
         lines.append(f"pos {node} {_format_number(x)} {_format_number(y)}")
     return "\n".join(lines) + "\n"
 

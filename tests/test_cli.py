@@ -6,8 +6,10 @@ import errno
 import io
 import itertools
 import os
+import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import tempfile
@@ -18,7 +20,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from helpers import make_config, desk_topology, readings, reference_round
 from wsnmon import basestation, cli
@@ -266,6 +268,23 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         usage = cli.__doc__.split("\n\n")[1]
         assert (out, err) == ("", f"wsn: error: {error}\nusage:\n{usage}\n")
+
+    def test_help_and_usage_errors_under_python_oo(self):
+        """``python -OO`` strips docstrings but not the help text: ``--help``
+        prints the same bytes as without it, and an unknown command exits 2
+        with the usage block."""
+        def wsn(*argv):
+            return subprocess.run([sys.executable, *argv], capture_output=True, timeout=60,
+                                  env=dict(src_env(), PYTHONDONTWRITEBYTECODE="1"))
+
+        plain = wsn("-m", "wsnmon.cli", "--help")
+        assert (plain.returncode, plain.stdout.decode()) == (0, cli.__doc__)
+        stripped = wsn("-OO", "-m", "wsnmon.cli", "--help")
+        assert (stripped.returncode, stripped.stdout, stripped.stderr) == (0, plain.stdout, b"")
+        bogus = wsn("-OO", "-m", "wsnmon.cli", "bogus")
+        usage = cli.__doc__.split("\n\n")[1]
+        assert (bogus.returncode, bogus.stdout, bogus.stderr.decode()) == (
+            2, b"", f"wsn: error: unknown command 'bogus'\nusage:\n{usage}\n")
 
 
 class TestRun:
@@ -869,8 +888,9 @@ def served_gateway():
 
 
 @contextlib.contextmanager
-def one_shot_listener(reply: bytes):
-    """A local listener that answers one request with ``reply`` and closes; yields its port."""
+def one_shot_listener(reply: bytes, reset: bool = False):
+    """A local listener that answers one request with ``reply`` and closes, by
+    a reset if ``reset`` (which may discard what is not yet sent); yields its port."""
     with socket.socket() as listener:
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
@@ -880,6 +900,8 @@ def one_shot_listener(reply: bytes):
             with conn:
                 conn.recv(64)
                 conn.sendall(reply)
+                if reset:  # a zero linger time: close sends RST
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
 
         server = threading.Thread(target=reply_once)
         server.start()
@@ -891,6 +913,54 @@ def one_shot_listener(reply: bytes):
 
 
 DESK_RECORD = b"0,0,N1,25.0000,512,-,-,-,OK\n"
+
+# the lines a reply is drawn from: its first line, and what may follow
+# (records, alert lines, END and more), bytes that are not UTF-8 included
+FIRST_LINES = [b"PONG", b"ERR BUSY", b"ERR NO_DATA", b"PONG\r", b"ERR", b"ERR ", b"ERR NO DATA",
+               b"BEGIN 0 01", b"BEGIN x 1", b"BEGIN 0", b"BEGIN 0 \xd9\xa1", b"BEGIN ALERTS 1",
+               b"END", b"\xff", b"caf\xc3\xa9", b""]
+BODY_LINES = [DESK_RECORD[:-1], b"hot,N1,0,31.2500,WARN", b"END", b"END ", b"", b"\xff", b"\xc3"]
+
+
+@st.composite
+def replies(draw) -> bytes:
+    """Token soup: half of the time an envelope header with k lines and END
+    (k as said or one off), else one of FIRST_LINES; then up to two lines more.
+    A line ends in LF, except the last one half of the time, and now and then
+    another."""
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        said = k + draw(st.sampled_from([0, 0, -1, 1]))
+        lines = [b"BEGIN %d %d" % (draw(st.integers(0, 2)), said),
+                 *draw(st.lists(st.sampled_from(BODY_LINES[:2]), min_size=k, max_size=k)), b"END"]
+    else:
+        lines = [draw(st.sampled_from(FIRST_LINES))]
+    lines += draw(st.lists(st.sampled_from(BODY_LINES + FIRST_LINES), max_size=2))
+    ends = draw(st.lists(st.sampled_from([b"\n"] * 7 + [b""]), min_size=len(lines) - 1,
+                         max_size=len(lines) - 1))
+    ends.append(draw(st.sampled_from([b"\n", b""])))
+    return b"".join(map(bytes.__add__, lines, ends))
+
+
+def first_whole_reply(data: bytes) -> bytes | None:
+    """The reply ``data`` begins with if that reply is whole (the rule the cli
+    module docstring gives), else None: the first line is PONG, ERR <CODE> or
+    BEGIN <round|ALERTS> <k>, a BEGIN is followed by k lines and END, and every
+    one of these lines ends in LF."""
+    lines = data.split(b"\n")[:-1]  # what follows the last LF is no line
+    if not lines:
+        return None
+    head = lines[0].split(b" ")
+    if lines[0] == b"PONG" or (len(head) == 2 and head[0] == b"ERR" and head[1]):
+        return lines[0] + b"\n"
+    count = re.compile(rb"[0-9]+")
+    if not (len(head) == 3 and head[0] == b"BEGIN" and count.fullmatch(head[2])
+            and (head[1] == b"ALERTS" or count.fullmatch(head[1]))) or b"END" not in lines:
+        return None
+    end = lines.index(b"END")
+    if head[2] != b"%d" % (end - 1):
+        return None
+    return b"".join(line + b"\n" for line in lines[:end + 1])
 
 
 class TestFetch:
@@ -950,6 +1020,30 @@ class TestFetch:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("wsn fetch: ") and "not UTF-8" in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(reply=replies(), reset=st.booleans())
+    @example(reply=b"ERR BUSY", reset=False)  # no LF: not whole
+    @example(reply=b"BEGIN 0 2\n" + DESK_RECORD + b"END\n", reset=False)  # one line, not two
+    def test_a_drawn_reply_is_printed_only_when_whole(self, reply, reset):
+        """On any reply, whole or torn, not UTF-8 or cut by a reset, fetch exits
+        0, 2 or 3 and raises nothing. It exits 0 or 3 only when the reply begins
+        with a whole one, and then prints that reply; a whole UTF-8 reply that
+        no reset cuts is printed, with exit 3 for ERR and 0 otherwise."""
+        out, err = io.StringIO(), io.StringIO()
+        with one_shot_listener(reply, reset) as port, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            rc = main(["fetch", "--port", str(port), "SNAPSHOT"])
+        whole = first_whole_reply(reply)
+        assert rc in (0, 2, 3), err.getvalue()
+        if rc == 2:
+            assert out.getvalue() == ""
+        else:
+            assert whole is not None and out.getvalue() == whole.decode()
+            assert rc == (3 if whole.startswith(b"ERR") else 0)
+        with contextlib.suppress(UnicodeDecodeError):
+            if whole is not None and not reset and reply.decode():
+                assert rc != 2, err.getvalue()
 
     @pytest.mark.parametrize("reply,rc,broke", [
         (b"PON", 2, "connection closed inside the line 'PON'"),
@@ -1160,6 +1254,37 @@ class TestServeFlag:
                 proc.terminate()
                 proc.wait(timeout=10)
         assert len(parse_telemetry(out.read_bytes()).snapshots) == 5
+
+    def test_alert_lines_write_values_as_alerts_lists_them(self, tmp_path, capsys):
+        """Each ALERT line on stderr gives its value as ``ALERTS`` (and the log)
+        writes it, ``31.2500`` and ``57``, not as the float's ``31.25``."""
+        cfg = write_cfg(tmp_path, "radio 30 0\ncluster N1 1.1\nrounds 3\nenv temp_c 31.5\n"
+                        "env co_ppm 60\nalert hot temp_c GT 30 WARN\n"
+                        "alert co_high co_ppm GT 50 DANGER\n")
+        told = {}
+        with subprocess.Popen(
+            [sys.executable, "-u", "-m", "wsnmon.cli", "run", cfg,
+             "--out", str(tmp_path / "t.log"), "--serve", "--port", "0"],
+            env=src_env(), stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            try:
+                port = int(proc.stderr.readline().strip().rsplit(":", 1)[1])
+                for line in iter(proc.stderr.readline, ""):
+                    if not line.startswith("ALERT "):
+                        break
+                    _, severity, rule_id, node, rnd, value = line.split()
+                    told[rule_id, node.removeprefix("node=")] = (
+                        rnd.removeprefix("round="), value.removeprefix("value="), severity)
+                assert line.startswith("ran 3 rounds")
+                assert "still serving" in proc.stderr.readline()
+                assert main(["fetch", "--port", str(port), "ALERTS"]) == 0
+            finally:
+                proc.terminate()
+                proc.wait(timeout=10)
+        listed = {(rule_id, node): (rnd, value, severity) for rule_id, node, rnd, value, severity
+                  in (line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1])}
+        assert {rule_id for rule_id, _ in listed} == {"hot", "co_high"}
+        assert told == listed
 
     @pytest.mark.skipif(os.name != "posix", reason="sends SIGTERM")
     def test_sigterm_after_the_last_round_closes_the_gateway(self, tmp_path):

@@ -3,13 +3,13 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import desk_topology, format_topology
+from helpers import build_tree, desk_topology, format_topology
 from wsnmon.alerts import Comparator, Severity
 from wsnmon.config import RunConfig, parse_config
 from wsnmon.environment import Channel, ChannelModel
 from wsnmon.errors import ConfigError
 from wsnmon.netsim import LinkOutage
-from wsnmon.topology import RadioSpec, build_topology
+from wsnmon.topology import RadioSpec
 
 DESK_CFG = """\
 # two clusters of two leaflets each
@@ -69,9 +69,14 @@ class TestParse:
         assert (run.sim.hop_latency_ms, run.sim.field.seed) == (25, 99)
 
     def test_positions(self):
-        text = "radio 100 0\ncluster N1 1.1\npos BS 0 0\npos N1 30 0\npos 1.1 30 25.5\n"
-        run = parse_config(text)
-        assert run.sim.topology.positions["1.1"] == (30.0, 25.5)
+        """A leaflet exactly at the radio's range is in range, one just beyond
+        it is refused on its pos line, and the tree keeps no positions."""
+        placed = "radio 100 0\ncluster N1 1.1\npos BS 0 0\npos N1 30 0\npos 1.1 90 {}\n"
+        topology = parse_config(placed.format("80")).sim.topology  # 60, 80: 100 m
+        assert topology == parse_config("radio 100 0\ncluster N1 1.1\n").sim.topology
+        err = parse_error(placed.format("80.001"))
+        assert err.line_no == 5
+        assert err.message == "line 5: link N1-1.1 spans 100.0 m > range 100.0 m"
 
     def test_env_walk(self):
         run = parse_config(DESK_CFG + "env temp_c 20 walk 0.5\n")
@@ -309,12 +314,9 @@ class TestErrors:
 
 class TestFormatTopology:
     def test_round_trip_with_positions(self):
-        topo = build_topology(
-            [("N1", ["1.1", "1.2"]), ("N2", [])],
-            RadioSpec(45.0, 0.25),
-            positions={"BS": (0.0, 0.0), "N1": (30.0, 0.0), "1.1": (30.0, 20.5)},
-        )
-        text = format_topology(topo)
+        positions = {"BS": (0.0, 0.0), "N1": (30.0, 0.0), "1.1": (30.0, 20.5)}
+        topo = build_tree([("N1", ["1.1", "1.2"]), ("N2", [])], RadioSpec(45.0, 0.25), positions)
+        text = format_topology(topo, positions)
         assert parse_config(text).sim.topology == topo
 
     def test_output_is_plain_directives(self):

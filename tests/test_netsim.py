@@ -299,20 +299,20 @@ class TestReferenceRound:
         assert "".join(trace_line(ev) + "\n" for ev in events) == trace
         assert events == trace_events(trace)  # times are ints
         dropped = trace.count(" LINK_DROP ")
-        assert summary == SimSummary(cfg.rounds, len(events) - dropped, dropped)
+        assert summary == SimSummary(len(events) - dropped, dropped)
 
 
 class TestRunSimulation:
     def test_desk_summary(self):
         """100 failure-free rounds of the 12-message protocol."""
         snaps, summary = collect(make_config(rounds=100))
-        assert summary == SimSummary(100, 1200, 0)
+        assert summary == SimSummary(1200, 0)
         assert [s.round for s in snaps] == list(range(100))
         assert all(s.time_ms == s.round * 1000 for s in snaps)
 
     def test_single_head_summary(self):
         snaps, summary = collect(make_config(clusters=[("N1", [])], rounds=1))
-        assert summary == SimSummary(1, 2, 0)
+        assert summary == SimSummary(2, 0)
 
     def test_certain_failure(self):
         snaps, summary = collect(make_config(failure_prob=1.0, rounds=100))

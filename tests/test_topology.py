@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     DESK_CLUSTERS,
+    build_tree,
     desk_topology,
     enumerate_round_messages,
     format_topology,
@@ -14,7 +15,7 @@ from helpers import (
 )
 from wsnmon.config import parse_config
 from wsnmon.errors import TopologyError
-from wsnmon.topology import RadioSpec, build_topology
+from wsnmon.topology import RadioSpec, TreeTopology
 
 
 class TestBuildTopology:
@@ -22,43 +23,46 @@ class TestBuildTopology:
         """Two heads with two leaflets each: 6 sensing nodes plus the root."""
         t = desk_topology()
         assert len(t.children) == 7
-        assert t.root == "BS"
-        assert t.cluster_heads() == ("N1", "N2")
+        assert t.root == TreeTopology.root == "BS"
+        assert TreeTopology._fields == ("children", "radio")
+        assert t.children[t.root] == ("N1", "N2")
         assert t.sensing_nodes() == ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
         assert t.children["N1"] == ("1.1", "1.2")
         assert t.children["2.2"] == ()  # a leaflet has no children
 
     def test_single_head_no_leaflets(self):
-        t = build_topology([("N1", [])], RadioSpec(30.0))
+        t = build_tree([("N1", [])], RadioSpec(30.0))
         assert t.sensing_nodes() == ("N1",)
 
     def test_duplicate_label(self):
         with pytest.raises(TopologyError, match="DUPLICATE_LABEL"):
-            build_topology([("N1", ["1.1", "1.1"])], RadioSpec(30.0))
+            build_tree([("N1", ["1.1", "1.1"])], RadioSpec(30.0))
         with pytest.raises(TopologyError, match="DUPLICATE_LABEL"):
-            build_topology([("N1", []), ("N1", [])], RadioSpec(30.0))
+            build_tree([("N1", []), ("N1", [])], RadioSpec(30.0))
         with pytest.raises(TopologyError, match="DUPLICATE_LABEL"):  # the root's name
-            build_topology([("N1", ["BS"])], RadioSpec(30.0))
+            build_tree([("N1", ["BS"])], RadioSpec(30.0))
 
     def test_empty_topology(self):
         with pytest.raises(TopologyError, match="EMPTY_TOPOLOGY"):
-            build_topology([], RadioSpec(30.0))
+            build_tree([], RadioSpec(30.0))
 
     def test_reserved_and_invalid_labels(self):
         for label in ("NULL", "-", "", "a b", "a,b"):
             with pytest.raises(TopologyError, match="INVALID_LABEL"):
-                build_topology([("N1", [label])], RadioSpec(30.0))
+                build_tree([("N1", [label])], RadioSpec(30.0))
 
     def test_range_violation(self):
         """A leaflet 150 m from its head cannot sit on a 100 m radio."""
         positions = {"BS": (0.0, 0.0), "N1": (10.0, 0.0), "1.1": (160.0, 0.0)}
         with pytest.raises(TopologyError, match="RANGE_VIOLATION"):
-            build_topology(DESK_CLUSTERS, RadioSpec(100.0), positions)
+            build_tree(DESK_CLUSTERS, RadioSpec(100.0), positions)
 
     def test_positions_in_range_accepted(self):
+        """Positions in range pass the check and are not kept: the tree equals
+        the unplaced one."""
         positions = {"BS": (0.0, 0.0), "N1": (10.0, 0.0), "1.1": (30.0, 0.0)}
-        t = build_topology(DESK_CLUSTERS, RadioSpec(100.0), positions)
-        assert t.positions == positions
+        t = build_tree(DESK_CLUSTERS, RadioSpec(100.0), positions)
+        assert t == build_tree(DESK_CLUSTERS, RadioSpec(100.0))
 
     def test_bad_radio(self):
         for args in [(0.0,), (math.inf,), (30.0, 1.5), (30.0, math.nan)]:
@@ -72,11 +76,11 @@ class TestRoundMessageCount:
         assert len(enumerate_round_messages(DESK_CLUSTERS)) == 12
 
     def test_degenerate(self):
-        assert round_message_count(build_topology([("N1", [])], RadioSpec(30.0))) == 2
+        assert round_message_count(build_tree([("N1", [])], RadioSpec(30.0))) == 2
 
     def test_three_by_three(self):
         clusters = [(f"N{i}", [f"{i}.{j}" for j in range(1, 4)]) for i in range(1, 4)]
-        t = build_topology(clusters, RadioSpec(30.0))
+        t = build_tree(clusters, RadioSpec(30.0))
         assert round_message_count(t) == 24
         assert len(enumerate_round_messages(clusters)) == 24
 
@@ -96,7 +100,7 @@ class TestProperties:
         rng = random.Random(0xA11CE)
         for _ in range(30):
             clusters = random_clusters(rng)
-            t = build_topology(clusters, RadioSpec(30.0))
+            t = build_tree(clusters, RadioSpec(30.0))
             heads = len(clusters)
             leaflets = sum(len(ls) for ls in dict(clusters).values())
             assert round_message_count(t) == 2 * heads + 2 * leaflets
@@ -106,13 +110,10 @@ class TestProperties:
         """Serializing a topology and parsing it back is the identity."""
         rng = random.Random(0xBEEF)
         for _ in range(20):
-            t = build_topology(random_clusters(rng), RadioSpec(30.0, rng.random()))
+            t = build_tree(random_clusters(rng), RadioSpec(30.0, rng.random()))
             assert parse_config(format_topology(t)).sim.topology == t
 
     def test_config_round_trip_with_positions(self):
-        positions = {"BS": (0.0, 0.0), "N1": (10.0, 5.5), "N2": (-3.25, 8.0)}
-        t = build_topology(
-            [("N1", ["1.1"]), ("N2", [])], RadioSpec(100.0, 0.25),
-            {**positions, "1.1": (20.0, 5.5)},
-        )
-        assert parse_config(format_topology(t)).sim.topology == t
+        positions = {"BS": (0.0, 0.0), "N1": (10.0, 5.5), "N2": (-3.25, 8.0), "1.1": (20.0, 5.5)}
+        t = build_tree([("N1", ["1.1"]), ("N2", [])], RadioSpec(100.0, 0.25), positions)
+        assert parse_config(format_topology(t, positions)).sim.topology == t

@@ -21,8 +21,8 @@ SIM = SimConfig(TOPOLOGY, default_field(), 5)
 # its cache (None: it has none)
 VALUE_CLASSES = [
     (RadioSpec, {"range_m": 30.0}, {"failure_prob": 0.0}, {"failure_prob": 0.5}, None),
-    (TreeTopology, {"root": "BS", "children": TOPOLOGY.children, "radio": RadioSpec(30.0)},
-     {"positions": {}}, {"positions": {"N1": (0.0, 0.0)}}, None),
+    (TreeTopology, {"children": TOPOLOGY.children, "radio": RadioSpec(30.0)}, {},
+     {"radio": RadioSpec(30.0, 0.5)}, None),
     (ChannelModel, {"baseline": 25.0}, {"sigma": 0.0, "script": ()}, {"sigma": 0.5}, None),
     (SensorSpec, {"channel": Channel.TEMP_C, "accuracy": 0.5, "quantum": 0.0625,
                   "min_value": -40.0, "max_value": 125.0}, {}, {"max_value": 100.0},
@@ -38,7 +38,7 @@ VALUE_CLASSES = [
      {"comparator": Comparator.LESS}, None),
     (Snapshot, {"round": 1, "time_ms": 1000, "nodes": ("N1", "1.1"), "columns": COLUMNS}, {},
      {"time_ms": 0}, snapshot_block),
-    (SimSummary, {"rounds_run": 5, "messages_sent": 60, "messages_dropped": 3}, {},
+    (SimSummary, {"messages_sent": 60, "messages_dropped": 3}, {},
      {"messages_dropped": 4}, None),
     (PartialRound, {"round": 4, "records": 2}, {}, {"round": None}, None),
     (ParsedTelemetry, {"nodes": ("N1", "1.1"), "snapshots": [], "partial": None}, {},
