@@ -340,7 +340,7 @@ def _is_count(word: str) -> bool:
 def _read_reply(reader, reply: list[str]) -> str | None:
     """Read one gateway reply into ``reply``, line by line; say what is not whole
     about it (the module docstring gives the rule), or None."""
-    first = reader.readline()
+    first = reader.readline().decode("utf-8")
     if not first:
         return "connection closed before any response"
     reply.append(first)
@@ -353,7 +353,7 @@ def _read_reply(reader, reply: list[str]) -> str | None:
             and (head[1] == "ALERTS" or _is_count(head[1]))):
         return f"not PONG, ERR <CODE> or BEGIN <round|ALERTS> <k>: {first!r}"
     while True:
-        line = reader.readline()
+        line = reader.readline().decode("utf-8")
         if not line:
             return "connection closed inside envelope"
         reply.append(line)
@@ -377,7 +377,7 @@ def cmd_fetch(args: types.SimpleNamespace) -> int:
     try:
         with socket.create_connection((args.host, args.port), timeout=10) as sock:
             sock.sendall(request.encode("utf-8") + b"\n")
-            with sock.makefile("r", encoding="utf-8", newline="\n") as reader:
+            with sock.makefile("rb") as reader:
                 fault = _read_reply(reader, reply)
     except OSError as e:
         _err(f"wsn fetch: cannot reach {args.host}:{args.port}: {e}")

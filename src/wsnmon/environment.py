@@ -3,14 +3,16 @@
 All nodes in a run share one field per channel (they sit in the same room),
 so truth depends only on (channel, round, seed). A channel's truth is a
 ``ChannelModel``: a baseline that stays constant, walks, or follows a script,
-exactly the config's ``env`` forms. A random walk is generated once per field:
-the first ``truth_at`` call for a round extends the channel's cached walk up to
-that round, later calls for any earlier or equal round read it back, so a run
-pays one Gaussian step per channel per round and ``truth_at`` is amortized
-O(1); a walk that overflows saturates at the largest finite float, so truth is
-never infinite or nan. Sensor noise is uniform and bounded by the sensor's
-accuracy figure rather than Gaussian: the hardware datasheets state an error
-bound, and a hard bound is what the tests check.
+exactly the config's ``env`` forms. A random walk keeps its position, not its
+history: the field holds each walk's step stream, the round it was last asked
+for and its value there. A later round steps on from that position, so a run
+that goes forward pays one Gaussian step per channel per round and holds the
+same few bytes at round 10 and at round 1 000 000; an earlier round replays the
+walk from round 0 with a fresh stream (the same steps summed in the same
+order, so the same value). A walk that overflows saturates at the largest
+finite float, so truth is never infinite or nan. Sensor noise is uniform and
+bounded by the sensor's accuracy figure rather than Gaussian: the hardware
+datasheets state an error bound, and a hard bound is what the tests check.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ class EnvField(Frozen):
     """Shared room-level truth for every configured channel (one room, one field)."""
 
     _fields = ("channels", "seed")
-    # _walks: (channel, baseline, sigma) -> (the walk's step stream, truth at
-    # rounds 0..len-1)
+    # _walks: (channel, baseline, sigma) -> (the walk's step stream, the round
+    # it has stepped to, truth at that round)
     __slots__ = (*_fields, "_walks")
 
     def __init__(self, channels: Mapping[Channel, ChannelModel], seed: int = 0):
@@ -114,20 +116,20 @@ class EnvField(Frozen):
 
 
 def _walk(f: EnvField, channel: Channel, model: ChannelModel, round_index: int) -> float:
-    """The walk's value at ``round_index``, extending the cached prefix as needed."""
+    """The walk's value at ``round_index``, stepped on from its last position,
+    or replayed from round 0 for an earlier round."""
     sigma = model.sigma
     key = (channel, model.baseline, sigma)  # with f.seed, all that decides the walk
-    if key not in f._walks:
+    rng, at, value = f._walks.get(key, (None, 0, 0.0))
+    if rng is None or round_index < at:
         # string seeding hashes via SHA-512, stable across processes and platforms
-        f._walks[key] = (random.Random(f"{f.seed}/walk/{channel.value}"), [model.baseline])
-    rng, values = f._walks[key]
-    value = values[-1]
-    for _ in range(len(values), round_index + 1):
+        rng, at, value = random.Random(f"{f.seed}/walk/{channel.value}"), 0, model.baseline
+    for _ in range(at, round_index):
         value += rng.gauss(0.0, sigma)  # the same steps summed in the same order
         if math.isinf(value):  # saturate, so a later step cannot make inf - inf = nan
             value = math.nextafter(value, 0.0)  # the largest finite float of its sign
-        values.append(value)
-    return values[round_index]
+    f._walks[key] = (rng, round_index, value)
+    return value
 
 
 def truth_at(f: EnvField, channel: Channel, round_index: int) -> float:

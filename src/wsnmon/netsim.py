@@ -11,10 +11,12 @@ no reading is carried across rounds.
 
 Reproducibility: all randomness comes from streams derived by fixed strings
 from ``EnvField.seed`` (the config's ``seed`` line), so identical configs give
-byte-identical runs. The environment's walk is generated once per run and
-carried forward (``truth_at`` is amortized O(1)), so a round costs the same at
-round 5 as at round 5000, and ``run_round`` still gives any round on its own,
-in any order, with the links its outages force down.
+byte-identical runs. The environment's walk keeps its position and steps on
+from it, so a run that goes forward costs one step per walking channel a
+round, the same at round 5 as at round 5000, and holds no walk history.
+``run_round`` still gives any round on its own, in any order, with the links
+its outages force down; a round earlier than the walk's position replays the
+walk from round 0.
  - drop decisions:  Random(f"{seed}/drops/{round}"), one draw per attempted
    message in emission order; a message on a forced-down link takes none;
  - noise draws:     Random(f"{seed}/noise/{round}"), consumed for every
@@ -54,21 +56,22 @@ t0+2*hop, head aggregates at t0+3*hop. A LINK_DROP event marks each lost
 message at the same timestamp. Events are ordered by time_ms, and events
 with the same time_ms keep their emission order.
 
-The trace text is the one rendering of a round's message order: each
-message's text after its time is built once per run, one string for
-delivered and one with its LINK_DROP line for lost, and a tier's text is its
-time prefix put before each line of the texts its decisions pick. With hop 0
-every event has one time, so the text follows emission order, cluster by
-cluster, rather than tier order. ``run_round`` returns that text, and
-``run_simulation``'s ``on_event`` gets each of its lines split into an
-``(time_ms, kind, src, dst)`` tuple.
+The trace text is the one rendering of a round's message order, and no
+per-run text table backs it. Each tier's text is one ``str.join`` per polled
+head (one for the head polls) over the labels in the tree's ``children``,
+whose separator carries the time, the kind and the fixed endpoint; only a
+lost message's element, its label followed by its LINK_DROP line, is built in
+the round. With hop 0 every event has one time, so the text follows emission
+order, cluster by cluster, rather than tier order. ``run_round`` returns that
+text, and ``run_simulation``'s ``on_event`` gets each of its lines split into
+an ``(time_ms, kind, src, dst)`` tuple.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import compress, islice, repeat
-from operator import getitem, itemgetter
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from ._frozen import Frozen
@@ -254,45 +257,40 @@ def _round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[bool], list
     return snapshot, polled, branches, sent, dropped
 
 
-def _trace_suffixes(topo: TreeTopology) -> tuple[list, list]:
-    """Each message's trace text after its time, as a (lost, delivered) pair:
-    the head polls, and per head its leaflet polls, their replies and its
-    aggregate."""
-
-    def texts(kind: str, src: str, dst: str) -> tuple[str, str]:
-        line = f"{kind} {src} {dst}\n"
-        return f"{line}LINK_DROP {src} {dst}\n", line
-
-    root, children = topo.root, topo.children
-    heads = children[root]
-    poll, data = "INTERRUPT_CALL", "DATA_MSG"
-    return [texts(poll, root, head) for head in heads], [
-        ([texts(poll, head, leaf) for leaf in children[head]],
-         [texts(data, leaf, head) for leaf in children[head]],
-         texts(data, head, root)) for head in heads]
+def _lines(pre: str, end: str, drop: str, labels, ok) -> str:
+    """``pre + label + end`` for each label, a lost one's (False in ``ok``)
+    followed by ``drop + label + end``: one str.join whose separator carries
+    the time, the kind and the fixed endpoint."""
+    if not ok:
+        return ""
+    if False in ok:  # only a lost message's element is built
+        labels = [x if d else f"{x}{end}{drop}{x}" for x, d in zip(labels, ok)]
+    return pre + (end + pre).join(labels) + end
 
 
-def _stamp(prefix: str, body: str) -> str:
-    """``prefix`` put in front of each line of ``body``."""
-    return prefix + body[:-1].replace("\n", "\n" + prefix) + "\n" if body else ""
-
-
-def _trace_text(suffixes: tuple[list, list], t0: int, hop: int,
+def _trace_text(topo: TreeTopology, t0: int, hop: int,
                 polled: list[bool], branches: list) -> str:
     """The round's ``trace_line`` text, one LF-terminated line per event, in
     (time, emission) order, from its decisions."""
-    head_polls, branch_suffixes = suffixes
-    # a bool decision indexes its (lost, delivered) pair
-    bodies = [("".join(map(getitem, leaf_polls, leaf_polled)),
-               "".join(map(getitem, compress(replies, leaf_polled), replied)),
-               aggregate[aggregated])
-              for (leaf_polls, replies, aggregate), (leaf_polled, replied, aggregated)
-              in zip(compress(branch_suffixes, polled), filter(None, branches))]
-    polls = "".join(map(getitem, head_polls, polled))
+    root, children = topo.root, topo.children
+    heads = children[root]
+    t1, t2, t3 = t0 + hop, t0 + 2 * hop, t0 + 3 * hop
+    data, data_drop = f"{t2} DATA_MSG ", f"{t2} LINK_DROP "
+    clusters = []  # per polled head: its leaflet polls', replies' and aggregate's text
+    for head, (leaf_polled, replied, aggregated) in zip(compress(heads, polled),
+                                                        filter(None, branches)):
+        leaves = children[head]
+        aggregate = f"{t3} DATA_MSG {head} {root}\n"
+        clusters.append((
+            _lines(f"{t1} INTERRUPT_CALL {head} ", "\n", f"{t1} LINK_DROP {head} ",
+                   leaves, leaf_polled),
+            _lines(data, f" {head}\n", data_drop, compress(leaves, leaf_polled), replied),
+            aggregate if aggregated else f"{aggregate}{t3} LINK_DROP {head} {root}\n"))
+    polls = _lines(f"{t0} INTERRUPT_CALL {root} ", "\n", f"{t0} LINK_DROP {root} ",
+                   heads, polled)
     if not hop:  # one time for every event: emission order, cluster by cluster
-        return _stamp(f"{t0} ", polls + "".join(map("".join, bodies)))
-    tiers = [polls, *map("".join, zip(*bodies))]
-    return "".join(_stamp(f"{t0 + i * hop} ", body) for i, body in enumerate(tiers))
+        return polls + "".join(map("".join, clusters))
+    return polls + "".join(map("".join, zip(*clusters)))
 
 
 def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, str]:
@@ -302,8 +300,8 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, str]:
     node's cells are None, never absent) and its trace text.
     """
     snapshot, polled, branches, _, _ = _round(cfg, round_index)
-    return snapshot, _trace_text(_trace_suffixes(cfg.topology), snapshot.time_ms,
-                                 cfg.hop_latency_ms, polled, branches)
+    return snapshot, _trace_text(cfg.topology, snapshot.time_ms, cfg.hop_latency_ms,
+                                 polled, branches)
 
 
 def run_simulation(
@@ -321,14 +319,14 @@ def run_simulation(
     label with whitespace. A failure of ``on_trace`` or ``sink`` is a
     SINK_FAILURE.
     """
-    suffixes = None if on_trace is None and on_event is None else _trace_suffixes(cfg.topology)
+    traced = on_trace is not None or on_event is not None
     sent = dropped = 0
     for round_index in range(cfg.rounds):
         snapshot, polled, branches, attempted, lost = _round(cfg, round_index)
         sent += attempted
         dropped += lost
-        text = None if suffixes is None else _trace_text(
-            suffixes, snapshot.time_ms, cfg.hop_latency_ms, polled, branches)
+        text = _trace_text(cfg.topology, snapshot.time_ms, cfg.hop_latency_ms,
+                           polled, branches) if traced else None
         if on_event is not None:
             for time_ms, kind, src, dst in map(str.split, text.splitlines()):
                 on_event((int(time_ms), kind, src, dst))

@@ -1042,7 +1042,7 @@ class TestFetch:
             assert whole is not None and out.getvalue() == whole.decode()
             assert rc == (3 if whole.startswith(b"ERR") else 0)
         with contextlib.suppress(UnicodeDecodeError):
-            if whole is not None and not reset and reply.decode():
+            if whole is not None and not reset and whole.decode():
                 assert rc != 2, err.getvalue()
 
     @pytest.mark.parametrize("reply,rc,broke", [
@@ -1056,17 +1056,21 @@ class TestFetch:
         (b"BEGIN 0 1\n" + DESK_RECORD + b"END\n", 0, None),
         (b"BEGIN ALERTS 0\nEND\n", 0, None),
         (b"ERR BUSY\n", 3, None),
+        # what follows a whole reply is not read: it decides nothing
+        (b"PONG\n\xff", 0, None),
+        (b"BEGIN 0 0\nEND\n\xff", 0, None),
+        (b"ERR BUSY\n\xff", 3, None),
     ])
     def test_only_a_whole_reply_is_printed(self, capsys, reply, rc, broke):
         """A reply is whole when its first line is PONG, ERR <CODE> or
         BEGIN <round|ALERTS> <k>, an envelope holds k lines before END, and its
         last line ends in LF; anything else exits 2, naming what broke, with
-        nothing on standard output."""
+        nothing on standard output. Bytes after a whole reply are not read."""
         with one_shot_listener(reply) as port:
             assert main(["fetch", "--port", str(port), "SNAPSHOT"]) == rc
         out, err = capsys.readouterr()
         if broke is None:
-            assert (out, err) == (reply.decode(), "")
+            assert (out, err) == (first_whole_reply(reply).decode(), "")
         else:
             assert (out, err) == ("", f"wsn fetch: bad response from 127.0.0.1:{port}: {broke}\n")
 

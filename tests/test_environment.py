@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,24 @@ class TestTruthAt:
             assert truth_at(a, Channel.TEMP_C, ra) == naive_walk(7, "temp_c", 25.0, 0.1, ra)
             assert truth_at(b, Channel.TEMP_C, rb) == naive_walk(
                 7, "temp_c", other.baseline, other.sigma, rb)
+
+    def test_a_walk_keeps_its_position_not_its_history(self):
+        """50 000 rounds of a walking channel retain under 4 KB (a kept history
+        is about 1.6 MB), and the walk still reads its naive replay going on
+        and going back."""
+        f = field_with(Channel.TEMP_C, ChannelModel(25.0, sigma=0.1), seed=7)
+        truth_at(f, Channel.TEMP_C, 1)  # the walk's stream exists before the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for r in range(2, 50_000):
+                truth_at(f, Channel.TEMP_C, r)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 4096
+        for r in (49_999, 50_000, 3):
+            assert truth_at(f, Channel.TEMP_C, r) == naive_walk(7, "temp_c", 25.0, 0.1, r)
 
     def test_overflowing_walk_saturates(self):
         """Steps past the float range saturate, so the walk never reaches inf or nan."""

@@ -2,7 +2,9 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from helpers import (
     trace_events,
 )
 from wsnmon.basestation import format_value, serialize_snapshots, snapshot_block
+from wsnmon.config import parse_config
 from wsnmon.environment import (
     DEFAULT_SPECS, Channel, ChannelModel, EnvField, sense, truth_at,
 )
@@ -109,6 +112,35 @@ class TestRunRound:
             if ev.kind == "LINK_DROP":
                 assert before.kind != "LINK_DROP"
                 assert (before.src, before.dst) == (ev.src, ev.dst)
+
+    def test_a_traced_run_holds_no_per_message_table(self):
+        """At round 1's sink a traced run of the benchmark's wide-lossy tree
+        (1200 nodes, 30% loss) holds less than 3x that round's trace text
+        more than an untraced one: the text is rendered from the tree's
+        labels, with no text kept per message across rounds."""
+        root = Path(__file__).resolve().parent.parent
+        cfg = parse_config((root / "bench" / "configs" / "wide-lossy.cfg").read_text()).sim
+        run_simulation(cfg, lambda snapshot: None)  # warms the module's caches
+
+        def held_at_round_1(on_trace):
+            held = []
+
+            def sink(snapshot):
+                if snapshot.round == 1:
+                    held.append(tracemalloc.get_traced_memory()[0])
+                    raise RuntimeError("measured")  # ends the run as a SINK_FAILURE
+
+            tracemalloc.start()
+            try:
+                with pytest.raises(SimError, match="SINK_FAILURE"):
+                    run_simulation(cfg, sink, on_trace=on_trace)
+            finally:
+                tracemalloc.stop()
+            return held[0]
+
+        lengths = []
+        traced = held_at_round_1(lambda text: lengths.append(len(text)))
+        assert traced - held_at_round_1(None) < 3 * lengths[1]
 
     def test_leaf_link_override_nulls_only_that_leaf(self):
         cfg = make_config(outages=(LinkOutage("N1", "1.1", 0, 0),))
@@ -398,7 +430,7 @@ class TestDeterminism:
         assert [run_round(cfg, r)[0] for r in range(30)] == snaps
 
     def test_run_round_in_reverse_matches_full_run(self):
-        # the walk cache must answer a round it has already passed
+        # the walk must replay a round it has already stepped past
         def walking_config():
             field = default_field(
                 seed=11, temp_c=ChannelModel(25.0, sigma=0.2),
