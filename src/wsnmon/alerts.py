@@ -58,7 +58,7 @@ def alert_line(a: Alert, channel: Channel) -> str:
     return f"{a.rule_id},{a.node},{a.round},{format_value(channel, a.value)},{a.severity.value}"
 
 
-AlertState = Mapping[tuple[str, str], bool]
+AlertState = Mapping[tuple[str, str], object]  # true for a pair that held last round
 
 _COMPARE = {Comparator.GREATER: operator.gt, Comparator.LESS: operator.lt}
 # a lost cell reads as nan, which no comparison holds for
@@ -70,8 +70,9 @@ def evaluate_alerts(
 ) -> tuple[dict[tuple[str, str], bool], list[Alert]]:
     """Advance alert state by one round; returns (new state, newly fired).
 
-    State maps (rule_id, node) to "predicate held last round". Pairs whose
-    channel is NULL or not carried this round are false in the new state.
+    In ``state``, a (rule_id, node) pair that held last round maps to a true
+    value and any other pair is absent or false. The new state maps every pair
+    to a bool, false where its channel is NULL or not carried this round.
     """
     new_state: dict[tuple[str, str], bool] = {}
     fired: list[Alert] = []

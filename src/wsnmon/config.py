@@ -15,7 +15,10 @@ co_ppm, o2_pct. Temperature and light are always equipped (defaults: 25.0
 and 512 with no drift); a gas channel is equipped by giving it an env line,
 and an alert may only watch an equipped channel. Numbers must be finite,
 written in ASCII digits without ``_`` separators.
-Every error names the offending line.
+Every error names the offending line. The tree is built by an
+``add_cluster`` step per cluster line, then ``TreeTopology``. ``pos`` lines
+are checked here and not kept: a tree link whose two ends are placed farther
+apart than the radio's range is refused on the later of its two ``pos`` lines.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .netsim import (
     LinkOutage,
     SimConfig,
 )
-from .topology import RadioSpec, add_cluster, grown_tree
+from .topology import RadioSpec, TreeTopology, add_cluster
 
 DEFAULT_ROUNDS = 100
 DEFAULT_BASELINES = {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0}
@@ -69,9 +72,8 @@ def _integer(token: str, line_no: int, what: str) -> int:
 
 def parse_config(text: str) -> RunConfig:
     radio: RadioSpec | None = None
-    children: dict = {}  # the tree, grown one cluster line at a time (topology.add_cluster)
-    positions: dict[str, tuple[float, float]] = {}
-    pos_lines: dict[str, int] = {}
+    children: dict = {}  # the tree's children map, grown by add_cluster steps
+    placed: dict[str, tuple[tuple[float, float], int]] = {}  # node -> (x, y), its pos line
     env_models: dict[Channel, ChannelModel] = {}
     outages: list[tuple[LinkOutage, int]] = []
     rules: list[tuple[AlertRule, int]] = []
@@ -104,13 +106,10 @@ def parse_config(text: str) -> RunConfig:
             elif directive == "pos":
                 if len(args) != 3:
                     raise ConfigError("pos takes <node_id> <x> <y>", line_no)
-                if args[0] in positions:
+                if args[0] in placed:
                     raise ConfigError(f"duplicate pos for {args[0]!r}", line_no)
-                positions[args[0]] = (
-                    _number(args[1], line_no, "x"),
-                    _number(args[2], line_no, "y"),
-                )
-                pos_lines[args[0]] = line_no
+                xy = (_number(args[1], line_no, "x"), _number(args[2], line_no, "y"))
+                placed[args[0]] = (xy, line_no)
 
             elif directive in ("rounds", "period_ms", "hop_ms", "seed"):
                 if directive in scalars:
@@ -185,14 +184,19 @@ def parse_config(text: str) -> RunConfig:
     if radio is None:
         radio = RadioSpec(range_m=30.0, failure_prob=0.0)
 
-    try:
-        topology = grown_tree(children, radio, positions)
-    except TopologyError as e:
-        # each cluster line was checked as it was added, so only a link out of
-        # radio range is left; it is known once the later endpoint is placed
-        raise ConfigError(e.message, max(pos_lines[node] for node in e.link)) from None
-    for node, line_no in pos_lines.items():
-        if node not in topology.children:
+    topology = TreeTopology(children, radio)
+    for parent, kids in children.items():
+        for kid in kids:
+            if parent in placed and kid in placed:
+                (a, a_line), (b, b_line) = placed[parent], placed[kid]
+                dist = math.dist(a, b)
+                if dist > radio.range_m:
+                    raise ConfigError(
+                        f"link {parent}-{kid} spans {dist:.1f} m > range {radio.range_m} m",
+                        max(a_line, b_line),
+                    )
+    for node, (_, line_no) in placed.items():
+        if node not in children:
             raise ConfigError(f"pos for unknown node {node!r}", line_no)
 
     for channel, baseline in DEFAULT_BASELINES.items():

@@ -84,8 +84,7 @@ class Gateway:
             stop = start + 1 + len(topology.children[head])
             self._clusters.append(("CLUSTER " + head, start, stop))
         self._round = -1
-        self._edge_state: dict[tuple[str, str], bool] = {}
-        self._active: dict[tuple[str, str], str] = {}  # alert lines, rendered on firing
+        self._active: dict[tuple[str, str], str] = {}  # a held pair's alert line
         self._responses: dict[str, str] = {}
 
     def publish(self, s: Snapshot) -> list[Alert]:
@@ -95,13 +94,13 @@ class Gateway:
             raise ValueError(f"round {s.round} after round {self._round}")
         if s.nodes != self._nodes:
             raise ValueError(f"round {s.round}: snapshot nodes do not match the topology")
-        self._edge_state, fired = evaluate_alerts(self.rules, s, self._edge_state)
         active = self._active
+        held, fired = evaluate_alerts(self.rules, s, active)
         for a in fired:
             active[(a.rule_id, a.node)] = alert_line(a, self._channel_of[a.rule_id]) + "\n"
-        # a pair is active exactly while it holds, and the state is in
-        # rule, then node order: the order ALERTS lists them in
-        self._active = {k: active[k] for k, holds in self._edge_state.items() if holds}
+        # a pair is active exactly while it holds, and ``held`` is in rule,
+        # then node order: the order ALERTS lists them in
+        self._active = {k: active[k] for k, holds in held.items() if holds}
         self._responses = self._render(s.round, block)
         self._round = s.round
         return fired

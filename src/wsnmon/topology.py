@@ -3,14 +3,15 @@
 The tree is fixed at depth 2 below the root, ``BS``, and is its children
 map and its radio. Children lists keep their configuration order, which is
 what makes polling (and therefore the whole simulation) deterministic.
-Topology values are immutable. Node positions serve only the radio range
-check when the tree is built; the tree does not keep them.
+Topology values are immutable. A tree is built by ``add_cluster`` steps,
+then ``TreeTopology``; node positions, and their radio range check, belong
+to ``config.parse_config``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ._frozen import Frozen
 # the log header's rule for a node label, and the root it may not name
@@ -39,17 +40,22 @@ class TreeTopology(Frozen):
     ``children`` maps every node, the root included, to its ordered child
     tuple: the root's children are the cluster heads, a head's are its
     leaflets, and a leaflet's is empty. It is the only description of the
-    tree; treat it as read-only. ``add_cluster`` steps and ``grown_tree``
-    build it and check its invariants.
+    tree; treat it as read-only. ``add_cluster`` steps grow ``children`` and
+    check its labels; the constructor takes it over, the root's head list
+    made a tuple, and raises EMPTY_TOPOLOGY when the root has no heads.
     """
 
     _fields = ("children", "radio")
     __slots__ = (*_fields, "_nodes")
     root = DEFAULT_ROOT
 
-    def __init__(self, children: Mapping[str, tuple[str, ...]], radio: RadioSpec):
+    def __init__(self, children: dict, radio: RadioSpec):
+        heads = tuple(children.get(self.root, ()))
+        if not heads:
+            raise TopologyError("EMPTY_TOPOLOGY", "at least one cluster head is required")
+        children[self.root] = heads  # add_cluster grows it as a list
         nodes: list[str] = []
-        for head in children[self.root]:
+        for head in heads:
             nodes.append(head)
             nodes.extend(children[head])
         self._init(children, radio, tuple(nodes))
@@ -84,27 +90,3 @@ def add_cluster(children: dict, head: str, leaves: Sequence[str]) -> None:
         children[label] = ()
     children[head] = tuple(leaves)
     heads.append(head)
-
-
-def grown_tree(children: dict, radio: RadioSpec,
-               positions: Mapping[str, tuple[float, float]]) -> TreeTopology:
-    """The topology of ``children`` grown by ``add_cluster`` steps. Raises
-    EMPTY_TOPOLOGY, or RANGE_VIOLATION for a link whose two endpoints
-    ``positions`` places farther apart than the radio's range (the error's
-    ``link`` is its ``(parent, child)`` pair). A link with an unplaced
-    endpoint is not checked, and the tree does not keep the positions."""
-    if not children:
-        raise TopologyError("EMPTY_TOPOLOGY", "at least one cluster head is required")
-    children[DEFAULT_ROOT] = tuple(children[DEFAULT_ROOT])
-    for parent, kids in children.items():
-        for kid in kids:
-            if parent in positions and kid in positions:
-                dist = math.dist(positions[parent], positions[kid])
-                if dist > radio.range_m:
-                    e = TopologyError(
-                        "RANGE_VIOLATION",
-                        f"link {parent}-{kid} spans {dist:.1f} m > range {radio.range_m} m",
-                    )
-                    e.link = (parent, kid)  # lets parse_config name the pos line
-                    raise e
-    return TreeTopology(children, radio)

@@ -16,7 +16,7 @@ from wsnmon.basestation import format_value
 from wsnmon.environment import DEFAULT_SPECS, Channel, ChannelModel, EnvField, sense
 from wsnmon.netsim import SimConfig
 from wsnmon.records import Snapshot
-from wsnmon.topology import RadioSpec, TreeTopology, add_cluster, grown_tree
+from wsnmon.topology import RadioSpec, TreeTopology, add_cluster
 
 DESK_CLUSTERS = [("N1", ["1.1", "1.2"]), ("N2", ["2.1", "2.2"])]
 DESK_NODES = ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
@@ -24,13 +24,14 @@ DESK_NODES = ("N1", "1.1", "1.2", "N2", "2.1", "2.2")
 GAS_CHANNELS = (Channel.CH4_PPM, Channel.CO_PPM, Channel.O2_PCT)
 
 
-def build_tree(clusters, radio: RadioSpec, positions=None) -> TreeTopology:
+def build_tree(clusters, radio: RadioSpec) -> TreeTopology:
     """The tree of ``(head, leaflets)`` pairs, built as ``parse_config`` builds
-    one: an ``add_cluster`` step per pair, then ``grown_tree``."""
+    one: an ``add_cluster`` step per pair, then ``TreeTopology``. Positions,
+    and their radio range check, are ``parse_config``'s alone."""
     children: dict = {}
     for head, leaves in clusters:
         add_cluster(children, head, leaves)
-    return grown_tree(children, radio, positions or {})
+    return TreeTopology(children, radio)
 
 
 def desk_topology(failure_prob: float = 0.0, range_m: float = 30.0):

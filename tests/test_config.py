@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import build_tree, desk_topology, format_topology
+from helpers import DESK_CLUSTERS, build_tree, desk_topology, format_topology
 from wsnmon.alerts import Comparator, Severity
 from wsnmon.config import RunConfig, parse_config
 from wsnmon.environment import Channel, ChannelModel
@@ -312,10 +312,48 @@ class TestErrors:
             assert e.line_no is not None or "no cluster lines" in e.message, e
 
 
+DESK_100 = "radio 100 0\ncluster N1 1.1 1.2\ncluster N2 2.1 2.2\n"  # lines 1-3
+
+
+class TestRadioRange:
+    """Every tree link whose two ends have pos lines spans at most the radio's
+    range; the first link beyond it, in the tree's order, is refused on the
+    later of its two pos lines."""
+
+    def test_range_violation(self):
+        """A leaflet 150 m from its head cannot sit on a 100 m radio."""
+        err = parse_error(DESK_100 + "pos BS 0 0\npos N1 10 0\npos 1.1 160 0\n")
+        assert err.line_no == 6
+        assert err.message == "line 6: link N1-1.1 spans 150.0 m > range 100.0 m"
+
+    def test_positions_in_range_accepted(self):
+        """Positions in range pass the check and are not kept: the tree equals
+        the unplaced one."""
+        run = parse_config(DESK_100 + "pos BS 0 0\npos N1 10 0\npos 1.1 30 0\n")
+        assert run.sim.topology == build_tree(DESK_CLUSTERS, RadioSpec(100.0))
+
+    def test_pos_lines_before_the_cluster_lines(self):
+        err = parse_error("radio 100 0\npos 1.1 160 0\npos N1 10 0\ncluster N1 1.1\n")
+        assert err.line_no == 3
+        assert err.message == "line 3: link N1-1.1 spans 150.0 m > range 100.0 m"
+
+    def test_a_head_out_of_range_of_the_base_station(self):
+        err = parse_error(DESK_100 + "pos N2 0 120\npos 2.1 0 150\npos BS 0 0\n")
+        assert err.line_no == 6
+        assert err.message == "line 6: link BS-N2 spans 120.0 m > range 100.0 m"
+
+    def test_the_first_link_in_tree_order_is_named(self):
+        """N1-1.1 comes before N2-2.2 in the tree, though its pos lines come
+        after theirs in the file."""
+        err = parse_error(DESK_100 + "pos N2 0 0\npos 2.2 0 200\npos N1 0 0\npos 1.1 0 300\n")
+        assert err.line_no == 7
+        assert err.message == "line 7: link N1-1.1 spans 300.0 m > range 100.0 m"
+
+
 class TestFormatTopology:
     def test_round_trip_with_positions(self):
         positions = {"BS": (0.0, 0.0), "N1": (30.0, 0.0), "1.1": (30.0, 20.5)}
-        topo = build_tree([("N1", ["1.1", "1.2"]), ("N2", [])], RadioSpec(45.0, 0.25), positions)
+        topo = build_tree([("N1", ["1.1", "1.2"]), ("N2", [])], RadioSpec(45.0, 0.25))
         text = format_topology(topo, positions)
         assert parse_config(text).sim.topology == topo
 

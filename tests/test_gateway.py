@@ -94,6 +94,15 @@ class TestEvaluateAlerts:
         assert len(fired) == len(DESK_NODES)
         assert all(a.severity is Severity.DANGER for a in fired)
 
+    def test_a_true_state_value_is_a_held_pair(self):
+        """The gateway passes its alert lines as the state: a pair mapped to
+        its line held last round, so it does not fire again; the new state
+        maps every pair to a bool."""
+        s = co_snapshot(1, {"N1": 60, "N2": 70})
+        state, fired = evaluate_alerts([CO_RULE], s, {("co_high", "N1"): "<line>"})
+        assert [a.node for a in fired] == ["N2"]
+        assert state == {("co_high", n): n in ("N1", "N2") for n in DESK_NODES}
+
     def test_threshold_is_exclusive(self):
         fired = replay([CO_RULE], [co_snapshot(0, {"N1": 50})])
         assert fired == []
