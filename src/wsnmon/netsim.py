@@ -38,9 +38,9 @@ come from those decision lists, and ``SimSummary``'s counts are kept by the
 walk that takes them.
 
 A round is built as columns: once the links are decided, every noise draw is
-taken, but only the cells of the nodes whose data arrives are sensed; every
-other cell is None. The Snapshot holds one column per equipped channel; no
-per-node object is built.
+taken in its fixed order, but only the draws of the cells whose data arrives
+are kept, and only those cells are sensed; every other cell is None. The
+Snapshot holds one column per equipped channel; no per-node object is built.
 
 Sensing by step lookup: ``environment.sense`` is the one definition of a
 sensed value, and its value depends only on the spec and the quantization
@@ -64,7 +64,8 @@ lost message's element, its label followed by its LINK_DROP line, is built in
 the round. With hop 0 every event has one time, so the text follows emission
 order, cluster by cluster, rather than tier order. ``run_round`` returns that
 text, and ``run_simulation``'s ``on_event`` gets each of its lines split into
-an ``(time_ms, kind, src, dst)`` tuple.
+an ``(time_ms, kind, src, dst)`` tuple; ``run_simulation`` releases a round's
+text once ``on_trace`` has written it, before the sink runs.
 """
 
 from __future__ import annotations
@@ -238,20 +239,23 @@ def _round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[bool], list
     nodes = topo.sensing_nodes()
     sensors = cfg.sensors
     width = len(sensors)
-    noise = random.Random(f"{cfg.field.seed}/noise/{round_index}")
-    # the round's draws in their fixed order, node by node, sensor by sensor,
-    # lost nodes included
-    draws = list(map(random.Random.random, repeat(noise, len(nodes) * width)))
-    # only the delivered cells are sensed; rank maps a cell to its place among
-    # them, 0 (None) for a lost one
+    # only the delivered cells are sensed; rank maps a node to its place among
+    # them, 0 (None) for a lost one, and each of its cells takes its rank
     rank = [0] * len(nodes)
     for place, i in enumerate(delivered, 1):
         rank[i] = place
+    cells = [0] * (len(nodes) * width)
+    for i in range(width):
+        cells[i::width] = rank
+    noise = random.Random(f"{cfg.field.seed}/noise/{round_index}")
+    # every draw is taken in its fixed order, node by node, sensor by sensor,
+    # lost nodes included; only the delivered cells' draws are kept
+    kept = list(compress(map(random.Random.random, repeat(noise, len(cells))), cells))
     place_cells = itemgetter(0, *rank)  # the leading 0 keeps a tuple for one node
     columns = {}
     for i, spec in enumerate(sensors):
         sensed = _sense_column(spec, truth_at(cfg.field, spec.channel, round_index),
-                               list(compress(draws[i::width], rank)))
+                               kept[i::width])
         columns[spec.channel] = place_cells([None, *sensed])[1:]
     snapshot = Snapshot(round_index, round_index * cfg.round_period_ms, nodes, columns)
     return snapshot, polled, branches, sent, dropped
@@ -333,6 +337,7 @@ def run_simulation(
         try:
             if on_trace is not None:
                 on_trace(text)
+            text = None  # written: not held by the sink nor while the next round is built
             sink(snapshot)
         except Exception as e:
             raise SimError(

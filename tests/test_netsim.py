@@ -31,10 +31,43 @@ from wsnmon.errors import EnvError, SimError, TopologyError
 from wsnmon.netsim import (
     LinkOutage,
     SimSummary,
+    _round,
     run_round,
     run_simulation,
     trace_line,
 )
+
+
+# the benchmark's wide-lossy tree: 1200 nodes, 30% loss
+WIDE_LOSSY = Path(__file__).resolve().parent.parent / "bench" / "configs" / "wide-lossy.cfg"
+
+
+def traced_extra_at_round_1() -> tuple[int, int]:
+    """How many bytes more tracemalloc counts as held when round 1 of the
+    wide-lossy tree reaches the sink of a traced ``run_simulation`` than of an
+    untraced one, and the length of round 1's trace text."""
+    cfg = parse_config(WIDE_LOSSY.read_text()).sim
+    run_simulation(cfg, lambda snapshot: None)  # warms the module's caches
+
+    def held_at_round_1(on_trace):
+        held = []
+
+        def sink(snapshot):
+            if snapshot.round == 1:
+                held.append(tracemalloc.get_traced_memory()[0])
+                raise RuntimeError("measured")  # ends the run as a SINK_FAILURE
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimError, match="SINK_FAILURE"):
+                run_simulation(cfg, sink, on_trace=on_trace)
+        finally:
+            tracemalloc.stop()
+        return held[0]
+
+    lengths = []
+    traced = held_at_round_1(lambda text: lengths.append(len(text)))
+    return traced - held_at_round_1(None), lengths[1]
 
 
 def collect(cfg):
@@ -118,29 +151,36 @@ class TestRunRound:
         (1200 nodes, 30% loss) holds less than 3x that round's trace text
         more than an untraced one: the text is rendered from the tree's
         labels, with no text kept per message across rounds."""
-        root = Path(__file__).resolve().parent.parent
-        cfg = parse_config((root / "bench" / "configs" / "wide-lossy.cfg").read_text()).sim
-        run_simulation(cfg, lambda snapshot: None)  # warms the module's caches
+        extra, text_length = traced_extra_at_round_1()
+        assert extra < 3 * text_length
 
-        def held_at_round_1(on_trace):
-            held = []
+    def test_no_trace_text_is_held_at_the_sink(self):
+        """At round 1's sink a traced run of the benchmark's wide-lossy tree
+        holds less than half of that round's trace text more than an untraced
+        one: a round's text is released once it is written."""
+        extra, text_length = traced_extra_at_round_1()
+        assert extra < text_length / 2
 
-            def sink(snapshot):
-                if snapshot.round == 1:
-                    held.append(tracemalloc.get_traced_memory()[0])
-                    raise RuntimeError("measured")  # ends the run as a SINK_FAILURE
-
-            tracemalloc.start()
-            try:
-                with pytest.raises(SimError, match="SINK_FAILURE"):
-                    run_simulation(cfg, sink, on_trace=on_trace)
-            finally:
-                tracemalloc.stop()
-            return held[0]
-
-        lengths = []
-        traced = held_at_round_1(lambda text: lengths.append(len(text)))
-        assert traced - held_at_round_1(None) < 3 * lengths[1]
+    def test_a_round_keeps_no_lost_cells_draws(self):
+        """A round of the wide-lossy tree at 90% loss, after three warm-up
+        rounds, peaks less than 200 KB above where it began: every noise draw
+        is taken, but only the delivered cells' are kept. Keeping one float
+        per cell (4800 cells, a 24-byte float and an 8-byte list slot each,
+        150 KB) would exceed it."""
+        text = WIDE_LOSSY.read_text()
+        radio = next(line for line in text.splitlines() if line.startswith("radio "))
+        lossy = text.replace(radio, " ".join([*radio.split()[:2], "0.9"]))
+        cfg = parse_config(lossy).sim
+        for round_index in range(3):  # warms the step tables and the walk
+            _round(cfg, round_index)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _round(cfg, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 200 * 1024
 
     def test_leaf_link_override_nulls_only_that_leaf(self):
         cfg = make_config(outages=(LinkOutage("N1", "1.1", 0, 0),))
