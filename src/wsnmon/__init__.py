@@ -16,17 +16,16 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "alerts": ("Alert", "AlertRule", "Comparator", "Severity", "evaluate_alerts"),
-    "basestation": ("LatestMirror", "ParsedTelemetry", "PartialRound", "TelemetryReader",
-                    "TelemetryWriter", "parse_record", "parse_telemetry",
+    "basestation": ("LatestMirror", "ParsedTelemetry", "PartialRound", "Snapshot",
+                    "TelemetryReader", "TelemetryWriter", "parse_record", "parse_telemetry",
                     "serialize_snapshots"),
     "config": ("RunConfig", "parse_config"),
     "environment": ("Channel", "ChannelModel", "EnvField", "SensorSpec", "sense", "truth_at"),
     "errors": ("ConfigError", "EnvError", "GatewayError", "SimError", "TelemetryError",
                "TopologyError", "WsnError"),
     "gateway": ("Gateway", "serve"),
-    "netsim": ("LinkOutage", "SimConfig", "SimSummary", "run_round", "run_simulation"),
-    "records": ("Snapshot",),
-    "topology": ("RadioSpec", "TreeTopology"),
+    "netsim": ("LinkOutage", "RadioSpec", "SimConfig", "SimSummary", "TreeTopology",
+               "run_round", "run_simulation"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -18,10 +18,9 @@ from itertools import compress, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from ._frozen import Frozen
-from .basestation import format_value
+from .basestation import Snapshot, format_value
 from .environment import Channel
 from .errors import GatewayError
-from .records import Snapshot
 
 
 class Comparator(Enum):

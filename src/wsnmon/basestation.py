@@ -1,4 +1,10 @@
-"""Append-only telemetry log: serialization, exact parsing, and the writer.
+"""A round's record and its append-only log: the Snapshot, serialization,
+exact parsing, and the writer.
+
+A ``Snapshot`` holds one collection round as columns, one per channel the
+round carries, a cell per node. A channel the round lacks is a missing
+column, never a marker in some cells, and a row is read as a dict only on
+demand (``Snapshot.reading_for``).
 
 File format (UTF-8, LF line endings):
 
@@ -64,11 +70,11 @@ import os
 import stat
 from itertools import islice, repeat
 from operator import is_, itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from ._frozen import Frozen
 from .environment import Channel
 from .errors import TelemetryError, TopologyError
-from .records import Snapshot
 
 MAGIC = "#WSNLOG"
 VERSION = "v1"
@@ -86,7 +92,7 @@ DEFAULT_ROOT = "BS"  # the base station: every tree's root, never a sensing node
 
 def validate_label(label: str) -> None:
     """Reject a node label that cannot survive the config and telemetry
-    grammars: ``topology`` checks each config label with it, and
+    grammars: ``netsim.add_cluster`` checks each config label with it, and
     ``parse_header`` each node the log header names."""
     if not label:
         raise TopologyError("INVALID_LABEL", "empty node label")
@@ -140,6 +146,35 @@ def parse_header(line: str) -> tuple[str, ...]:
             raise TelemetryError("BAD_HEADER", f"node {node!r} named twice", line_no=1)
         seen.add(node)
     return nodes
+
+
+class Snapshot(Frozen):
+    """All readings of one collection round, in deterministic topology order.
+
+    ``nodes`` names the round's sensing nodes once, and ``columns`` maps each
+    carried channel to a tuple of one cell per node: temperature and light
+    always (the demonstration hardware carried both), a gas channel only
+    when the run has one. A cell is a number, or None when the node's data
+    was lost. Loss takes a node's whole reading, so a row is NULL exactly
+    when its temperature cell is None. The round's record block is rendered
+    into the ``_block`` cache on first use (``snapshot_block``), so every
+    sink shares one string.
+    """
+
+    _fields = ("round", "time_ms", "nodes", "columns")
+    __slots__ = (*_fields, "_block")
+
+    def __init__(self, round: int, time_ms: int, nodes: tuple[str, ...],
+                 columns: Mapping[Channel, tuple[float | None, ...]]):
+        self._init(round, time_ms, nodes, columns, None)
+
+    def reading_for(self, node: str) -> dict[Channel, float | None] | None:
+        """The row of ``node`` as ``{channel: cell}``, or None if the round lacks it."""
+        try:
+            i = self.nodes.index(node)
+        except ValueError:
+            return None
+        return {channel: column[i] for channel, column in self.columns.items()}
 
 
 # the size bound of the writer's text caches (per column, value -> text; None

@@ -6,10 +6,9 @@ import sys
 import time
 import types
 
-from .basestation import LatestMirror, TelemetryReader, TelemetryWriter, format_value
+from .basestation import LatestMirror, Snapshot, TelemetryReader, TelemetryWriter, format_value
 from .environment import channel_from_token
 from .errors import ConfigError, EnvError, SimError, TelemetryError, WsnError
-from .records import Snapshot
 
 # The module's docstring, kept as a constant that python -OO does not strip:
 # -h prints it, and a usage error prints its second paragraph, the command lines.
@@ -34,7 +33,8 @@ naming its line) / 2 runtime failure or two outputs naming one file (refused
 before any file is created) / 130 interrupted before the last round (the log
 keeps every whole round); fetch 0 ok / 3 ERR response / 2 connection or output
 failure, or a reply that is not whole (``PONG``, ``ERR <CODE>``, or
-``BEGIN <round|ALERTS> <k>``, k lines and ``END``, each line ending in LF);
+``BEGIN <round|ALERTS> <k>``, k lines and ``END``, each line ending in LF; k
+has at most 5 digits, and a line is at most 65536 bytes, its LF included);
 plotdata 0 ok / 1 bad input / 2 output failure. A failed write to standard
 output is reported as ``cannot write output: ...``. ``wsn run`` takes SIGTERM
 as it takes SIGINT, between log appends: before the last round it exits 130,
@@ -43,6 +43,11 @@ and a served run after its last round closes the gateway and exits 0.
 __doc__ = HELP_TEXT
 
 DEFAULT_PORT = 7070  # the gateway's port for `run --serve` and `fetch`
+# A gateway reply line, LF included, is read to at most this many bytes: well
+# above the longest the gateway writes, a record line whose round and time
+# have thousands of digits. An envelope's k has at most MAX_COUNT_DIGITS digits.
+MAX_REPLY_LINE = 65536
+MAX_COUNT_DIGITS = 5
 _DAY_MS = 86_400_000  # the longest sleep --pace asks for at once
 
 
@@ -337,33 +342,52 @@ def _is_count(word: str) -> bool:
     return word.isascii() and word.isdigit()
 
 
-def _read_reply(reader, reply: list[str]) -> str | None:
-    """Read one gateway reply into ``reply``, line by line; say what is not whole
-    about it (the module docstring gives the rule), or None."""
-    first = reader.readline().decode("utf-8")
-    if not first:
-        return "connection closed before any response"
-    reply.append(first)
-    if not first.endswith("\n"):
-        return f"connection closed inside the line {first!r}"
+def _quoted(text: str) -> str:
+    """``text`` quoted, cut to its first 80 characters."""
+    return repr(text) if len(text) <= 80 else f"{text[:80]!r}..."
+
+
+class _NotWhole(Exception):
+    """Says what is not whole about a gateway reply."""
+
+
+def _reply_line(reader, where: str) -> str:
+    """The reply's next line, LF included; ``where`` names the place of a
+    connection that closes before it."""
+    raw = reader.readline(MAX_REPLY_LINE)
+    if not raw:
+        raise _NotWhole(f"connection closed {where}")
+    if raw[-1:] != b"\n":
+        if len(raw) == MAX_REPLY_LINE:  # the rest of the line is never read
+            head = _quoted(raw.decode("utf-8", "replace"))
+            raise _NotWhole(f"a line longer than {MAX_REPLY_LINE} bytes: {head}")
+        raise _NotWhole(f"connection closed inside the line {_quoted(raw.decode('utf-8'))}")
+    return raw.decode("utf-8")
+
+
+def _read_reply(reader) -> list[str]:
+    """One gateway reply's lines, read line by line up to its last; raises
+    _NotWhole, saying what is not whole about it (the module docstring gives
+    the rule)."""
+    first = _reply_line(reader, "before any response")
     head = first[:-1].split(" ")
     if first == "PONG\n" or (len(head) == 2 and head[0] == "ERR" and head[1]):
-        return None
+        return [first]
     if not (len(head) == 3 and head[0] == "BEGIN" and _is_count(head[2])
             and (head[1] == "ALERTS" or _is_count(head[1]))):
-        return f"not PONG, ERR <CODE> or BEGIN <round|ALERTS> <k>: {first!r}"
-    while True:
-        line = reader.readline().decode("utf-8")
-        if not line:
-            return "connection closed inside envelope"
+        raise _NotWhole(f"not PONG, ERR <CODE> or BEGIN <round|ALERTS> <k>: {_quoted(first)}")
+    said = head[2]
+    if len(said) > MAX_COUNT_DIGITS:  # int() refuses long digit runs, too
+        raise _NotWhole(f"BEGIN's k has more than {MAX_COUNT_DIGITS} digits")
+    reply = [first]
+    for j in range(int(said) + 1):  # k lines and END, at most
+        line = _reply_line(reader, "inside envelope")
         reply.append(line)
-        if not line.endswith("\n"):
-            return f"connection closed inside the line {line!r}"
         if line == "END\n":
-            break
-    if head[2] != str(len(reply) - 2):  # compared as text: int() refuses long digit runs
-        return f"BEGIN says {head[2]} lines, END comes after {len(reply) - 2}"
-    return None
+            if said != str(j):  # compared as text: "01" is not a k the gateway writes
+                raise _NotWhole(f"BEGIN says {said} lines, END comes after {j}")
+            return reply
+    raise _NotWhole(f"BEGIN says {said} lines, then {_quoted(line)}, not END")
 
 
 def cmd_fetch(args: types.SimpleNamespace) -> int:
@@ -373,20 +397,20 @@ def cmd_fetch(args: types.SimpleNamespace) -> int:
     import socket  # imported here: run and plotdata do not need it
 
     request = " ".join([args.verb, *args.args])
-    reply: list[str] = []  # written once the exchange ends, so a write failure is told apart
     try:
         with socket.create_connection((args.host, args.port), timeout=10) as sock:
             sock.sendall(request.encode("utf-8") + b"\n")
             with sock.makefile("rb") as reader:
-                fault = _read_reply(reader, reply)
+                # written once the exchange ends, so a write failure is told apart
+                reply = _read_reply(reader)
     except OSError as e:
         _err(f"wsn fetch: cannot reach {args.host}:{args.port}: {e}")
         return 2
     except UnicodeDecodeError as e:
         _err(f"wsn fetch: response from {args.host}:{args.port} is not UTF-8: {e}")
         return 2
-    if fault is not None:  # nothing of a reply that is not whole reaches standard output
-        _err(f"wsn fetch: bad response from {args.host}:{args.port}: {fault}")
+    except _NotWhole as e:  # nothing of a reply that is not whole reaches standard output
+        _err(f"wsn fetch: bad response from {args.host}:{args.port}: {e}")
         return 2
     if not _write_output("fetch", "".join(reply)):
         return 2

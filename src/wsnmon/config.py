@@ -34,9 +34,11 @@ from .netsim import (
     DEFAULT_HOP_LATENCY_MS,
     DEFAULT_ROUND_PERIOD_MS,
     LinkOutage,
+    RadioSpec,
     SimConfig,
+    TreeTopology,
+    add_cluster,
 )
-from .topology import RadioSpec, TreeTopology, add_cluster
 
 DEFAULT_ROUNDS = 100
 DEFAULT_BASELINES = {Channel.TEMP_C: 25.0, Channel.LIGHT_RAW: 512.0}

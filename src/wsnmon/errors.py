@@ -8,12 +8,17 @@ from __future__ import annotations
 
 
 class WsnError(Exception):
-    """Base class: an error with a stable code string."""
+    """Base class: an error with a stable code string. An error that names
+    the line of its input at fault keeps it in ``line_no``, and its message
+    begins ``line <line_no>: ``."""
 
-    def __init__(self, code: str, message: str):
+    def __init__(self, code: str, message: str, line_no: int | None = None):
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
         super().__init__(f"{code}: {message}")
         self.code = code
         self.message = message
+        self.line_no = line_no
 
 
 class TopologyError(WsnError):
@@ -27,17 +32,9 @@ class EnvError(WsnError):
 class SimError(WsnError):
     """Raised for simulation misuse (bad round index, non-link, sink failure)."""
 
-    def __init__(self, code: str, message: str, round_index: int | None = None):
-        super().__init__(code, message)
-        self.round_index = round_index
-
 
 class TelemetryError(WsnError):
     """Raised by the telemetry log writer and parser."""
-
-    def __init__(self, code: str, message: str, line_no: int | None = None):
-        super().__init__(code, message if line_no is None else f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class GatewayError(WsnError):
@@ -48,6 +45,4 @@ class ConfigError(WsnError):
     """Raised for unreadable run configuration files; names the offending line."""
 
     def __init__(self, message: str, line_no: int | None = None):
-        prefix = f"line {line_no}: " if line_no is not None else ""
-        super().__init__("CONFIG", prefix + message)
-        self.line_no = line_no
+        super().__init__("CONFIG", message, line_no)

@@ -35,13 +35,14 @@ import logging
 import socket
 import socketserver
 import threading
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .alerts import Alert, AlertRule, alert_line, evaluate_alerts
-from .basestation import format_value, snapshot_block
+from .basestation import Snapshot, format_value, snapshot_block
 from .errors import GatewayError
-from .records import Snapshot
-from .topology import TreeTopology
+
+if TYPE_CHECKING:  # an annotation only: the gateway runs without the simulator
+    from .netsim import TreeTopology
 
 MAX_REQUEST_BYTES = 4096
 MAX_SESSIONS = 64  # open sessions; one more connection gets ERR BUSY

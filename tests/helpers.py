@@ -12,11 +12,9 @@ from collections import deque
 from typing import NamedTuple
 
 from wsnmon.alerts import AlertRule, Comparator, Severity
-from wsnmon.basestation import format_value
+from wsnmon.basestation import Snapshot, format_value
 from wsnmon.environment import DEFAULT_SPECS, Channel, ChannelModel, EnvField, sense
-from wsnmon.netsim import SimConfig
-from wsnmon.records import Snapshot
-from wsnmon.topology import RadioSpec, TreeTopology, add_cluster
+from wsnmon.netsim import RadioSpec, SimConfig, TreeTopology, add_cluster
 
 DESK_CLUSTERS = [("N1", ["1.1", "1.2"]), ("N2", ["2.1", "2.2"])]
 DESK_NODES = ("N1", "1.1", "1.2", "N2", "2.1", "2.2")

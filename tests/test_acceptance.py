@@ -39,10 +39,10 @@ from wsnmon.environment import Channel, ChannelModel, EnvField, truth_at
 from wsnmon.gateway import Gateway, serve
 from wsnmon.netsim import (
     LinkOutage,
+    RadioSpec,
     run_round,
     run_simulation,
 )
-from wsnmon.topology import RadioSpec
 
 
 @contextmanager

@@ -13,6 +13,7 @@ from wsnmon import basestation
 from wsnmon.basestation import (
     LatestMirror,
     PartialRound,
+    Snapshot,
     TelemetryReader,
     TelemetryWriter,
     header_line,
@@ -23,7 +24,6 @@ from wsnmon.basestation import (
 )
 from wsnmon.environment import Channel
 from wsnmon.errors import TelemetryError
-from wsnmon.records import Snapshot
 
 
 def ok_reading(node="N1", temp=25.0, light=512.0, gases=None):

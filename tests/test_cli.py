@@ -15,6 +15,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import types
 from pathlib import Path
 from unittest import mock
@@ -104,6 +105,29 @@ def test_import_loads_neither_simulator_nor_server(tmp_path):
                               env=src_env(), capture_output=True, text=True, timeout=60,
                               check=True)
         assert done.stdout.splitlines()[-1] == "[]", argv
+
+
+def test_each_command_loads_exactly_its_package_modules(tmp_path):
+    """fetch and plotdata load the log format and none other of the
+    package's modules; a run that does not serve adds exactly the config
+    reader, the alert rules and the simulator."""
+    package = " ".join(["wsnmon", *(f"wsnmon.{path.stem}"
+                                    for path in (ROOT / "src" / "wsnmon").glob("*.py"))])
+    log = str(tmp_path / "t.log")
+
+    def loaded(argv: list[str]) -> str:
+        done = subprocess.run([sys.executable, "-c", LOADED_PROBE, package, *argv],
+                              env=src_env(), capture_output=True, text=True, timeout=60,
+                              check=True)
+        return done.stdout.splitlines()[-1]
+
+    reader = ["wsnmon", "wsnmon._frozen", "wsnmon.basestation", "wsnmon.cli",
+              "wsnmon.environment", "wsnmon.errors"]
+    run = ["wsnmon.alerts", "wsnmon.config", "wsnmon.netsim"]
+    assert loaded(["run", write_cfg(tmp_path), "--out", log]) == str(sorted(reader + run))
+    assert loaded(["plotdata", log, "--node", "N1", "--channel", "temp_c"]) == str(reader)
+    with one_shot_listener(b"PONG\n") as port:
+        assert loaded(["fetch", "--port", str(port), "PING"]) == str(reader)
 
 
 def reference_parser() -> argparse.ArgumentParser:
@@ -899,7 +923,8 @@ def one_shot_listener(reply: bytes, reset: bool = False):
             conn, _ = listener.accept()
             with conn:
                 conn.recv(64)
-                conn.sendall(reply)
+                with contextlib.suppress(OSError):  # a client that stops reading resets
+                    conn.sendall(reply)
                 if reset:  # a zero linger time: close sends RST
                     conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
 
@@ -913,26 +938,31 @@ def one_shot_listener(reply: bytes, reset: bool = False):
 
 
 DESK_RECORD = b"0,0,N1,25.0000,512,-,-,-,OK\n"
+# one line at the cap, its LF included, and one past it
+LONG_LINES = [b"ERR " + b"B" * (cli.MAX_REPLY_LINE - 5), b"ERR " + b"B" * (cli.MAX_REPLY_LINE - 4)]
 
 # the lines a reply is drawn from: its first line, and what may follow
 # (records, alert lines, END and more), bytes that are not UTF-8 included
 FIRST_LINES = [b"PONG", b"ERR BUSY", b"ERR NO_DATA", b"PONG\r", b"ERR", b"ERR ", b"ERR NO DATA",
                b"BEGIN 0 01", b"BEGIN x 1", b"BEGIN 0", b"BEGIN 0 \xd9\xa1", b"BEGIN ALERTS 1",
-               b"END", b"\xff", b"caf\xc3\xa9", b""]
+               b"END", b"\xff", b"caf\xc3\xa9", b"", b"BEGIN 0 99999", b"BEGIN 0 100000",
+               *LONG_LINES]
 BODY_LINES = [DESK_RECORD[:-1], b"hot,N1,0,31.2500,WARN", b"END", b"END ", b"", b"\xff", b"\xc3"]
 
 
 @st.composite
 def replies(draw) -> bytes:
     """Token soup: half of the time an envelope header with k lines and END
-    (k as said or one off), else one of FIRST_LINES; then up to two lines more.
-    A line ends in LF, except the last one half of the time, and now and then
-    another."""
+    (k as said or one off, or now and then a thousand lines more than said),
+    else one of FIRST_LINES; then up to two lines more. A line ends in LF,
+    except the last one half of the time, and now and then another."""
     if draw(st.booleans()):
         k = draw(st.integers(0, 3))
         said = k + draw(st.sampled_from([0, 0, -1, 1]))
-        lines = [b"BEGIN %d %d" % (draw(st.integers(0, 2)), said),
-                 *draw(st.lists(st.sampled_from(BODY_LINES[:2]), min_size=k, max_size=k)), b"END"]
+        body = draw(st.lists(st.sampled_from(BODY_LINES[:2] + LONG_LINES), min_size=k,
+                             max_size=k))
+        body += [DESK_RECORD[:-1]] * draw(st.sampled_from([0] * 7 + [1000]))
+        lines = [b"BEGIN %d %d" % (draw(st.integers(0, 2)), said), *body, b"END"]
     else:
         lines = [draw(st.sampled_from(FIRST_LINES))]
     lines += draw(st.lists(st.sampled_from(BODY_LINES + FIRST_LINES), max_size=2))
@@ -946,21 +976,27 @@ def first_whole_reply(data: bytes) -> bytes | None:
     """The reply ``data`` begins with if that reply is whole (the rule the cli
     module docstring gives), else None: the first line is PONG, ERR <CODE> or
     BEGIN <round|ALERTS> <k>, a BEGIN is followed by k lines and END, and every
-    one of these lines ends in LF."""
+    one of these lines ends in LF, within the caps on k's digits and on a
+    line's bytes."""
     lines = data.split(b"\n")[:-1]  # what follows the last LF is no line
     if not lines:
         return None
     head = lines[0].split(b" ")
     if lines[0] == b"PONG" or (len(head) == 2 and head[0] == b"ERR" and head[1]):
-        return lines[0] + b"\n"
-    count = re.compile(rb"[0-9]+")
-    if not (len(head) == 3 and head[0] == b"BEGIN" and count.fullmatch(head[2])
-            and (head[1] == b"ALERTS" or count.fullmatch(head[1]))) or b"END" not in lines:
+        reply = lines[:1]
+    else:
+        count = re.compile(rb"[0-9]{1,%d}" % cli.MAX_COUNT_DIGITS)
+        if not (len(head) == 3 and head[0] == b"BEGIN" and count.fullmatch(head[2])
+                and (head[1] == b"ALERTS" or re.fullmatch(rb"[0-9]+", head[1]))
+                and b"END" in lines):
+            return None
+        end = lines.index(b"END")
+        if head[2] != b"%d" % (end - 1):
+            return None
+        reply = lines[:end + 1]
+    if any(len(line) >= cli.MAX_REPLY_LINE for line in reply):  # with its LF, past the cap
         return None
-    end = lines.index(b"END")
-    if head[2] != b"%d" % (end - 1):
-        return None
-    return b"".join(line + b"\n" for line in lines[:end + 1])
+    return b"".join(line + b"\n" for line in reply)
 
 
 class TestFetch:
@@ -1021,6 +1057,31 @@ class TestFetch:
         err = capsys.readouterr().err
         assert err.startswith("wsn fetch: ") and "not UTF-8" in err
 
+    @pytest.mark.parametrize("make_reply,broke", [
+        (lambda: b"x" * (30 << 20),
+         f"a line longer than {cli.MAX_REPLY_LINE} bytes: {'x' * 80!r}..."),
+        (lambda: b"BEGIN 0 1\n" + DESK_RECORD * 1_000_000,
+         f"BEGIN says 1 lines, then {DESK_RECORD.decode()!r}, not END"),
+    ], ids=["30-MiB-line", "million-line-envelope"])
+    def test_a_reply_past_a_cap_exits_2_in_bounded_memory(self, capsys, make_reply, broke):
+        """A 30 MiB line with no LF, or a million lines after BEGIN 0 1, ends
+        the read at the first line past a cap: fetch exits 2 having held well
+        under 1 MiB, where reading either reply whole holds tens of MB."""
+        reply = make_reply()
+        with one_shot_listener(reply) as port:
+            tracemalloc.start()
+            try:
+                rc = main(["fetch", "--port", str(port), "SNAPSHOT"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"wsn fetch: bad response from 127.0.0.1:{port}: {broke}\n")
+        assert peak < 1 << 20, peak
+        assert f"{cli.MAX_COUNT_DIGITS} digits" in cli.HELP_TEXT
+        assert f"{cli.MAX_REPLY_LINE} bytes" in cli.HELP_TEXT
+
     @settings(max_examples=150, deadline=None)
     @given(reply=replies(), reset=st.booleans())
     @example(reply=b"ERR BUSY", reset=False)  # no LF: not whole
@@ -1052,6 +1113,11 @@ class TestFetch:
         (b"BEGIN 0 1\n" + DESK_RECORD + b"END", 2, "connection closed inside the line 'END'"),
         (b"hello\n", 2, "not PONG, ERR <CODE> or BEGIN <round|ALERTS> <k>: 'hello\\n'"),
         (b"BEGIN 0 1\n" + DESK_RECORD, 2, "connection closed inside envelope"),
+        (b"BEGIN 0 0\nhello\nEND\n", 2, "BEGIN says 0 lines, then 'hello\\n', not END"),
+        (b"BEGIN 0 100000\nEND\n", 2, "BEGIN's k has more than 5 digits"),
+        pytest.param(b"ERR " + b"B" * 70000 + b"\n", 2,
+                     f"a line longer than 65536 bytes: {'ERR ' + 'B' * 76!r}...",
+                     id="a-line-past-the-cap"),
         (b"", 2, "connection closed before any response"),
         (b"BEGIN 0 1\n" + DESK_RECORD + b"END\n", 0, None),
         (b"BEGIN ALERTS 0\nEND\n", 0, None),

@@ -8,8 +8,7 @@ from wsnmon.alerts import Comparator, Severity
 from wsnmon.config import RunConfig, parse_config
 from wsnmon.environment import Channel, ChannelModel
 from wsnmon.errors import ConfigError
-from wsnmon.netsim import LinkOutage
-from wsnmon.topology import RadioSpec
+from wsnmon.netsim import LinkOutage, RadioSpec
 
 DESK_CFG = """\
 # two clusters of two leaflets each

@@ -25,14 +25,13 @@ from helpers import (
     record_line,
 )
 from wsnmon import alerts, basestation, gateway
-from wsnmon.basestation import LatestMirror, TelemetryWriter, parse_record
+from wsnmon.basestation import LatestMirror, Snapshot, TelemetryWriter, parse_record
 from wsnmon.config import parse_config
 from wsnmon.environment import Channel
 from wsnmon.errors import GatewayError
 from wsnmon.alerts import Alert, AlertRule, Comparator, Severity, alert_line, evaluate_alerts
 from wsnmon.gateway import Gateway, MAX_REQUEST_BYTES, serve
 from wsnmon.netsim import run_round
-from wsnmon.records import Snapshot
 
 CO_RULE = AlertRule("co_high", Channel.CO_PPM, Comparator.GREATER, 50.0, Severity.WARN)
 

@@ -398,14 +398,14 @@ class TestRunSimulation:
                          if status_of(s.reading_for("1.1")) == "NULL"]
         assert nulled_rounds == list(range(10, 21))
 
-    def test_sink_failure_carries_round_index(self):
+    def test_sink_failure_names_its_round(self):
         def sink(s):
             if s.round == 3:
                 raise OSError("disk full")
 
         with pytest.raises(SimError, match="SINK_FAILURE") as exc:
             run_simulation(make_config(rounds=10), sink)
-        assert exc.value.round_index == 3
+        assert exc.value.message == "sink failed at round 3: disk full"
 
     def test_event_callback_sees_all_events(self):
         events = []

@@ -15,7 +15,7 @@ from helpers import (
 )
 from wsnmon.config import parse_config
 from wsnmon.errors import TopologyError
-from wsnmon.topology import RadioSpec, TreeTopology
+from wsnmon.netsim import RadioSpec, TreeTopology
 
 
 class TestBuildTopology:

@@ -4,12 +4,10 @@ import pytest
 
 from helpers import default_field, desk_topology
 from wsnmon.alerts import AlertRule, Comparator, Severity
-from wsnmon.basestation import ParsedTelemetry, PartialRound, snapshot_block
+from wsnmon.basestation import ParsedTelemetry, PartialRound, Snapshot, snapshot_block
 from wsnmon.config import RunConfig
 from wsnmon.environment import Channel, ChannelModel, EnvField, SensorSpec, truth_at
-from wsnmon.netsim import LinkOutage, SimConfig, SimSummary
-from wsnmon.records import Snapshot
-from wsnmon.topology import RadioSpec, TreeTopology
+from wsnmon.netsim import LinkOutage, RadioSpec, SimConfig, SimSummary, TreeTopology
 
 TOPOLOGY = desk_topology()
 WALKING = {Channel.TEMP_C: ChannelModel(25.0, sigma=0.5), Channel.LIGHT_RAW: ChannelModel(512.0)}
