@@ -23,28 +23,35 @@ is in flight.
 Lines are split on LF only. ``TelemetryReader`` is the one parser: it reads
 a log as a stream of lines, one round at a time, and yields each round as
 soon as its last record has been checked, so reading a log takes memory that
-does not depend on its number of rounds. A round is checked in one piece and
-as bytes: its lines are joined and split once on ",", and no decoded copy of
-the round is made. A whole round of n lines is then 8n+1 fields, in which
-each line's status, its LF and the next line's round share one field, and
-each column is a stride-8 slice. It passes when there are 8n+1 fields, the
-node column is the header's (encoded once), the time column holds one text,
-each value column reads through the reader's memos (a gas column all ``-``
-is a channel the round does not carry), the NULLs of every column agree, and
-each status field is exactly the status the values call for, an LF and the
-first line's round text (the last one only the status and an LF). That last
-comparison puts exactly n LFs at the line ends, so the round is n whole
-lines of nine fields sharing one round text. Its value columns are then the
-round's Snapshot, built with no per-record object. The memos are keyed by
-the raw field bytes; a text they lack is decoded as ASCII and read as
-``parse_record`` reads it, and a byte that is not ASCII fails the round.
-So every field of an accepted round is ASCII: a text the readers took, a
-``-``, a status, or a header node id, which ``validate_label`` keeps to
-printable ASCII. An accepted round is therefore valid UTF-8 without being
-decoded. Every valid round passes, so a round that fails is re-read line by
-line with ``parse_record`` only to name its first bad line: ``_fault`` is
-the one place a record line is decoded, and ``parse_record`` stays the one
-definition of a record line.
+does not depend on its number of rounds. A round is checked in slices of at
+most ``_SLICE`` lines, so it takes memory that does not depend on its width
+either, beyond one slice and the Snapshot's columns. A slice is checked as
+bytes: its lines are joined and split once on ",", and no decoded copy of
+them is made. A whole slice of n lines is then 8n+1 fields, in which each
+line's status, its LF and the next line's round share one field, and each
+column is a stride-8 slice. It passes when there are 8n+1 fields, the node
+column is the header's nodes of the slice (encoded once), the time column
+holds one text, each value column reads through the reader's memos (a gas
+column all ``-`` is a channel the round does not carry), the NULLs of every
+column agree, and each status field is exactly the status the values call
+for, an LF and the first line's round text (the last one only the status and
+an LF). That last comparison puts exactly n LFs at the line ends, so the
+slice is n whole lines of nine fields sharing one round text. The first
+slice's round and time texts are parsed; each later slice must carry the
+same round text, time text and ``-`` pattern, byte for byte. The slices'
+value columns are then joined into the round's Snapshot, built with no
+per-record object; a round of at most ``_SLICE`` lines is one slice, whose
+columns are the Snapshot's as they are. The memos are keyed by the raw field
+bytes; a text they lack is decoded as ASCII and read as ``parse_record``
+reads it, and a byte that is not ASCII fails the round. So every field of an
+accepted round is ASCII: a text the readers took, a ``-``, a status, or a
+header node id, which ``validate_label`` keeps to printable ASCII. An
+accepted round is therefore valid UTF-8 without being decoded. Every valid
+round passes, so a slice that fails is re-read line by line with
+``parse_record`` only to name its first bad line, against the stamp and
+channels of the round's first record: ``_fault`` is the one place a record
+line is decoded, and ``parse_record`` stays the one definition of a record
+line.
 ``parse_telemetry`` collects the reader for a log held in memory, and
 ``wsn plotdata`` writes no CSV row unless the whole log checks out.
 
@@ -68,7 +75,7 @@ import io
 import math
 import os
 import stat
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import is_, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -85,6 +92,7 @@ _OK = "OK"
 _STATUS_LINES = (_OK + "\n", _NULL + "\n")  # indexed by "is NULL"
 _STATUS_ENDS = tuple(map(str.encode, _STATUS_LINES))  # as _bulk compares them
 _DASH = _NOT_EQUIPPED.encode()
+_NONE = type(None)
 _TEMP = Channel.TEMP_C  # a module global: reading an Enum member off its class is slow
 _COLUMNS = tuple(Channel)  # value columns 4-8, in Channel order
 DEFAULT_ROOT = "BS"  # the base station: every tree's root, never a sensing node
@@ -181,6 +189,8 @@ class Snapshot(Frozen):
 # is seeded) and of a reader's memos (per reader, raw field bytes -> value;
 # see TelemetryReader)
 _TEXT_CACHE_MAX = 4096
+# the most lines of a round that TelemetryReader checks at once
+_SLICE = 256
 _COLUMN_TEXTS = tuple((channel, {None: _NULL}) for channel in _COLUMNS)
 
 
@@ -343,19 +353,21 @@ class TelemetryReader:
 
     ``lines`` yields the log's lines as a binary file does: bytes, each
     ending in LF except perhaps a torn last one. A round's lines are joined
-    and checked as bytes, with no decoded copy (see the module): every field
-    of an accepted round is ASCII, so the round is valid UTF-8 and reads as
-    decoding each line on its own would. Only a round that fails is decoded,
-    line by line, so an error names its line.
+    and checked as bytes, at most ``_SLICE`` lines at a time, with no decoded
+    copy (see the module): every field of an accepted round is ASCII, so the
+    round is valid UTF-8 and reads as decoding each line on its own would.
+    Only a slice that fails is decoded, line by line, so an error names its
+    line.
     The header is read at construction and sets ``nodes``. Iterating (once)
     yields each Snapshot as soon as its last record has been checked and
-    keeps no earlier round, so memory does not grow with the log. When
-    iteration ends, ``partial`` reports a trailing incomplete round (an
-    in-flight or torn write), which is never yielded. The reader keeps its
-    own memos of the value texts it has read, keyed by their raw bytes, one
-    for temperatures and one for counts; a memo that would pass
-    ``_TEXT_CACHE_MAX`` entries is emptied first, so it holds at most that
-    many, or one round's column.
+    keeps no earlier round, nor any field of an earlier slice, so memory
+    grows neither with the log nor, beyond one slice and the Snapshot's
+    columns, with the width of its rounds. When iteration ends, ``partial``
+    reports a trailing incomplete round (an in-flight or torn write), which
+    is never yielded. The reader keeps its own memos of the value texts it
+    has read, keyed by their raw bytes, one for temperatures and one for
+    counts; a memo that would pass ``_TEXT_CACHE_MAX`` entries is emptied
+    first, so it holds at most that many, or one slice's column.
     """
 
     def __init__(self, lines: Iterable[bytes]):
@@ -370,7 +382,8 @@ class TelemetryReader:
         if header[-1] != "\n":
             raise TelemetryError("BAD_HEADER", "truncated header", line_no=1)
         self.nodes = parse_header(header[:-1])
-        self._names = [node.encode() for node in self.nodes]  # a round's node column
+        names = [node.encode() for node in self.nodes]  # a round's node column, by slice
+        self._slices = [names[i : i + _SLICE] for i in range(0, len(names), _SLICE)]
         self._memos = ({}, {})  # text -> value: temperatures, counts
 
     def __iter__(self) -> Iterator[Snapshot]:
@@ -383,26 +396,38 @@ class TelemetryReader:
     def _round(self, line_no: int, last_done: int) -> Snapshot | None:
         """The next round, read up to its last line and no further, or None
         at the end of the log (``partial`` set if the log ends inside it)."""
-        nodes = self.nodes
-        raws = list(islice(self._lines, len(nodes)))
-        checked = _bulk(raws, last_done, self._names, *self._memos)
-        if checked is None:
-            stamp, good = _fault(raws, nodes, line_no, last_done)
-            if stamp is not None:
-                self.partial = PartialRound(round=stamp[0], records=good)
-            elif raws:  # the round's first line is torn
-                self.partial = PartialRound(round=None, records=0)
-            return None
-        stamp, columns = checked
-        return Snapshot(*stamp, nodes, {channel: column
-                                        for channel, column in zip(_COLUMNS, columns)
-                                        if column is not None})
+        nodes, head, parts = self.nodes, None, []
+        for start, names in zip(range(0, len(nodes), _SLICE), self._slices):
+            raws = list(islice(self._lines, len(names)))
+            checked = _bulk(raws, names, *self._memos, last_done, head)
+            if checked is None:
+                stamp = carried = None
+                if head is not None:
+                    stamp = head[1]
+                    carried = {channel for channel, column in zip(_COLUMNS, parts[0])
+                               if column is not None}
+                stamp, good = _fault(raws, nodes, start, line_no, last_done, stamp, carried)
+                if stamp is not None:
+                    self.partial = PartialRound(round=stamp[0], records=good)
+                elif raws:  # the round's first line is torn
+                    self.partial = PartialRound(round=None, records=0)
+                return None
+            head, columns = checked
+            parts.append(columns)
+        if len(parts) > 1:  # a gas column is None in every slice or in none
+            columns = [None if column[0] is None else tuple(chain.from_iterable(column))
+                       for column in zip(*parts)]
+        return Snapshot(*head[1], nodes, {channel: column
+                                          for channel, column in zip(_COLUMNS, columns)
+                                          if column is not None})
 
 
 def _read(memo: dict, read, texts: list[bytes]) -> tuple:
     """The values of the raw field ``texts`` by ``read``, from and into
     ``memo``; a miss decodes the column's new texts as ASCII and reads them
-    (ValueError for a bad one; a UnicodeDecodeError is one)."""
+    (ValueError for a bad one; a UnicodeDecodeError is one). A memo that
+    would pass ``_TEXT_CACHE_MAX`` entries is emptied first, so it holds at
+    most that many, or one slice's column."""
     get = itemgetter(*texts)  # looks every text up in C; of one text, gives its value
     try:
         values = get(memo)
@@ -415,15 +440,18 @@ def _read(memo: dict, read, texts: list[bytes]) -> tuple:
     return values if len(texts) > 1 else (values,)
 
 
-def _bulk(raws: list[bytes], last_done: int, names: list[bytes], temps: dict,
-          counts: dict) -> tuple[tuple[int, int], list[tuple | None]] | None:
-    """The (round, time_ms) and value columns of ``raws``, a whole round for
-    the encoded node column ``names``: one tuple per Channel, None for a gas
+def _bulk(raws: list[bytes], names: list[bytes], temps: dict, counts: dict, last_done: int,
+          head: tuple | None) -> tuple[tuple, list[tuple | None]] | None:
+    """The head and value columns of ``raws``, a slice of a round whose
+    encoded node column is ``names``: one tuple per Channel, None for a gas
     channel whose every cell is "-". None when any check fails (see the
-    module); the round is checked as bytes and never decoded.
+    module); the slice is checked as bytes and never decoded.
 
-    The round must come after ``last_done``; ``temps`` and ``counts`` are
-    the reader's memos.
+    The head is the slice's key (its round text, time text and which gas
+    columns are all "-") with the round's (round, time_ms). ``head`` is
+    None for a round's first slice, whose round must come after
+    ``last_done``; a later slice must repeat the first slice's head byte for
+    byte. ``temps`` and ``counts`` are the reader's memos.
     """
     n = len(names)
     fields = b"".join(raws).split(b",")
@@ -432,38 +460,48 @@ def _bulk(raws: list[bytes], last_done: int, names: list[bytes], temps: dict,
     times = fields[1::8]
     if times.count(times[0]) != n:
         return None
+    gases = [fields[i::8] for i in (5, 6, 7)]
+    key = (fields[0], times[0], *[column[0] == _DASH and column.count(_DASH) == n
+                                  for column in gases])
     try:
-        rnd_time = (_whole(fields[0].decode("ascii")), _whole(times[0].decode("ascii")))
-        if rnd_time[0] <= last_done:
+        if head is None:
+            stamp = (_whole(fields[0].decode("ascii")), _whole(times[0].decode("ascii")))
+            if stamp[0] <= last_done:
+                return None
+            head = key, stamp
+        elif key != head[0]:
             return None
         columns = [_read(temps, _temperature, fields[3::8]), _read(counts, _count, fields[4::8])]
-        for i in (5, 6, 7):  # a "-" among values fails _count
-            texts = fields[i::8]
-            columns.append(None if texts.count(_DASH) == n
-                           else _read(counts, _count, texts))
+        columns += [None if dashes else _read(counts, _count, column)  # "-" fails _count
+                    for dashes, column in zip(key[2:], gases)]
     except ValueError:
         return None
-    lost = list(map(is_, columns[0], repeat(None)))
+    kinds = list(map(type, columns[0]))  # a cell is a float, or None when lost
     for column in columns[1:]:
-        if column is not None and list(map(is_, column, repeat(None))) != lost:
+        if column is not None and list(map(type, column)) != kinds:
             return None
-    ends = list(map(tuple(end + fields[0] for end in _STATUS_ENDS).__getitem__, lost))
-    ends[-1] = _STATUS_ENDS[lost[-1]]
+    ok, null = (end + fields[0] for end in _STATUS_ENDS)
+    ends = list(map({float: ok, _NONE: null}.__getitem__, kinds))
+    ends[-1] = _STATUS_ENDS[kinds[-1] is _NONE]
     if fields[8::8] != ends:
         return None
-    return rnd_time, columns
+    return head, columns
 
 
-def _fault(raws: list[bytes], nodes: tuple[str, ...], line_no: int,
-           last_done: int) -> tuple[tuple[int, int] | None, int]:
-    """Re-read ``raws``, a round that ``_bulk`` rejected whose first line is
-    ``line_no``, one line at a time, and raise the error that names its
-    first bad line; a record that carries other gas channels than the
-    round's first record is one. A round with no bad line must end early,
-    at the end of the log or at a torn last line: returns the round's stamp
-    (None before its first whole record) and the number of whole records."""
-    stamp = None
-    for i, raw in enumerate(raws):
+def _fault(raws: list[bytes], nodes: tuple[str, ...], start: int, line_no: int,
+           last_done: int, stamp: tuple[int, int] | None, carried: set | None
+           ) -> tuple[tuple[int, int] | None, int]:
+    """Re-read ``raws``, the slice from node ``start`` on that ``_bulk``
+    rejected of a round whose first line is ``line_no``, one line at a time,
+    and raise the error that names its first bad line; a record that
+    carries other gas channels than the round's first record is one.
+    ``stamp`` and ``carried`` are the round's (round, time_ms) and channels,
+    None when ``raws`` is the round's first slice. A slice with no bad line
+    must end early, at the end of the log or at a torn last line: returns
+    the round's stamp (None before its first whole record) and the number of
+    its whole records."""
+    end = start + len(raws)
+    for i, raw in enumerate(raws, start):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as e:
@@ -482,10 +520,10 @@ def _fault(raws: list[bytes], nodes: tuple[str, ...], line_no: int,
         if values.keys() != carried:
             raise _malformed(f"{node!r} carries other gas channels than {nodes[0]!r}",
                              line_no + i)
-    if len(raws) == len(nodes):
-        raise RuntimeError(f"lines {line_no}-{line_no + len(raws) - 1}: "
+    if end == min(start + _SLICE, len(nodes)):
+        raise RuntimeError(f"lines {line_no + start}-{line_no + end - 1}: "
                            "the column check rejected records the line check accepts")
-    return stamp, len(raws)
+    return stamp, end
 
 
 def parse_telemetry(data: bytes | str) -> ParsedTelemetry:

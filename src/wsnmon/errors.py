@@ -20,6 +20,13 @@ class WsnError(Exception):
         self.message = message
         self.line_no = line_no
 
+    def __reduce__(self):
+        """Copy and pickle rebuild the error from its arguments, not its text."""
+        message = self.message
+        if self.line_no is not None:
+            message = message.removeprefix(f"line {self.line_no}: ")
+        return type(self), (self.code, message, self.line_no)
+
 
 class TopologyError(WsnError):
     """Raised for invalid tree structures or lookups on missing nodes."""
@@ -46,3 +53,7 @@ class ConfigError(WsnError):
 
     def __init__(self, message: str, line_no: int | None = None):
         super().__init__("CONFIG", message, line_no)
+
+    def __reduce__(self):
+        cls, (_, message, line_no) = super().__reduce__()
+        return cls, (message, line_no)

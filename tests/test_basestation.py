@@ -3,6 +3,7 @@
 import io
 import random
 import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -237,6 +238,8 @@ def dash_cells(data, gas, records):
 LOG_BYTES = st.one_of(st.sampled_from(b",\n-.0123456789NULOK"), st.integers(0, 255))
 
 
+SLICE = basestation._SLICE  # the most lines of a round the reader checks at once
+
 # record_logs: header nodes that read as a count, a temperature and a status
 VALUE_NODES = ("7", "25.0000", "OK")
 
@@ -257,15 +260,17 @@ def echo_snapshots(rounds, rng, gases, null_prob):
 @st.composite
 def record_logs(draw, edits=("none", "replace", "insert", "delete", "cut", "flip", "splice",
                              "move")):
-    """A valid log of width 1, 3 (``echo_snapshots``), 12 or 220, with NULL rows,
-    unequipped gas columns and sometimes rounds whose gas column mixes "-"
-    with values; then maybe one byte replaced, inserted or deleted, the log
-    cut short, one value or status turned NULL or back, round 0's records
-    from some node on replaced by round 1's, or one "," moved from a record
-    line into another line of its round or of the next one."""
+    """A valid log of width 1, 3 (``echo_snapshots``), 12, 220, or one line
+    past one or two reader slices, with NULL rows, unequipped gas columns and
+    sometimes rounds whose gas column mixes "-" with values; then maybe one
+    byte replaced, inserted or deleted, the log cut short, one value or
+    status turned NULL or back, round 0's records from some node on replaced
+    by round 1's, or one "," moved from a record line into another line of
+    its round or of the next one."""
     edit = draw(st.sampled_from(edits))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    width = 220 if edit == "splice" else draw(st.sampled_from([1, 3, 12, 220]))
+    wide = [220, SLICE + 1, 2 * SLICE + 1]
+    width = draw(st.sampled_from(wide if edit == "splice" else [1, 3, 12, *wide]))
     nodes = VALUE_NODES if width == 3 else wide_nodes(width)
     gases = draw(st.sampled_from([(), (Channel.CO_PPM,), tuple(Channel)[2:]]))
     rounds = draw(st.integers(2 if edit == "splice" else 1, 3))
@@ -492,15 +497,67 @@ class TestColumns:
 
     def test_a_valid_round_the_columns_reject_is_an_internal_error(self):
         """Every valid round reads as columns, so the line check, finding no
-        fault in a whole round, raises before the round is yielded or marked
-        partial."""
-        nodes = wide_nodes(150)
-        data = serialize_snapshots(nodes, snapshots_for(2, nodes=nodes)).encode("utf-8")
-        reader, yielded = TelemetryReader(io.BytesIO(data)), []
-        with mock.patch.object(basestation, "_bulk", return_value=None):
-            with pytest.raises(RuntimeError, match="^lines 2-151: "):
-                yielded.extend(reader)
-        assert yielded == [] and reader.partial is None
+        fault in a whole slice, raises before the round is yielded or marked
+        partial; the error names the lines of the slice rejected: of a round
+        of one slice that one, of two slices and a line its second or its
+        last."""
+        bulk = basestation._bulk
+        for width, rejected, lines in [(SLICE, 1, f"2-{SLICE + 1}"),
+                                       (2 * SLICE + 1, 2, f"{SLICE + 2}-{2 * SLICE + 1}"),
+                                       (2 * SLICE + 1, 3, f"{2 * SLICE + 2}-{2 * SLICE + 2}")]:
+            nodes = wide_nodes(width)
+            data = serialize_snapshots(nodes, snapshots_for(
+                2, nodes=nodes, gases=(Channel.CO_PPM,), null_prob=0.1)).encode("utf-8")
+            calls = []
+
+            def reject(*args):
+                calls.append(None)
+                return None if len(calls) == rejected else bulk(*args)
+
+            reader, yielded = TelemetryReader(io.BytesIO(data)), []
+            with mock.patch.object(basestation, "_bulk", reject):
+                with pytest.raises(RuntimeError, match=f"^lines {lines}: "):
+                    yielded.extend(reader)
+            assert yielded == [] and reader.partial is None
+
+    @pytest.mark.parametrize("column", [0, 1, 6])  # round, time, and the CO channel
+    @pytest.mark.parametrize("part", [1, 2])
+    def test_a_later_slice_repeats_the_first_ones_round_time_and_channels(self, column, part):
+        """A slice whose every line carries another round, time or gas "-"
+        than the round's first slice is consistent on its own; the reader
+        names its first line as the line-by-line loop does."""
+        width = 2 * SLICE + 1
+        nodes = wide_nodes(width)
+        snaps = snapshots_for(2, nodes=nodes, gases=(Channel.CO_PPM,), null_prob=0.1)
+        lines = serialize_snapshots(nodes, snaps).encode("utf-8").splitlines(keepends=True)
+        first = 1 + part * SLICE  # the slice's first line, counted from the header's 0
+        for k in range(first, min(first + SLICE, 1 + width)):
+            fields = lines[k].split(b",")
+            fields[column] = b"-" if column == 6 else b"1" + fields[column]
+            lines[k] = b",".join(fields)
+        data = b"".join(lines)
+        error = read_all(data)
+        assert error[:2] == ("MALFORMED_RECORD", 1 + first)
+        assert error == line_by_line(data)
+
+    def test_a_round_is_read_in_memory_bounded_by_a_slice(self):
+        """Reading a round of 16 slices, with temperature and light of 20
+        values each, peaks at about twice what a round of one slice does (a
+        slice, then the Snapshot's columns and their parts), not 16 times."""
+        def peak(width):
+            nodes = wide_nodes(width)
+            snap = Snapshot(0, 0, nodes, {channel: tuple(float(i % 20) for i in range(width))
+                                          for channel in (Channel.TEMP_C, Channel.LIGHT_RAW)})
+            rounds = iter(TelemetryReader(io.BytesIO(serialize_snapshots(nodes, [snap])
+                                                     .encode("utf-8"))))
+            tracemalloc.start()
+            try:
+                assert next(rounds) == snap
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16 * SLICE) < 2.5 * peak(SLICE)
 
     def test_reading_views(self):
         s = Snapshot(3, 3000, ("N1", "1.1"), {Channel.TEMP_C: (25.0, None),

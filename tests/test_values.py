@@ -1,5 +1,8 @@
 """The value classes: how they are built, compared, and kept from change."""
 
+import copy
+import pickle
+
 import pytest
 
 from helpers import default_field, desk_topology
@@ -7,6 +10,8 @@ from wsnmon.alerts import AlertRule, Comparator, Severity
 from wsnmon.basestation import ParsedTelemetry, PartialRound, Snapshot, snapshot_block
 from wsnmon.config import RunConfig
 from wsnmon.environment import Channel, ChannelModel, EnvField, SensorSpec, truth_at
+from wsnmon.errors import (ConfigError, EnvError, GatewayError, SimError, TelemetryError,
+                           TopologyError, WsnError)
 from wsnmon.netsim import LinkOutage, RadioSpec, SimConfig, SimSummary, TreeTopology
 
 TOPOLOGY = desk_topology()
@@ -72,3 +77,20 @@ def test_value_class(cls, required, defaults, changed, fill_cache):
         with pytest.raises(AttributeError):
             setattr(made, name, value)
 
+
+
+@pytest.mark.parametrize("error", [
+    *(cls(code, "bad", line_no) for cls in (WsnError, TopologyError, EnvError, SimError,
+                                           TelemetryError, GatewayError)
+      for code, line_no in (("BAD", None), ("BAD", 3), ("BAD", 0))),
+    ConfigError("bad"), ConfigError("bad", 3), ConfigError("line 3: bad", 3),
+    TelemetryError("MALFORMED_RECORD", "line 2: x", line_no=7),
+], ids=repr)
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda e: pickle.loads(pickle.dumps(e))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_error_survives_copy_and_pickle(error, duplicate):
+    again = duplicate(error)
+    assert type(again) is type(error) and again is not error
+    assert (again.code, again.message, again.line_no, str(again)) == (
+        error.code, error.message, error.line_no, str(error))
