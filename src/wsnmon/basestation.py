@@ -62,8 +62,9 @@ texts, and its status, an LF and the stamp (the last line: its status and an
 LF). The block is kept on the snapshot, so the log, the mirror and the
 gateway share one rendering whatever order they take the round in. Each
 column renders each distinct value once: it keeps a text cache by value,
-emptied when it reaches ``_TEXT_CACHE_MAX`` entries, so a long-lived process
-does not grow without limit. ``-0.0 == 0.0`` as a dict key but renders as
+emptied when it reaches ``_VALUE_CACHE_MAX`` entries (the bound ``netsim``'s
+step tables share), so it holds the values a long-lived run revisits, not
+every value it has seen. ``-0.0 == 0.0`` as a dict key but renders as
 ``-0.0000``, so a zero is cached only in a column where its sign does not
 show.
 """
@@ -185,10 +186,14 @@ class Snapshot(Frozen):
         return {channel: column[i] for channel, column in self.columns.items()}
 
 
-# the size bound of the writer's text caches (per column, value -> text; None
-# is seeded) and of a reader's memos (per reader, raw field bytes -> value;
-# see TelemetryReader)
-_TEXT_CACHE_MAX = 4096
+# the size bound of a run's value caches: the writer's text caches (per
+# column, value -> text; its seeded None counts) and netsim's step tables
+# (per sensor spec, step -> value). The widest default sensor, ch4, reads at
+# most 202 values a truth, so this keeps about five truths' worth.
+_VALUE_CACHE_MAX = 1024
+# the size bound of a reader's memos (per reader, raw field bytes -> value; see
+# TelemetryReader): one counts memo serves four columns
+_MEMO_MAX = 4096
 # the most lines of a round that TelemetryReader checks at once
 _SLICE = 256
 _COLUMN_TEXTS = tuple((channel, {None: _NULL}) for channel in _COLUMNS)
@@ -202,7 +207,7 @@ def _text(channel: Channel, texts: dict, v: float | None) -> str:
     # -0.0 == 0.0 as a key, yet f"{-0.0:.4f}" is "-0.0000": a zero is kept
     # only where its sign does not show
     if v or format_value(channel, -v) == text:
-        if len(texts) >= _TEXT_CACHE_MAX:
+        if len(texts) >= _VALUE_CACHE_MAX:
             texts.clear()
             texts[None] = _NULL
         texts[v] = text
@@ -246,7 +251,7 @@ def _render_block(s: Snapshot) -> str:
             fields[i::7] = _column_texts(channel, texts, column)
     # NULL is all-or-none and temperature always equipped, so it gives the status
     lost = list(map(is_, s.columns[_TEMP], repeat(None)))
-    fields[7::7] = map((_OK + "\n" + stamp, _NULL + "\n" + stamp).__getitem__, lost)
+    fields[7::7] = map({False: _OK + "\n" + stamp, True: _NULL + "\n" + stamp}.__getitem__, lost)
     fields[-1] = _STATUS_LINES[lost[-1]]
     return ",".join(fields)
 
@@ -366,7 +371,7 @@ class TelemetryReader:
     reports a trailing incomplete round (an in-flight or torn write), which
     is never yielded. The reader keeps its own memos of the value texts it
     has read, keyed by their raw bytes, one for temperatures and one for
-    counts; a memo that would pass ``_TEXT_CACHE_MAX`` entries is emptied
+    counts; a memo that would pass ``_MEMO_MAX`` entries is emptied
     first, so it holds at most that many, or one slice's column.
     """
 
@@ -426,13 +431,13 @@ def _read(memo: dict, read, texts: list[bytes]) -> tuple:
     """The values of the raw field ``texts`` by ``read``, from and into
     ``memo``; a miss decodes the column's new texts as ASCII and reads them
     (ValueError for a bad one; a UnicodeDecodeError is one). A memo that
-    would pass ``_TEXT_CACHE_MAX`` entries is emptied first, so it holds at
+    would pass ``_MEMO_MAX`` entries is emptied first, so it holds at
     most that many, or one slice's column."""
     get = itemgetter(*texts)  # looks every text up in C; of one text, gives its value
     try:
         values = get(memo)
     except KeyError:
-        if len(memo) + len(texts) > _TEXT_CACHE_MAX:
+        if len(memo) + len(texts) > _MEMO_MAX:
             memo.clear()
         new = set(texts).difference(memo)
         memo.update((text, read(text.decode("ascii"))) for text in new)

@@ -40,10 +40,11 @@ A round is decided by hop tier, then sensed. The drop stream is read as a
 stream of decisions (delivered when a draw is >= the failure probability):
 one C-level pass takes the head polls' decisions, then, for each polled head,
 one pass each takes its leaflet polls', its polled leaflets' replies' and its
-aggregate's. In a round with forced-down links each pass is a comprehension
-that gives a down link False without a draw. The Snapshot and the trace text
-come from those decision lists, and ``SimSummary``'s counts are kept by the
-walk that takes them.
+aggregate's. In a round with forced-down links, the head polls and the
+passes of each head that a down link touches are comprehensions that give a
+down link False without a draw; every other head keeps its C-level passes.
+The Snapshot and the trace text come from those decision lists, and
+``SimSummary``'s counts are kept by the walk that takes them.
 
 A round is built as columns: once the links are decided, every noise draw is
 taken in its fixed order, but only the draws of the cells whose data arrives
@@ -85,8 +86,9 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from ._frozen import Frozen
-# the round's record; the log header's rule for a node label, and the root it may not name
-from .basestation import DEFAULT_ROOT, Snapshot, validate_label
+# the round's record; the log header's rule for a node label, and the root it may not
+# name; the bound of a run's value caches, which the step tables share
+from .basestation import DEFAULT_ROOT, _VALUE_CACHE_MAX, Snapshot, validate_label
 from .environment import DEFAULT_SPECS, Channel, EnvField, SensorSpec, sense, truth_at
 from .errors import SimError, TopologyError, WsnError
 
@@ -241,11 +243,6 @@ class SimSummary(NamedTuple):
     messages_dropped: int
 
 
-# A run senses the same few steps of each channel over and over; this many
-# distinct steps per spec are kept before its table starts afresh.
-_STEP_TABLE_MAX = 4096
-
-
 def _sense_column(spec: SensorSpec, truth: float, draws: list[float]) -> list[float]:
     """``sense(spec, truth, u)`` for each draw's u, by step lookup (see the
     module docstring); -1.0 + 2.0 * draw is Random.uniform(-1.0, 1.0)."""
@@ -259,7 +256,10 @@ def _sense_column(spec: SensorSpec, truth: float, draws: list[float]) -> list[fl
     try:
         return list(map(table.__getitem__, steps))
     except KeyError:  # a step not sensed before: sense one draw of each new step
-        if len(table) >= _STEP_TABLE_MAX:
+        # a run senses the steps near its truths over and over; the bound is
+        # checked before the new steps go in, so a table holds at most
+        # _VALUE_CACHE_MAX steps plus one column's new ones
+        if len(table) >= _VALUE_CACHE_MAX:
             table.clear()
         draw_of = dict(zip(steps, draws))
         for step in draw_of.keys() - table.keys():
@@ -283,6 +283,7 @@ def _round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[bool], list
     root, children = topo.root, topo.children
     heads = children[root]
     down = {(o.src, o.dst) for o in cfg.outages if o.covers(round_index)}
+    touched = {node for link in down for node in link}  # a head here may lose a link
     drops = random.Random(f"{cfg.field.seed}/drops/{round_index}")
     # the drop stream read as decisions, one per message: delivered when draw >= p
     ok = map(float(topo.radio.failure_prob).__le__, map(random.Random.random, repeat(drops)))
@@ -298,7 +299,7 @@ def _round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[bool], list
     for head, head_polled in zip(heads, polled):
         leaves = children[head]
         if head_polled:
-            if down:
+            if head in touched:  # every link of its branch has the head as an endpoint
                 leaf_polled = [(head, leaf) not in down and next(ok) for leaf in leaves]
                 replied = [(leaf, head) not in down and next(ok)
                            for leaf in compress(leaves, leaf_polled)]

@@ -7,12 +7,13 @@ never compare the implementation against itself.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from collections import deque
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from wsnmon.alerts import AlertRule, Comparator, Severity
-from wsnmon.basestation import Snapshot, format_value
+from wsnmon.basestation import _COLUMN_TEXTS, Snapshot, format_value
 from wsnmon.environment import DEFAULT_SPECS, Channel, ChannelModel, EnvField, sense
 from wsnmon.netsim import RadioSpec, SimConfig, TreeTopology, add_cluster
 
@@ -30,6 +31,24 @@ def build_tree(clusters, radio: RadioSpec) -> TreeTopology:
     for head, leaves in clusters:
         add_cluster(children, head, leaves)
     return TreeTopology(children, radio)
+
+
+@contextlib.contextmanager
+def empty_value_caches() -> Iterator[None]:
+    """Run the block with a run's process-wide value caches empty, and leave
+    them empty: the step table of each default sensor spec, and the writer's
+    text cache of each log column (None seeded, as at import)."""
+    def empty():
+        for spec in DEFAULT_SPECS.values():
+            spec._sensed.clear()
+        for _, texts in _COLUMN_TEXTS:
+            texts.clear()
+            texts[None] = "NULL"
+    empty()
+    try:
+        yield
+    finally:
+        empty()
 
 
 def desk_topology(failure_prob: float = 0.0, range_m: float = 30.0):

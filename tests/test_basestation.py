@@ -435,7 +435,7 @@ def columnar_rounds(draw):
     as "-" (cell by cell, or in blocks of ``GAS_BLOCK`` cells, the first block
     with or without them), which mix "-" with values whenever there are any."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    width = draw(st.sampled_from([1, 6, 64, 65, 150, basestation._TEXT_CACHE_MAX + 300]))
+    width = draw(st.sampled_from([1, 6, 64, 65, 150, basestation._MEMO_MAX + 300]))
     nodes = wide_nodes(width)
     gases = draw(st.sampled_from([(), (Channel.CO_PPM,), tuple(Channel)[2:]]))
     mixed = gases[-1] if gases and draw(st.booleans()) else None

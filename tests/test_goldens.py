@@ -2,7 +2,8 @@
 
 The sha256 of each file must match ``bench/goldens.json``, which the benchmark
 regenerates (``python3 bench/run.py --update-goldens``); this test only reads it.
-The benchmark's configs with ``hop_ms 0`` are pinned by constants kept here.
+The benchmark's configs with ``hop_ms 0`` are pinned by constants kept here,
+and their outputs must not change when the run's value caches empty and refill.
 """
 
 import hashlib
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import empty_value_caches
+from wsnmon import basestation, netsim
 from wsnmon.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,3 +66,43 @@ def test_hop_zero_outputs_match_pins(name, tmp_path, capsys):
     config = tmp_path / f"{name}-hop0.cfg"
     config.write_text(text)
     assert run_hashes(config, tmp_path, capsys) == HOP_ZERO[name]
+
+
+@pytest.mark.parametrize("name", ["batch-220", "wide-lossy"])
+def test_value_caches_that_empty_and_refill_write_the_same_bytes(name, tmp_path, capsys,
+                                                                 monkeypatch):
+    """A run whose step tables and text caches keep at most 3 entries writes
+    the log, trace and mirror of a run whose caches never empty: a cache only
+    saves work. After every column, a text cache is within the bound and a
+    step table within the bound plus that column's new steps."""
+    sense_column, column_texts = netsim._sense_column, basestation._column_texts
+    steps, texts = [], []  # per column sensed: (table size, its length); rendered: cache size
+
+    def sensed(spec, truth, draws):
+        values = sense_column(spec, truth, draws)
+        steps.append((len(spec._sensed), len(draws)))
+        return values
+
+    def rendered(channel, cache, column):
+        values = column_texts(channel, cache, column)
+        texts.append(len(cache))
+        return values
+
+    monkeypatch.setattr(netsim, "_sense_column", sensed)
+    monkeypatch.setattr(basestation, "_column_texts", rendered)
+
+    def run(bound, tmp):
+        monkeypatch.setattr(basestation, "_VALUE_CACHE_MAX", bound)
+        monkeypatch.setattr(netsim, "_VALUE_CACHE_MAX", bound)
+        steps.clear()
+        texts.clear()
+        tmp.mkdir()
+        with empty_value_caches():
+            return run_hashes(CONFIGS[name], tmp, capsys)
+
+    unbounded = run(10**9, tmp_path / "unbounded")
+    # a cache past 3 entries: bounded by 3, each empties and refills
+    assert max(steps)[0] > 3 and max(texts) > 3
+    assert run(3, tmp_path / "bounded") == unbounded
+    assert max(texts) <= 3  # the seeded None counts
+    assert all(size <= 3 + new for size, new in steps)

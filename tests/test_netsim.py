@@ -7,13 +7,14 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     DESK_CLUSTERS,
     GAS_CHANNELS,
     Event,
     default_field,
+    empty_value_caches,
     enumerate_round_messages,
     make_config,
     nulled_by_link,
@@ -353,6 +354,14 @@ def reference_configs(draw):
 class TestReferenceRound:
     @settings(max_examples=150, deadline=None)
     @given(cfg=reference_configs())
+    # at 30% loss, outages that cut a leaflet poll, a reply, an aggregate or a
+    # head poll of some heads, while every link of the other heads stays up
+    @example(cfg=make_config(
+        [(f"N{h}", [f"{h}.{i}" for i in range(1, 5)]) for h in range(1, 6)],
+        rounds=8, failure_prob=0.3,
+        outages=(LinkOutage("N1", "1.2", 1, 3), LinkOutage("2.3", "N2", 2, 5),
+                 LinkOutage("N3", "BS", 4, 6), LinkOutage("BS", "N5", 0, 1)),
+        field=default_field(seed=11, ch4_ppm=ChannelModel(900.0, sigma=40.0))))
     def test_run_simulation_matches_reference_round(self, cfg):
         """Snapshots, trace text, events and counts all equal those of the
         slow reference read off the netsim docstring, round by round: from
@@ -390,6 +399,34 @@ class TestRunSimulation:
         snaps, summary = collect(make_config(failure_prob=1.0, rounds=100))
         assert all(status_of(r.values) == "NULL" for s in snaps for r in readings(s))
         assert summary.messages_dropped == summary.messages_sent
+
+    def test_a_long_walk_keeps_its_recent_values_not_every_value(self):
+        """3000 rounds of a fast ch4 walk over 22 nodes, each round's block
+        rendered: from round 100 on the run never holds 320 KiB more than it
+        did at round 100. The walk senses new values every round, and the
+        step table and the text cache of ch4 each keep about
+        ``_VALUE_CACHE_MAX`` of them (at most 152 kB more here; with 4096
+        entries each, 559 kB)."""
+        leaves = [" ".join(f"{h}.{i}" for i in range(1, 11)) for h in (1, 2)]
+        cfg = parse_config("radio 30 0\n"
+                           f"cluster N1 {leaves[0]}\ncluster N2 {leaves[1]}\n"
+                           "rounds 3000\nseed 1\nenv temp_c 20\nenv light_raw 40\n"
+                           "env ch4_ppm 20000 walk 300\n").sim
+        held = []
+
+        def sink(snapshot):
+            snapshot_block(snapshot)
+            if snapshot.round >= 100:
+                held.append(tracemalloc.get_traced_memory()[0])
+
+        with empty_value_caches():
+            tracemalloc.start()
+            try:
+                run_simulation(cfg, sink)
+            finally:
+                tracemalloc.stop()
+        assert len(held) == 2900
+        assert max(held) - held[0] < 320 * 1024
 
     def test_scripted_outage_covers_inclusive_range(self):
         cfg = make_config(rounds=40, outages=(LinkOutage("N1", "1.1", 10, 20),))
