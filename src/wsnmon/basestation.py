@@ -62,6 +62,7 @@ texts, and its status, an LF and the stamp (the last line: its status and an
 LF). The block is kept on the snapshot, so the log, the mirror and the
 gateway share one rendering whatever order they take the round in. Each
 column renders each distinct value once: it keeps a text cache by value,
+read with one ``itemgetter`` call per column of two cells or more, and
 emptied when it reaches ``_VALUE_CACHE_MAX`` entries (the bound ``netsim``'s
 step tables share), so it holds the values a long-lived run revisits, not
 every value it has seen. ``-0.0 == 0.0`` as a dict key but renders as
@@ -214,12 +215,14 @@ def _text(channel: Channel, texts: dict, v: float | None) -> str:
     return text
 
 
-def _column_texts(channel: Channel, texts: dict, column: Sequence) -> list[str]:
+def _column_texts(channel: Channel, texts: dict, column: Sequence) -> Sequence[str]:
     """The texts of a column's cells, from and into its cache ``texts``."""
-    try:
-        return list(map(texts.__getitem__, column))
-    except KeyError:  # a value not rendered before (texts never holds "")
-        return [texts.get(v) or _text(channel, texts, v) for v in column]
+    if len(column) > 1:  # itemgetter of one value gives its text bare
+        try:
+            return itemgetter(*column)(texts)  # one C-level lookup per column
+        except KeyError:  # a value not rendered before (texts never holds "")
+            pass
+    return [texts.get(v) or _text(channel, texts, v) for v in column]
 
 
 def snapshot_block(s: Snapshot) -> str:

@@ -259,7 +259,10 @@ def _run(args: types.SimpleNamespace, hold: types.SimpleNamespace) -> int:
                 if args.rewrite_latest:
                     mirror = LatestMirror(args.rewrite_latest, nodes)
                 if args.trace:
-                    trace_fh = open(args.trace, "w", encoding="utf-8", newline="\n")
+                    try:
+                        trace_fh = open(args.trace, "w", encoding="utf-8", newline="\n")
+                    except OSError as e:
+                        raise TelemetryError("IO_FAILURE", f"cannot open {args.trace}: {e}") from e
                     stack.callback(_close_flushed, trace_fh)
                 writer = stack.enter_context(TelemetryWriter(args.out, nodes))
                 undo.pop_all()
@@ -268,8 +271,11 @@ def _run(args: types.SimpleNamespace, hold: types.SimpleNamespace) -> int:
 
             def on_trace(text: str) -> None:
                 # the whole round in one write, flushed before its log append
-                trace_fh.write(text)
-                trace_fh.flush()
+                try:
+                    trace_fh.write(text)
+                    trace_fh.flush()
+                except OSError as e:
+                    raise TelemetryError("IO_FAILURE", f"cannot write {args.trace}: {e}") from e
 
             # A paced run rewrites the mirror every round. An unpaced run makes
             # rounds faster than a reader polls, so it rewrites the mirror for

@@ -51,7 +51,9 @@ class SensorSpec(Frozen):
     saturating at ``min_value`` and ``max_value``."""
 
     _fields = ("channel", "accuracy", "quantum", "min_value", "max_value")
-    # _sensed: step -> sense()'s value for it, netsim's table, filled from sense alone
+    # _sensed: step -> sense()'s value for it, netsim's table, filled from sense
+    # alone; its keys are integral floats, round()'s step rounded in float
+    # arithmetic, which is exact below 2**51
     __slots__ = (*_fields, "_sensed")
 
     def __init__(self, channel: Channel, accuracy: float, quantum: float,

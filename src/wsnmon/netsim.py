@@ -54,10 +54,15 @@ Snapshot holds one column per equipped channel; no per-node object is built.
 Sensing by step lookup: ``environment.sense`` is the one definition of a
 sensed value, and its value depends only on the spec and the quantization
 step. A round computes each draw's step with sense's own arithmetic, in its
-order (a reassociated form is not bit-identical), and maps it through the
-spec's step table; a miss senses one draw of each new step and maps again.
-Where the step could overflow or be inexact (truth infinite, nan, or 2**50
-quanta from min_value), the round calls ``sense`` for every cell it senses.
+order (a reassociated form is not bit-identical), but rounds it in float
+arithmetic: adding and subtracting 1.5 * 2**52 gives ``round()``'s
+half-to-even step exactly below 2**51, as an integral float, so the step
+table's keys are integral floats, equal and hash-equal to sense's int
+steps. One ``itemgetter`` call maps a column's steps through the spec's step
+table; a miss senses one draw of each new step and maps again. Where the
+step could overflow or be inexact (truth infinite, nan, or 2**50 quanta from
+min_value), and in a column of fewer than two cells, the round calls
+``sense`` for each cell it senses.
 
 Event timing within a round starting at t0 (hop = per-message latency):
 polls BS->head at t0, polls head->leaflet at t0+hop, leaflet replies at
@@ -243,18 +248,27 @@ class SimSummary(NamedTuple):
     messages_dropped: int
 
 
-def _sense_column(spec: SensorSpec, truth: float, draws: list[float]) -> list[float]:
+# x + _HALF_EVEN - _HALF_EVEN is round(x), as a float, for |x| < 2**51: the sum
+# lies in [2**52, 2**53], where a float's unit is 1 and addition rounds half to even
+_HALF_EVEN = 1.5 * 2.0 ** 52
+
+
+def _sense_column(spec: SensorSpec, truth: float, draws: list[float]) -> Sequence[float]:
     """``sense(spec, truth, u)`` for each draw's u, by step lookup (see the
-    module docstring); -1.0 + 2.0 * draw is Random.uniform(-1.0, 1.0)."""
+    module docstring); -1.0 + 2.0 * draw is Random.uniform(-1.0, 1.0). A
+    step is sense's, rounded in float arithmetic, which is exact below 2**51:
+    the step table's keys are integral floats."""
     acc, lo, q = spec.accuracy, spec.min_value, spec.quantum
-    # past 2**50 quanta a step may be inexact or overflow: sense saturates or raises
-    if not abs(truth - lo) + acc < 2.0 ** 50 * q:  # also False for inf and nan
+    # past 2**50 quanta a step may be inexact or overflow: sense saturates or
+    # raises; itemgetter takes at least one step, and of one gives its value bare
+    if len(draws) < 2 or not abs(truth - lo) + acc < 2.0 ** 50 * q:  # False for inf, nan
         return [sense(spec, truth, -1.0 + 2.0 * r) for r in draws]
     # sense's arithmetic in sense's order: a reassociated form may round differently
-    steps = [round((truth + (-1.0 + 2.0 * r) * acc - lo) / q) for r in draws]
-    table = spec._sensed
+    steps = [(truth + (-1.0 + 2.0 * r) * acc - lo) / q + _HALF_EVEN - _HALF_EVEN
+             for r in draws]
+    table, get = spec._sensed, itemgetter(*steps)  # one C-level lookup per column
     try:
-        return list(map(table.__getitem__, steps))
+        return get(table)
     except KeyError:  # a step not sensed before: sense one draw of each new step
         # a run senses the steps near its truths over and over; the bound is
         # checked before the new steps go in, so a table holds at most
@@ -264,7 +278,7 @@ def _sense_column(spec: SensorSpec, truth: float, draws: list[float]) -> list[fl
         draw_of = dict(zip(steps, draws))
         for step in draw_of.keys() - table.keys():
             table[step] = sense(spec, truth, -1.0 + 2.0 * draw_of[step])
-        return list(map(table.__getitem__, steps))
+        return get(table)
 
 
 def _round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[bool], list, int, int]:
@@ -339,7 +353,7 @@ def _round(cfg: SimConfig, round_index: int) -> tuple[Snapshot, list[bool], list
     for i, spec in enumerate(sensors):
         sensed = _sense_column(spec, truth_at(cfg.field, spec.channel, round_index),
                                kept[i::width])
-        columns[spec.channel] = place_cells([None, *sensed])[1:]
+        columns[spec.channel] = place_cells((None, *sensed))[1:]
     snapshot = Snapshot(round_index, round_index * cfg.round_period_ms, nodes, columns)
     return snapshot, polled, branches, sent, dropped
 

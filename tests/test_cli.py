@@ -519,12 +519,18 @@ class TestRun:
         assert parse_telemetry(latest.read_bytes()).snapshots == log.snapshots[-1:]
 
     def test_unwritable_trace_path(self, tmp_path, capsys):
-        out = tmp_path / "t.log"
-        rc = main(["run", write_cfg(tmp_path), "--out", str(out),
-                   "--trace", str(tmp_path / "no/dir/events.trace")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("wsn run: ")
-        assert not out.exists()  # no header-only log left behind
+        """A trace in a missing directory, or at a directory, is an IO_FAILURE
+        that names it, as the log's is, and leaves no file behind."""
+        cfg, out = write_cfg(tmp_path), tmp_path / "t.log"
+        (tmp_path / "adir").mkdir()
+        for trace, code in [(tmp_path / "no/dir/events.trace", errno.ENOENT),
+                            (tmp_path / "adir", errno.EISDIR)]:
+            rc = main(["run", cfg, "--out", str(out), "--trace", str(trace)])
+            assert rc == 2
+            cause = OSError(code, os.strerror(code), str(trace))
+            err = capsys.readouterr().err
+            assert err == f"wsn run: IO_FAILURE: cannot open {trace}: {cause}\n"
+            assert not out.exists()  # no header-only log left behind
 
     @pytest.mark.parametrize("broken", ["port", "mirror", "log"])
     def test_failed_start_leaves_no_files(self, tmp_path, capsys, broken):
@@ -656,7 +662,9 @@ class TestRun:
         rc = main(["run", write_cfg(tmp_path), "--out", str(out), "--trace", "/dev/full"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("wsn run: SINK_FAILURE: sink failed at round 0: "), err
+        cause = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert err == ("wsn run: SINK_FAILURE: sink failed at round 0: "
+                       f"IO_FAILURE: cannot write /dev/full: {cause}\n"), err
         assert out.read_bytes().count(b"\n") == 1  # the header alone
 
     def test_trace_export(self, tmp_path):

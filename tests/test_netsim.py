@@ -19,6 +19,7 @@ from helpers import (
     make_config,
     nulled_by_link,
     readings,
+    reference_block,
     reference_round,
     status_of,
     trace_events,
@@ -30,9 +31,11 @@ from wsnmon.environment import (
 )
 from wsnmon.errors import EnvError, SimError, TopologyError
 from wsnmon.netsim import (
+    _HALF_EVEN,
     LinkOutage,
     SimSummary,
     _round,
+    _sense_column,
     run_round,
     run_simulation,
     trace_line,
@@ -316,6 +319,69 @@ class TestSignExactSensing:
                                             for s, v in zip(specs, expected[node])]
 
 
+class TestFloatRounding:
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(-(2.0 ** 50 + 2.0 ** 49), 2.0 ** 50 + 2.0 ** 49)
+           | st.integers(-(2 ** 50 + 2 ** 49), 2 ** 50 + 2 ** 49 - 1).map(lambda k: k + 0.5))
+    @example(x=0.5)
+    @example(x=-0.5)
+    @example(x=2.5)
+    @example(x=-2.0 ** 50 - 0.5)
+    def test_adding_and_subtracting_half_even_is_round(self, x):
+        """Below 2**51, x + _HALF_EVEN - _HALF_EVEN is round(x) as a float:
+        exact halves go to the even neighbour, as round() takes them."""
+        step = x + _HALF_EVEN - _HALF_EVEN
+        assert type(step) is float and step == round(x)
+
+
+class TestSenseColumn:
+    @pytest.mark.parametrize("count", [0, 1, 2, 300])
+    @pytest.mark.parametrize("channel", list(Channel), ids=[ch.value for ch in Channel])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32))
+    def test_each_value_is_sense_of_its_draw(self, channel, count, data, seed):
+        """A column of 0, 1, 2 or 300 draws senses each one as sense() does,
+        bit for bit (repr tells -0.0 from 0.0), and raises as it raises; the
+        step table holds only round()'s steps of the draws, as floats."""
+        spec = DEFAULT_SPECS[channel]
+        truth = data.draw(default_truths(channel), label="truth")
+        rng = random.Random(seed)
+        draws = [rng.random() for _ in range(count)]
+        with empty_value_caches():
+            try:
+                expected = [sense(spec, truth, -1.0 + 2.0 * r) for r in draws]
+            except EnvError as e:
+                with pytest.raises(EnvError) as raised:
+                    _sense_column(spec, truth, draws)
+                assert raised.value.code == e.code == "INVALID_TRUTH"
+                return
+            assert list(map(repr, _sense_column(spec, truth, draws))) == list(map(repr, expected))
+            table = spec._sensed
+            if table:
+                lo, q = spec.min_value, spec.quantum
+                steps = {round((truth + (-1.0 + 2.0 * r) * spec.accuracy - lo) / q)
+                         for r in draws}
+                assert set(table) <= steps and {type(step) for step in table} == {float}
+
+    @pytest.mark.parametrize("channel", list(Channel), ids=[ch.value for ch in Channel])
+    def test_a_column_fills_the_table_with_its_steps(self, channel):
+        """Mid-range, 300 draws fill the step table with exactly round()'s
+        steps of the draws, as integral floats, and a second column reads it."""
+        spec = DEFAULT_SPECS[channel]
+        truth = (spec.min_value + spec.max_value) / 2
+        lo, q = spec.min_value, spec.quantum
+        rng = random.Random(7)
+        draws = [rng.random() for _ in range(300)]
+        steps = [round((truth + (-1.0 + 2.0 * r) * spec.accuracy - lo) / q) for r in draws]
+        expected = [sense(spec, truth, -1.0 + 2.0 * r) for r in draws]
+        with empty_value_caches():
+            assert list(_sense_column(spec, truth, draws)) == expected
+            assert set(spec._sensed) == set(steps)
+            assert all(type(step) is float for step in spec._sensed)
+            assert list(_sense_column(spec, truth, draws[::-1])) == expected[::-1]
+            assert set(spec._sensed) == set(steps)
+
+
 def channel_models(channel: Channel, rounds: int):
     """Each model form of the channel: constant, a walk (sigma 0 included) or a
     script, around the sensor's range."""
@@ -381,6 +447,33 @@ class TestReferenceRound:
         assert events == trace_events(trace)  # times are ints
         dropped = trace.count(" LINK_DROP ")
         assert summary == SimSummary(len(events) - dropped, dropped)
+
+
+GAS_FIELD = default_field(seed=3, ch4_ppm=ChannelModel(900.0), co_ppm=ChannelModel(10.0),
+                          o2_pct=ChannelModel(21.0))
+
+
+class TestFewCellsSensed:
+    @pytest.mark.parametrize("cfg", [
+        make_config([("N1", [])], rounds=30, field=GAS_FIELD),
+        make_config([("N1", [])], rounds=30, failure_prob=0.5, field=GAS_FIELD),
+        make_config(rounds=3, failure_prob=1.0, field=GAS_FIELD),
+        make_config(rounds=3, field=GAS_FIELD,
+                    outages=(LinkOutage("BS", "N1", 0, 2), LinkOutage("BS", "N2", 0, 2))),
+        make_config(rounds=30, field=GAS_FIELD,
+                    outages=(LinkOutage("N1", "1.1", 0, 29), LinkOutage("1.2", "N1", 0, 29),
+                             LinkOutage("BS", "N2", 0, 29))),
+    ], ids=["one-node", "one-node-lossy", "every-head-poll-lost", "every-head-link-down",
+            "one-cell-delivered"])
+    def test_rounds_that_sense_no_or_one_cell_match_reference_round(self, cfg):
+        """Rounds whose columns sense no cell, or one, give reference_round's
+        snapshot and trace, and blocks whose one-cell columns render each
+        value, a cached one and NULL included, as record_line does."""
+        with empty_value_caches():
+            for r in range(cfg.rounds):
+                snapshot, text = run_round(cfg, r)
+                assert (snapshot, text) == reference_round(cfg, r)
+                assert snapshot_block(snapshot) == reference_block(snapshot)
 
 
 class TestRunSimulation:
