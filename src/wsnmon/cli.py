@@ -5,6 +5,7 @@ import os
 import sys
 import time
 import types
+from typing import NoReturn
 
 from .basestation import LatestMirror, Snapshot, TelemetryReader, TelemetryWriter, format_value
 from .environment import channel_from_token
@@ -55,13 +56,16 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _write_output(command: str, data: str) -> bool:
-    """Write ``data`` to standard output and flush it; False, reported, if that fails."""
+def _write_output(who: str, data: str) -> bool:
+    """Write ``data`` to standard output and flush it; False, reported as
+    ``who``'s, if that fails or standard output was closed at start-up."""
     try:
+        if sys.stdout is None:  # Python sets it to None when fd 1 is closed
+            raise OSError("standard output is closed")
         sys.stdout.write(data)
         sys.stdout.flush()
     except OSError as e:
-        _err(f"wsn {command}: cannot write output: {e}")
+        _err(f"{who}: cannot write output: {e}")
         return False
     return True
 
@@ -156,8 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         _err(f"wsn: error: {e}\nusage:\n{usage}")
         return 2
     if args is None:
-        print(HELP_TEXT, end="")
-        return 0
+        return 0 if _write_output("wsn", HELP_TEXT) else 2
     if args.command == "run":
         return cmd_run(args)
     if args.command == "fetch":
@@ -332,8 +335,8 @@ def _run(args: types.SimpleNamespace, hold: types.SimpleNamespace) -> int:
             _err(f"ran {sim.rounds} rounds: {summary.messages_sent} messages sent, "
                  f"{summary.messages_dropped} dropped")
             if server is not None:
-                _err("simulation done; still serving (interrupt to stop)")
-                try:
+                try:  # the line asks for the interrupt, which may come before the sleep
+                    _err("simulation done; still serving (interrupt to stop)")
                     while True:
                         time.sleep(1.0)
                 except KeyboardInterrupt:
@@ -418,7 +421,7 @@ def cmd_fetch(args: types.SimpleNamespace) -> int:
     except _NotWhole as e:  # nothing of a reply that is not whole reaches standard output
         _err(f"wsn fetch: bad response from {args.host}:{args.port}: {e}")
         return 2
-    if not _write_output("fetch", "".join(reply)):
+    if not _write_output("wsn fetch", "".join(reply)):
         return 2
     return 3 if reply[0].startswith("ERR") else 0
 
@@ -454,12 +457,41 @@ def cmd_plotdata(args: types.SimpleNamespace) -> int:
     except TelemetryError as e:
         _err(f"wsn plotdata: MALFORMED_LOG: {e}")
         return 1
-    if not _write_output("plotdata", "".join(rows)):
+    if not _write_output("wsn plotdata", "".join(rows)):
         return 2
     if reader.partial is not None:
         _err(f"wsn plotdata: ignored trailing partial round {reader.partial.round}")
     return 0
 
 
+def entry() -> NoReturn:
+    """The process entry point, of ``python -m wsnmon.cli`` and the ``wsn``
+    script: it exits with ``main``'s code once standard output and standard
+    error are flushed.
+
+    When ``main`` returns, every output it opened is closed, and interpreter
+    teardown (the last GC passes and module clearing) would only free memory,
+    so the process skips it, unless -X dev or a trace, profile or monitoring
+    hook (pdb, cProfile, coverage) watches it end.
+    """
+    code = main()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as e:  # what a failed write left buffered: report the first failure
+            if code == 0:
+                _err(f"wsn: cannot write output: {e}")
+                code = 2
+            sys.stdout = None  # an interpreter exit would flush it again, and report that
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):  # as at an interpreter exit: nowhere to report it
+            sys.stderr.flush()
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile's hook is here
+    if (sys.flags.dev_mode or sys.gettrace() is not None or sys.getprofile() is not None
+            or monitoring is not None and any(map(monitoring.get_tool, range(6)))):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1392,6 +1392,146 @@ class TestServeFlag:
         assert err == ""
 
 
+def buffered_env():
+    """``src_env`` with standard output block-buffered, as it is on a pipe or
+    a file unless PYTHONUNBUFFERED says otherwise."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def close_stdout():
+    os.close(1)  # the child starts with no fd 1, so its sys.stdout is None
+
+
+# each documented exit code of each command, as an argv whose words are
+# formatted with the paths and ports of TestProcessExit's ``work``
+EXIT_CASES = {
+    "run-0": (["run", "{cfg}", "--out", "{tmp}/r.log"], 0),
+    "run-1": (["run", "{tmp}/missing.cfg", "--out", "{tmp}/r.log"], 1),
+    "run-2": (["run", "{cfg}", "--out", "{tmp}/no/dir/r.log"], 2),
+    "run-130": (["run", "{paced}", "--out", "{tmp}/p.log", "--pace"], 130),
+    "plotdata-0": (["plotdata", "{log}", "--node", "N1", "--channel", "temp_c"], 0),
+    "plotdata-1": (["plotdata", "{log}", "--node", "X9", "--channel", "temp_c"], 1),
+    "plotdata-2": (["plotdata", "{log}", "--node", "N1", "--channel", "temp_c"], 2),
+    "fetch-2": (["fetch", "--port", "{free}", "PING"], 2),
+    "fetch-3": (["fetch", "--port", "{gateway}", "NODE", "9.9"], 3),
+    "help-0": (["--help"], 0),
+    "usage-2": (["bogus"], 2),
+}
+
+# argv[1]: the hook that watches the child end (none, trace, profile or
+# cProfile); argv[2:]: the wsn command line. "teardown" on stderr says the
+# interpreter ran its exit handlers.
+WATCH_PROBE = """\
+import atexit, cProfile, os, runpy, sys
+atexit.register(os.write, 2, b"teardown\\n")
+hook = sys.argv.pop(1)
+if hook == "trace":
+    sys.settrace(lambda frame, event, arg: None)
+elif hook == "profile":
+    sys.setprofile(lambda frame, event, arg: None)
+run = lambda: runpy.run_module("wsnmon.cli", run_name="__main__", alter_sys=True)
+cProfile.Profile().runcall(run) if hook == "cProfile" else run()
+"""
+
+
+class TestProcessExit:
+    """A ``wsn`` process ends without interpreter teardown, except where
+    something watches it end; what it writes is what ``main`` writes."""
+
+    @pytest.fixture()
+    def work(self, tmp_path, served_gateway):
+        log = tmp_path / "d.log"
+        assert main(["run", write_cfg(tmp_path), "--out", str(log)]) == 0
+        # a paced run sleeps ten minutes after each round
+        paced = DESK_CFG.replace("rounds 5", "rounds 3\nperiod_ms 600000")
+        return {"tmp": tmp_path, "cfg": write_cfg(tmp_path), "log": log,
+                "paced": write_cfg(tmp_path, paced, "paced.cfg"),
+                "free": free_port(), "gateway": served_gateway}
+
+    @pytest.mark.parametrize("case", EXIT_CASES)
+    def test_a_process_writes_and_exits_as_main_returns(self, work, case, capsys, monkeypatch):
+        """Standard output (block-buffered), standard error and the exit code
+        of ``python -m wsnmon.cli`` are those of ``main`` in process for the
+        same argv, for each documented exit code of each command."""
+        words, code = EXIT_CASES[case]
+        argv = [word.format(**work) for word in words]
+        full = case == "plotdata-2"  # standard output on a full disk
+        with contextlib.ExitStack() as stack:
+            stdout = stack.enter_context(open("/dev/full", "w")) if full else subprocess.PIPE
+            child = subprocess.Popen([sys.executable, "-m", "wsnmon.cli", *argv],
+                                     env=buffered_env(), stdout=stdout,
+                                     stderr=subprocess.PIPE, text=True)
+            stack.callback(child.kill)
+            if case == "run-130":  # interrupted in the pace sleep after round 0
+                deadline, log = time.monotonic() + 30, work["tmp"] / "p.log"
+                while not (log.exists() and log.read_bytes().count(b"\n") == 7):
+                    assert child.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+                child.send_signal(signal.SIGTERM)
+            out, err = child.communicate(timeout=60)
+        if full:
+            out = ""
+            monkeypatch.setattr(sys, "stdout", FullStdout())
+        if case == "run-130":
+            monkeypatch.setattr(time, "sleep", lambda s: os.kill(os.getpid(), signal.SIGTERM))
+        capsys.readouterr()
+        assert (child.returncode, out, err) == (main(argv), *capsys.readouterr())
+        assert child.returncode == code
+
+    @pytest.mark.parametrize("flags,hook,torn_down", [
+        ([], "none", False), (["-X", "dev"], "none", True), ([], "trace", True),
+        ([], "profile", True), ([], "cProfile", True),
+    ], ids=["plain", "dev", "trace", "profile", "cProfile"])
+    def test_teardown_runs_only_when_watched(self, tmp_path, flags, hook, torn_down):
+        """A plain process skips the interpreter's exit handlers; under -X
+        dev, a trace or profile hook or cProfile (a monitoring tool from
+        Python 3.12) it runs them. Either way it exits with main's code."""
+        log = str(tmp_path / "t.log")
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", WATCH_PROBE, hook, "run", write_cfg(tmp_path),
+             "--out", log],
+            env=src_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.endswith("dropped\nteardown\n" if torn_down else "dropped\n")
+
+    def test_cprofile_prints_its_report(self, work, capsys):
+        """``python -m cProfile -m wsnmon.cli`` prints wsn's output, then the
+        profile report, which comes after wsn's exit."""
+        argv = ["plotdata", str(work["log"]), "--node", "N1", "--channel", "temp_c"]
+        done = subprocess.run([sys.executable, "-m", "cProfile", "-m", "wsnmon.cli", *argv],
+                              env=buffered_env(), capture_output=True, text=True, timeout=60)
+        capsys.readouterr()
+        assert main(argv) == 0
+        rows = capsys.readouterr().out
+        assert done.stdout.startswith(rows) and "function calls" in done.stdout[len(rows):]
+        assert done.stderr == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("flags", [[], ["-X", "dev"]], ids=["plain", "dev"])
+    @pytest.mark.parametrize("stdout", ["full", "closed"])
+    @pytest.mark.parametrize("command", ["help", "plotdata", "fetch"])
+    def test_a_failed_write_to_stdout_exits_2_with_one_line(self, work, flags, stdout, command):
+        """Standard output on a full disk, or closed (fd 1 shut before the
+        process starts): each command that writes it reports one
+        ``cannot write output`` line and exits 2, with no traceback and no
+        second report at exit."""
+        argv = {"help": ["--help"],
+                "plotdata": ["plotdata", str(work["log"]), "--node", "N1", "--channel", "temp_c"],
+                "fetch": ["fetch", "--port", str(work["gateway"]), "SNAPSHOT"]}[command]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "wsnmon.cli", *argv], env=buffered_env(),
+                stdout=full if stdout == "full" else None,
+                preexec_fn=close_stdout if stdout == "closed" else None,
+                stderr=subprocess.PIPE, text=True, timeout=60)
+        who = "wsn" if command == "help" else f"wsn {command}"
+        cause = ("[Errno 28] No space left on device" if stdout == "full"
+                 else "standard output is closed")
+        assert (done.returncode, done.stderr) == (2, f"{who}: cannot write output: {cause}\n")
+
+
 # a valid config, a choice per line, then up to two lines of token soup put in;
 # no drawn config runs more than DEFAULT_ROUNDS rounds of at most five nodes
 CONTRACT_CHOICES = [

@@ -24,7 +24,8 @@ from helpers import (
     status_of,
     trace_events,
 )
-from wsnmon.basestation import format_value, serialize_snapshots, snapshot_block
+from wsnmon.basestation import (_VALUE_CACHE_MAX, format_value, serialize_snapshots,
+                                snapshot_block)
 from wsnmon.config import parse_config
 from wsnmon.environment import (
     DEFAULT_SPECS, Channel, ChannelModel, EnvField, sense, truth_at,
@@ -49,9 +50,11 @@ WIDE_LOSSY = Path(__file__).resolve().parent.parent / "bench" / "configs" / "wid
 def traced_extra_at_round_1() -> tuple[int, int]:
     """How many bytes more tracemalloc counts as held when round 1 of the
     wide-lossy tree reaches the sink of a traced ``run_simulation`` than of an
-    untraced one, and the length of round 1's trace text."""
+    untraced one, and the length of round 1's trace text. Each measured run
+    starts from emptied value caches, so a cache that fills up cannot be
+    emptied inside one of them and not the other."""
     cfg = parse_config(WIDE_LOSSY.read_text()).sim
-    run_simulation(cfg, lambda snapshot: None)  # warms the module's caches
+    run_simulation(cfg, lambda snapshot: None)  # warms what a run keeps besides its value caches
 
     def held_at_round_1(on_trace):
         held = []
@@ -61,12 +64,13 @@ def traced_extra_at_round_1() -> tuple[int, int]:
                 held.append(tracemalloc.get_traced_memory()[0])
                 raise RuntimeError("measured")  # ends the run as a SINK_FAILURE
 
-        tracemalloc.start()
-        try:
-            with pytest.raises(SimError, match="SINK_FAILURE"):
-                run_simulation(cfg, sink, on_trace=on_trace)
-        finally:
-            tracemalloc.stop()
+        with empty_value_caches():
+            tracemalloc.start()
+            try:
+                with pytest.raises(SimError, match="SINK_FAILURE"):
+                    run_simulation(cfg, sink, on_trace=on_trace)
+            finally:
+                tracemalloc.stop()
         return held[0]
 
     lengths = []
@@ -163,6 +167,18 @@ class TestRunRound:
         holds less than half of that round's trace text more than an untraced
         one: a round's text is released once it is written."""
         extra, text_length = traced_extra_at_round_1()
+        assert extra < text_length / 2
+
+    @pytest.mark.parametrize("free", [200, 400, 600, 800])
+    def test_a_filling_step_table_does_not_move_the_sink_measure(self, free):
+        """With ch4's step table ``free`` steps short of its bound beforehand,
+        so that a measured run may fill and empty it, a traced run still
+        holds less than half of round 1's trace text more than an untraced
+        one: each measured run starts from emptied value caches."""
+        with empty_value_caches():
+            table = DEFAULT_SPECS[Channel.CH4_PPM]._sensed
+            table.update((-1.0 - i, 0.0) for i in range(_VALUE_CACHE_MAX - free))  # no step's key
+            extra, text_length = traced_extra_at_round_1()
         assert extra < text_length / 2
 
     def test_a_round_keeps_no_lost_cells_draws(self):
