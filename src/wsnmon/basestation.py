@@ -137,8 +137,6 @@ def parse_header(line: str) -> tuple[str, ...]:
     if not parts[2].startswith("nodes="):
         raise TelemetryError("BAD_HEADER", f"missing nodes= field: {line!r}", line_no=1)
     nodes = tuple(parts[2][len("nodes=") :].split(","))
-    if nodes == ("",):
-        raise TelemetryError("BAD_HEADER", "empty node list", line_no=1)
     # a node is a sensing node a config could name (never NULL or "-", which no
     # record can carry, nor the base station), and each header node is matched
     # by exactly one record of a round
@@ -548,7 +546,46 @@ def parse_telemetry(data: bytes | str) -> ParsedTelemetry:
     return ParsedTelemetry(nodes=reader.nodes, snapshots=snapshots, partial=reader.partial)
 
 
-class TelemetryWriter:
+class AppendFile:
+    """A file written in whole pieces, each flushed as it is written: the one
+    way ``wsn run`` opens, writes and closes its log and its trace.
+
+    The constructor opens ``path`` and writes ``first``; a failure there is
+    ``cannot open <path>``, and a failed ``write`` is ``cannot write <path>``.
+    A failed open or write closes the file at once, quietly: that close could
+    only repeat the flush that failed. A later ``close`` then does nothing,
+    so it never replaces the first error.
+    """
+
+    def __init__(self, path: str | os.PathLike, first: str):
+        self.path = os.fspath(path)
+        try:
+            self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
+        except OSError as e:
+            raise TelemetryError("IO_FAILURE", f"cannot open {self.path}: {e}") from e
+        self.write(first, "open")
+
+    def write(self, text: str, doing: str = "write") -> None:
+        """Write and flush ``text`` as one piece; ``doing`` names the step in an error."""
+        try:
+            self._fh.write(text)
+            self._fh.flush()
+        except OSError as e:
+            with contextlib.suppress(OSError):  # close's own flush fails the same way
+                self._fh.close()
+            raise TelemetryError("IO_FAILURE", f"cannot {doing} {self.path}: {e}") from e
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class TelemetryWriter(AppendFile):
     """Single writer for one append-only telemetry file.
 
     One writer: a single thread appends, so no lock is taken. Each append is
@@ -557,20 +594,9 @@ class TelemetryWriter:
     """
 
     def __init__(self, path: str | os.PathLike, nodes: Sequence[str]):
-        self.path = os.fspath(path)
         self.nodes = tuple(nodes)
         self.last: Snapshot | None = None  # the log's last whole round, once flushed
-        try:
-            self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
-            try:
-                self._fh.write(header_line(self.nodes) + "\n")
-                self._fh.flush()
-            except OSError:
-                with contextlib.suppress(OSError):  # close's own flush fails the same way
-                    self._fh.close()
-                raise
-        except OSError as e:
-            raise TelemetryError("IO_FAILURE", f"cannot open {self.path}: {e}") from e
+        super().__init__(path, header_line(self.nodes) + "\n")
 
     def append(self, s: Snapshot) -> None:
         before = -1 if self.last is None else self.last.round  # -1: the header alone
@@ -578,21 +604,8 @@ class TelemetryWriter:
             raise TelemetryError("NON_MONOTONIC_ROUND", f"round {s.round} after round {before}")
         if s.nodes != self.nodes:
             raise ValueError(f"snapshot nodes {s.nodes} do not match log {self.nodes}")
-        try:
-            self._fh.write(snapshot_block(s))
-            self._fh.flush()
-        except OSError as e:
-            raise TelemetryError("IO_FAILURE", f"round {s.round}: {e}") from e
+        self.write(snapshot_block(s))
         self.last = s
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self) -> "TelemetryWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class LatestMirror:
@@ -611,8 +624,9 @@ class LatestMirror:
 
     def __init__(self, path: str | os.PathLike, nodes: Sequence[str]):
         self.path = os.fspath(path)
+        self.tmp = self.temp_path(self.path)
         self._header = header_line(nodes) + "\n"
-        for p in (self.path, self.path + ".tmp"):
+        for p in (self.path, self.tmp):
             with contextlib.suppress(OSError):  # nothing to see there: _replace reports it
                 if not stat.S_ISREG(os.lstat(p).st_mode):
                     raise TelemetryError(
@@ -620,19 +634,23 @@ class LatestMirror:
         # a zero-round file: an unwritable path fails here, before any round runs
         self._replace("", -1)
 
+    @staticmethod
+    def temp_path(path: str | os.PathLike) -> str:
+        """The temp file each update of a mirror at ``path`` writes, then renames."""
+        return os.fspath(path) + ".tmp"
+
     def update(self, s: Snapshot) -> None:
         self._replace(snapshot_block(s), s.round)  # the block the log writer just rendered
 
     def _replace(self, block: str, round_index: int) -> None:
         self.round: int | None = None
-        tmp = self.path + ".tmp"
         try:
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            with open(self.tmp, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(self._header)
                 fh.write(block)
-            os.replace(tmp, self.path)
+            os.replace(self.tmp, self.path)
         except OSError as e:
             with contextlib.suppress(OSError):  # leave no temp file behind
-                os.remove(tmp)
+                os.remove(self.tmp)
             raise TelemetryError("IO_FAILURE", f"cannot write {self.path}: {e}") from e
         self.round = round_index

@@ -7,7 +7,8 @@ import time
 import types
 from typing import NoReturn
 
-from .basestation import LatestMirror, Snapshot, TelemetryReader, TelemetryWriter, format_value
+from .basestation import (AppendFile, LatestMirror, Snapshot, TelemetryReader, TelemetryWriter,
+                          format_value)
 from .environment import channel_from_token
 from .errors import ConfigError, EnvError, SimError, TelemetryError, WsnError
 
@@ -177,13 +178,6 @@ def _config_text(data: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _close_flushed(fh) -> None:
-    """Close a file that is flushed after every write: close can fail only by
-    retrying a flush whose failure has already been raised."""
-    with contextlib.suppress(OSError):
-        fh.close()
-
-
 def _remove_if_present(path: str) -> None:
     """Remove ``path``, which a failed open may or may not have created."""
     if os.path.lexists(path):
@@ -232,7 +226,7 @@ def _run(args: types.SimpleNamespace, hold: types.SimpleNamespace) -> int:
     # outputs naming one file would write over each other's data
     outputs = {"--out": args.out, "--trace": args.trace, "--rewrite-latest": args.rewrite_latest}
     if args.rewrite_latest:
-        outputs["the --rewrite-latest temp file"] = args.rewrite_latest + ".tmp"
+        outputs["the --rewrite-latest temp file"] = LatestMirror.temp_path(args.rewrite_latest)
     owners: dict[str, str] = {}
     for option, path in outputs.items():
         if path:
@@ -243,7 +237,7 @@ def _run(args: types.SimpleNamespace, hold: types.SimpleNamespace) -> int:
 
     sim = run_cfg.sim
     nodes = sim.topology.sensing_nodes()
-    gateway = server = mirror = trace_fh = None
+    gateway = server = mirror = trace = None
     try:
         with contextlib.ExitStack() as stack:
             if args.serve:
@@ -261,24 +255,12 @@ def _run(args: types.SimpleNamespace, hold: types.SimpleNamespace) -> int:
                         undo.callback(_remove_if_present, path)
                 if args.rewrite_latest:
                     mirror = LatestMirror(args.rewrite_latest, nodes)
-                if args.trace:
-                    try:
-                        trace_fh = open(args.trace, "w", encoding="utf-8", newline="\n")
-                    except OSError as e:
-                        raise TelemetryError("IO_FAILURE", f"cannot open {args.trace}: {e}") from e
-                    stack.callback(_close_flushed, trace_fh)
+                if args.trace:  # each round's trace is flushed before its log append
+                    trace = stack.enter_context(AppendFile(args.trace, ""))
                 writer = stack.enter_context(TelemetryWriter(args.out, nodes))
                 undo.pop_all()
             if server is not None:
                 _err(f"gateway listening on {server.host}:{server.port}")
-
-            def on_trace(text: str) -> None:
-                # the whole round in one write, flushed before its log append
-                try:
-                    trace_fh.write(text)
-                    trace_fh.flush()
-                except OSError as e:
-                    raise TelemetryError("IO_FAILURE", f"cannot write {args.trace}: {e}") from e
 
             # A paced run rewrites the mirror every round. An unpaced run makes
             # rounds faster than a reader polls, so it rewrites the mirror for
@@ -319,8 +301,7 @@ def _run(args: types.SimpleNamespace, hold: types.SimpleNamespace) -> int:
                         left -= _DAY_MS
 
             try:
-                summary = run_simulation(
-                    sim, sink, on_trace=on_trace if trace_fh is not None else None)
+                summary = run_simulation(sim, sink, on_trace=trace and trace.write)
             except KeyboardInterrupt:  # each append is whole: the log ends on a whole round
                 catch_up()
                 last = writer.last

@@ -80,9 +80,9 @@ class Gateway:
         self._node_requests = ["NODE " + n for n in self._nodes]
         # a head is followed by its leaflets, so a cluster is a slice of lines
         self._clusters: list[tuple[str, int, int]] = []
+        stop = 0  # the line after the last cluster's
         for head in topology.children[topology.root]:
-            start = self._nodes.index(head)
-            stop = start + 1 + len(topology.children[head])
+            start, stop = stop, stop + 1 + len(topology.children[head])
             self._clusters.append(("CLUSTER " + head, start, stop))
         self._round = -1
         self._active: dict[tuple[str, str], str] = {}  # a held pair's alert line

@@ -607,7 +607,7 @@ class TestParserErrors:
         assert exc.value.line_no == 1
         assert exc.value.message == "line 1: node 'BS' is the base station"
 
-    @pytest.mark.parametrize("nodes", ["N1,,N2", ",N1,", "N1,"])
+    @pytest.mark.parametrize("nodes", ["N1,,N2", ",N1,", "N1,", ""])
     def test_header_rejects_empty_node_ids(self, nodes):
         """No record can name an empty node; the writer never writes one."""
         with pytest.raises(TelemetryError, match="BAD_HEADER") as exc:

@@ -31,7 +31,7 @@ from wsnmon.cli import main
 from wsnmon.config import parse_config
 from wsnmon.environment import Channel
 from wsnmon.gateway import Gateway
-from wsnmon.netsim import run_round
+from wsnmon.netsim import run_round, run_simulation
 
 ROOT = Path(__file__).resolve().parent.parent
 DESK_CFG = """\
@@ -399,6 +399,54 @@ class TestRun:
         assert done.stderr.startswith(
             f"wsn run: IO_FAILURE: cannot open {tmp_path / 'o.log'}: "), done.stderr
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a file size limit")
+    @pytest.mark.parametrize("dev", [False, True], ids=["plain", "dev"])
+    @pytest.mark.parametrize("traced", [False, True], ids=["out", "trace"])
+    def test_a_file_size_limit_mid_run_names_the_output_it_stopped(self, tmp_path, traced, dev):
+        """Under a file size limit that falls inside round 10 of the output that
+        grows fastest (the trace, when there is one), the run exits 2 with one
+        line naming that output and round, also under -X dev: closing it again
+        never replaces that error. The output holds its bytes up to the limit,
+        and the log every whole round before 10."""
+        import resource
+
+        cfg = ROOT / "configs" / "desk.cfg"
+        sim = parse_config(cfg.read_text(encoding="utf-8")).sim
+        snapshots, traces = [], []
+        run_simulation(sim, snapshots.append, on_trace=traces.append)
+        log_text = header_line(sim.topology.sensing_nodes()) + "\n"
+        log_through = [len(log_text)]  # the log's size after each round: header, 0, 1, ...
+        for s in snapshots:
+            log_text += snapshot_block(s)
+            log_through.append(len(log_text.encode()))
+        out, trace, k = tmp_path / "o.log", tmp_path / "t.tr", 10
+        if traced:
+            stopped, text = trace, "".join(traces)
+            through = [len("".join(traces[:r]).encode()) for r in range(k + 2)]
+        else:
+            stopped, text, through = out, log_text, log_through[:k + 2]
+        limit = (through[k] + through[k + 1]) // 2  # inside round k
+        assert log_through[k] <= limit  # the log has room for every round before k
+
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a refused write fails with EFBIG
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        done = subprocess.run(
+            [sys.executable, *(["-X", "dev"] if dev else []), "-m", "wsnmon.cli", "run",
+             str(cfg), "--out", str(out), *(["--trace", str(trace)] if traced else [])],
+            env=dict(src_env(), PYTHONDONTWRITEBYTECODE="1"), preexec_fn=limit_file_size,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60)
+        cause = OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+        assert (done.returncode, done.stderr) == (2, (
+            f"wsn run: SINK_FAILURE: sink failed at round {k}: "
+            f"IO_FAILURE: cannot write {stopped}: {cause}\n"))
+        assert stopped.read_bytes() == text.encode()[:limit]
+        log = parse_telemetry(out.read_bytes())
+        assert log.snapshots == snapshots[:k]
+        torn = text.encode()[log_through[k]:limit]  # round k's lines up to the limit
+        assert log.partial == (None if traced else (k, torn.count(b"\n")))
 
     @pytest.mark.skipif(os.name != "posix", reason="sends POSIX signals")
     @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])

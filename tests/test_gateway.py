@@ -16,6 +16,7 @@ from helpers import (
     DESK_NODES,
     Row,
     brute_force_alerts,
+    build_tree,
     make_config,
     desk_topology,
     from_readings,
@@ -31,7 +32,7 @@ from wsnmon.environment import Channel
 from wsnmon.errors import GatewayError
 from wsnmon.alerts import Alert, AlertRule, Comparator, Severity, alert_line, evaluate_alerts
 from wsnmon.gateway import Gateway, MAX_REQUEST_BYTES, serve
-from wsnmon.netsim import run_round
+from wsnmon.netsim import RadioSpec, run_round
 
 CO_RULE = AlertRule("co_high", Channel.CO_PPM, Comparator.GREATER, 50.0, Severity.WARN)
 
@@ -204,6 +205,38 @@ class TestHandleRequest:
         lines = gw.handle_request("CLUSTER N1\n").splitlines()
         assert lines[0] == "BEGIN 0 3"
         assert [parse_record(l)[2] for l in lines[1:-1]] == ["N1", "1.1", "1.2"]
+
+    def test_each_cluster_is_its_head_and_leaflets(self):
+        """In a tree whose clusters differ in size, each CLUSTER response is
+        its head's line and its leaflets' lines, as SNAPSHOT lists them."""
+        tree = build_tree([(f"H{h}", [f"{h}.{i}" for i in range(h)]) for h in range(5)],
+                          RadioSpec(30.0))
+        gw = Gateway(tree)
+        nodes = tree.sensing_nodes()
+        gw.publish(Snapshot(0, 0, nodes, {Channel.TEMP_C: (25.0,) * len(nodes),
+                                          Channel.LIGHT_RAW: (512.0,) * len(nodes)}))
+        records = gw.handle_request("SNAPSHOT\n").splitlines(keepends=True)[1:-1]
+        for h, head in enumerate(tree.children[tree.root]):
+            start = nodes.index(head)
+            assert gw.handle_request(f"CLUSTER {head}\n") == (
+                f"BEGIN 0 {1 + h}\n{''.join(records[start:start + 1 + h])}END\n")
+
+    def test_build_is_linear_in_tree_width(self):
+        """Building a gateway for 16 times the heads (19 leaflets each) takes
+        well under 40 times as long; finding each head by a scan of the node
+        list made it about 250 times."""
+        def build_s(heads):
+            tree = build_tree([(f"H{h}", [f"{h}.{i}" for i in range(19)])
+                               for h in range(heads)], RadioSpec(30.0))
+            best = math.inf
+            for _ in range(5):
+                started = time.perf_counter()
+                Gateway(tree)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        small, large = build_s(100), build_s(1600)
+        assert large < 40 * small, f"{large / small:.0f} times as long"
 
     def test_cluster_of_leaflet(self):
         gw = self.make_gateway()
@@ -461,6 +494,19 @@ class TestServer:
                 assert c.ask("PING") == ["PONG"]
             finally:
                 flood.close()
+                c.close()
+
+    def test_request_that_is_not_utf8_gets_bad_request(self):
+        """A request line that is not UTF-8 gets ERR BAD_REQUEST, and the
+        session goes on to answer its next request."""
+        gw, _ = live_gateway()
+        with serve(gw, port=0) as server:
+            c = Client(server.port)
+            try:
+                c.sock.sendall(b"NODE \xff\xfe\n")
+                assert c.rfile.readline() == "ERR BAD_REQUEST\n"
+                assert c.ask("PING") == ["PONG"]
+            finally:
                 c.close()
 
     def test_line_at_the_limit_is_a_request(self):

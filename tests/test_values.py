@@ -2,17 +2,18 @@
 
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
-from helpers import default_field, desk_topology
+from helpers import default_field, desk_topology, empty_value_caches
 from wsnmon.alerts import AlertRule, Comparator, Severity
 from wsnmon.basestation import ParsedTelemetry, PartialRound, Snapshot, snapshot_block
-from wsnmon.config import RunConfig
+from wsnmon.config import RunConfig, parse_config
 from wsnmon.environment import Channel, ChannelModel, EnvField, SensorSpec, truth_at
 from wsnmon.errors import (ConfigError, EnvError, GatewayError, SimError, TelemetryError,
                            TopologyError, WsnError)
-from wsnmon.netsim import LinkOutage, RadioSpec, SimConfig, SimSummary, TreeTopology
+from wsnmon.netsim import LinkOutage, RadioSpec, SimConfig, SimSummary, TreeTopology, run_round
 
 TOPOLOGY = desk_topology()
 WALKING = {Channel.TEMP_C: ChannelModel(25.0, sigma=0.5), Channel.LIGHT_RAW: ChannelModel(512.0)}
@@ -78,6 +79,59 @@ def test_value_class(cls, required, defaults, changed, fill_cache):
             setattr(made, name, value)
 
 
+DUPLICATES = [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
+DUPLICATE_IDS = ["copy", "deepcopy", "pickle"]
+WIDE_LOSSY = Path(__file__).resolve().parent.parent / "bench" / "configs" / "wide-lossy.cfg"
+
+
+def wide_lossy_values() -> list:
+    """Every Frozen value of the benchmark's wide-lossy run, its round 3
+    included, with each cache filled: 22 values of all nine classes."""
+    run_cfg = parse_config(WIDE_LOSSY.read_text(encoding="utf-8"))
+    sim = run_cfg.sim
+    snapshot = run_round(sim, 3)[0]  # fills each sensor spec's step table
+    snapshot_block(snapshot)
+    return [sim, sim.topology, sim.topology.radio, sim.field, *sim.field.channels.values(),
+            *sim.sensors, *sim.outages, *run_cfg.rules, snapshot]
+
+
+@pytest.mark.parametrize("duplicate", DUPLICATES, ids=DUPLICATE_IDS)
+def test_frozen_value_survives_copy_and_pickle(duplicate):
+    """A copy is rebuilt from the fields: equal to the value, and with each
+    cache as a newly built value has it, empty."""
+    with empty_value_caches():
+        values = wide_lossy_values()
+        snapshot = values[-1]
+        specs = [value for value in values if type(value) is SensorSpec]
+        assert len(values) == 22 and len({type(value) for value in values}) == 9
+        assert len(specs) == 5
+        assert snapshot._block is not None and all(spec._sensed for spec in specs)
+        for value in values:
+            again = duplicate(value)
+            assert type(again) is type(value) and again is not value
+            assert again == value and not again != value
+            built = type(value)(*value._values())
+            for slot in value.__slots__[len(value._fields):]:
+                assert getattr(again, slot) == getattr(built, slot), (value, slot)
+        assert duplicate(snapshot)._block is None
+        assert [duplicate(spec)._sensed for spec in specs] == [{}] * 5
+
+
+def test_frozen_value_refuses_del_and_other_types():
+    """No field can be deleted, and == against another type, its own field
+    tuple included, is left to that type (and so is False)."""
+    with empty_value_caches():
+        values = wide_lossy_values()
+    for value in values:
+        for name in value._fields:
+            held = getattr(value, name)
+            with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+                delattr(value, name)
+            assert getattr(value, name) is held
+        for other in (value._values(), object(), None):
+            assert value.__eq__(other) is NotImplemented
+            assert value != other and not value == other
+
 
 @pytest.mark.parametrize("error", [
     *(cls(code, "bad", line_no) for cls in (WsnError, TopologyError, EnvError, SimError,
@@ -86,9 +140,7 @@ def test_value_class(cls, required, defaults, changed, fill_cache):
     ConfigError("bad"), ConfigError("bad", 3), ConfigError("line 3: bad", 3),
     TelemetryError("MALFORMED_RECORD", "line 2: x", line_no=7),
 ], ids=repr)
-@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
-                                       lambda e: pickle.loads(pickle.dumps(e))],
-                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("duplicate", DUPLICATES, ids=DUPLICATE_IDS)
 def test_error_survives_copy_and_pickle(error, duplicate):
     again = duplicate(error)
     assert type(again) is type(error) and again is not error
